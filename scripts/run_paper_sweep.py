@@ -9,34 +9,9 @@ lambda = 1/3 separability edge is visible at a glance.
 """
 
 import argparse
-import math
 
-import numpy as np
-
-from swapforge import (
-    ALL_BRANCHES,
-    SwapScenario,
-    average_negativity,
-    chain,
-    noisy_bell_povm,
-    wire2_computational_povm,
-)
-from swapforge.experiment import CSV_COLUMNS, SweepRow
-
-
-def evaluate(lam: float) -> SweepRow:
-    first = noisy_bell_povm(lam)
-    second = wire2_computational_povm()
-    round1 = chain(SwapScenario(2, (first,), ALL_BRANCHES))
-    both = chain(SwapScenario(2, (first, second), ALL_BRANCHES))
-    return SweepRow(
-        param_value=lam,
-        avg_neg_round1=average_negativity(round1),
-        avg_neg_round2=average_negativity(both),
-        paper_formula_round1=(3 * lam - 1) / 2,
-        paper_formula_round2=(lam - 1 + math.sqrt(1 - 2 * lam + 5 * lam * lam)) / 2,
-        max_branch_negativity=max(rec.negativity14 for rec in both),
-    )
+from swapforge.config import RoundSpec, ScenarioConfig, SweepSpec
+from swapforge.experiment import run_sweep
 
 
 def main() -> None:
@@ -45,11 +20,12 @@ def main() -> None:
     parser.add_argument("--out", default="paper_sweep.csv")
     args = parser.parse_args()
 
-    rows = [evaluate(float(lam)) for lam in np.linspace(0.0, 1.0, args.steps)]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(row.as_csv() + "\n")
+    config = ScenarioConfig(
+        local_dim=2,
+        rounds=(RoundSpec("noisy_bell"), RoundSpec("wire2_computational")),
+        sweep=SweepSpec(param_name="lambda", start=0.0, stop=1.0, steps=args.steps),
+    )
+    rows = run_sweep(config, csv_path=args.out)
 
     print(f"{'lambda':>8}  {'one round':>10}  {'two rounds':>10}")
     for row in rows:

@@ -22,6 +22,8 @@ directory.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -29,7 +31,14 @@ from .errors import ConfigError
 from .families import FAMILIES, build_family, family_sweep_params
 from .states import Povm
 
-__all__ = ["OutputsSpec", "RoundSpec", "ScenarioConfig", "SweepSpec", "load_scenario_config"]
+__all__ = [
+    "OutputsSpec",
+    "RoundSpec",
+    "ScenarioConfig",
+    "SweepSpec",
+    "TOLERANCE_KEYS",
+    "load_scenario_config",
+]
 
 
 @dataclass(frozen=True)
@@ -77,19 +86,21 @@ class ScenarioConfig:
             )
         return owners[0]
 
+    def build_round(self, index: int, param_value: float | None = None) -> Povm:
+        """Instantiate one round, substituting the swept parameter value
+        when one is given and the round owns it."""
+        spec = self.rounds[index]
+        params = dict(spec.params)
+        if param_value is not None and index == self.swept_round_index():
+            params[self.sweep.param_name] = param_value
+        if spec.family == "file" and "path" in params:
+            params["path"] = os.path.join(self.base_dir, params["path"])
+        return build_family(spec.family, params)
+
     def build_rounds(self, param_value: float | None = None) -> tuple[Povm, ...]:
         """Instantiate the measurement chain, substituting the swept
         parameter value when one is given."""
-        swept = self.swept_round_index() if param_value is not None else None
-        rounds = []
-        for i, spec in enumerate(self.rounds):
-            params = dict(spec.params)
-            if swept is not None and i == swept:
-                params[self.sweep.param_name] = param_value
-            if spec.family == "file" and "path" in params:
-                params["path"] = os.path.join(self.base_dir, params["path"])
-            rounds.append(build_family(spec.family, params))
-        return tuple(rounds)
+        return tuple(self.build_round(i, param_value) for i in range(len(self.rounds)))
 
     def resolve_output(self, path: str | None) -> str | None:
         if path is None:
@@ -97,9 +108,18 @@ class ScenarioConfig:
         return os.path.join(self.base_dir, path)
 
 
+# Tolerance names a config may override; anything else is a typo.
+TOLERANCE_KEYS = ("prob_tol",)
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: strings, booleans and null are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def load_scenario_config(path) -> ScenarioConfig:
@@ -123,6 +143,11 @@ def load_scenario_config(path) -> ScenarioConfig:
         _require(family in FAMILIES, f"round {i}: unknown family {family!r}")
         params = entry.get("params", {})
         _require(isinstance(params, dict), f"round {i}: params must be an object")
+        for name in sorted(family_sweep_params(family) & params.keys()):
+            _require(
+                _is_number(params[name]),
+                f"round {i}: parameter {name!r} must be a number, got {params[name]!r}",
+            )
         rounds.append(RoundSpec(family=family, params=params))
 
     sweep = None
@@ -133,6 +158,11 @@ def load_scenario_config(path) -> ScenarioConfig:
             _require(key in raw, f"sweep needs {key!r}")
         steps = raw["steps"]
         _require(isinstance(steps, int) and steps >= 2, "sweep.steps must be an integer >= 2")
+        for key in ("start", "stop"):
+            _require(
+                _is_number(raw[key]) and math.isfinite(raw[key]),
+                f"sweep.{key} must be a finite number, got {raw[key]!r}",
+            )
         start, stop = float(raw["start"]), float(raw["stop"])
         _require(start <= stop, "sweep.start must not exceed sweep.stop")
         sweep = SweepSpec(param_name=str(raw["param_name"]), start=start, stop=stop, steps=steps)
@@ -145,6 +175,10 @@ def load_scenario_config(path) -> ScenarioConfig:
 
     overrides = doc.get("tolerance_overrides", {})
     _require(isinstance(overrides, dict), "tolerance_overrides must be an object")
+    for key, value in overrides.items():
+        known = ", ".join(TOLERANCE_KEYS)
+        _require(key in TOLERANCE_KEYS, f"unknown tolerance {key!r}; known: {known}")
+        _require(_is_number(value), f"tolerance {key!r} must be a number, got {value!r}")
 
     config = ScenarioConfig(
         local_dim=local_dim,

@@ -17,7 +17,7 @@ from math import prod
 
 import numpy as np
 
-from . import measures
+from . import linalg, measures
 from .errors import (
     BadDimension,
     InternalCheckError,
@@ -49,6 +49,7 @@ __all__ = [
     "rho14_two_round_spectral",
     "rho34_contraction",
     "second_round_probability",
+    "stacked_chain_negativities",
     "state_from_element_spectral",
 ]
 
@@ -56,6 +57,9 @@ logger = logging.getLogger(__name__)
 
 # Guard against K^rounds blowup in chain expansion.
 MAX_BRANCHES = 100_000
+
+# How far a complete branch set's probabilities may sum away from one.
+PROB_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -260,7 +264,7 @@ def chain(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> list[OutcomeRec
     return leaves
 
 
-def average_negativity(records: list[OutcomeRecord], prob_sum_tol: float = 1e-6) -> float:
+def average_negativity(records: list[OutcomeRecord], prob_sum_tol: float = PROB_SUM_TOL) -> float:
     """Probability-weighted average of the branch negativities.
 
     The records must form a complete sibling set; branch negativities
@@ -270,6 +274,99 @@ def average_negativity(records: list[OutcomeRecord], prob_sum_tol: float = 1e-6)
     if abs(total - 1.0) > prob_sum_tol:
         raise IncompleteBranchSet(f"branch probabilities sum to {total!r}, expected 1")
     return float(sum(rec.probability * rec.negativity14 for rec in records))
+
+
+# ---------------------------------------------------------------------------
+# Stacked expansion: many grid points and every outcome path at once.
+# ---------------------------------------------------------------------------
+
+# Callers stacking grid points size their chunks so that no array holds
+# more complex entries than this (one grid point at the least).
+STACK_ENTRIES = 1 << 14
+
+
+def _stacked_negativity(x: np.ndarray, d: int) -> np.ndarray:
+    # x[..., (k l), (i j)] holds psi[i, k, l, j]; rho14 = x^T conj(x)
+    rho = np.swapaxes(x, -1, -2) @ x.conj()
+    pt = rho.reshape(rho.shape[:-2] + (d, d, d, d)).swapaxes(-3, -1).reshape(rho.shape)
+    value = np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1) - 1.0
+    return np.maximum(value, 0.0)
+
+
+def _checked_average(weight: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    total = weight.sum(axis=-1)
+    bad = np.flatnonzero(np.abs(total - 1.0) > PROB_SUM_TOL)
+    if bad.size:
+        raise IncompleteBranchSet(
+            f"branch probabilities sum to {float(total[bad[0]])!r}, expected 1"
+        )
+    return (weight * neg).sum(axis=-1)
+
+
+def stacked_chain_negativities(
+    local_dim: int,
+    element_stacks,
+    prob_tol: float = PROB_TOL,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand every outcome path of a measurement chain for a stack of
+    grid points in one pass.
+
+    ``element_stacks[r]`` holds round r's element matrices with shape
+    (G_r, K_r, d^2, d^2), G_r being the number of grid points G, or 1 for
+    a round shared by all of them.  Returns three length-G arrays: the
+    probability-weighted average negativity of the first-round branches,
+    the same for the last-round branches, and the largest negativity of a
+    kept last-round branch.
+
+    The numbers are those of ``chain`` followed by ``average_negativity``,
+    which stay the reference: a branch whose conditional probability is
+    below prob_tol (or PROB_TOL) gets zero weight and so do its
+    descendants; both averages need their weights to sum to one within
+    PROB_SUM_TOL.  Negativity is the sum of |eigenvalues| of the Hermitian
+    partial transpose, minus one.
+    """
+    d = int(local_dim)
+    dim = d * d
+    stacks = [np.asarray(s, dtype=complex) for s in element_stacks]
+    if not stacks:
+        raise InvalidPovm("a scenario needs at least one measurement round")
+    grid = max(s.shape[0] for s in stacks)
+    for s in stacks:
+        if s.ndim != 4 or s.shape[2:] != (dim, dim) or s.shape[0] not in (1, grid):
+            raise ShapeMismatch(
+                f"element stack of shape {s.shape} does not fit d={d} and {grid} grid points"
+            )
+    total = prod(s.shape[1] for s in stacks)
+    if total > MAX_BRANCHES:
+        raise InvalidPovm(f"scenario expands to {total} branches (limit {MAX_BRANCHES})")
+
+    # One eigendecomposition for every element of every round.
+    w, v = linalg.floored_psd_eigh(np.concatenate([s.reshape(-1, dim, dim) for s in stacks]))
+    roots = linalg.sqrt_from_spectrum(w, v)
+    tol = max(prob_tol, PROB_TOL)
+
+    # x[g, b, (k l), (i j)] holds branch b's psi[i, k, l, j]
+    start = initial_state(d).tensor().transpose(1, 2, 0, 3).reshape(dim, dim)
+    x = np.broadcast_to(start, (grid, 1, dim, dim))
+    weight = np.ones((grid, 1))
+    offset = 0
+    for r, s in enumerate(stacks):
+        size = s.shape[0] * s.shape[1]
+        op = roots[offset:offset + size].reshape(s.shape)
+        offset += size
+        out = op[:, None] @ x[:, :, None]  # (grid, branch, outcome, kl, ij)
+        p = (out.real * out.real + out.imag * out.imag).sum(axis=(-2, -1))
+        p = np.where(p >= tol, p, 0.0)  # dropped branches: zero weight and zero state
+        scale = np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=p > 0.0)
+        x = (out * scale[..., None, None]).reshape(grid, -1, dim, dim)
+        weight = (weight[:, :, None] * p).reshape(grid, -1)
+        if r == 0 or r == len(stacks) - 1:
+            neg = _stacked_negativity(x, d)
+            if r == 0:
+                first = _checked_average(weight, neg)
+    last = _checked_average(weight, neg)
+    top = np.where(weight > 0.0, neg, -np.inf).max(axis=-1)
+    return first, last, top
 
 
 # ---------------------------------------------------------------------------

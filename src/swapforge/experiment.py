@@ -5,27 +5,42 @@ CSV contract: fixed column order (param_value, avg_neg_round1,
 avg_neg_round2, paper_formula_round1, paper_formula_round2,
 max_branch_negativity), header row, '.' decimal separator, every value
 printed with 15 significant digits, newline-terminated rows.  Rows are
-written in grid order regardless of how many workers evaluated them, so
+written in grid order and computed by one deterministic stacked pass, so
 output is byte-stable across runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .classify import classify_element, verdict_label
 from .config import ScenarioConfig
-from .engine import ALL_BRANCHES, SwapScenario, average_negativity, chain
+from .engine import (
+    ALL_BRANCHES,
+    STACK_ENTRIES,
+    SwapScenario,
+    average_negativity,
+    chain,
+    stacked_chain_negativities,
+)
 from .errors import ConfigError
 from .tolerances import PROB_TOL
 
-__all__ = ["SweepRow", "run_scenario", "run_sweep", "sweep_rows", "worker_count"]
+__all__ = [
+    "SweepRow",
+    "paper_formulas",
+    "run_scenario",
+    "run_sweep",
+    "sweep_rows",
+    "worker_count",
+]
 
 CSV_COLUMNS = (
     "param_value",
@@ -65,7 +80,12 @@ class SweepRow:
 
 
 def worker_count(grid_size: int) -> int:
-    """Parallelism cap from SWAPFORGE_THREADS (0 or unset = auto)."""
+    """Parallelism cap from SWAPFORGE_THREADS (0 or unset = auto).
+
+    Sweeps run as one stacked pass on a single thread whatever it says;
+    they still read the variable, so a malformed value stays an input
+    error.
+    """
     raw = os.environ.get("SWAPFORGE_THREADS", "0").strip() or "0"
     try:
         requested = int(raw)
@@ -78,64 +98,86 @@ def worker_count(grid_size: int) -> int:
     return max(1, min(requested, grid_size))
 
 
-def _reference_curves(config: ScenarioConfig, lam: float) -> tuple[float, float]:
-    """Known closed-form averages for the white-noise Bell scenario.
+def paper_formulas(lam: float) -> tuple[float, float]:
+    """The paper's closed-form averages for a white-noise Bell measurement.
 
-    The single-round formula (3*lam - 1)/2 goes negative below lam = 1/3
-    while the measured average clamps at zero; both are emitted so the
-    discrepancy stays visible in the data.  Rows for scenarios without a
+    One round gives (3*lam - 1)/2, which goes negative below the
+    separability edge lam = 1/3 where the measured average clamps at
+    zero; one round followed by a wire-2 computational measurement gives
+    (lam - 1 + sqrt(1 - 2*lam + 5*lam^2))/2.
+    """
+    round1 = (3.0 * lam - 1.0) / 2.0
+    round2 = (lam - 1.0 + math.sqrt(1.0 - 2.0 * lam + 5.0 * lam * lam)) / 2.0
+    return round1, round2
+
+
+def _reference_curves(config: ScenarioConfig, lam: float) -> tuple[float, float]:
+    """The paper formulas that apply to the swept scenario.
+
+    Both are emitted unclamped, so a discrepancy with the measured
+    average stays visible in the data.  Rows for scenarios without a
     known formula carry nan.
     """
     round1 = math.nan
     round2 = math.nan
     if config.sweep is not None and config.sweep.param_name == "lambda":
-        swept = config.swept_round_index()
-        if swept is not None and config.rounds[swept].family == "noisy_bell":
-            if swept == 0:
-                round1 = (3.0 * lam - 1.0) / 2.0
-            if (
-                swept == 0
-                and len(config.rounds) >= 2
-                and config.rounds[1].family == "wire2_computational"
-            ):
-                round2 = (lam - 1.0 + math.sqrt(1.0 - 2.0 * lam + 5.0 * lam * lam)) / 2.0
+        if config.swept_round_index() == 0 and config.rounds[0].family == "noisy_bell":
+            round1, two_rounds = paper_formulas(lam)
+            if len(config.rounds) >= 2 and config.rounds[1].family == "wire2_computational":
+                round2 = two_rounds
     return round1, round2
 
 
-def _evaluate_point(config: ScenarioConfig, lam: float, prob_tol: float) -> SweepRow:
-    rounds = config.build_rounds(param_value=lam)
-    first = SwapScenario(config.local_dim, rounds[:1], ALL_BRANCHES)
-    avg1 = average_negativity(chain(first, prob_tol=prob_tol))
-    if len(rounds) >= 2:
-        full_records = chain(SwapScenario(config.local_dim, rounds, ALL_BRANCHES), prob_tol)
-        avg2 = average_negativity(full_records)
-        final_records = full_records
-    else:
-        avg2 = math.nan
-        final_records = chain(first, prob_tol=prob_tol)
-    f1, f2 = _reference_curves(config, lam)
-    return SweepRow(
-        param_value=lam,
-        avg_neg_round1=avg1,
-        avg_neg_round2=avg2,
-        paper_formula_round1=f1,
-        paper_formula_round2=f2,
-        max_branch_negativity=max(rec.negativity14 for rec in final_records),
-    )
+def _element_stack(povm) -> np.ndarray:
+    return np.stack([el.matrix for el in povm.elements])
 
 
 def sweep_rows(config: ScenarioConfig) -> list[SweepRow]:
-    """Evaluate every grid point; grid order is preserved in the output."""
+    """Evaluate every grid point; grid order is preserved in the output.
+
+    Rounds that do not own the swept parameter are built once; the swept
+    round is built, and so validated, at every point.  The grid goes
+    through the stacked engine in chunks sized so that no stacked array
+    holds more than STACK_ENTRIES entries.
+    """
     if config.sweep is None:
         raise ConfigError("config has no sweep block")
-    config.swept_round_index()
+    swept = config.swept_round_index()
     prob_tol = config.tolerance_overrides.get("prob_tol", PROB_TOL)
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
-    workers = worker_count(len(grid))
-    if workers == 1:
-        return [_evaluate_point(config, float(lam), prob_tol) for lam in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda lam: _evaluate_point(config, float(lam), prob_tol), grid))
+    worker_count(len(grid))  # rejects a malformed SWAPFORGE_THREADS
+    swept_povms = (config.build_round(swept, float(lam)) for lam in grid)
+    first = next(swept_povms, None)
+    if first is None:  # an empty grid from a config built in code
+        return []
+    swept_povms = itertools.chain([first], swept_povms)
+    stacks = [
+        _element_stack(first if i == swept else config.build_round(i))[None]
+        for i in range(len(config.rounds))
+    ]
+    branches = prod(s.shape[1] for s in stacks)
+    chunk = max(1, STACK_ENTRIES // (branches * config.local_dim**4))
+    parts = []
+    for _ in range(0, len(grid), chunk):
+        stacks[swept] = np.stack([_element_stack(p) for p in itertools.islice(swept_povms, chunk)])
+        parts.append(stacked_chain_negativities(config.local_dim, stacks, prob_tol))
+    avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
+    if len(config.rounds) == 1:
+        avg_last = np.full(len(grid), math.nan)
+    rows = []
+    for k, lam in enumerate(grid.tolist()):
+        f1, f2 = _reference_curves(config, lam)
+        rows.append(
+            SweepRow(
+                param_value=lam,
+                avg_neg_round1=float(avg1[k]),
+                avg_neg_round2=float(avg_last[k]),
+                paper_formula_round1=f1,
+                paper_formula_round2=f2,
+                max_branch_negativity=float(top[k]),
+            )
+        )
+    return rows
 
 
 def run_sweep(config: ScenarioConfig, csv_path: str | None = None) -> list[SweepRow]:

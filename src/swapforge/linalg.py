@@ -18,6 +18,7 @@ from .tolerances import HERM_TOL, PSD_TOL, RANK_REL_TOL
 
 __all__ = [
     "HermitianSpectrum",
+    "floored_psd_eigh",
     "hermiticity_defect",
     "hermitian_eig",
     "kron",
@@ -27,6 +28,7 @@ __all__ = [
     "permute_subsystems",
     "psd_sqrt",
     "psd_sqrt_closed_2x2",
+    "sqrt_from_spectrum",
     "trace_norm",
 ]
 
@@ -136,6 +138,28 @@ def hermitian_eig(m: np.ndarray, herm_tol: float = HERM_TOL) -> HermitianSpectru
     w.setflags(write=False)
     v.setflags(write=False)
     return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
+
+
+def floored_psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of PSD matrices stacked on the leading axes of ``m``
+    (shape (..., D, D)): eigenvalues descending, clipped at zero, and
+    those below RANK_REL_TOL times the largest set to exactly zero, with
+    the matching eigenvector columns.
+
+    Anything matrix_rank would not count must not leak sqrt-amplified
+    noise into branch states, so every POVM element's square root, one
+    at a time or stacked, takes its spectrum from here.
+    """
+    w, v = np.linalg.eigh(m)
+    w = np.clip(w[..., ::-1], 0.0, None)
+    top = w[..., :1]
+    w = np.where((top > 0.0) & (w < RANK_REL_TOL * top), 0.0, w)
+    return w, np.ascontiguousarray(v[..., ::-1])
+
+
+def sqrt_from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V diag(sqrt(w)) V^dagger for spectra stacked on leading axes."""
+    return (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def psd_sqrt(m: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:

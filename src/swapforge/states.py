@@ -24,7 +24,7 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import HermitianSpectrum
-from .tolerances import COMPLETENESS_TOL, HERM_TOL, NORM_TOL, PSD_TOL, RANK_REL_TOL
+from .tolerances import COMPLETENESS_TOL, HERM_TOL, NORM_TOL, PSD_TOL
 
 __all__ = [
     "DensityMatrix",
@@ -181,20 +181,16 @@ class PovmElement:
 
     @cached_property
     def spectral(self) -> HermitianSpectrum:
-        # Eigenvalues below the rank-detection floor are exact zeros here:
-        # anything matrix_rank would not count must not leak sqrt-amplified
-        # noise into the branch states.
-        spec = linalg.hermitian_eig(self.matrix)
-        w = np.clip(spec.eigenvalues, 0.0, None)
-        if w.size and w[0] > 0.0:
-            w[w < RANK_REL_TOL * w[0]] = 0.0
+        # Eigenvalues below the rank-detection floor are exact zeros here.
+        w, v = linalg.floored_psd_eigh(self.matrix)
         w.setflags(write=False)
-        return HermitianSpectrum(eigenvalues=w, eigenvectors=spec.eigenvectors)
+        v.setflags(write=False)
+        return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
 
     @cached_property
     def sqrt_matrix(self) -> np.ndarray:
-        v = self.spectral.eigenvectors
-        return _frozen((v * np.sqrt(self.spectral.eigenvalues)) @ v.conj().T)
+        spec = self.spectral
+        return _frozen(linalg.sqrt_from_spectrum(spec.eigenvalues, spec.eigenvectors))
 
     def basis_tensor(self) -> np.ndarray:
         """Eigenvectors as amplitude grids A[k, i, j] over the two local wires."""

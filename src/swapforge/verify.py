@@ -8,6 +8,8 @@ Randomized checks draw from fixed seeds so results are reproducible.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -17,16 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import ENTANGLED, UNENTANGLED, UNENTANGLED_BOUNDARY, classify_element
+from .config import RoundSpec, ScenarioConfig, SweepSpec
 from .engine import (
     ALL_BRANCHES,
     SwapScenario,
     apply_element,
     apply_round,
+    average_negativity,
     chain,
     disturbance_check,
     initial_state,
     rho14_two_round_spectral,
+    stacked_chain_negativities,
 )
+from .experiment import paper_formulas, sweep_rows
 from .families import (
     SingleQubitElementParams,
     bell_projective,
@@ -65,10 +71,12 @@ from .tolerances import RANK_REL_TOL
 
 def _cli_main(argv: list[str]) -> int:
     # Imported lazily: the CLI module imports this one for its verify
-    # subcommand, so a top-level import would be circular.
+    # subcommand, so a top-level import would be circular.  The command's
+    # own stdout is swallowed so it cannot land in the verify table.
     from .cli import main
 
-    return main(argv)
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_check", "run_verification"]
 
@@ -190,7 +198,7 @@ def _check_noisy_bell_single_round(overrides: dict) -> CheckResult:
     failed = False
     notes = []
     for lam in _LAMBDA_GRID:
-        expected = max(0.0, (3.0 * lam - 1.0) / 2.0)
+        expected = max(0.0, paper_formulas(lam)[0])
         for rec in apply_round(base, noisy_bell_povm(lam), include_pair_states=False):
             worst.push(abs(rec.negativity14 - expected), f"lambda={lam}")
         verdict = classify_element(noisy_bell_povm(lam).elements[0]).verdict
@@ -258,10 +266,6 @@ def _expected_two_round_rho(lam: float) -> np.ndarray:
     return (1 + lam) / 2 * np.outer(xi, xi) + (1 - lam) / 2 * np.outer(ket01, ket01)
 
 
-def _two_round_formula(lam: float) -> float:
-    return (lam - 1.0 + math.sqrt(1.0 - 2.0 * lam + 5.0 * lam * lam)) / 2.0
-
-
 def _paper_scenario_config(tmpdir: str, csv_name: str) -> str:
     doc = {
         "local_dim": 2,
@@ -292,7 +296,7 @@ def _check_two_round_worked_example(overrides: dict) -> CheckResult:
         for rec in records:
             worst_prob.push(abs(rec.round_probabilities[1] - 0.5), f"s lambda={lam}")
             worst_prob.push(abs(rec.probability - 0.125), f"joint lambda={lam}")
-            worst_neg.push(abs(rec.negativity14 - _two_round_formula(lam)), f"lambda={lam}")
+            worst_neg.push(abs(rec.negativity14 - paper_formulas(lam)[1]), f"lambda={lam}")
         first_branch = next(r for r in records if r.outcome_path == (0, 0))
         expected = _expected_two_round_rho(lam)
         worst_state.push(float(np.abs(first_branch.rho14.matrix - expected).max()), f"rho lambda={lam}")
@@ -305,9 +309,9 @@ def _check_two_round_worked_example(overrides: dict) -> CheckResult:
         code = _cli_main(["sweep", path])
         csv_rows = _read_csv(os.path.join(tmpdir, "curve.csv"))
         for row in csv_rows:
-            lam = row["param_value"]
-            worst_neg.push(abs(row["avg_neg_round1"] - max(0.0, (3 * lam - 1) / 2)), "csv round1")
-            worst_neg.push(abs(row["avg_neg_round2"] - _two_round_formula(lam)), "csv round2")
+            round1, round2 = paper_formulas(row["param_value"])
+            worst_neg.push(abs(row["avg_neg_round1"] - max(0.0, round1)), "csv round1")
+            worst_neg.push(abs(row["avg_neg_round2"] - round2), "csv round2")
         failed = code != 0 or len(csv_rows) != 21
     passed = (
         worst_prob.value <= tol_prob
@@ -560,6 +564,50 @@ def _check_sweep_determinism(overrides: dict) -> CheckResult:
     )
 
 
+# ---------------------------------------------------------------------------
+# 13. The stacked sweep engine against the per-record chain.
+# ---------------------------------------------------------------------------
+
+
+def _chain_reference(d: int, povms) -> tuple[float, float, float]:
+    """First-round and last-round average negativity and the largest
+    last-round branch negativity, record by record."""
+    first = average_negativity(chain(SwapScenario(d, povms[:1], ALL_BRANCHES)))
+    records = chain(SwapScenario(d, povms, ALL_BRANCHES))
+    return first, average_negativity(records), max(rec.negativity14 for rec in records)
+
+
+def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
+    tol = _tol(overrides, "batched_sweep_equivalence", 1e-13)
+    worst = _Worst()
+    config = ScenarioConfig(
+        local_dim=2,
+        rounds=(RoundSpec("noisy_bell"), RoundSpec("wire2_computational")),
+        sweep=SweepSpec(param_name="lambda", start=0.0, stop=1.0, steps=len(_LAMBDA_GRID)),
+    )
+    second = wire2_computational_povm()
+    for row in sweep_rows(config):
+        ref = _chain_reference(2, (noisy_bell_povm(row.param_value), second))
+        got = (row.avg_neg_round1, row.avg_neg_round2, row.max_branch_negativity)
+        worst.push(max(abs(a - b) for a, b in zip(got, ref)), f"paper lambda={row.param_value}")
+    # Seeded chains, three grid points per shape.
+    rng = np.random.default_rng(_SEED + 13)
+    for d, shape in ((2, (3,)), (2, (2, 3)), (2, (3, 2, 2)), (3, (2, 3))):
+        chains = [[random_povm(rng, d=d, n_elements=k) for k in shape] for _ in range(3)]
+        stacks = [
+            np.stack([[el.matrix for el in povms[r].elements] for povms in chains])
+            for r in range(len(shape))
+        ]
+        got = stacked_chain_negativities(d, stacks)
+        for g, povms in enumerate(chains):
+            ref = _chain_reference(d, povms)
+            worst.push(
+                max(abs(column[g] - value) for column, value in zip(got, ref)),
+                f"d={d} outcomes={shape} point {g}",
+            )
+    return _result("batched_sweep_equivalence", worst, tol)
+
+
 _CHECKS = {
     "swap_identity": _check_swap_identity,
     "born_normalization": _check_born_normalization,
@@ -573,6 +621,7 @@ _CHECKS = {
     "psd_sqrt_closed_form": _check_psd_sqrt_closed_form,
     "qudit_generalization": _check_qudit_generalization,
     "sweep_determinism": _check_sweep_determinism,
+    "batched_sweep_equivalence": _check_batched_sweep_equivalence,
 }
 
 CHECK_NAMES = tuple(_CHECKS)

@@ -23,6 +23,7 @@ CRITERIA = [
     (10, "psd_sqrt_closed_form", "2x2 closed root vs spectral <=1e-12 on 1000 samples"),
     (11, "qudit_generalization", "criteria 1-2 at d=3 and unit concurrences <=1e-10"),
     (12, "sweep_determinism", "byte-identical CSV across consecutive sweep runs"),
+    (13, "batched_sweep_equivalence", "stacked sweep engine vs per-record chain <=1e-13"),
 ]
 
 

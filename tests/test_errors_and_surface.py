@@ -1,5 +1,7 @@
 """Error paths and API-surface sanity that the happy-path tests skip."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,55 @@ def test_povm_element_rejects_non_square_pair_dimension():
         PovmElement(np.eye(5))  # 5 is not d*d
     with pytest.raises(ShapeMismatch):
         PovmElement(np.ones((2, 3)))
+
+
+_PAPER_CONFIG = {
+    "rounds": [
+        {"family": "noisy_bell", "params": {"lambda": 0.5}},
+        {"family": "wire2_computational"},
+    ],
+    "sweep": {"param_name": "lambda", "start": 0.0, "stop": 1.0, "steps": 3},
+}
+
+
+def _with(path, value):
+    doc = json.loads(json.dumps(_PAPER_CONFIG))
+    *outer, key = path
+    node = doc
+    for part in outer:
+        node = node[part] if isinstance(node, list) else node.setdefault(part, {})
+    node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _with(("sweep", "start"), "x"),
+        _with(("tolerance_overrides", "prob_tol"), "abc"),
+        _with(("rounds", 0, "params", "lambda"), None),
+        _with(("tolerance_overrides", "prb_tol"), 1e-12),
+        _with(("rounds", 0, "params", "lambda"), "0.5"),
+    ],
+    ids=["start-string", "prob_tol-string", "lambda-null", "unknown-tolerance", "lambda-string"],
+)
+def test_malformed_config_exits_two_with_error_code(tmp_path, capsys, command, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--csv", str(tmp_path / "out.csv")] if command == "sweep" else []
+    assert main([command, str(path), *extra]) == 2
+    assert capsys.readouterr().err.startswith("error_code=ConfigParse\n")
+
+
+def test_verify_stdout_holds_only_check_rows(capsys):
+    from swapforge.verify import CHECK_NAMES
+
+    keep = ("two_round_worked_example", "sweep_determinism")
+    skips = [arg for name in CHECK_NAMES if name not in keep for arg in ("--skip", name)]
+    assert main(["verify", *skips]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(CHECK_NAMES) + 1
+    for line in lines[:-1]:
+        assert line.split()[0] in ("PASS", "SKIP")
+    assert lines[-1] == f"{len(CHECK_NAMES)}/{len(CHECK_NAMES)} checks passed"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from swapforge.errors import BadIndex, NotHermitian, NotPsd, ShapeMismatch
 from swapforge.linalg import (
+    floored_psd_eigh,
     hermitian_eig,
     kron,
     matrix_rank,
@@ -13,6 +14,7 @@ from swapforge.linalg import (
     permute_subsystems,
     psd_sqrt,
     psd_sqrt_closed_2x2,
+    sqrt_from_spectrum,
     trace_norm,
 )
 
@@ -306,3 +308,20 @@ def test_matrix_rank_values(rng):
 def test_matrix_rank_noisy_bell_element_is_full():
     noisy = 0.2 * np.outer(BELL, BELL.conj()) + 0.2 * np.eye(4)  # lam = 0.2
     assert matrix_rank(noisy) == 4
+
+
+def test_floored_psd_eigh_stack_matches_single_matrices(rng):
+    g = random_complex(rng, 6, 2)
+    low_rank = g @ g.conj().T  # rank two: four eigenvalues at rounding level
+    stack = np.stack([low_rank, np.eye(6), np.zeros((6, 6))])
+    w, v = floored_psd_eigh(stack)
+    assert w.shape == (3, 6) and v.shape == (3, 6, 6)
+    assert np.all(w[0, 2:] == 0.0) and np.all(w[0, :2] > 0.0)
+    assert np.all(np.diff(w, axis=-1) <= 0.0)
+    assert np.all(w[2] == 0.0)
+    for k, m in enumerate(stack):
+        wk, vk = floored_psd_eigh(m)
+        np.testing.assert_array_equal(wk, w[k])
+        root = sqrt_from_spectrum(w[k], v[k])
+        np.testing.assert_allclose(root @ root, m, atol=1e-12)
+    np.testing.assert_allclose(sqrt_from_spectrum(w, v)[1], np.eye(6), atol=1e-14)

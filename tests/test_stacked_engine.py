@@ -1,0 +1,180 @@
+"""The stacked grid x branch engine against the per-record chain, which
+stays the reference: same averages and branch maxima to 1e-13, same
+branch dropping, same errors."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import swapforge.families
+from swapforge.config import RoundSpec, ScenarioConfig, SweepSpec, load_scenario_config
+from swapforge.engine import (
+    ALL_BRANCHES,
+    MAX_BRANCHES,
+    SwapScenario,
+    average_negativity,
+    chain,
+    stacked_chain_negativities,
+)
+from swapforge.errors import IncompleteBranchSet, InvalidPovm
+from swapforge.experiment import sweep_rows
+from swapforge.families import BELL_STATES, noisy_bell_povm, wire2_computational_povm
+from swapforge.sampling import random_povm
+from swapforge.states import Povm, write_povm
+
+TOL = 1e-13
+
+
+def reference(d, povms, prob_tol=1e-12):
+    first = average_negativity(chain(SwapScenario(d, povms[:1], ALL_BRANCHES), prob_tol))
+    records = chain(SwapScenario(d, povms, ALL_BRANCHES), prob_tol)
+    return first, average_negativity(records), max(rec.negativity14 for rec in records)
+
+
+def stacks_of(chains):
+    """Round-by-round element stacks, one grid point per chain."""
+    return [
+        np.stack([[el.matrix for el in povms[r].elements] for povms in chains])
+        for r in range(len(chains[0]))
+    ]
+
+
+def assert_matches_chain(d, chains, prob_tol=1e-12):
+    got = stacked_chain_negativities(d, stacks_of(chains), prob_tol)
+    for g, povms in enumerate(chains):
+        for column, value in zip(got, reference(d, povms, prob_tol)):
+            assert abs(column[g] - value) <= TOL
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n_rounds", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_chains_match_chain(d, n_rounds, seed):
+    rng = np.random.default_rng(1000 * d + 10 * n_rounds + seed)
+    shape = [int(k) for k in rng.integers(2, 4, size=n_rounds)]
+    chains = [[random_povm(rng, d=d, n_elements=k) for k in shape] for _ in range(3)]
+    assert_matches_chain(d, chains)
+
+
+def test_shared_round_broadcasts_over_the_grid(rng):
+    shared = random_povm(rng, d=2, n_elements=3)
+    chains = [[random_povm(rng, d=2, n_elements=2), shared] for _ in range(4)]
+    stacks = stacks_of(chains)
+    stacks[1] = stacks[1][:1]
+    got = stacked_chain_negativities(2, stacks)
+    full = stacked_chain_negativities(2, stacks_of(chains))
+    for a, b in zip(got, full):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=TOL)
+
+
+def dropping_povm(eps):
+    """A Bell projector scaled by eps (a maximally entangled branch of
+    probability eps/4) plus two halves of the rest."""
+    tiny = eps * np.outer(BELL_STATES[0], BELL_STATES[0].conj())
+    rest = (np.eye(4) - tiny) / 2.0
+    return Povm.from_matrices([tiny, rest, rest], local_dim=2)
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_dropped_branches_get_zero_weight_and_no_maximum(second):
+    povms = [dropping_povm(1e-7)] + ([wire2_computational_povm()] if second else [])
+    first, last, top = stacked_chain_negativities(2, stacks_of([povms]), prob_tol=1e-6)
+    ref = reference(2, povms, prob_tol=1e-6)
+    assert abs(first[0] - ref[0]) <= TOL
+    assert abs(last[0] - ref[1]) <= TOL
+    assert abs(top[0] - ref[2]) <= TOL
+    # kept, the scaled Bell branch would carry negativity 1
+    assert stacked_chain_negativities(2, stacks_of([povms]))[2][0] == pytest.approx(1.0)
+    assert top[0] < 0.5
+
+
+def test_zero_element_is_dropped():
+    povms = [Povm.from_matrices([np.zeros((4, 4)), np.eye(4)], local_dim=2), noisy_bell_povm(0.7)]
+    assert_matches_chain(2, [povms])
+
+
+def test_incomplete_branch_set_raises_like_chain(rng):
+    povms = [random_povm(rng, d=2, n_elements=4)]
+    with pytest.raises(IncompleteBranchSet):
+        reference(2, povms, prob_tol=0.3)
+    with pytest.raises(IncompleteBranchSet):
+        stacked_chain_negativities(2, stacks_of([povms]), prob_tol=0.3)
+
+
+def test_max_branches_guard_like_chain():
+    k = int(math.isqrt(MAX_BRANCHES)) + 1
+    povm = Povm.from_matrices([np.eye(4) / k] * k, local_dim=2)
+    with pytest.raises(InvalidPovm):
+        chain(SwapScenario(2, (povm, povm), ALL_BRANCHES))
+    stack = np.broadcast_to(np.eye(4) / k, (1, k, 4, 4))
+    with pytest.raises(InvalidPovm):
+        stacked_chain_negativities(2, [stack, stack])
+
+
+def sweep_config(rounds, steps=7):
+    return ScenarioConfig(
+        local_dim=2,
+        rounds=tuple(rounds),
+        sweep=SweepSpec(param_name="lambda", start=0.0, stop=1.0, steps=steps),
+    )
+
+
+def test_one_round_sweep_has_nan_round2():
+    rows = sweep_rows(sweep_config([RoundSpec("noisy_bell")]))
+    for row in rows:
+        ref = reference(2, (noisy_bell_povm(row.param_value),))
+        assert math.isnan(row.avg_neg_round2)
+        assert abs(row.avg_neg_round1 - ref[0]) <= TOL
+        assert abs(row.max_branch_negativity - ref[2]) <= TOL
+
+
+def test_swept_round_not_first_and_file_round_read_once(tmp_path, rng, monkeypatch):
+    povm = random_povm(rng, d=2, n_elements=3)
+    write_povm(povm, tmp_path / "meas.json")
+    doc = {
+        "rounds": [
+            {"family": "file", "params": {"path": "meas.json"}},
+            {"family": "noisy_bell"},
+        ],
+        "sweep": {"param_name": "lambda", "start": 0.0, "stop": 1.0, "steps": 9},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    config = load_scenario_config(str(path))
+    reads = []
+    real_read = swapforge.families.read_povm
+    monkeypatch.setattr(swapforge.families, "read_povm", lambda p: reads.append(p) or real_read(p))
+    rows = sweep_rows(config)
+    assert len(reads) == 1
+    for row in rows:
+        ref = reference(2, (povm, noisy_bell_povm(row.param_value)))
+        got = (row.avg_neg_round1, row.avg_neg_round2, row.max_branch_negativity)
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= TOL
+        assert math.isnan(row.paper_formula_round1)
+
+
+def test_paper_sweep_matches_chain_in_several_chunks(monkeypatch):
+    import swapforge.experiment
+
+    monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 3 * 8 * 16)
+    rows = sweep_rows(
+        sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=11)
+    )
+    second = wire2_computational_povm()
+    assert [row.param_value for row in rows] == np.linspace(0.0, 1.0, 11).tolist()
+    for row in rows:
+        ref = reference(2, (noisy_bell_povm(row.param_value), second))
+        got = (row.avg_neg_round1, row.avg_neg_round2, row.max_branch_negativity)
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= TOL
+
+
+def test_separable_branches_read_exactly_zero():
+    # sum |eigenvalues| - 1 rounds to about -1e-16 on separable branches;
+    # the clamp keeps the CSV free of negative negativities
+    rows = sweep_rows(
+        sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=101)
+    )
+    for row in rows:
+        assert min(row.avg_neg_round1, row.avg_neg_round2, row.max_branch_negativity) >= 0.0
