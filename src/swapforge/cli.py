@@ -12,6 +12,7 @@ error, 3 I/O error.  Every failure path prints a machine-readable
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .classify import classify_measurement, report_to_json
@@ -73,17 +74,31 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_verification
+    from .verify import CHECK_NAMES, TOLERANCES, run_verification
 
     overrides = {}
     for item in args.tol_override or []:
         if "=" not in item:
             raise ConfigError(f"--tol-override expects key=value, got {item!r}")
         key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in TOLERANCES:
+            raise ConfigError(
+                f"--tol-override names unknown tolerance {key!r}; known: {', '.join(TOLERANCES)}"
+            )
         try:
-            overrides[key.strip()] = float(value)
+            overrides[key] = float(value)
         except ValueError:
             raise ConfigError(f"--tol-override value for {key!r} is not a number: {value!r}")
+        if not math.isfinite(overrides[key]) or overrides[key] < 0.0:
+            raise ConfigError(
+                f"--tol-override value for {key!r} must be finite and nonnegative, got {value!r}"
+            )
+    unknown = [name for name in args.skip or [] if name not in CHECK_NAMES]
+    if unknown:
+        raise ConfigError(
+            f"--skip names unknown check {unknown[0]!r}; known: {', '.join(CHECK_NAMES)}"
+        )
     results = run_verification(tol_overrides=overrides, skip=tuple(args.skip or []))
     width = max(len(r.name) for r in results)
     failures = 0

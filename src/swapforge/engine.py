@@ -25,8 +25,22 @@ from .errors import (
     InvalidPovm,
     ShapeMismatch,
 )
-from .measures import CUT_12_34, CUT_14_23, i_concurrence, negativity, trace_distance
-from .states import DensityMatrix, Povm, PovmElement, PureState, conjugate_computational
+from .measures import (
+    CUT_12_34,
+    CUT_14_23,
+    _state_tensor,
+    i_concurrence,
+    negativity,
+    trace_distance,
+)
+from .states import (
+    DensityMatrix,
+    Povm,
+    PovmElement,
+    PureState,
+    check_povm_stack,
+    conjugate_computational,
+)
 from .tolerances import PROB_TOL
 
 __all__ = [
@@ -50,6 +64,7 @@ __all__ = [
     "rho34_contraction",
     "second_round_probability",
     "stacked_chain_negativities",
+    "stacked_disturbance",
     "state_from_element_spectral",
 ]
 
@@ -285,9 +300,12 @@ def average_negativity(records: list[OutcomeRecord], prob_sum_tol: float = PROB_
 STACK_ENTRIES = 1 << 14
 
 
-def _stacked_negativity(x: np.ndarray, d: int) -> np.ndarray:
+def _stacked_rho14(x: np.ndarray) -> np.ndarray:
     # x[..., (k l), (i j)] holds psi[i, k, l, j]; rho14 = x^T conj(x)
-    rho = np.swapaxes(x, -1, -2) @ x.conj()
+    return np.swapaxes(x, -1, -2) @ x.conj()
+
+
+def _stacked_negativity(rho: np.ndarray, d: int) -> np.ndarray:
     pt = rho.reshape(rho.shape[:-2] + (d, d, d, d)).swapaxes(-3, -1).reshape(rho.shape)
     value = np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1) - 1.0
     return np.maximum(value, 0.0)
@@ -361,7 +379,7 @@ def stacked_chain_negativities(
         x = (out * scale[..., None, None]).reshape(grid, -1, dim, dim)
         weight = (weight[:, :, None] * p).reshape(grid, -1)
         if r == 0 or r == len(stacks) - 1:
-            neg = _stacked_negativity(x, d)
+            neg = _stacked_negativity(_stacked_rho14(x), d)
             if r == 0:
                 first = _checked_average(weight, neg)
     last = _checked_average(weight, neg)
@@ -391,16 +409,10 @@ def reduced_states_round1(rec: OutcomeRecord) -> tuple[DensityMatrix, DensityMat
     return rec.rho14, rec.rho12, rec.rho34
 
 
-def _branch_amplitudes(el: PovmElement) -> np.ndarray:
-    # t[i(w1), j(w4), k(w2), l(w3)]: one sqrt(pi) weight per spectral term
-    a = el.basis_tensor()
-    return np.einsum("a,aij,akl->ijkl", np.sqrt(el.spectral.eigenvalues), a.conj(), a)
-
-
 def rho12_contraction(el: PovmElement) -> DensityMatrix:
     """(1,2)-pair state of the element's branch via the explicit index
     contraction over eigenbasis amplitudes (independent of partial traces)."""
-    t = _branch_amplitudes(el)
+    t = _state_tensor(el)  # layout (w1, w4, w2, w3)
     d = el.local_dim
     rho = np.einsum("ijkl,pjql->ikpq", t, t.conj()).reshape(d * d, d * d) / el.trace
     return DensityMatrix(rho, (d, d))
@@ -409,7 +421,7 @@ def rho12_contraction(el: PovmElement) -> DensityMatrix:
 def rho34_contraction(el: PovmElement) -> DensityMatrix:
     """(3,4)-pair state of the element's branch via the explicit index
     contraction; wire 3 indexes first."""
-    t = _branch_amplitudes(el)
+    t = _state_tensor(el)  # layout (w1, w4, w2, w3)
     d = el.local_dim
     rho = np.einsum("ijkl,iJkL->ljLJ", t, t.conj()).reshape(d * d, d * d) / el.trace
     return DensityMatrix(rho, (d, d))
@@ -503,3 +515,33 @@ def disturbance_check(
         max_negativity_change=max((n for _, _, n in per_outcome), default=0.0),
         per_outcome=tuple(per_outcome),
     )
+
+
+def stacked_disturbance(
+    rec: OutcomeRecord, povms
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """disturbance_check for a whole stack of second-round POVMs on one
+    branch, in one pass.
+
+    ``povms`` has shape (P, K, d^2, d^2): P complete K-outcome POVMs,
+    validated as Povm validates one.  Returns the (P, K) mask of the kept
+    outcomes and, for the kept outcomes in row-major order, their trace
+    distances and negativity changes; an outcome below PROB_TOL is dropped
+    as disturbance_check drops it.  disturbance_check stays the reference.
+    """
+    d = _require_four_wires(rec.full_state)
+    dim = d * d
+    m = np.asarray(povms, dtype=complex)
+    if m.ndim != 4 or m.shape[2:] != (dim, dim):
+        raise ShapeMismatch(f"POVM stack of shape {m.shape} does not fit d={d}")
+    check_povm_stack(m)
+    roots = linalg.sqrt_from_spectrum(*linalg.floored_psd_eigh(m))
+    x = rec.full_state.tensor().transpose(1, 2, 0, 3).reshape(dim, dim)
+    out = roots @ x
+    p = (out.real * out.real + out.imag * out.imag).sum(axis=(-2, -1))
+    kept = p >= PROB_TOL
+    rho = _stacked_rho14(out[kept] / np.sqrt(p[kept])[:, None, None])
+    # rho - rho_base is Hermitian: its trace norm is the sum of |eigenvalues|
+    distance = 0.5 * np.abs(np.linalg.eigvalsh(rho - rec.rho14.matrix)).sum(axis=-1)
+    change = np.abs(_stacked_negativity(rho, d) - rec.negativity14)
+    return kept, distance, change

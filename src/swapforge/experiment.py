@@ -20,7 +20,7 @@ from math import prod
 
 import numpy as np
 
-from .classify import classify_element, verdict_label
+from .classify import _sig15, classify_element, verdict_label
 from .config import ScenarioConfig
 from .engine import (
     ALL_BRANCHES,
@@ -234,6 +234,3 @@ def run_scenario(config: ScenarioConfig) -> dict:
             fh.write("\n")
     return report
 
-
-def _sig15(x: float) -> float:
-    return float(format(float(x), ".15g"))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import BadParameter, IncompletePovm, ZeroTrace
 from .linalg import kron
-from .states import Povm, PovmElement, read_povm
+from .states import Povm, read_povm
 from .tolerances import COMPLETENESS_TOL
 
 __all__ = [
@@ -52,11 +52,8 @@ def noisy_bell_povm(lam: float) -> Povm:
     if not 0.0 <= lam <= 1.0:
         raise BadParameter(f"lambda must lie in [0, 1], got {lam!r}")
     eye = np.eye(4, dtype=complex)
-    els = [
-        PovmElement(lam * np.outer(b, b.conj()) + (1.0 - lam) / 4.0 * eye)
-        for b in BELL_STATES
-    ]
-    return Povm(elements=tuple(els), local_dim=2)
+    mats = [lam * np.outer(b, b.conj()) + (1.0 - lam) / 4.0 * eye for b in BELL_STATES]
+    return Povm.from_matrices(mats, local_dim=2)
 
 
 def bell_projective() -> Povm:
@@ -70,10 +67,7 @@ def wire2_computational_povm() -> Povm:
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
-    return Povm(
-        elements=(PovmElement(kron(p0, eye)), PovmElement(kron(p1, eye))),
-        local_dim=2,
-    )
+    return Povm.from_matrices([kron(p0, eye), kron(p1, eye)], local_dim=2)
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,7 @@ def separable_product_povm(pairs) -> Povm:
         raise IncompletePovm(
             f"product elements sum deviates from identity by {deviation:.3e}"
         )
-    return Povm(elements=tuple(PovmElement(m) for m in mats), local_dim=2)
+    return Povm.from_matrices(mats, local_dim=2)
 
 
 def single_qubit_residual_concurrence(p: SingleQubitElementParams) -> float:

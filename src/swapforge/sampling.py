@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import Povm, PovmElement, PureState
+from .states import Povm, PovmElement, PureState, check_povm_stack
 
 __all__ = [
     "random_element",
     "random_povm",
+    "random_povm_stack",
     "random_product_rank1_element",
     "random_pure_state",
     "random_rank1_element",
@@ -80,16 +81,34 @@ def random_separable_element(
     return PovmElement(m)
 
 
+def _povm_matrices(rng: np.random.Generator, count: int, d: int, n_elements: int) -> np.ndarray:
+    # random PSD seeds conjugated by the inverse square root of their sum;
+    # each seed draws its real part, then its imaginary part
+    dim = d * d
+    g = rng.normal(size=(count, n_elements, 2, dim, dim))
+    g = g[:, :, 0] + 1j * g[:, :, 1]
+    seeds = g @ np.conj(np.swapaxes(g, -1, -2))
+    w, v = np.linalg.eigh(seeds.sum(axis=1))
+    inv_root = (v / np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    return inv_root[:, None] @ seeds @ inv_root[:, None]
+
+
+def random_povm_stack(
+    rng: np.random.Generator, count: int, d: int = 2, n_elements: int = 3
+) -> np.ndarray:
+    """Element matrices of ``count`` random complete POVMs, shape
+    (count, n_elements, d^2, d^2).
+
+    Draws the same normals in the same order as ``count`` calls of
+    random_povm, gives the same matrices bit for bit, and makes every
+    check Povm.from_matrices makes.
+    """
+    mats = _povm_matrices(rng, count, d, n_elements)
+    check_povm_stack(mats)
+    return mats
+
+
 def random_povm(rng: np.random.Generator, d: int = 2, n_elements: int = 3) -> Povm:
     """Random complete POVM: random PSD seeds conjugated by the inverse
-    square root of their sum."""
-    dim = d * d
-    seeds = []
-    for _ in range(n_elements):
-        g = _ginibre(rng, dim, dim)
-        seeds.append(g @ g.conj().T)
-    total = sum(seeds)
-    w, v = np.linalg.eigh(total)
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
-    mats = [inv_root @ s @ inv_root for s in seeds]
-    return Povm.from_matrices(mats, local_dim=d)
+    square root of their sum (random_povm_stack with a count of one)."""
+    return Povm.from_matrices(_povm_matrices(rng, 1, d, n_elements)[0], local_dim=d)

@@ -32,6 +32,7 @@ __all__ = [
     "PovmElement",
     "PureState",
     "ValidationReport",
+    "check_povm_stack",
     "conjugate_computational",
     "element_spectral",
     "max_entangled_state",
@@ -135,6 +136,51 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
+# The POVM rules, one home each; every array is a stack of matrices on
+# its last two axes, so one element and many POVMs share the same code.
+
+
+def _hermiticity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermiticity defect max|M - M^dagger| of each matrix of the stack,
+    and the defect it may have: HERM_TOL * max(1, max|M|)."""
+    defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    return defect, HERM_TOL * np.fmax(np.abs(m).max(axis=(-2, -1)), 1.0)
+
+
+def _completeness_deviation(m: np.ndarray) -> np.ndarray:
+    """max|sum_k M_k - 1| of each POVM of a (..., K, D, D) stack."""
+    return np.abs(m.sum(axis=-3) - np.eye(m.shape[-1])).max(axis=(-2, -1))
+
+
+def _check_elements(m: np.ndarray) -> None:
+    """Raise unless each matrix of the (..., D, D) stack is a POVM element:
+    d*d square for a local dimension d >= 2, Hermitian within tolerance,
+    no eigenvalue below -PSD_TOL.  NaN fails the Hermiticity test."""
+    if m.shape[-1] != m.shape[-2]:
+        raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
+    dim = m.shape[-1]
+    d = isqrt(dim)
+    if d * d != dim or d < 2:
+        raise ShapeMismatch(f"element dimension {dim} is not d*d for a local dimension d >= 2")
+    defect, allowed = _hermiticity(m)
+    if not (defect <= allowed).all():
+        raise ValidationFailure("POVM element is not Hermitian within tolerance")
+    w = np.linalg.eigvalsh(m)[..., 0]
+    if not (w >= -PSD_TOL).all():
+        raise NotPsd(f"min eigenvalue {w.min():.3e} below -{PSD_TOL:.0e}")
+
+
+def _check_completeness(m: np.ndarray) -> None:
+    """Raise unless the K elements of each POVM of the (..., K, D, D)
+    stack sum to the identity within COMPLETENESS_TOL."""
+    deviation = _completeness_deviation(m)
+    if not (deviation <= COMPLETENESS_TOL).all():
+        raise InvalidPovm(
+            f"element sum deviates from identity by {deviation.max():.3e} "
+            f"(> {COMPLETENESS_TOL:.0e})"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class PovmElement:
     """One PSD measurement operator on a d x d pair of wires.
@@ -147,20 +193,17 @@ class PovmElement:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
-        d = isqrt(m.shape[0])
-        if d * d != m.shape[0] or d < 2:
-            raise ShapeMismatch(
-                f"element dimension {m.shape[0]} is not d*d for a local dimension d >= 2"
-            )
-        scale = max(1.0, float(np.abs(m).max()))
-        if linalg.hermiticity_defect(m) > HERM_TOL * scale:
-            raise ValidationFailure("POVM element is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -PSD_TOL:
-            raise NotPsd(f"min eigenvalue {w[0]:.3e} below -{PSD_TOL:.0e}")
+        _check_elements(m)
         object.__setattr__(self, "matrix", _frozen(m))
+
+    @classmethod
+    def _checked(cls, m: np.ndarray) -> "PovmElement":
+        # for a matrix _check_elements has already passed as part of a stack
+        el = object.__new__(cls)
+        object.__setattr__(el, "matrix", _frozen(m))
+        return el
 
     @property
     def local_dim(self) -> int:
@@ -232,19 +275,19 @@ def validate_povm_matrices(
     for m in mats:
         if m.shape != (dim, dim):
             raise ShapeMismatch("POVM elements have inconsistent shapes")
-    herm = tuple(float(linalg.hermiticity_defect(m)) for m in mats)
-    mins = tuple(float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]) for m in mats)
-    total = sum(mats)
-    completeness = float(np.abs(total - np.eye(dim)).max())
+    stack = np.array(mats)
+    herm, allowed = _hermiticity(stack)
+    mins = np.linalg.eigvalsh((stack + stack.swapaxes(-1, -2).conj()) / 2.0)[:, 0]
+    completeness = float(_completeness_deviation(stack))
     passed = (
         completeness <= completeness_tol
-        and all(h <= HERM_TOL * max(1.0, float(np.abs(m).max())) for h, m in zip(herm, mats))
-        and all(v >= -PSD_TOL for v in mins)
+        and bool((herm <= allowed).all())
+        and bool((mins >= -PSD_TOL).all())
     )
     return ValidationReport(
         completeness_deviation=completeness,
-        element_min_eigenvalues=mins,
-        element_hermiticity_deviations=herm,
+        element_min_eigenvalues=tuple(float(v) for v in mins),
+        element_hermiticity_deviations=tuple(float(h) for h in herm),
         passed=passed,
     )
 
@@ -266,12 +309,7 @@ class Povm:
             raise BadDimension(f"local_dim must be >= 2, got {d}")
         if any(el.local_dim != d for el in els):
             raise ShapeMismatch("element dimensions disagree with local_dim")
-        total = sum(el.matrix for el in els)
-        deviation = float(np.abs(total - np.eye(d * d)).max())
-        if deviation > COMPLETENESS_TOL:
-            raise InvalidPovm(
-                f"element sum deviates from identity by {deviation:.3e} (> {COMPLETENESS_TOL:.0e})"
-            )
+        _check_completeness(np.array([el.matrix for el in els]))
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "local_dim", d)
         object.__setattr__(
@@ -280,12 +318,31 @@ class Povm:
 
     @classmethod
     def from_matrices(cls, matrices, local_dim: int | None = None) -> "Povm":
-        els = tuple(PovmElement(m) for m in matrices)
+        """Build a Povm from element matrices, checking them as one stack."""
+        mats = [np.asarray(m, dtype=complex) for m in matrices]
+        if not mats:
+            raise InvalidPovm("a POVM needs at least one element")
+        if any(m.ndim != 2 or m.shape != mats[0].shape for m in mats):
+            raise ShapeMismatch("POVM elements are not square matrices of one shape")
+        stack = np.array(mats)
+        _check_elements(stack)
+        els = tuple(PovmElement._checked(m) for m in stack)
         d = local_dim if local_dim is not None else els[0].local_dim
         return cls(elements=els, local_dim=d)
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def check_povm_stack(stack) -> None:
+    """The checks Povm.from_matrices makes, for POVMs stacked on the
+    leading axes: ``stack`` has shape (..., K, D, D) with element k of
+    each POVM at [..., k, :, :].  Raises as PovmElement and Povm do."""
+    m = np.asarray(stack, dtype=complex)
+    if m.ndim < 3:
+        raise ShapeMismatch(f"expected a (..., K, D, D) stack, got shape {m.shape}")
+    _check_elements(m)
+    _check_completeness(m)
 
 
 def validate_povm(povm: Povm, completeness_tol: float = COMPLETENESS_TOL) -> ValidationReport:

@@ -31,6 +31,7 @@ from .engine import (
     initial_state,
     rho14_two_round_spectral,
     stacked_chain_negativities,
+    stacked_disturbance,
 )
 from .experiment import paper_formulas, sweep_rows
 from .families import (
@@ -61,6 +62,7 @@ from .measures import (
 from .sampling import (
     random_element,
     random_povm,
+    random_povm_stack,
     random_product_rank1_element,
     random_rank1_element,
     random_separable_element,
@@ -78,7 +80,7 @@ def _cli_main(argv: list[str]) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return main(argv)
 
-__all__ = ["CheckResult", "CHECK_NAMES", "run_check", "run_verification"]
+__all__ = ["CheckResult", "CHECK_NAMES", "TOLERANCES", "run_check", "run_verification"]
 
 _SEED = 20260810
 _LAMBDA_GRID = [k / 20.0 for k in range(21)]
@@ -117,8 +119,30 @@ def _result(name, worst: _Worst, tol: float, extra: str = "", failed: bool = Fal
     return CheckResult(name=name, passed=passed, max_deviation=worst.value, tolerance=tol, detail=detail)
 
 
-def _tol(overrides: dict, name: str, default: float) -> float:
-    return float(overrides.get(name, default))
+# Every tolerance a check reads, by the name `--tol-override` uses.
+TOLERANCES = {
+    "swap_identity": 1e-10,
+    "born_normalization": 1e-9,
+    "noisy_bell_single_round": 1e-9,
+    "bipartition_c14": 1e-10,
+    "bipartition_c12": 1e-9,
+    "two_round_probability": 1e-12,
+    "two_round_state": 1e-10,
+    "two_round_negativity": 1e-9,
+    "lemma1_necessity": 1e-10,
+    "rank_rel_tol": RANK_REL_TOL,
+    "zero_c14_implies_zero_c12": 1e-9,
+    "separable_residual_concurrence": 1e-10,
+    "dual_path_equivalence": 1e-9,
+    "psd_sqrt_closed_form": 1e-12,
+    "qudit_identity": 1e-10,
+    "qudit_born": 1e-9,
+    "batched_sweep_equivalence": 1e-13,
+}
+
+
+def _tol(overrides: dict, name: str) -> float:
+    return float(overrides.get(name, TOLERANCES[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +151,7 @@ def _tol(overrides: dict, name: str, default: float) -> float:
 
 
 def _check_swap_identity(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "swap_identity", 1e-10)
+    tol = _tol(overrides, "swap_identity")
     rng = np.random.default_rng(_SEED)
     worst = _Worst()
     for d, count in ((2, 500), (3, 100)):
@@ -167,7 +191,7 @@ def _named_family_povms() -> list[tuple[str, Povm]]:
 
 
 def _check_born_normalization(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "born_normalization", 1e-9)
+    tol = _tol(overrides, "born_normalization")
     rng = np.random.default_rng(_SEED + 1)
     worst = _Worst()
     candidates = _named_family_povms()
@@ -192,7 +216,7 @@ def _check_born_normalization(overrides: dict) -> CheckResult:
 
 
 def _check_noisy_bell_single_round(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "noisy_bell_single_round", 1e-9)
+    tol = _tol(overrides, "noisy_bell_single_round")
     worst = _Worst()
     base = initial_state(2)
     failed = False
@@ -229,8 +253,8 @@ def _c12_reference_curve(lam: float) -> float:
 
 
 def _check_bipartition_closed_forms(overrides: dict) -> CheckResult:
-    tol14 = _tol(overrides, "bipartition_c14", 1e-10)
-    tol12 = _tol(overrides, "bipartition_c12", 1e-9)
+    tol14 = _tol(overrides, "bipartition_c14")
+    tol12 = _tol(overrides, "bipartition_c12")
     worst14 = _Worst()
     worst12 = _Worst()
     for lam in _LAMBDA_GRID:
@@ -283,9 +307,9 @@ def _paper_scenario_config(tmpdir: str, csv_name: str) -> str:
 
 
 def _check_two_round_worked_example(overrides: dict) -> CheckResult:
-    tol_prob = _tol(overrides, "two_round_probability", 1e-12)
-    tol_state = _tol(overrides, "two_round_state", 1e-10)
-    tol_neg = _tol(overrides, "two_round_negativity", 1e-9)
+    tol_prob = _tol(overrides, "two_round_probability")
+    tol_state = _tol(overrides, "two_round_state")
+    tol_neg = _tol(overrides, "two_round_negativity")
     worst_prob = _Worst()
     worst_state = _Worst()
     worst_neg = _Worst()
@@ -346,8 +370,8 @@ def _read_csv(path: str) -> list[dict]:
 
 
 def _check_lemma1_necessity(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "lemma1_necessity", 1e-10)
-    rank_rel_tol = _tol(overrides, "rank_rel_tol", RANK_REL_TOL)
+    tol = _tol(overrides, "lemma1_necessity")
+    rank_rel_tol = _tol(overrides, "rank_rel_tol")
     rng = np.random.default_rng(_SEED + 6)
     base = initial_state(2)
     candidates = [random_rank1_element(rng) for _ in range(200)]
@@ -367,11 +391,15 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
         povm = Povm(elements=(el, complement), local_dim=2)
         rec = apply_round(base, povm, include_pair_states=False)[0]
         checked += 1
-        for j in range(50):
-            povm2 = random_povm(rng, d=2, n_elements=2)
-            report = disturbance_check(rec, povm2)
-            worst.push(report.max_trace_distance, f"element {k} povm {j} distance")
-            worst.push(report.max_negativity_change, f"element {k} povm {j} negativity")
+        # 50 two-outcome second rounds in one stack
+        povms = random_povm_stack(rng, 50, d=2, n_elements=2)
+        kept, distance, change = stacked_disturbance(rec, povms)
+        entries = np.zeros((2,) + kept.shape)
+        entries[:, kept] = distance, change
+        # maxima[j] = disturbance_check's (distance, negativity) maxima for POVM j
+        maxima = entries.max(axis=-1).T
+        j, which = np.unravel_index(np.argmax(maxima), maxima.shape)
+        worst.push(maxima[j, which], f"element {k} povm {j} {('distance', 'negativity')[which]}")
     return _result("lemma1_necessity", worst, tol, extra=f"{checked} rank-1 branches checked")
 
 
@@ -381,7 +409,7 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
 
 
 def _check_zero_c14_implies_zero_c12(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "zero_c14_implies_zero_c12", 1e-9)
+    tol = _tol(overrides, "zero_c14_implies_zero_c12")
     rng = np.random.default_rng(_SEED + 7)
     worst = _Worst()
     triggered = 0
@@ -409,7 +437,7 @@ def _check_zero_c14_implies_zero_c12(overrides: dict) -> CheckResult:
 
 
 def _check_separable_residual_concurrence(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "separable_residual_concurrence", 1e-10)
+    tol = _tol(overrides, "separable_residual_concurrence")
     rng = np.random.default_rng(_SEED + 8)
     worst = _Worst()
     phi_plus = max_entangled_state(2)
@@ -440,7 +468,7 @@ def _check_separable_residual_concurrence(overrides: dict) -> CheckResult:
 
 
 def _check_dual_path_equivalence(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "dual_path_equivalence", 1e-9)
+    tol = _tol(overrides, "dual_path_equivalence")
     rng = np.random.default_rng(_SEED + 9)
     worst = _Worst()
     for k in range(200):
@@ -484,7 +512,7 @@ def _pt_square(rho: np.ndarray) -> np.ndarray:
 
 
 def _check_psd_sqrt_closed_form(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "psd_sqrt_closed_form", 1e-12)
+    tol = _tol(overrides, "psd_sqrt_closed_form")
     rng = np.random.default_rng(_SEED + 10)
     worst = _Worst()
     for k in range(1000):
@@ -500,8 +528,8 @@ def _check_psd_sqrt_closed_form(overrides: dict) -> CheckResult:
 
 
 def _check_qudit_generalization(overrides: dict) -> CheckResult:
-    tol_identity = _tol(overrides, "qudit_identity", 1e-10)
-    tol_born = _tol(overrides, "qudit_born", 1e-9)
+    tol_identity = _tol(overrides, "qudit_identity")
+    tol_born = _tol(overrides, "qudit_born")
     rng = np.random.default_rng(_SEED + 11)
     worst_identity = _Worst()
     worst_born = _Worst()
@@ -565,7 +593,7 @@ def _check_sweep_determinism(overrides: dict) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# 13. The stacked sweep engine against the per-record chain.
+# 13. The stacked engine against the per-record chain and disturbance check.
 # ---------------------------------------------------------------------------
 
 
@@ -578,7 +606,7 @@ def _chain_reference(d: int, povms) -> tuple[float, float, float]:
 
 
 def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "batched_sweep_equivalence", 1e-13)
+    tol = _tol(overrides, "batched_sweep_equivalence")
     worst = _Worst()
     config = ScenarioConfig(
         local_dim=2,
@@ -605,7 +633,32 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
                 max(abs(column[g] - value) for column, value in zip(got, ref)),
                 f"d={d} outcomes={shape} point {g}",
             )
-    return _result("batched_sweep_equivalence", worst, tol)
+    # Stacked disturbance, outcome by outcome, on branches whose first
+    # elements have rank 1-4, so most distances are far from zero.
+    mismatched = []
+    for d in (2, 3):
+        base = initial_state(d)
+        for rank in (1, 2, 3, 4):
+            el = random_element(rng, d=d, rank=rank)
+            povm = Povm(elements=(el, PovmElement(np.eye(d * d) - el.matrix)), local_dim=d)
+            rec = apply_round(base, povm, include_pair_states=False)[0]
+            stack = random_povm_stack(rng, 3, d=d, n_elements=3)
+            kept, distance, change = stacked_disturbance(rec, stack)
+            ref = [
+                (j, m, t, n)
+                for j, mats in enumerate(stack)
+                for m, t, n in disturbance_check(rec, Povm.from_matrices(mats, d)).per_outcome
+            ]
+            if [(j, m) for j, m, _, _ in ref] != list(zip(*np.nonzero(kept))):
+                mismatched.append(f"d={d} rank={rank}")
+                continue
+            for (j, m, t, n), got_t, got_n in zip(ref, distance, change):
+                tag = f"disturbance d={d} rank={rank} povm {j} outcome {m}"
+                worst.push(max(abs(got_t - t), abs(got_n - n)), tag)
+    extra = ""
+    if mismatched:
+        extra = f"disturbance outcomes kept differently at {', '.join(mismatched)}"
+    return _result("batched_sweep_equivalence", worst, tol, extra=extra, failed=bool(mismatched))
 
 
 _CHECKS = {

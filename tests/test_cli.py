@@ -243,10 +243,15 @@ def test_verify_fault_injection_corrupted_rank_cutoff():
     # and their branches are genuinely disturbable
     from swapforge.verify import run_check
 
-    # the healthy run is covered by the acceptance suite
     corrupted = run_check("lemma1_necessity", {"rank_rel_tol": 1e-1})
     assert not corrupted.passed
     assert corrupted.max_deviation > 1e-3
+    # the candidate set is pinned: 200 rank-one elements plus the 20
+    # near-rank-one contaminants the corrupted cutoff lets through
+    assert corrupted.detail.endswith("; 220 rank-1 branches checked")
+    healthy = run_check("lemma1_necessity")
+    assert healthy.passed
+    assert healthy.detail.endswith("; 200 rank-1 branches checked")
 
 
 def test_cli_verify_skip_flag(capsys):

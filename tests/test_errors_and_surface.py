@@ -118,6 +118,21 @@ def test_povm_element_rejects_non_square_pair_dimension():
         PovmElement(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "matrices,error",
+    [
+        ([], InvalidPovm),
+        ([np.eye(4) / 2, np.eye(9) / 2], ShapeMismatch),
+        ([np.ones(4)], ShapeMismatch),
+        ([np.eye(5)], ShapeMismatch),
+        ([np.ones((2, 3))], ShapeMismatch),
+    ],
+)
+def test_povm_from_matrices_rejects_bad_shapes(matrices, error):
+    with pytest.raises(error):
+        Povm.from_matrices(matrices)
+
+
 _PAPER_CONFIG = {
     "rounds": [
         {"family": "noisy_bell", "params": {"lambda": 0.5}},
@@ -168,3 +183,32 @@ def test_verify_stdout_holds_only_check_rows(capsys):
     for line in lines[:-1]:
         assert line.split()[0] in ("PASS", "SKIP")
     assert lines[-1] == f"{len(CHECK_NAMES)}/{len(CHECK_NAMES)} checks passed"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--skip", "lemma1_necesity"],
+        ["--tol-override", "swap_identty=1"],
+        ["--skip", "lemma1_necesity", "--tol-override", "swap_identty=1"],
+        ["--tol-override", "swap_identity=nan"],
+        ["--tol-override", "swap_identity=inf"],
+        ["--tol-override", "rank_rel_tol=-1e-9"],
+    ],
+    ids=["unknown-skip", "unknown-tolerance", "both-unknown", "nan", "inf", "negative"],
+)
+def test_verify_rejects_unknown_names_and_bad_values(capsys, args):
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error_code=ConfigParse\n")
+    assert captured.out == ""
+
+
+def test_verify_accepts_every_known_tolerance(capsys):
+    from swapforge.verify import CHECK_NAMES, TOLERANCES
+
+    skips = [arg for name in CHECK_NAMES for arg in ("--skip", name)]
+    overrides = [arg for name in TOLERANCES for arg in ("--tol-override", f"{name}=0")]
+    assert len(TOLERANCES) == 17
+    assert main(["verify", *skips, *overrides]) == 0
+    assert capsys.readouterr().out.count("SKIP") == len(CHECK_NAMES)

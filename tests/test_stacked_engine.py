@@ -1,6 +1,7 @@
-"""The stacked grid x branch engine against the per-record chain, which
-stays the reference: same averages and branch maxima to 1e-13, same
-branch dropping, same errors."""
+"""The stacked engine against the per-record chain and disturbance
+check, which stay the reference: same averages, branch maxima and
+per-outcome disturbances to 1e-13, same branch dropping, same errors.
+Also the stacked POVM sampler against repeated random_povm."""
 
 import json
 import math
@@ -14,15 +15,30 @@ from swapforge.engine import (
     ALL_BRANCHES,
     MAX_BRANCHES,
     SwapScenario,
+    apply_round,
     average_negativity,
     chain,
+    disturbance_check,
+    initial_state,
     stacked_chain_negativities,
+    stacked_disturbance,
 )
-from swapforge.errors import IncompleteBranchSet, InvalidPovm
+from swapforge.errors import (
+    IncompleteBranchSet,
+    InvalidPovm,
+    NotPsd,
+    ShapeMismatch,
+    ValidationFailure,
+)
 from swapforge.experiment import sweep_rows
 from swapforge.families import BELL_STATES, noisy_bell_povm, wire2_computational_povm
-from swapforge.sampling import random_povm
-from swapforge.states import Povm, write_povm
+from swapforge.sampling import (
+    random_element,
+    random_povm,
+    random_povm_stack,
+    random_rank1_element,
+)
+from swapforge.states import Povm, PovmElement, check_povm_stack, write_povm
 
 TOL = 1e-13
 
@@ -178,3 +194,170 @@ def test_separable_branches_read_exactly_zero():
     )
     for row in rows:
         assert min(row.avg_neg_round1, row.avg_neg_round2, row.max_branch_negativity) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Stacked disturbance against disturbance_check.
+# ---------------------------------------------------------------------------
+
+
+def first_branch(el):
+    """The first-round branch of el, completed to a two-outcome POVM."""
+    d = el.local_dim
+    povm = Povm(elements=(el, PovmElement(np.eye(d * d) - el.matrix)), local_dim=d)
+    return apply_round(initial_state(d), povm, include_pair_states=False)[0]
+
+
+def corrupted(stack, how):
+    """A copy of the stack with one POVM broken; returns it and the index
+    of the broken POVM."""
+    bad = stack.copy()
+    dim = bad.shape[-1]
+    if how == "non-hermitian":
+        bad[2, 1, 0, 1] += 1e-6
+        return bad, 2
+    if how == "non-psd":
+        bad[1, 0] -= np.eye(dim)  # still complete, no longer PSD
+        bad[1, 1] += np.eye(dim)
+        return bad, 1
+    if how == "incomplete":
+        bad[3] *= 1.01
+        return bad, 3
+    bad[0, 0, 0, 0] = np.nan
+    return bad, 0
+
+
+CORRUPTIONS = [
+    ("non-hermitian", ValidationFailure),
+    ("non-psd", NotPsd),
+    ("incomplete", InvalidPovm),
+    ("nan", ValidationFailure),
+]
+
+
+def assert_disturbance_matches(rec, povms):
+    """stacked_disturbance over the stacked POVMs equals disturbance_check
+    POVM by POVM, outcome by outcome."""
+    stack = np.array([[el.matrix for el in povm.elements] for povm in povms])
+    kept, distance, change = stacked_disturbance(rec, stack)
+    ref = [
+        (j, m, t, n)
+        for j, povm in enumerate(povms)
+        for m, t, n in disturbance_check(rec, povm).per_outcome
+    ]
+    assert list(zip(*np.nonzero(kept))) == [(j, m) for j, m, _, _ in ref]
+    for (_, _, t, n), got_t, got_n in zip(ref, distance, change):
+        assert abs(got_t - t) <= TOL
+        assert abs(got_n - n) <= TOL
+    return kept, distance, change
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_stacked_disturbance_matches_disturbance_check(d, rank):
+    rng = np.random.default_rng(100 * d + rank)
+    rec = first_branch(random_element(rng, d=d, rank=rank))
+    for k in (2, 3, 4):
+        povms = [random_povm(rng, d=d, n_elements=k) for _ in range(3)]
+        kept, distance, change = assert_disturbance_matches(rec, povms)
+        assert kept.all()
+        if rank > 1:
+            assert distance.max() > 1e-2
+
+
+def test_zero_second_element_is_dropped_on_both_paths(rng):
+    rec = first_branch(random_element(rng, d=2, rank=2))
+    povm = Povm.from_matrices([np.zeros((4, 4)), np.eye(4)], local_dim=2)
+    kept, distance, change = assert_disturbance_matches(rec, [povm])
+    assert kept.tolist() == [[False, True]]
+    assert distance[0] <= TOL and change[0] <= TOL  # the identity moves nothing
+
+
+@pytest.mark.parametrize("eps,dropped", [(1e-7, False), (1e-14, True)])
+def test_outcome_below_prob_tol_is_dropped_on_both_paths(rng, eps, dropped):
+    # the scaled Bell outcome has probability of order eps, PROB_TOL is 1e-12
+    rec = first_branch(random_element(rng, d=2, rank=3))
+    povms = [dropping_povm(eps), random_povm(rng, d=2, n_elements=3)]
+    kept, _, _ = assert_disturbance_matches(rec, povms)
+    assert kept.tolist() == [[not dropped, True, True], [True, True, True]]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rank_one_branch_is_frozen(rng, d):
+    rec = first_branch(random_rank1_element(rng, d=d))
+    kept, distance, change = stacked_disturbance(rec, random_povm_stack(rng, 20, d=d))
+    assert kept.all()
+    assert distance.max() <= TOL
+    assert change.max() <= TOL
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4), (1, 1, 9, 9), (2, 3, 1, 4, 4)])
+def test_stacked_disturbance_rejects_wrong_shape(rng, shape):
+    rec = first_branch(random_element(rng, d=2, rank=2))
+    with pytest.raises(ShapeMismatch):
+        stacked_disturbance(rec, np.broadcast_to(np.eye(shape[-1]), shape))
+
+
+@pytest.mark.parametrize("how,error", CORRUPTIONS)
+def test_stacked_disturbance_rejects_corrupted_stack(rng, how, error):
+    # disturbance_check cannot be given such a POVM: building it raises
+    rec = first_branch(random_element(rng, d=2, rank=2))
+    bad, _ = corrupted(random_povm_stack(rng, 4, d=2, n_elements=3), how)
+    with pytest.raises(error):
+        stacked_disturbance(rec, bad)
+
+
+# ---------------------------------------------------------------------------
+# Stacked POVM sampler.
+# ---------------------------------------------------------------------------
+
+
+def reference_povm_matrices(rng, d, k):
+    """random_povm's construction one POVM at a time: K Ginibre seeds,
+    each drawn real part then imaginary part, conjugated by the inverse
+    square root of their sum."""
+    dim = d * d
+    seeds = []
+    for _ in range(k):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        seeds.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(seeds))
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    return [inv_root @ s @ inv_root for s in seeds]
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 4), (4, 3)])
+def test_povm_stack_equals_repeated_random_povm(d, k):
+    seed = 10 * d + k
+    stack = random_povm_stack(np.random.default_rng(seed), 6, d=d, n_elements=k)
+    assert stack.shape == (6, k, d * d, d * d)
+    rng = np.random.default_rng(seed)
+    loop = [[el.matrix for el in random_povm(rng, d=d, n_elements=k).elements] for _ in range(6)]
+    assert np.array_equal(stack, np.array(loop))
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(stack, np.array([reference_povm_matrices(rng, d, k) for _ in range(6)]))
+
+
+@pytest.mark.parametrize("how,error", CORRUPTIONS)
+def test_check_povm_stack_rejects_corrupted_stack(rng, how, error):
+    stack = random_povm_stack(rng, 4, d=2, n_elements=3)
+    check_povm_stack(stack)
+    bad, index = corrupted(stack, how)
+    with pytest.raises(error):
+        check_povm_stack(bad)
+    with pytest.raises(error):
+        Povm.from_matrices(bad[index], local_dim=2)
+
+
+class _ZeroNormals:
+    """A generator stand-in whose every normal draw is zero: the seeds sum
+    to the zero matrix and its inverse square root is not finite."""
+
+    def normal(self, size):
+        return np.zeros(size)
+
+
+def test_sampler_raises_on_a_corrupted_stack():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValidationFailure):
+            random_povm_stack(_ZeroNormals(), 3, d=2, n_elements=2)
