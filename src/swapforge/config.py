@@ -122,12 +122,17 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_path(value) -> bool:
+    """A string that can name a file: not empty, no NUL byte."""
+    return isinstance(value, str) and value != "" and "\0" not in value
+
+
 def load_scenario_config(path) -> ScenarioConfig:
     """Parse and validate a scenario config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "config must be a JSON object")
 
@@ -140,7 +145,9 @@ def load_scenario_config(path) -> ScenarioConfig:
     for i, entry in enumerate(raw_rounds):
         _require(isinstance(entry, dict) and "family" in entry, f"round {i} needs a 'family'")
         family = entry["family"]
-        _require(family in FAMILIES, f"round {i}: unknown family {family!r}")
+        _require(
+            isinstance(family, str) and family in FAMILIES, f"round {i}: unknown family {family!r}"
+        )
         params = entry.get("params", {})
         _require(isinstance(params, dict), f"round {i}: params must be an object")
         for name in sorted(family_sweep_params(family) & params.keys()):
@@ -148,6 +155,8 @@ def load_scenario_config(path) -> ScenarioConfig:
                 _is_number(params[name]),
                 f"round {i}: parameter {name!r} must be a number, got {params[name]!r}",
             )
+        if family == "file" and "path" in params:
+            _require(_is_path(params["path"]), f"round {i}: 'path' must be a file name string")
         rounds.append(RoundSpec(family=family, params=params))
 
     sweep = None
@@ -169,6 +178,9 @@ def load_scenario_config(path) -> ScenarioConfig:
 
     raw_out = doc.get("outputs", {})
     _require(isinstance(raw_out, dict), "outputs must be an object")
+    for key in ("csv_path", "report_path"):
+        value = raw_out.get(key)
+        _require(value is None or _is_path(value), f"outputs.{key} must be a file name string")
     outputs = OutputsSpec(
         csv_path=raw_out.get("csv_path"), report_path=raw_out.get("report_path")
     )
@@ -178,7 +190,10 @@ def load_scenario_config(path) -> ScenarioConfig:
     for key, value in overrides.items():
         known = ", ".join(TOLERANCE_KEYS)
         _require(key in TOLERANCE_KEYS, f"unknown tolerance {key!r}; known: {known}")
-        _require(_is_number(value), f"tolerance {key!r} must be a number, got {value!r}")
+        _require(
+            _is_number(value) and math.isfinite(value) and value >= 0,
+            f"tolerance {key!r} must be a finite nonnegative number, got {value!r}",
+        )
 
     config = ScenarioConfig(
         local_dim=local_dim,

@@ -50,6 +50,7 @@ __all__ = [
     "MAX_BRANCHES",
     "OutcomeRecord",
     "SelectOutcome",
+    "StackedBranches",
     "SwapScenario",
     "apply_element",
     "apply_round",
@@ -57,15 +58,14 @@ __all__ = [
     "chain",
     "disturbance_check",
     "initial_state",
-    "reduced_states_round1",
     "rho12_contraction",
     "rho14_from_element",
     "rho14_two_round_spectral",
     "rho34_contraction",
     "second_round_probability",
+    "stacked_branches",
     "stacked_chain_negativities",
     "stacked_disturbance",
-    "state_from_element_spectral",
 ]
 
 logger = logging.getLogger(__name__)
@@ -285,10 +285,18 @@ def average_negativity(records: list[OutcomeRecord], prob_sum_tol: float = PROB_
     The records must form a complete sibling set; branch negativities
     are nonnegative, so the average of an all-separable set is 0.
     """
-    total = sum(rec.probability for rec in records)
+    return _closed_average(
+        [rec.probability for rec in records], [rec.negativity14 for rec in records], prob_sum_tol
+    )
+
+
+def _closed_average(probabilities, values, prob_sum_tol: float = PROB_SUM_TOL) -> float:
+    """sum p * v over Python floats, in the order given, once the
+    probabilities are checked to sum to one within prob_sum_tol."""
+    total = sum(probabilities)
     if abs(total - 1.0) > prob_sum_tol:
         raise IncompleteBranchSet(f"branch probabilities sum to {total!r}, expected 1")
-    return float(sum(rec.probability * rec.negativity14 for rec in records))
+    return float(sum(p * v for p, v in zip(probabilities, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +329,52 @@ def _checked_average(weight: np.ndarray, neg: np.ndarray) -> np.ndarray:
     return (weight * neg).sum(axis=-1)
 
 
+def _expand(d: int, stacks: list[np.ndarray], prob_tol: float):
+    """The stacked round loop: yields (x, weight) after each round.
+
+    ``stacks[r]`` holds round r's element matrices, shape (G_r, K_r, D, D)
+    with G_r the number of grid points G or 1 for a shared round.
+    x[g, b, (k l), (i j)] holds branch b's normalized psi[i, k, l, j],
+    branches in chain's depth-first order, and weight[g, b] its joint
+    probability.  A branch whose conditional probability is below
+    prob_tol (or PROB_TOL) gets zero weight and zero state, and so do its
+    descendants.
+    """
+    dim = d * d
+    if not stacks:
+        raise InvalidPovm("a scenario needs at least one measurement round")
+    grid = max(s.shape[0] for s in stacks)
+    for s in stacks:
+        if s.ndim != 4 or s.shape[2:] != (dim, dim) or s.shape[0] not in (1, grid):
+            raise ShapeMismatch(
+                f"element stack of shape {s.shape} does not fit d={d} and {grid} grid points"
+            )
+    total = prod(s.shape[1] for s in stacks)
+    if total > MAX_BRANCHES:
+        raise InvalidPovm(f"scenario expands to {total} branches (limit {MAX_BRANCHES})")
+
+    # One eigendecomposition for every element of every round.
+    w, v = linalg.floored_psd_eigh(np.concatenate([s.reshape(-1, dim, dim) for s in stacks]))
+    roots = linalg.sqrt_from_spectrum(w, v)
+    tol = max(prob_tol, PROB_TOL)
+
+    start = initial_state(d).tensor().transpose(1, 2, 0, 3).reshape(dim, dim)
+    x = np.broadcast_to(start, (grid, 1, dim, dim))
+    weight = np.ones((grid, 1))
+    offset = 0
+    for s in stacks:
+        size = s.shape[0] * s.shape[1]
+        op = roots[offset:offset + size].reshape(s.shape)
+        offset += size
+        out = op[:, None] @ x[:, :, None]  # (grid, branch, outcome, kl, ij)
+        p = (out.real * out.real + out.imag * out.imag).sum(axis=(-2, -1))
+        p = np.where(p >= tol, p, 0.0)
+        scale = np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=p > 0.0)
+        x = (out * scale[..., None, None]).reshape(grid, -1, dim, dim)
+        weight = (weight[:, :, None] * p).reshape(grid, -1)
+        yield x, weight
+
+
 def stacked_chain_negativities(
     local_dim: int,
     element_stacks,
@@ -344,40 +398,8 @@ def stacked_chain_negativities(
     partial transpose, minus one.
     """
     d = int(local_dim)
-    dim = d * d
     stacks = [np.asarray(s, dtype=complex) for s in element_stacks]
-    if not stacks:
-        raise InvalidPovm("a scenario needs at least one measurement round")
-    grid = max(s.shape[0] for s in stacks)
-    for s in stacks:
-        if s.ndim != 4 or s.shape[2:] != (dim, dim) or s.shape[0] not in (1, grid):
-            raise ShapeMismatch(
-                f"element stack of shape {s.shape} does not fit d={d} and {grid} grid points"
-            )
-    total = prod(s.shape[1] for s in stacks)
-    if total > MAX_BRANCHES:
-        raise InvalidPovm(f"scenario expands to {total} branches (limit {MAX_BRANCHES})")
-
-    # One eigendecomposition for every element of every round.
-    w, v = linalg.floored_psd_eigh(np.concatenate([s.reshape(-1, dim, dim) for s in stacks]))
-    roots = linalg.sqrt_from_spectrum(w, v)
-    tol = max(prob_tol, PROB_TOL)
-
-    # x[g, b, (k l), (i j)] holds branch b's psi[i, k, l, j]
-    start = initial_state(d).tensor().transpose(1, 2, 0, 3).reshape(dim, dim)
-    x = np.broadcast_to(start, (grid, 1, dim, dim))
-    weight = np.ones((grid, 1))
-    offset = 0
-    for r, s in enumerate(stacks):
-        size = s.shape[0] * s.shape[1]
-        op = roots[offset:offset + size].reshape(s.shape)
-        offset += size
-        out = op[:, None] @ x[:, :, None]  # (grid, branch, outcome, kl, ij)
-        p = (out.real * out.real + out.imag * out.imag).sum(axis=(-2, -1))
-        p = np.where(p >= tol, p, 0.0)  # dropped branches: zero weight and zero state
-        scale = np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=p > 0.0)
-        x = (out * scale[..., None, None]).reshape(grid, -1, dim, dim)
-        weight = (weight[:, :, None] * p).reshape(grid, -1)
+    for r, (x, weight) in enumerate(_expand(d, stacks, prob_tol)):
         if r == 0 or r == len(stacks) - 1:
             neg = _stacked_negativity(_stacked_rho14(x), d)
             if r == 0:
@@ -385,6 +407,44 @@ def stacked_chain_negativities(
     last = _checked_average(weight, neg)
     top = np.where(weight > 0.0, neg, -np.inf).max(axis=-1)
     return first, last, top
+
+
+@dataclass(frozen=True, eq=False)
+class StackedBranches:
+    """The kept last-round branches of a chain, one row each, in chain's
+    depth-first order: ``outcome_paths`` has shape (B, rounds), the other
+    fields shape (B,), with ``probability`` the joint probability."""
+
+    outcome_paths: np.ndarray
+    probability: np.ndarray
+    negativity14: np.ndarray
+    c14vs23: np.ndarray
+    c12vs34: np.ndarray
+
+
+def stacked_branches(local_dim: int, rounds, prob_tol: float = PROB_TOL) -> StackedBranches:
+    """Every kept last-round branch of a measurement chain, in one pass.
+
+    ``rounds[r]`` holds round r's element matrices, shape (K_r, d^2, d^2).
+    The branches and their numbers are those of the records ``chain``
+    returns, which stays the reference; the two I-concurrences come from
+    the Schmidt coefficients of the 14|23 and 12|34 matricizations.
+    """
+    d = int(local_dim)
+    stacks = [np.asarray(s, dtype=complex)[None] for s in rounds]
+    for x, weight in _expand(d, stacks, prob_tol):
+        pass
+    kept = np.flatnonzero(weight[0] > 0.0)
+    x = x[0, kept]
+    # x[b, (k l), (i j)] is the 23|14 matricization; regroup to (i k)|(l j)
+    x12 = x.reshape(-1, d, d, d, d).transpose(0, 3, 1, 2, 4).reshape(x.shape)
+    return StackedBranches(
+        outcome_paths=np.stack(np.unravel_index(kept, [s.shape[1] for s in stacks]), axis=-1),
+        probability=weight[0, kept],
+        negativity14=_stacked_negativity(_stacked_rho14(x), d),
+        c14vs23=measures._pure_concurrence(x),
+        c12vs34=measures._pure_concurrence(x12),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +460,6 @@ def rho14_from_element(el: PovmElement) -> DensityMatrix:
         raise InvalidPovm("outer-pair state undefined for a traceless element")
     d = el.local_dim
     return DensityMatrix(conjugate_computational(el.matrix) / tr, (d, d))
-
-
-def reduced_states_round1(rec: OutcomeRecord) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
-    """The three conditional pair states of a first-round record."""
-    if rec.rho12 is None or rec.rho34 is None:
-        raise ShapeMismatch("record does not carry first-round pair states")
-    return rec.rho14, rec.rho12, rec.rho34
 
 
 def rho12_contraction(el: PovmElement) -> DensityMatrix:
@@ -425,12 +478,6 @@ def rho34_contraction(el: PovmElement) -> DensityMatrix:
     d = el.local_dim
     rho = np.einsum("ijkl,iJkL->ljLJ", t, t.conj()).reshape(d * d, d * d) / el.trace
     return DensityMatrix(rho, (d, d))
-
-
-def state_from_element_spectral(el: PovmElement) -> PureState:
-    """Full four-wire branch state rebuilt from the element's spectral
-    data alone; equals the operational route's post-measurement state."""
-    return measures.element_swap_state(el)
 
 
 # ---------------------------------------------------------------------------

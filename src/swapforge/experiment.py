@@ -26,8 +26,8 @@ from .engine import (
     ALL_BRANCHES,
     STACK_ENTRIES,
     SwapScenario,
-    average_negativity,
-    chain,
+    _closed_average,
+    stacked_branches,
     stacked_chain_negativities,
 )
 from .errors import ConfigError
@@ -193,26 +193,39 @@ def run_sweep(config: ScenarioConfig, csv_path: str | None = None) -> list[Sweep
 
 
 def run_scenario(config: ScenarioConfig) -> dict:
-    """Execute the measurement chain once and build the per-branch report."""
+    """Execute the measurement chain once and build the per-branch report.
+
+    Every branch is expanded in one stacked pass (``stacked_branches``;
+    ``chain`` stays the reference).  Report numbers carry 15 significant
+    digits and the report file is byte-identical from run to run.
+    """
     prob_tol = config.tolerance_overrides.get("prob_tol", PROB_TOL)
     rounds = config.build_rounds()
     scenario = SwapScenario(config.local_dim, rounds, ALL_BRANCHES)
-    records = chain(scenario, prob_tol=prob_tol)
+    found = stacked_branches(
+        scenario.local_dim, [_element_stack(povm) for povm in scenario.rounds], prob_tol
+    )
     element_classes = [
         [classify_element(el) for el in povm.elements] for povm in rounds
     ]
+    probabilities = found.probability.tolist()
+    negativities = found.negativity14.tolist()
     branches = []
-    for rec in records:
-        per_round = [
-            element_classes[r][outcome] for r, outcome in enumerate(rec.outcome_path)
-        ]
+    for path, p, neg, c14, c12 in zip(
+        found.outcome_paths.tolist(),
+        probabilities,
+        negativities,
+        found.c14vs23.tolist(),
+        found.c12vs34.tolist(),
+    ):
+        per_round = [element_classes[r][outcome] for r, outcome in enumerate(path)]
         branches.append(
             {
-                "outcome_path": list(rec.outcome_path),
-                "probability": _sig15(rec.probability),
-                "negativity14": _sig15(rec.negativity14),
-                "c14vs23": _sig15(rec.c14vs23),
-                "c12vs34": _sig15(rec.c12vs34),
+                "outcome_path": path,
+                "probability": _sig15(p),
+                "negativity14": _sig15(neg),
+                "c14vs23": _sig15(c14),
+                "c12vs34": _sig15(c12),
                 "classification": [
                     {"verdict": verdict_label(ec.verdict, ec.local_dim), "operation_kind": ec.operation_kind}
                     for ec in per_round
@@ -225,12 +238,10 @@ def run_scenario(config: ScenarioConfig) -> dict:
             {"family": spec.family, "params": spec.params} for spec in config.rounds
         ],
         "branches": branches,
-        "average_negativity": _sig15(average_negativity(records)),
+        "average_negativity": _sig15(_closed_average(probabilities, negativities)),
     }
     target = config.resolve_output(config.outputs.report_path)
     if target is not None:
         with open(target, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2) + "\n")
     return report
-

@@ -6,6 +6,7 @@ operations built from single-qubit factors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ class SingleQubitElementParams:
     tau2: float
 
     def __post_init__(self):
+        for name in ("theta", "phi", "tau1", "tau2"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise BadParameter(f"{name} must be a number, got {value!r}")
         if self.tau1 < 0.0 or self.tau2 < 0.0:
             raise BadParameter(f"weights must be nonnegative, got ({self.tau1}, {self.tau2})")
 

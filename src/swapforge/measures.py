@@ -97,17 +97,26 @@ def is_ppt(rho: DensityMatrix, cut: BipartiteCut | None = None, ppt_tol: float =
     return bool(w[0] >= -ppt_tol)
 
 
-def _schmidt_purity(matricized: np.ndarray) -> float:
-    """tr(rho_left^2) from the Schmidt coefficients of a matricized pure
-    state.  Squaring the singular-value ratios keeps numerically-product
-    states at purity exactly 1, where a matrix-product route would leave
-    sqrt-amplified rounding noise.  Squares are spelled as products, not
-    ``**2``: the array power can be a non-correctly-rounded libm pow, and
-    a one-ulp wobble here surfaces as a 1e-8 concurrence after the sqrt."""
+def _schmidt_purity(matricized: np.ndarray) -> np.ndarray:
+    """tr(rho_left^2) from the Schmidt coefficients of each matricized
+    pure state of a (..., left, right) stack.  Squaring the singular-value
+    ratios keeps numerically-product states at purity exactly 1, where a
+    matrix-product route would leave sqrt-amplified rounding noise.
+    Squares are spelled as products, not ``**2``: the array power can be
+    a non-correctly-rounded libm pow, and a one-ulp wobble here surfaces
+    as a 1e-8 concurrence after the sqrt."""
     sigma = np.linalg.svd(matricized, compute_uv=False)
     sigma_sq = sigma * sigma
-    total = sigma_sq.sum()
-    return float((sigma_sq * sigma_sq).sum() / (total * total))
+    total = sigma_sq.sum(axis=-1)
+    return (sigma_sq * sigma_sq).sum(axis=-1) / (total * total)
+
+
+def _pure_concurrence(matricized: np.ndarray) -> np.ndarray:
+    """sqrt(D/(D-1) (1 - tr rho_left^2)) for each matricized pure state of
+    a (..., D, right) stack, D being the left-block dimension."""
+    d_left = matricized.shape[-2]
+    value = d_left / (d_left - 1) * (1.0 - _schmidt_purity(matricized))
+    return np.sqrt(np.maximum(value, 0.0))
 
 
 def i_concurrence(psi: PureState, cut: BipartiteCut) -> float:
@@ -120,8 +129,7 @@ def i_concurrence(psi: PureState, cut: BipartiteCut) -> float:
     rest = [w for w in range(psi.n_wires) if w not in cut.left]
     d_left = int(np.prod([psi.dims[w] for w in cut.left]))
     m = psi.tensor().transpose(list(cut.left) + rest).reshape(d_left, -1)
-    value = d_left / (d_left - 1) * (1.0 - _schmidt_purity(m))
-    return float(np.sqrt(max(value, 0.0)))
+    return float(_pure_concurrence(m))
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +181,7 @@ def c12_vs_34(el: PovmElement) -> float:
     t = _state_tensor(el)  # layout (w1, w4, w2, w3)
     d = el.local_dim
     m = t.transpose(0, 2, 3, 1).reshape(d * d, d * d)  # (w1,w2) | (w3,w4)
-    dsq = d * d
-    value = dsq / (dsq - 1) * (1.0 - _schmidt_purity(m))
-    return float(np.sqrt(max(value, 0.0)))
+    return float(_pure_concurrence(m))
 
 
 def c12_vs_34_contraction(el: PovmElement) -> float:

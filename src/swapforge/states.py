@@ -34,7 +34,6 @@ __all__ = [
     "ValidationReport",
     "check_povm_stack",
     "conjugate_computational",
-    "element_spectral",
     "max_entangled_state",
     "read_povm",
     "validate_povm",
@@ -110,8 +109,8 @@ class DensityMatrix:
             raise BadDimension(f"every local dimension must be >= 2, got {dims}")
         if prod(dims) != m.shape[0]:
             raise ShapeMismatch(f"dims {dims} do not factor dimension {m.shape[0]}")
-        scale = max(1.0, float(np.abs(m).max()))
-        if linalg.hermiticity_defect(m) > HERM_TOL * scale:
+        defect, allowed = _hermiticity(m)
+        if not defect <= allowed:  # NaN fails here too
             raise ValidationFailure("density matrix is not Hermitian within tolerance")
         w = np.linalg.eigvalsh(m)
         if w[0] < -PSD_TOL:
@@ -239,11 +238,6 @@ class PovmElement:
         """Eigenvectors as amplitude grids A[k, i, j] over the two local wires."""
         d = self.local_dim
         return self.spectral.eigenvectors.T.reshape(d * d, d, d)
-
-
-def element_spectral(el: PovmElement) -> HermitianSpectrum:
-    """Descending eigenvalue/eigenvector pairs, full d^2-term basis."""
-    return el.spectral
 
 
 @dataclass(frozen=True)
@@ -391,7 +385,7 @@ def read_povm(path) -> Povm:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "local_dim" not in doc or "elements" not in doc:
         raise FileFormatError("POVM document needs 'local_dim' and 'elements' fields")

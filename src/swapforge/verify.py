@@ -23,6 +23,7 @@ from .config import RoundSpec, ScenarioConfig, SweepSpec
 from .engine import (
     ALL_BRANCHES,
     SwapScenario,
+    _make_record,
     apply_element,
     apply_round,
     average_negativity,
@@ -30,6 +31,7 @@ from .engine import (
     disturbance_check,
     initial_state,
     rho14_two_round_spectral,
+    stacked_branches,
     stacked_chain_negativities,
     stacked_disturbance,
 )
@@ -387,9 +389,9 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
     for k, el in enumerate(candidates):
         if matrix_rank(el.matrix, rel_tol=rank_rel_tol) != 1:
             continue
-        complement = PovmElement(np.eye(4) - el.matrix)
-        povm = Povm(elements=(el, complement), local_dim=2)
-        rec = apply_round(base, povm, include_pair_states=False)[0]
+        # the branch of el alone; its complement's record is never read
+        p, post = apply_element(base, el)
+        rec = _make_record(post, el, (0,), (p,), include_pair_states=False)
         checked += 1
         # 50 two-outcome second rounds in one stack
         povms = random_povm_stack(rng, 50, d=2, n_elements=2)
@@ -650,14 +652,30 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
                 for m, t, n in disturbance_check(rec, Povm.from_matrices(mats, d)).per_outcome
             ]
             if [(j, m) for j, m, _, _ in ref] != list(zip(*np.nonzero(kept))):
-                mismatched.append(f"d={d} rank={rank}")
+                mismatched.append(f"disturbance d={d} rank={rank}")
                 continue
             for (j, m, t, n), got_t, got_n in zip(ref, distance, change):
                 tag = f"disturbance d={d} rank={rank} povm {j} outcome {m}"
                 worst.push(max(abs(got_t - t), abs(got_n - n)), tag)
+    # Stacked branches against chain's records, branch by branch.
+    for d, shape in ((2, (3,)), (2, (2, 3, 2)), (3, (4,)), (3, (2, 3)), (4, (3,)), (4, (2, 2, 2))):
+        povms = [random_povm(rng, d=d, n_elements=k) for k in shape]
+        records = chain(SwapScenario(d, povms, ALL_BRANCHES))
+        got = stacked_branches(d, [[el.matrix for el in povm.elements] for povm in povms])
+        tag = f"branches d={d} outcomes={shape}"
+        if [list(rec.outcome_path) for rec in records] != got.outcome_paths.tolist():
+            mismatched.append(tag)
+            continue
+        columns = (got.probability, got.negativity14, got.c14vs23, got.c12vs34)
+        for b, rec in enumerate(records):
+            ref = (rec.probability, rec.negativity14, rec.c14vs23, rec.c12vs34)
+            worst.push(
+                max(abs(column[b] - value) for column, value in zip(columns, ref)),
+                f"{tag} path {rec.outcome_path}",
+            )
     extra = ""
     if mismatched:
-        extra = f"disturbance outcomes kept differently at {', '.join(mismatched)}"
+        extra = f"outcomes kept differently at {', '.join(mismatched)}"
     return _result("batched_sweep_equivalence", worst, tol, extra=extra, failed=bool(mismatched))
 
 

@@ -15,17 +15,15 @@ from swapforge.engine import (
     chain,
     disturbance_check,
     initial_state,
-    reduced_states_round1,
     rho12_contraction,
     rho14_from_element,
     rho14_two_round_spectral,
     rho34_contraction,
     second_round_probability,
-    state_from_element_spectral,
 )
 from swapforge.errors import BadDimension, IncompleteBranchSet, InvalidPovm
 from swapforge.families import bell_projective, noisy_bell_povm, wire2_computational_povm
-from swapforge.measures import CUT_12_34, CUT_14_23, i_concurrence
+from swapforge.measures import CUT_12_34, CUT_14_23, element_swap_state, i_concurrence
 from swapforge.sampling import random_element, random_povm, random_rank1_element
 from swapforge.states import Povm, PovmElement
 
@@ -103,7 +101,7 @@ def test_round_state_matches_spectral_construction(seed):
     rng = rng_from(seed)
     el = random_element(rng, d=2, rank=int(rng.integers(1, 5)))
     p, post = apply_element(initial_state(2), el)
-    spectral_state = state_from_element_spectral(el)
+    spectral_state = element_swap_state(el)
     # global phase free; compare density matrices
     np.testing.assert_allclose(
         post.density().matrix, spectral_state.density().matrix, atol=1e-10
@@ -135,8 +133,8 @@ def test_apply_round_skips_zero_probability_branches(caplog):
 
 
 def test_bell_projector_pair_states_maximally_mixed():
-    records = apply_round(initial_state(2), bell_projective())
-    rho14, rho12, rho34 = reduced_states_round1(records[0])
+    rec = apply_round(initial_state(2), bell_projective())[0]
+    rho12, rho34 = rec.rho12, rec.rho34
     np.testing.assert_allclose(rho12.matrix, np.eye(4) / 4, atol=1e-12)
     np.testing.assert_allclose(rho34.matrix, np.eye(4) / 4, atol=1e-12)
     for pair in (rho12, rho34):
@@ -145,8 +143,8 @@ def test_bell_projector_pair_states_maximally_mixed():
 
 
 def test_identity_direction_leaves_first_pair_entangled():
-    records = apply_round(initial_state(2), noisy_bell_povm(0.0))
-    rho14, rho12, rho34 = reduced_states_round1(records[0])
+    rec = apply_round(initial_state(2), noisy_bell_povm(0.0))[0]
+    rho14, rho12 = rec.rho14, rec.rho12
     np.testing.assert_allclose(rho14.matrix, np.eye(4) / 4, atol=1e-12)
     np.testing.assert_allclose(rho12.matrix, np.outer(BELL_PLUS, BELL_PLUS), atol=1e-12)
 

@@ -161,8 +161,17 @@ def _with(path, value):
         _with(("rounds", 0, "params", "lambda"), None),
         _with(("tolerance_overrides", "prb_tol"), 1e-12),
         _with(("rounds", 0, "params", "lambda"), "0.5"),
+        _with(("tolerance_overrides", "prob_tol"), float("nan")),
+        _with(("tolerance_overrides", "prob_tol"), -1e-12),
+        _with(("outputs", "report_path"), 5),
+        _with(("outputs", "csv_path"), "a\0b"),
+        _with(("rounds", 1), {"family": "file", "params": {"path": 5}}),
     ],
-    ids=["start-string", "prob_tol-string", "lambda-null", "unknown-tolerance", "lambda-string"],
+    ids=[
+        "start-string", "prob_tol-string", "lambda-null", "unknown-tolerance", "lambda-string",
+        "prob_tol-nan", "prob_tol-negative", "report_path-number", "csv_path-nul",
+        "file-path-number",
+    ],
 )
 def test_malformed_config_exits_two_with_error_code(tmp_path, capsys, command, doc):
     path = tmp_path / "scenario.json"
@@ -212,3 +221,27 @@ def test_verify_accepts_every_known_tolerance(capsys):
     assert len(TOLERANCES) == 17
     assert main(["verify", *skips, *overrides]) == 0
     assert capsys.readouterr().out.count("SKIP") == len(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"rounds": "\xff"}')
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error_code=ConfigParse\n")
+
+
+def test_povm_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "meas.json"
+    path.write_bytes(b"\x80\x81")
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error_code=FileFormat\n")
+
+
+@pytest.mark.parametrize("field", ["theta", "phi", "tau1", "tau2"])
+@pytest.mark.parametrize("value", ["0.5", None, True, [1.0]])
+def test_single_qubit_params_reject_non_numbers(field, value):
+    params = dict(theta=0.1, phi=0.2, tau1=0.5, tau2=0.5)
+    params[field] = value
+    with pytest.raises(BadParameter):
+        SingleQubitElementParams(**params)

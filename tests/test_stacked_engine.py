@@ -1,7 +1,8 @@
 """The stacked engine against the per-record chain and disturbance
-check, which stay the reference: same averages, branch maxima and
-per-outcome disturbances to 1e-13, same branch dropping, same errors.
-Also the stacked POVM sampler against repeated random_povm."""
+check, which stay the reference: same averages, branch maxima,
+per-branch values of run_scenario's report and per-outcome disturbances
+to 1e-13, same branch dropping, same errors.  Also the stacked POVM
+sampler against repeated random_povm."""
 
 import json
 import math
@@ -9,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import swapforge.engine
 import swapforge.families
 from swapforge.config import RoundSpec, ScenarioConfig, SweepSpec, load_scenario_config
 from swapforge.engine import (
@@ -20,6 +22,7 @@ from swapforge.engine import (
     chain,
     disturbance_check,
     initial_state,
+    stacked_branches,
     stacked_chain_negativities,
     stacked_disturbance,
 )
@@ -29,8 +32,9 @@ from swapforge.errors import (
     NotPsd,
     ShapeMismatch,
     ValidationFailure,
+    ZeroTrace,
 )
-from swapforge.experiment import sweep_rows
+from swapforge.experiment import run_scenario, sweep_rows
 from swapforge.families import BELL_STATES, noisy_bell_povm, wire2_computational_povm
 from swapforge.sampling import (
     random_element,
@@ -194,6 +198,117 @@ def test_separable_branches_read_exactly_zero():
     )
     for row in rows:
         assert min(row.avg_neg_round1, row.avg_neg_round2, row.max_branch_negativity) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# run_scenario's stacked branches against chain's records.
+# ---------------------------------------------------------------------------
+
+
+def scenario_config(tmp_path, povms, prob_tol=None):
+    """A config whose rounds are POVM files, reporting to report.json."""
+    rounds = []
+    for r, povm in enumerate(povms):
+        write_povm(povm, tmp_path / f"round{r}.json")
+        rounds.append({"family": "file", "params": {"path": f"round{r}.json"}})
+    doc = {"local_dim": povms[0].local_dim, "rounds": rounds, "outputs": {"report_path": "report.json"}}
+    if prob_tol is not None:
+        doc["tolerance_overrides"] = {"prob_tol": prob_tol}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return load_scenario_config(str(path))
+
+
+def assert_report_matches_chain(config, povms, prob_tol=1e-12):
+    """run_scenario's branches are chain's records, path for path, with
+    the same numbers to 1e-13; returns the report."""
+    report = run_scenario(config)
+    records = chain(SwapScenario(povms[0].local_dim, povms, ALL_BRANCHES), prob_tol)
+    assert [b["outcome_path"] for b in report["branches"]] == [
+        list(rec.outcome_path) for rec in records
+    ]
+    for branch, rec in zip(report["branches"], records):
+        for key in ("probability", "negativity14", "c14vs23", "c12vs34"):
+            assert abs(branch[key] - getattr(rec, key)) <= TOL
+    assert abs(report["average_negativity"] - average_negativity(records)) <= TOL
+    return report
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n_rounds", [1, 2, 3])
+def test_run_scenario_matches_chain(tmp_path, d, n_rounds):
+    rng = np.random.default_rng(2000 * d + n_rounds)
+    high = 4 if d < 4 else 3  # keeps d=4 chains at a few dozen branches
+    povms = [random_povm(rng, d=d, n_elements=int(k)) for k in rng.integers(2, high, size=n_rounds)]
+    assert_report_matches_chain(scenario_config(tmp_path, povms), povms)
+
+
+def test_run_scenario_never_calls_chain(tmp_path, rng, monkeypatch):
+    povms = [random_povm(rng, d=2, n_elements=3), random_povm(rng, d=2, n_elements=2)]
+    config = scenario_config(tmp_path, povms)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-record engine was called")
+
+    monkeypatch.setattr(swapforge.engine, "chain", refuse)
+    monkeypatch.setattr(swapforge.engine, "apply_element", refuse)
+    assert len(run_scenario(config)["branches"]) == 6
+
+
+def test_run_scenario_prob_tol_drops_a_branch_and_its_descendants(tmp_path):
+    # the scaled Bell outcome has probability 2.5e-8, below the override
+    povms = [dropping_povm(1e-7), wire2_computational_povm()]
+    config = scenario_config(tmp_path, povms, prob_tol=1e-6)
+    report = assert_report_matches_chain(config, povms, prob_tol=1e-6)
+    assert [b["outcome_path"] for b in report["branches"]] == [[1, 0], [1, 1], [2, 0], [2, 1]]
+    kept = run_scenario(scenario_config(tmp_path, povms))
+    assert [b["outcome_path"][0] for b in kept["branches"]] == [0, 0, 1, 1, 2, 2]
+
+
+def test_zero_element_branches_are_dropped_like_chain(tmp_path):
+    povms = [Povm.from_matrices([np.zeros((4, 4)), np.eye(4)], local_dim=2), noisy_bell_povm(0.7)]
+    records = chain(SwapScenario(2, povms, ALL_BRANCHES))
+    got = stacked_branches(2, [[el.matrix for el in povm.elements] for povm in povms])
+    assert got.outcome_paths.tolist() == [list(rec.outcome_path) for rec in records]
+    assert got.outcome_paths[:, 0].tolist() == [1, 1, 1, 1]
+    for b, rec in enumerate(records):
+        for key in ("probability", "negativity14", "c14vs23", "c12vs34"):
+            assert abs(getattr(got, key)[b] - getattr(rec, key)) <= TOL
+    # the report classifies every element, and a traceless one has no class
+    with pytest.raises(ZeroTrace):
+        run_scenario(scenario_config(tmp_path, povms))
+
+
+def test_run_scenario_incomplete_branch_set_raises_like_chain(tmp_path, rng):
+    povms = [random_povm(rng, d=2, n_elements=4)]
+    config = scenario_config(tmp_path, povms, prob_tol=0.3)
+    with pytest.raises(IncompleteBranchSet, match="branch probabilities sum to"):
+        reference(2, povms, prob_tol=0.3)
+    with pytest.raises(IncompleteBranchSet, match="branch probabilities sum to"):
+        run_scenario(config)
+    # every branch dropped: the closure check sees an empty sum
+    with pytest.raises(IncompleteBranchSet, match="sum to 0,"):
+        run_scenario(scenario_config(tmp_path, povms, prob_tol=1.0))
+
+
+def test_run_scenario_max_branches_guard_like_chain(tmp_path):
+    k = int(math.isqrt(MAX_BRANCHES)) + 1
+    povm = Povm.from_matrices([np.eye(4) / k] * k, local_dim=2)
+    with pytest.raises(InvalidPovm, match="branches"):
+        chain(SwapScenario(2, (povm, povm), ALL_BRANCHES))
+    with pytest.raises(InvalidPovm, match="branches"):
+        run_scenario(scenario_config(tmp_path, [povm, povm]))
+
+
+def test_run_scenario_report_is_byte_stable(tmp_path, rng):
+    povms = [random_povm(rng, d=3, n_elements=3), random_povm(rng, d=3, n_elements=2)]
+    config = scenario_config(tmp_path, povms)
+    report = run_scenario(config)
+    first = (tmp_path / "report.json").read_bytes()
+    run_scenario(config)
+    assert (tmp_path / "report.json").read_bytes() == first
+    # the bytes json.dump writes, plus one newline
+    assert first == (json.dumps(report, indent=2) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from swapforge.states import (
     PovmElement,
     PureState,
     conjugate_computational,
-    element_spectral,
     max_entangled_state,
     read_povm,
     validate_povm,
@@ -52,6 +51,15 @@ def test_density_matrix_validation(rng):
         DensityMatrix(np.diag([1.5, -0.5]), (2,))
     with pytest.raises(ValidationFailure):
         DensityMatrix(np.diag([0.6, 0.6]), (2,))
+
+
+@pytest.mark.parametrize("entry", [np.nan, complex(np.nan, np.nan)])
+def test_density_matrix_rejects_nan(entry):
+    # NaN makes every comparison False; the Hermiticity test must not pass it
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 2] = m[2, 1] = entry
+    with pytest.raises(ValidationFailure):
+        DensityMatrix(m, (2, 2))
 
 
 def test_max_entangled_state_d2():
@@ -134,13 +142,13 @@ def test_povm_flags_degenerate_elements():
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
 def test_element_spectral_noisy_bell_eigenvalues(lam):
-    spec = element_spectral(noisy_bell_povm(lam).elements[0])
+    spec = noisy_bell_povm(lam).elements[0].spectral
     expected = [(3 * lam + 1) / 4] + [(1 - lam) / 4] * 3
     np.testing.assert_allclose(spec.eigenvalues, expected, atol=1e-12)
 
 
 def test_element_spectral_identity():
-    spec = element_spectral(PovmElement(np.eye(4)))
+    spec = PovmElement(np.eye(4)).spectral
     np.testing.assert_allclose(spec.eigenvalues, np.ones(4))
 
 
