@@ -18,13 +18,10 @@ from .classify import (
     lemma2_predicate,
 )
 from .engine import (
-    ALL_BRANCHES,
     DisturbanceReport,
     OutcomeRecord,
-    SelectOutcome,
     SwapScenario,
     apply_element,
-    apply_round,
     average_negativity,
     chain,
     disturbance_check,
@@ -71,14 +68,12 @@ from .states import (
     conjugate_computational,
     max_entangled_state,
     read_povm,
-    validate_povm,
     write_povm,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_BRANCHES",
     "BipartiteCut",
     "CUT_12_34",
     "CUT_14_23",
@@ -92,11 +87,9 @@ __all__ = [
     "Povm",
     "PovmElement",
     "PureState",
-    "SelectOutcome",
     "SingleQubitElementParams",
     "SwapScenario",
     "apply_element",
-    "apply_round",
     "average_negativity",
     "bell_projective",
     "c12_vs_34",
@@ -128,7 +121,6 @@ __all__ = [
     "single_qubit_residual_concurrence",
     "trace_distance",
     "trace_norm",
-    "validate_povm",
     "wire2_computational_povm",
     "write_povm",
 ]

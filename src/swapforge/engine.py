@@ -44,16 +44,12 @@ from .states import (
 from .tolerances import PROB_TOL
 
 __all__ = [
-    "AllBranches",
-    "ALL_BRANCHES",
     "DisturbanceReport",
     "MAX_BRANCHES",
     "OutcomeRecord",
-    "SelectOutcome",
     "StackedBranches",
     "SwapScenario",
     "apply_element",
-    "apply_round",
     "average_negativity",
     "chain",
     "disturbance_check",
@@ -78,27 +74,11 @@ PROB_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class AllBranches:
-    """Expand every outcome of every round."""
-
-
-ALL_BRANCHES = AllBranches()
-
-
-@dataclass(frozen=True)
-class SelectOutcome:
-    """Follow a single outcome path, one index per round."""
-
-    outcomes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SwapScenario:
     """A measurement chain on the middle pair."""
 
     local_dim: int
     rounds: tuple[Povm, ...]
-    branch_policy: AllBranches | SelectOutcome = ALL_BRANCHES
 
     def __post_init__(self):
         d = int(self.local_dim)
@@ -112,13 +92,6 @@ class SwapScenario:
                 raise ShapeMismatch(
                     f"round POVM acts on dimension {povm.local_dim}^2, scenario has d={d}"
                 )
-        if isinstance(self.branch_policy, SelectOutcome):
-            sel = self.branch_policy.outcomes
-            if len(sel) != len(rounds):
-                raise ShapeMismatch("SelectOutcome needs one outcome index per round")
-            for k, povm in zip(sel, rounds):
-                if not 0 <= k < len(povm.elements):
-                    raise ShapeMismatch(f"outcome index {k} out of range")
         object.__setattr__(self, "local_dim", d)
         object.__setattr__(self, "rounds", rounds)
 
@@ -129,8 +102,8 @@ class OutcomeRecord:
 
     ``probability`` is the joint weight of the whole outcome path; the
     per-round conditional probabilities are kept alongside so averages
-    can be taken without renormalizing.  ``rho12``/``rho34`` are filled
-    for first-round records only.
+    can be taken without renormalizing.  The pair states (1,2) and (3,4)
+    are ``full_state.reduced((0, 1))`` and ``((2, 3))``.
     """
 
     outcome_path: tuple[int, ...]
@@ -138,8 +111,6 @@ class OutcomeRecord:
     round_probabilities: tuple[float, ...]
     full_state: PureState
     rho14: DensityMatrix
-    rho12: DensityMatrix | None
-    rho34: DensityMatrix | None
     negativity14: float
     c14vs23: float
     c12vs34: float
@@ -184,19 +155,14 @@ def _make_record(
     element: PovmElement,
     path: tuple[int, ...],
     round_probs: tuple[float, ...],
-    include_pair_states: bool,
 ) -> OutcomeRecord:
     rho14 = post.reduced((0, 3))
-    rho12 = post.reduced((0, 1)) if include_pair_states else None
-    rho34 = post.reduced((2, 3)) if include_pair_states else None
     return OutcomeRecord(
         outcome_path=path,
         probability=float(prod(round_probs)),
         round_probabilities=round_probs,
         full_state=post,
         rho14=rho14,
-        rho12=rho12,
-        rho34=rho34,
         negativity14=negativity(rho14),
         c14vs23=i_concurrence(post, CUT_14_23),
         c12vs34=i_concurrence(post, CUT_12_34),
@@ -204,79 +170,32 @@ def _make_record(
     )
 
 
-def apply_round(
-    state: PureState,
-    povm: Povm,
-    *,
-    path_prefix: tuple[int, ...] = (),
-    prior_round_probs: tuple[float, ...] = (),
-    include_pair_states: bool = True,
-    prob_tol: float = PROB_TOL,
-) -> list[OutcomeRecord]:
-    """Expand one measurement round into its nonzero-probability branches.
-
-    Zero-probability outcomes (conditional probability below prob_tol)
-    are omitted and logged; the returned conditional probabilities of a
-    full expansion sum to one.
-    """
-    d = _require_four_wires(state)
-    if povm.local_dim != d:
-        raise InvalidPovm(f"POVM local dimension {povm.local_dim} does not match d={d}")
-    records = []
-    for n, el in enumerate(povm.elements):
-        p, post = apply_element(state, el)
-        if post is None or p < prob_tol:
-            logger.debug(
-                "skipping outcome %s: probability %.3e below %.0e",
-                path_prefix + (n,), p, prob_tol,
-            )
-            continue
-        records.append(
-            _make_record(
-                post, el, path_prefix + (n,), prior_round_probs + (p,), include_pair_states
-            )
-        )
-    return records
-
-
 def chain(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> list[OutcomeRecord]:
-    """Depth-first expansion of every round; returns the final-round records.
+    """Expand every outcome of every round; returns the last-round records
+    in depth-first outcome order.
 
-    Joint probabilities multiply along each path.  A one-round scenario
-    reproduces apply_round on the initial state.
+    This is the record-by-record reference for every stacked path.  Joint
+    probabilities multiply along each path; an outcome whose conditional
+    probability is below prob_tol (or PROB_TOL) is skipped and logged,
+    and so are its descendants.  To follow one path, filter the records
+    on ``outcome_path``.
     """
-    if isinstance(scenario.branch_policy, AllBranches):
-        total = prod(len(p.elements) for p in scenario.rounds)
-        if total > MAX_BRANCHES:
-            raise InvalidPovm(f"scenario expands to {total} branches (limit {MAX_BRANCHES})")
-    n_rounds = len(scenario.rounds)
-    selected = (
-        scenario.branch_policy.outcomes
-        if isinstance(scenario.branch_policy, SelectOutcome)
-        else None
-    )
-    leaves: list[OutcomeRecord] = []
-    include_pairs_first = n_rounds == 1
-
-    def expand(state: PureState, depth: int, path: tuple[int, ...], probs: tuple[float, ...]):
-        povm = scenario.rounds[depth]
-        last = depth == n_rounds - 1
-        outcomes = range(len(povm.elements)) if selected is None else [selected[depth]]
-        for n in outcomes:
-            el = povm.elements[n]
-            p, post = apply_element(state, el)
-            if post is None or p < prob_tol:
-                logger.debug("skipping branch %s: probability %.3e", path + (n,), p)
-                continue
-            if last:
-                leaves.append(
-                    _make_record(post, el, path + (n,), probs + (p,), include_pairs_first)
-                )
-            else:
-                expand(post, depth + 1, path + (n,), probs + (p,))
-
-    expand(initial_state(scenario.local_dim), 0, (), ())
-    return leaves
+    total = prod(len(p.elements) for p in scenario.rounds)
+    if total > MAX_BRANCHES:
+        raise InvalidPovm(f"scenario expands to {total} branches (limit {MAX_BRANCHES})")
+    # (path, round probabilities, state, element) of each kept branch
+    frontier = [((), (), initial_state(scenario.local_dim), None)]
+    for povm in scenario.rounds:
+        expanded = []
+        for path, probs, state, _ in frontier:
+            for n, el in enumerate(povm.elements):
+                p, post = apply_element(state, el)
+                if post is None or p < prob_tol:
+                    logger.debug("skipping branch %s: probability %.3e", path + (n,), p)
+                    continue
+                expanded.append((path + (n,), probs + (p,), post, el))
+        frontier = expanded
+    return [_make_record(post, el, path, probs) for path, probs, post, el in frontier]
 
 
 def average_negativity(records: list[OutcomeRecord], prob_sum_tol: float = PROB_SUM_TOL) -> float:
@@ -329,11 +248,12 @@ def _checked_average(weight: np.ndarray, neg: np.ndarray) -> np.ndarray:
     return (weight * neg).sum(axis=-1)
 
 
-def _expand(d: int, stacks: list[np.ndarray], prob_tol: float):
+def _expand(d: int, stacks: list[np.ndarray], prob_tol: float, start: PureState | None = None):
     """The stacked round loop: yields (x, weight) after each round.
 
     ``stacks[r]`` holds round r's element matrices, shape (G_r, K_r, D, D)
-    with G_r the number of grid points G or 1 for a shared round.
+    with G_r the number of grid points G or 1 for a shared round.  Every
+    grid point starts from ``start`` (the initial state if None).
     x[g, b, (k l), (i j)] holds branch b's normalized psi[i, k, l, j],
     branches in chain's depth-first order, and weight[g, b] its joint
     probability.  A branch whose conditional probability is below
@@ -358,8 +278,9 @@ def _expand(d: int, stacks: list[np.ndarray], prob_tol: float):
     roots = linalg.sqrt_from_spectrum(w, v)
     tol = max(prob_tol, PROB_TOL)
 
-    start = initial_state(d).tensor().transpose(1, 2, 0, 3).reshape(dim, dim)
-    x = np.broadcast_to(start, (grid, 1, dim, dim))
+    state = initial_state(d) if start is None else start
+    x0 = state.tensor().transpose(1, 2, 0, 3).reshape(dim, dim)
+    x = np.broadcast_to(x0, (grid, 1, dim, dim))
     weight = np.ones((grid, 1))
     offset = 0
     for s in stacks:
@@ -582,12 +503,10 @@ def stacked_disturbance(
     if m.ndim != 4 or m.shape[2:] != (dim, dim):
         raise ShapeMismatch(f"POVM stack of shape {m.shape} does not fit d={d}")
     check_povm_stack(m)
-    roots = linalg.sqrt_from_spectrum(*linalg.floored_psd_eigh(m))
-    x = rec.full_state.tensor().transpose(1, 2, 0, 3).reshape(dim, dim)
-    out = roots @ x
-    p = (out.real * out.real + out.imag * out.imag).sum(axis=(-2, -1))
-    kept = p >= PROB_TOL
-    rho = _stacked_rho14(out[kept] / np.sqrt(p[kept])[:, None, None])
+    # the P POVMs are P grid points of one round started from the branch
+    x, weight = next(_expand(d, [m], PROB_TOL, rec.full_state))
+    kept = weight > 0.0
+    rho = _stacked_rho14(x[kept])
     # rho - rho_base is Hermitian: its trace norm is the sum of |eigenvalues|
     distance = 0.5 * np.abs(np.linalg.eigvalsh(rho - rec.rho14.matrix)).sum(axis=-1)
     change = np.abs(_stacked_negativity(rho, d) - rec.negativity14)

@@ -23,7 +23,6 @@ import numpy as np
 from .classify import _sig15, classify_element, verdict_label
 from .config import ScenarioConfig
 from .engine import (
-    ALL_BRANCHES,
     STACK_ENTRIES,
     SwapScenario,
     _closed_average,
@@ -201,24 +200,28 @@ def run_scenario(config: ScenarioConfig) -> dict:
     """
     prob_tol = config.tolerance_overrides.get("prob_tol", PROB_TOL)
     rounds = config.build_rounds()
-    scenario = SwapScenario(config.local_dim, rounds, ALL_BRANCHES)
+    scenario = SwapScenario(config.local_dim, rounds)
     found = stacked_branches(
         scenario.local_dim, [_element_stack(povm) for povm in scenario.rounds], prob_tol
     )
-    element_classes = [
-        [classify_element(el) for el in povm.elements] for povm in rounds
-    ]
+    paths = found.outcome_paths.tolist()
+    # only the elements on kept branches are classified, once each: a
+    # dropped outcome (a traceless element, say) needs no class
+    element_classes = {
+        (r, n): classify_element(rounds[r].elements[n])
+        for r, n in {(r, n) for path in paths for r, n in enumerate(path)}
+    }
     probabilities = found.probability.tolist()
     negativities = found.negativity14.tolist()
     branches = []
     for path, p, neg, c14, c12 in zip(
-        found.outcome_paths.tolist(),
+        paths,
         probabilities,
         negativities,
         found.c14vs23.tolist(),
         found.c12vs34.tolist(),
     ):
-        per_round = [element_classes[r][outcome] for r, outcome in enumerate(path)]
+        per_round = [element_classes[r, outcome] for r, outcome in enumerate(path)]
         branches.append(
             {
                 "outcome_path": path,

@@ -19,7 +19,6 @@ from .tolerances import HERM_TOL, PSD_TOL, RANK_REL_TOL
 __all__ = [
     "HermitianSpectrum",
     "floored_psd_eigh",
-    "hermiticity_defect",
     "hermitian_eig",
     "kron",
     "matrix_rank",
@@ -107,17 +106,22 @@ def permute_subsystems(m: np.ndarray, dims, perm) -> np.ndarray:
     return t.transpose(axes).reshape(m.shape).copy()
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M - M^dagger| over entries."""
-    m = _square(m)
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+def _hermiticity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermiticity defect max|M - M^dagger| of each matrix of a (..., D, D)
+    stack, and the defect it may have: HERM_TOL * max(1, max|M|).  A
+    stack holding a NaN or infinite entry gets NaN defects, which fail
+    every ``defect <= allowed`` test."""
+    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    allowed = HERM_TOL * np.fmax(scale, 1.0)
+    if not np.isfinite(scale).all():  # and inf - inf would warn below
+        return np.full_like(scale, np.nan), allowed
+    return np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0), allowed
 
 
-def _require_hermitian(m: np.ndarray, herm_tol: float = HERM_TOL) -> None:
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    defect = hermiticity_defect(m)
-    if defect > herm_tol * scale:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {herm_tol:.0e}*{scale:.3g}")
+def _require_hermitian(m: np.ndarray) -> None:
+    defect, allowed = _hermiticity(m)
+    if not defect <= allowed:  # NaN fails here too
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {allowed:.3g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +132,10 @@ class HermitianSpectrum:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m: np.ndarray, herm_tol: float = HERM_TOL) -> HermitianSpectrum:
+def hermitian_eig(m: np.ndarray) -> HermitianSpectrum:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
     m = _square(m)
-    _require_hermitian(m, herm_tol)
+    _require_hermitian(m)
     w, v = np.linalg.eigh(m)
     w = np.ascontiguousarray(w[::-1].real)
     v = np.ascontiguousarray(v[:, ::-1])

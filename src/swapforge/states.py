@@ -18,26 +18,24 @@ from . import linalg
 from .errors import (
     BadDimension,
     FileFormatError,
+    IncompletePovm,
     InvalidPovm,
     NotPsd,
     ShapeMismatch,
     ValidationFailure,
 )
-from .linalg import HermitianSpectrum
-from .tolerances import COMPLETENESS_TOL, HERM_TOL, NORM_TOL, PSD_TOL
+from .linalg import HermitianSpectrum, _hermiticity
+from .tolerances import COMPLETENESS_TOL, NORM_TOL, PSD_TOL
 
 __all__ = [
     "DensityMatrix",
     "Povm",
     "PovmElement",
     "PureState",
-    "ValidationReport",
     "check_povm_stack",
     "conjugate_computational",
     "max_entangled_state",
     "read_povm",
-    "validate_povm",
-    "validate_povm_matrices",
     "write_povm",
 ]
 
@@ -137,24 +135,14 @@ class DensityMatrix:
 
 # The POVM rules, one home each; every array is a stack of matrices on
 # its last two axes, so one element and many POVMs share the same code.
-
-
-def _hermiticity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermiticity defect max|M - M^dagger| of each matrix of the stack,
-    and the defect it may have: HERM_TOL * max(1, max|M|)."""
-    defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
-    return defect, HERM_TOL * np.fmax(np.abs(m).max(axis=(-2, -1)), 1.0)
-
-
-def _completeness_deviation(m: np.ndarray) -> np.ndarray:
-    """max|sum_k M_k - 1| of each POVM of a (..., K, D, D) stack."""
-    return np.abs(m.sum(axis=-3) - np.eye(m.shape[-1])).max(axis=(-2, -1))
+# The Hermiticity rule lives in linalg, which checks its inputs by it too.
 
 
 def _check_elements(m: np.ndarray) -> None:
     """Raise unless each matrix of the (..., D, D) stack is a POVM element:
     d*d square for a local dimension d >= 2, Hermitian within tolerance,
-    no eigenvalue below -PSD_TOL.  NaN fails the Hermiticity test."""
+    no eigenvalue below -PSD_TOL.  NaN and infinity fail the Hermiticity
+    test."""
     if m.shape[-1] != m.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[-1]
@@ -172,9 +160,9 @@ def _check_elements(m: np.ndarray) -> None:
 def _check_completeness(m: np.ndarray) -> None:
     """Raise unless the K elements of each POVM of the (..., K, D, D)
     stack sum to the identity within COMPLETENESS_TOL."""
-    deviation = _completeness_deviation(m)
+    deviation = np.abs(m.sum(axis=-3) - np.eye(m.shape[-1])).max(axis=(-2, -1))
     if not (deviation <= COMPLETENESS_TOL).all():
-        raise InvalidPovm(
+        raise IncompletePovm(
             f"element sum deviates from identity by {deviation.max():.3e} "
             f"(> {COMPLETENESS_TOL:.0e})"
         )
@@ -240,52 +228,6 @@ class PovmElement:
         return self.spectral.eigenvectors.T.reshape(d * d, d, d)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Measured deviations of a candidate POVM from its contract."""
-
-    completeness_deviation: float
-    element_min_eigenvalues: tuple[float, ...]
-    element_hermiticity_deviations: tuple[float, ...]
-    passed: bool
-
-
-def validate_povm_matrices(
-    matrices,
-    local_dim: int | None = None,
-    completeness_tol: float = COMPLETENESS_TOL,
-) -> ValidationReport:
-    """Validate raw element matrices without constructing a Povm.
-
-    Reports the completeness deviation, per-element minimum eigenvalue,
-    and per-element hermiticity defect; never raises on bad numbers.
-    """
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
-    if not mats:
-        raise InvalidPovm("a POVM needs at least one element")
-    dim = mats[0].shape[0]
-    if local_dim is not None and dim != local_dim * local_dim:
-        raise ShapeMismatch(f"elements are {dim}x{dim} but local_dim={local_dim}")
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ShapeMismatch("POVM elements have inconsistent shapes")
-    stack = np.array(mats)
-    herm, allowed = _hermiticity(stack)
-    mins = np.linalg.eigvalsh((stack + stack.swapaxes(-1, -2).conj()) / 2.0)[:, 0]
-    completeness = float(_completeness_deviation(stack))
-    passed = (
-        completeness <= completeness_tol
-        and bool((herm <= allowed).all())
-        and bool((mins >= -PSD_TOL).all())
-    )
-    return ValidationReport(
-        completeness_deviation=completeness,
-        element_min_eigenvalues=tuple(float(v) for v in mins),
-        element_hermiticity_deviations=tuple(float(h) for h in herm),
-        passed=passed,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Povm:
     """A complete measurement: PSD elements summing to the identity."""
@@ -299,8 +241,7 @@ class Povm:
         if not els:
             raise InvalidPovm("a POVM needs at least one element")
         d = int(self.local_dim)
-        if d < 2:
-            raise BadDimension(f"local_dim must be >= 2, got {d}")
+        # elements have a local dimension >= 2, so this also rejects local_dim < 2
         if any(el.local_dim != d for el in els):
             raise ShapeMismatch("element dimensions disagree with local_dim")
         _check_completeness(np.array([el.matrix for el in els]))
@@ -337,15 +278,6 @@ def check_povm_stack(stack) -> None:
         raise ShapeMismatch(f"expected a (..., K, D, D) stack, got shape {m.shape}")
     _check_elements(m)
     _check_completeness(m)
-
-
-def validate_povm(povm: Povm, completeness_tol: float = COMPLETENESS_TOL) -> ValidationReport:
-    """Validation report for an already constructed Povm."""
-    return validate_povm_matrices(
-        [el.matrix for el in povm.elements],
-        local_dim=povm.local_dim,
-        completeness_tol=completeness_tol,
-    )
 
 
 def max_entangled_state(d: int) -> PureState:
@@ -399,11 +331,7 @@ def read_povm(path) -> Povm:
         raise FileFormatError(f"malformed element matrix: {exc}") from exc
     if not mats:
         raise FileFormatError("POVM document has no elements")
-    report = validate_povm_matrices(mats, local_dim=d)
-    if not report.passed:
-        raise InvalidPovm(
-            "POVM file fails validation: "
-            f"completeness deviation {report.completeness_deviation:.3e}, "
-            f"min eigenvalue {min(report.element_min_eigenvalues):.3e}"
-        )
-    return Povm.from_matrices(mats, local_dim=d)
+    try:
+        return Povm.from_matrices(mats, local_dim=d)
+    except (ValidationFailure, NotPsd) as exc:
+        raise InvalidPovm(f"POVM file fails validation: {exc}") from exc

@@ -21,11 +21,9 @@ import numpy as np
 from .classify import ENTANGLED, UNENTANGLED, UNENTANGLED_BOUNDARY, classify_element
 from .config import RoundSpec, ScenarioConfig, SweepSpec
 from .engine import (
-    ALL_BRANCHES,
     SwapScenario,
     _make_record,
     apply_element,
-    apply_round,
     average_negativity,
     chain,
     disturbance_check,
@@ -203,8 +201,7 @@ def _check_born_normalization(overrides: dict) -> CheckResult:
     ]
     for name, povm in candidates:
         d = povm.local_dim
-        base = initial_state(d)
-        records = apply_round(base, povm, include_pair_states=False)
+        records = chain(SwapScenario(d, (povm,)))
         worst.push(abs(sum(r.probability for r in records) - 1.0), f"{name} closure")
         for rec in records:
             el = povm.elements[rec.outcome_path[0]]
@@ -220,12 +217,11 @@ def _check_born_normalization(overrides: dict) -> CheckResult:
 def _check_noisy_bell_single_round(overrides: dict) -> CheckResult:
     tol = _tol(overrides, "noisy_bell_single_round")
     worst = _Worst()
-    base = initial_state(2)
     failed = False
     notes = []
     for lam in _LAMBDA_GRID:
         expected = max(0.0, paper_formulas(lam)[0])
-        for rec in apply_round(base, noisy_bell_povm(lam), include_pair_states=False):
+        for rec in chain(SwapScenario(2, (noisy_bell_povm(lam),))):
             worst.push(abs(rec.negativity14 - expected), f"lambda={lam}")
         verdict = classify_element(noisy_bell_povm(lam).elements[0]).verdict
         if lam < 1.0 / 3.0 and verdict != UNENTANGLED:
@@ -317,7 +313,7 @@ def _check_two_round_worked_example(overrides: dict) -> CheckResult:
     worst_neg = _Worst()
     second = wire2_computational_povm()
     for lam in _LAMBDA_GRID:
-        scenario = SwapScenario(2, (noisy_bell_povm(lam), second), ALL_BRANCHES)
+        scenario = SwapScenario(2, (noisy_bell_povm(lam), second))
         records = chain(scenario)
         for rec in records:
             worst_prob.push(abs(rec.round_probabilities[1] - 0.5), f"s lambda={lam}")
@@ -391,7 +387,7 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
             continue
         # the branch of el alone; its complement's record is never read
         p, post = apply_element(base, el)
-        rec = _make_record(post, el, (0,), (p,), include_pair_states=False)
+        rec = _make_record(post, el, (0,), (p,))
         checked += 1
         # 50 two-outcome second rounds in one stack
         povms = random_povm_stack(rng, 50, d=2, n_elements=2)
@@ -549,7 +545,7 @@ def _check_qudit_generalization(overrides: dict) -> CheckResult:
         worst_born.push(abs(p - el.trace / 9.0), f"born sample {k}")
     for k in range(50):
         povm = random_povm(rng, d=3, n_elements=int(rng.integers(2, 5)))
-        records = apply_round(base, povm, include_pair_states=False)
+        records = chain(SwapScenario(3, (povm,)))
         worst_born.push(abs(sum(r.probability for r in records) - 1.0), f"closure sample {k}")
     pair = max_entangled_state(3)
     worst_identity.push(abs(i_concurrence(pair, CUT_1_2) - 1.0), "max-entangled 1|2 concurrence")
@@ -602,8 +598,8 @@ def _check_sweep_determinism(overrides: dict) -> CheckResult:
 def _chain_reference(d: int, povms) -> tuple[float, float, float]:
     """First-round and last-round average negativity and the largest
     last-round branch negativity, record by record."""
-    first = average_negativity(chain(SwapScenario(d, povms[:1], ALL_BRANCHES)))
-    records = chain(SwapScenario(d, povms, ALL_BRANCHES))
+    first = average_negativity(chain(SwapScenario(d, povms[:1])))
+    records = chain(SwapScenario(d, povms))
     return first, average_negativity(records), max(rec.negativity14 for rec in records)
 
 
@@ -639,11 +635,10 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
     # elements have rank 1-4, so most distances are far from zero.
     mismatched = []
     for d in (2, 3):
-        base = initial_state(d)
         for rank in (1, 2, 3, 4):
             el = random_element(rng, d=d, rank=rank)
             povm = Povm(elements=(el, PovmElement(np.eye(d * d) - el.matrix)), local_dim=d)
-            rec = apply_round(base, povm, include_pair_states=False)[0]
+            rec = chain(SwapScenario(d, (povm,)))[0]
             stack = random_povm_stack(rng, 3, d=d, n_elements=3)
             kept, distance, change = stacked_disturbance(rec, stack)
             ref = [
@@ -660,7 +655,7 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
     # Stacked branches against chain's records, branch by branch.
     for d, shape in ((2, (3,)), (2, (2, 3, 2)), (3, (4,)), (3, (2, 3)), (4, (3,)), (4, (2, 2, 2))):
         povms = [random_povm(rng, d=d, n_elements=k) for k in shape]
-        records = chain(SwapScenario(d, povms, ALL_BRANCHES))
+        records = chain(SwapScenario(d, povms))
         got = stacked_branches(d, [[el.matrix for el in povm.elements] for povm in povms])
         tag = f"branches d={d} outcomes={shape}"
         if [list(rec.outcome_path) for rec in records] != got.outcome_paths.tolist():

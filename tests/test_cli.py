@@ -1,14 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import swapforge
 from swapforge.cli import main
 from swapforge.config import load_scenario_config
 from swapforge.errors import ConfigError
 from swapforge.experiment import CSV_COLUMNS, run_scenario, run_sweep, worker_count
 from swapforge.families import noisy_bell_povm
-from swapforge.states import write_povm
+from swapforge.states import Povm, write_povm
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -236,6 +240,71 @@ def test_cli_file_family_resolves_relative_to_config(tmp_path):
     doc = {"rounds": [{"family": "file", "params": {"path": "meas.json"}}]}
     path = write_config(tmp_path, doc)
     assert main(["run", path]) == 0
+
+
+def test_cli_run_reports_past_a_traceless_element(tmp_path, capsys):
+    write_povm(Povm.from_matrices([np.zeros((4, 4)), np.eye(4)], local_dim=2), tmp_path / "z.json")
+    doc = {
+        "rounds": [
+            {"family": "file", "params": {"path": "z.json"}},
+            {"family": "noisy_bell", "params": {"lambda": 0.7}},
+        ]
+    }
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()[:-1]] == [
+        f"branch 1.{n}" for n in range(4)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# non-finite POVM file entries, through a fresh interpreter so that numpy
+# warnings and tracebacks would reach the captured stderr
+# ---------------------------------------------------------------------------
+
+
+def swapforge_cli(*argv):
+    src = os.path.dirname(os.path.dirname(swapforge.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "swapforge.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def non_finite_povm_file(tmp_path, pos, value):
+    m = np.eye(4) / 2
+    m[pos] = value
+    doc = {
+        "local_dim": 2,
+        "elements": [[[[float(v), 0.0] for v in row] for row in e] for e in (m, np.eye(4) / 2)],
+    }
+    path = tmp_path / "meas.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity, which json reads back
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, pos, value",
+    [
+        ("classify", (0, 1), np.nan),
+        ("classify", (1, 0), np.nan),
+        ("classify", (1, 0), np.inf),
+        ("classify", (0, 0), np.inf),
+        ("run", (1, 0), np.nan),
+        ("run", (0, 0), np.inf),
+    ],
+)
+def test_cli_non_finite_povm_entry_exits_two(tmp_path, command, pos, value):
+    path = non_finite_povm_file(tmp_path, pos, value)
+    if command == "run":
+        path = write_config(tmp_path, {"rounds": [{"family": "file", "params": {"path": path.name}}]})
+    result = swapforge_cli(command, str(path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error_code=InvalidPovm\n"), result.stderr
+    assert "fails validation" in result.stderr
 
 
 def test_verify_fault_injection_corrupted_rank_cutoff():

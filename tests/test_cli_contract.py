@@ -1,12 +1,13 @@
-"""The exit-code contract of ``swapforge run`` under mutated inputs.
+"""The exit-code contract of ``swapforge run`` and ``swapforge classify``
+under mutated inputs.
 
 A valid scenario config and the POVM file it reads are mutated (a value
 replaced or deleted anywhere in either document, the file's bytes cut
 short or replaced, or a directory in its place) and ``cli.main`` runs
 in-process.  Every outcome must be exit 0, 2 (input) or 3 (I/O) with
 ``error_code=`` first on stderr; exit 1 means "verification failed" and
-never comes from ``run``, and an exception escaping ``main`` would be a
-traceback.
+never comes from ``run`` or ``classify``, and an exception escaping
+``main`` would be a traceback.
 """
 
 import contextlib
@@ -137,6 +138,28 @@ def test_run_exits_with_a_documented_code(target, data):
     else:
         assert err.getvalue() == ""
         assert math.isfinite(float(out.getvalue().splitlines()[-1].split(":")[1]))
+    assert "Traceback" not in err.getvalue()
+
+
+@given(data=st.data())
+def test_classify_exits_with_a_documented_code(data):
+    with tempfile.TemporaryDirectory() as tmpdir:
+        path = os.path.join(tmpdir, POVM_NAME)
+        raw = data.draw(mutated(povm_doc()))
+        if raw is None:
+            os.mkdir(path)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["classify", path])
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error_code="), err.getvalue()
+    else:
+        assert err.getvalue() == ""
+        assert len(json.loads(out.getvalue())["per_element"]) >= 1
     assert "Traceback" not in err.getvalue()
 
 

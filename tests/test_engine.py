@@ -6,11 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from swapforge.engine import (
-    ALL_BRANCHES,
-    SelectOutcome,
     SwapScenario,
     apply_element,
-    apply_round,
     average_negativity,
     chain,
     disturbance_check,
@@ -32,6 +29,10 @@ from conftest import rng_from
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+
+def one_round(povm):
+    return chain(SwapScenario(povm.local_dim, (povm,)))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +67,7 @@ def test_initial_state_rejects_bad_dimension():
 
 
 def test_bell_projective_round_swaps():
-    records = apply_round(initial_state(2), bell_projective())
+    records = one_round(bell_projective())
     assert len(records) == 4
     for rec in records:
         assert rec.probability == pytest.approx(0.25, abs=1e-12)
@@ -79,7 +80,7 @@ def test_bell_projective_round_swaps():
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.8])
 def test_noisy_bell_round_probabilities_and_states(lam):
     povm = noisy_bell_povm(lam)
-    records = apply_round(initial_state(2), povm)
+    records = one_round(povm)
     for rec, el in zip(records, povm.elements):
         assert rec.probability == pytest.approx(0.25, abs=1e-12)
         np.testing.assert_allclose(rec.rho14.matrix, el.matrix, atol=1e-12)
@@ -89,7 +90,7 @@ def test_noisy_bell_round_probabilities_and_states(lam):
 def test_round_probabilities_close(seed):
     rng = rng_from(seed)
     povm = random_povm(rng, d=2, n_elements=int(rng.integers(2, 6)))
-    records = apply_round(initial_state(2), povm)
+    records = one_round(povm)
     assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-9)
     for rec in records:
         el = povm.elements[rec.outcome_path[0]]
@@ -119,10 +120,10 @@ def test_eigenbasis_orthogonality_contraction(seed):
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
 
-def test_apply_round_skips_zero_probability_branches(caplog):
+def test_chain_skips_zero_probability_branches(caplog):
     povm = Povm.from_matrices([np.eye(4), np.zeros((4, 4))], local_dim=2)
     with caplog.at_level(logging.DEBUG, logger="swapforge.engine"):
-        records = apply_round(initial_state(2), povm)
+        records = one_round(povm)
     assert [r.outcome_path for r in records] == [(0,)]
     assert any("skipping" in msg for msg in caplog.messages)
 
@@ -133,8 +134,8 @@ def test_apply_round_skips_zero_probability_branches(caplog):
 
 
 def test_bell_projector_pair_states_maximally_mixed():
-    rec = apply_round(initial_state(2), bell_projective())[0]
-    rho12, rho34 = rec.rho12, rec.rho34
+    rec = one_round(bell_projective())[0]
+    rho12, rho34 = rec.full_state.reduced((0, 1)), rec.full_state.reduced((2, 3))
     np.testing.assert_allclose(rho12.matrix, np.eye(4) / 4, atol=1e-12)
     np.testing.assert_allclose(rho34.matrix, np.eye(4) / 4, atol=1e-12)
     for pair in (rho12, rho34):
@@ -143,8 +144,8 @@ def test_bell_projector_pair_states_maximally_mixed():
 
 
 def test_identity_direction_leaves_first_pair_entangled():
-    rec = apply_round(initial_state(2), noisy_bell_povm(0.0))[0]
-    rho14, rho12 = rec.rho14, rec.rho12
+    rec = one_round(noisy_bell_povm(0.0))[0]
+    rho14, rho12 = rec.rho14, rec.full_state.reduced((0, 1))
     np.testing.assert_allclose(rho14.matrix, np.eye(4) / 4, atol=1e-12)
     np.testing.assert_allclose(rho12.matrix, np.outer(BELL_PLUS, BELL_PLUS), atol=1e-12)
 
@@ -153,9 +154,9 @@ def test_product_rank1_leaves_pure_pair_states(rng):
     u = np.array([1.0, 1.0]) / np.sqrt(2)
     el = PovmElement(np.kron(np.outer(u, u), np.outer(u, u)))
     povm = Povm.from_matrices([el.matrix, np.eye(4) - el.matrix], local_dim=2)
-    rec = apply_round(initial_state(2), povm)[0]
-    assert rec.rho12.purity() == pytest.approx(1.0, abs=1e-10)
-    assert rec.rho34.purity() == pytest.approx(1.0, abs=1e-10)
+    rec = one_round(povm)[0]
+    assert rec.full_state.reduced((0, 1)).purity() == pytest.approx(1.0, abs=1e-10)
+    assert rec.full_state.reduced((2, 3)).purity() == pytest.approx(1.0, abs=1e-10)
 
 
 @given(seeds)
@@ -182,13 +183,13 @@ def test_pair_states_match_contraction_paths(seed):
 
 
 def test_second_round_probability_worked_example():
-    rec = apply_round(initial_state(2), noisy_bell_povm(0.7))[0]
+    rec = one_round(noisy_bell_povm(0.7))[0]
     for em in wire2_computational_povm().elements:
         assert second_round_probability(rec, em) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_second_round_probability_identity_element():
-    rec = apply_round(initial_state(2), noisy_bell_povm(0.4))[2]
+    rec = one_round(noisy_bell_povm(0.4))[2]
     assert second_round_probability(rec, PovmElement(np.eye(4))) == pytest.approx(
         1.0, abs=1e-12
     )
@@ -197,7 +198,7 @@ def test_second_round_probability_identity_element():
 @given(seeds)
 def test_second_round_probability_matches_born_oracle(seed):
     rng = rng_from(seed)
-    rec = apply_round(initial_state(2), random_povm(rng, n_elements=3))[0]
+    rec = one_round(random_povm(rng, n_elements=3))[0]
     em = random_element(rng, rank=int(rng.integers(1, 5)))
     s = second_round_probability(rec, em)
     # brute-force <Phi_n| (E on wires 2,3) |Phi_n>
@@ -226,17 +227,6 @@ def test_two_round_spectral_state_matches_partial_trace(seed):
 # ---------------------------------------------------------------------------
 
 
-def test_one_round_chain_equals_apply_round():
-    scenario = SwapScenario(2, (noisy_bell_povm(0.6),), ALL_BRANCHES)
-    chained = chain(scenario)
-    direct = apply_round(initial_state(2), noisy_bell_povm(0.6))
-    assert len(chained) == len(direct)
-    for a, b in zip(chained, direct):
-        assert a.outcome_path == b.outcome_path
-        assert a.probability == pytest.approx(b.probability, abs=1e-14)
-        np.testing.assert_allclose(a.rho14.matrix, b.rho14.matrix, atol=1e-14)
-
-
 @pytest.mark.parametrize("lam", [0.0, 0.4, 0.9, 1.0])
 def test_two_round_worked_example_branch(lam):
     scenario = SwapScenario(2, (noisy_bell_povm(lam), wire2_computational_povm()))
@@ -245,7 +235,6 @@ def test_two_round_worked_example_branch(lam):
     for rec in records:
         assert rec.round_probabilities[1] == pytest.approx(0.5, abs=1e-12)
         assert rec.probability == pytest.approx(1 / 8, abs=1e-12)
-        assert rec.rho12 is None and rec.rho34 is None
     first = next(r for r in records if r.outcome_path == (0, 0))
     a = (np.sqrt(1 + 3 * lam) + np.sqrt(1 - lam)) / (2 * np.sqrt(1 + lam))
     b = (np.sqrt(1 + 3 * lam) - np.sqrt(1 - lam)) / (2 * np.sqrt(1 + lam))
@@ -262,16 +251,6 @@ def test_identity_round_chain_keeps_maximally_mixed_outer_pair():
     np.testing.assert_allclose(records[0].rho14.matrix, np.eye(4) / 4, atol=1e-12)
 
 
-def test_select_outcome_policy_follows_single_path():
-    scenario = SwapScenario(
-        2,
-        (noisy_bell_povm(0.5), wire2_computational_povm()),
-        SelectOutcome((2, 1)),
-    )
-    records = chain(scenario)
-    assert [r.outcome_path for r in records] == [(2, 1)]
-
-
 def test_chain_branch_guard():
     povm = noisy_bell_povm(0.5)
     with pytest.raises(InvalidPovm):
@@ -284,7 +263,7 @@ def test_chain_branch_guard():
 
 
 def test_average_negativity_single_round():
-    records = apply_round(initial_state(2), noisy_bell_povm(0.8))
+    records = one_round(noisy_bell_povm(0.8))
     assert average_negativity(records) == pytest.approx(0.7, abs=1e-12)
 
 
@@ -295,12 +274,12 @@ def test_average_negativity_two_rounds():
 
 
 def test_average_negativity_separable_branches_is_zero():
-    records = apply_round(initial_state(2), noisy_bell_povm(0.1))
+    records = one_round(noisy_bell_povm(0.1))
     assert average_negativity(records) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_average_negativity_rejects_incomplete_set():
-    records = apply_round(initial_state(2), noisy_bell_povm(0.8))
+    records = one_round(noisy_bell_povm(0.8))
     with pytest.raises(IncompleteBranchSet):
         average_negativity(records[:2])
 
@@ -326,14 +305,14 @@ def test_rank1_branches_are_undisturbed(seed):
     rng = rng_from(seed)
     el = random_rank1_element(rng)
     povm = Povm(elements=(el, PovmElement(np.eye(4) - el.matrix)), local_dim=2)
-    rec = apply_round(initial_state(2), povm)[0]
+    rec = one_round(povm)[0]
     report = disturbance_check(rec, random_povm(rng, n_elements=3))
     assert report.max_trace_distance <= 1e-10
     assert report.max_negativity_change <= 1e-10
 
 
 def test_noisy_bell_branch_is_disturbed_by_separable_second_round():
-    rec = apply_round(initial_state(2), noisy_bell_povm(0.2))[0]
+    rec = one_round(noisy_bell_povm(0.2))[0]
     report = disturbance_check(rec, wire2_computational_povm())
     expected = (0.2 - 1 + np.sqrt(1 - 0.4 + 0.2)) / 2
     assert report.max_negativity_change == pytest.approx(expected, abs=1e-10)
@@ -341,7 +320,7 @@ def test_noisy_bell_branch_is_disturbed_by_separable_second_round():
 
 
 def test_trivial_povm_never_disturbs():
-    rec = apply_round(initial_state(2), noisy_bell_povm(0.2))[0]
+    rec = one_round(noisy_bell_povm(0.2))[0]
     report = disturbance_check(rec, Povm.from_matrices([np.eye(4)], local_dim=2))
     assert report.max_trace_distance <= 1e-12
     assert report.max_negativity_change <= 1e-12

@@ -8,9 +8,8 @@ import pytest
 import swapforge
 from swapforge.cli import main
 from swapforge.engine import (
-    SelectOutcome,
     SwapScenario,
-    initial_state,
+    chain,
     rho14_two_round_spectral,
     second_round_probability,
 )
@@ -43,14 +42,6 @@ def test_scenario_rejects_dimension_mismatch(rng):
         SwapScenario(2, (povm,))
 
 
-def test_select_outcome_validation():
-    povm = noisy_bell_povm(0.5)
-    with pytest.raises(ShapeMismatch):
-        SwapScenario(2, (povm,), SelectOutcome((0, 1)))  # two indices, one round
-    with pytest.raises(ShapeMismatch):
-        SwapScenario(2, (povm,), SelectOutcome((7,)))  # out of range
-
-
 def test_two_round_spectral_rejects_mixed_dims(rng):
     a = random_element(rng, d=2)
     b = random_element(rng, d=3)
@@ -61,11 +52,9 @@ def test_two_round_spectral_rejects_mixed_dims(rng):
 def test_second_round_probability_needs_initial_state_record(rng):
     # a record whose element does not describe its own production history
     # trips the redundant-path comparison instead of silently returning
-    from swapforge.engine import apply_round
     from swapforge.errors import InternalCheckError
 
-    first = apply_round(initial_state(2), noisy_bell_povm(0.5))[0]
-    second = apply_round(first.full_state, noisy_bell_povm(0.8))[0]
+    second = chain(SwapScenario(2, (noisy_bell_povm(0.5), noisy_bell_povm(0.8))))[0]
     em = random_element(rng, d=2)
     with pytest.raises(InternalCheckError):
         second_round_probability(second, em)

@@ -230,6 +230,22 @@ def test_hermitian_eig_rejects_non_hermitian(rng):
         hermitian_eig(random_complex(rng, 3, 3))
 
 
+@pytest.mark.parametrize("fn", [hermitian_eig, matrix_rank, psd_sqrt, psd_sqrt_closed_2x2])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_matrix_is_not_hermitian(fn, value):
+    with pytest.raises(NotHermitian):
+        fn(np.full((2, 2), value))
+    m = np.eye(2)
+    m[1, 0] = value  # the triangle eigh reads
+    with pytest.raises(NotHermitian):
+        fn(m)
+
+
+def test_empty_matrix_is_hermitian():
+    assert hermitian_eig(np.zeros((0, 0))).eigenvalues.size == 0
+    assert matrix_rank(np.zeros((0, 0))) == 0
+
+
 # ---------------------------------------------------------------------------
 # psd_sqrt and the 2x2 closed form
 # ---------------------------------------------------------------------------

@@ -14,14 +14,11 @@ import swapforge.engine
 import swapforge.families
 from swapforge.config import RoundSpec, ScenarioConfig, SweepSpec, load_scenario_config
 from swapforge.engine import (
-    ALL_BRANCHES,
     MAX_BRANCHES,
     SwapScenario,
-    apply_round,
     average_negativity,
     chain,
     disturbance_check,
-    initial_state,
     stacked_branches,
     stacked_chain_negativities,
     stacked_disturbance,
@@ -32,7 +29,6 @@ from swapforge.errors import (
     NotPsd,
     ShapeMismatch,
     ValidationFailure,
-    ZeroTrace,
 )
 from swapforge.experiment import run_scenario, sweep_rows
 from swapforge.families import BELL_STATES, noisy_bell_povm, wire2_computational_povm
@@ -48,8 +44,8 @@ TOL = 1e-13
 
 
 def reference(d, povms, prob_tol=1e-12):
-    first = average_negativity(chain(SwapScenario(d, povms[:1], ALL_BRANCHES), prob_tol))
-    records = chain(SwapScenario(d, povms, ALL_BRANCHES), prob_tol)
+    first = average_negativity(chain(SwapScenario(d, povms[:1]), prob_tol))
+    records = chain(SwapScenario(d, povms), prob_tol)
     return first, average_negativity(records), max(rec.negativity14 for rec in records)
 
 
@@ -127,7 +123,7 @@ def test_max_branches_guard_like_chain():
     k = int(math.isqrt(MAX_BRANCHES)) + 1
     povm = Povm.from_matrices([np.eye(4) / k] * k, local_dim=2)
     with pytest.raises(InvalidPovm):
-        chain(SwapScenario(2, (povm, povm), ALL_BRANCHES))
+        chain(SwapScenario(2, (povm, povm)))
     stack = np.broadcast_to(np.eye(4) / k, (1, k, 4, 4))
     with pytest.raises(InvalidPovm):
         stacked_chain_negativities(2, [stack, stack])
@@ -223,7 +219,7 @@ def assert_report_matches_chain(config, povms, prob_tol=1e-12):
     """run_scenario's branches are chain's records, path for path, with
     the same numbers to 1e-13; returns the report."""
     report = run_scenario(config)
-    records = chain(SwapScenario(povms[0].local_dim, povms, ALL_BRANCHES), prob_tol)
+    records = chain(SwapScenario(povms[0].local_dim, povms), prob_tol)
     assert [b["outcome_path"] for b in report["branches"]] == [
         list(rec.outcome_path) for rec in records
     ]
@@ -267,16 +263,18 @@ def test_run_scenario_prob_tol_drops_a_branch_and_its_descendants(tmp_path):
 
 def test_zero_element_branches_are_dropped_like_chain(tmp_path):
     povms = [Povm.from_matrices([np.zeros((4, 4)), np.eye(4)], local_dim=2), noisy_bell_povm(0.7)]
-    records = chain(SwapScenario(2, povms, ALL_BRANCHES))
+    records = chain(SwapScenario(2, povms))
     got = stacked_branches(2, [[el.matrix for el in povm.elements] for povm in povms])
     assert got.outcome_paths.tolist() == [list(rec.outcome_path) for rec in records]
     assert got.outcome_paths[:, 0].tolist() == [1, 1, 1, 1]
     for b, rec in enumerate(records):
         for key in ("probability", "negativity14", "c14vs23", "c12vs34"):
             assert abs(getattr(got, key)[b] - getattr(rec, key)) <= TOL
-    # the report classifies every element, and a traceless one has no class
-    with pytest.raises(ZeroTrace):
-        run_scenario(scenario_config(tmp_path, povms))
+    # the report classifies only the elements on kept branches, so the
+    # traceless element, which has no class, does not stop it
+    report = assert_report_matches_chain(scenario_config(tmp_path, povms), povms)
+    assert len(report["branches"]) == 4
+    assert all(branch["outcome_path"][0] == 1 for branch in report["branches"])
 
 
 def test_run_scenario_incomplete_branch_set_raises_like_chain(tmp_path, rng):
@@ -295,7 +293,7 @@ def test_run_scenario_max_branches_guard_like_chain(tmp_path):
     k = int(math.isqrt(MAX_BRANCHES)) + 1
     povm = Povm.from_matrices([np.eye(4) / k] * k, local_dim=2)
     with pytest.raises(InvalidPovm, match="branches"):
-        chain(SwapScenario(2, (povm, povm), ALL_BRANCHES))
+        chain(SwapScenario(2, (povm, povm)))
     with pytest.raises(InvalidPovm, match="branches"):
         run_scenario(scenario_config(tmp_path, [povm, povm]))
 
@@ -320,7 +318,7 @@ def first_branch(el):
     """The first-round branch of el, completed to a two-outcome POVM."""
     d = el.local_dim
     povm = Povm(elements=(el, PovmElement(np.eye(d * d) - el.matrix)), local_dim=d)
-    return apply_round(initial_state(d), povm, include_pair_states=False)[0]
+    return chain(SwapScenario(d, (povm,)))[0]
 
 
 def corrupted(stack, how):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 from swapforge.errors import (
     BadDimension,
     FileFormatError,
+    IncompletePovm,
     InvalidPovm,
     NotPsd,
+    ShapeMismatch,
     ValidationFailure,
 )
 from swapforge.families import noisy_bell_povm
@@ -17,11 +21,10 @@ from swapforge.states import (
     Povm,
     PovmElement,
     PureState,
+    check_povm_stack,
     conjugate_computational,
     max_entangled_state,
     read_povm,
-    validate_povm,
-    validate_povm_matrices,
     write_povm,
 )
 
@@ -104,25 +107,35 @@ def test_povm_requires_completeness():
         Povm.from_matrices([np.eye(4) / 2, np.eye(4) / 3], local_dim=2)
 
 
+def povm_file(tmp_path, mats, local_dim=2):
+    """A POVM file holding the given element matrices."""
+    doc = {
+        "local_dim": local_dim,
+        "elements": [[[[float(v.real), float(v.imag)] for v in row] for row in m] for m in mats],
+    }
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
 def test_validate_povm_noisy_bell_passes(lam):
-    report = validate_povm(noisy_bell_povm(lam))
-    assert report.passed
-    assert report.completeness_deviation < 1e-12
+    mats = np.array([el.matrix for el in noisy_bell_povm(lam).elements])
+    check_povm_stack(mats)
+    assert np.abs(mats.sum(axis=0) - np.eye(4)).max() < 1e-12
 
 
 def test_validate_povm_matrices_reports_deviation():
-    report = validate_povm_matrices([np.eye(4) / 2, np.eye(4) / 3], local_dim=2)
-    assert not report.passed
-    assert report.completeness_deviation == pytest.approx(1 / 6)
+    with pytest.raises(IncompletePovm, match="1.667e-01"):
+        Povm.from_matrices([np.eye(4) / 2, np.eye(4) / 3], local_dim=2)
 
 
-def test_validate_povm_matrices_catches_small_perturbation(rng):
+def test_validate_povm_matrices_catches_small_perturbation(rng, tmp_path):
     proj = np.diag([1.0, 0, 0, 0])
     x = rng.normal(size=(4, 4))
     x = x + x.T
-    report = validate_povm_matrices([proj, np.eye(4) - proj + 1e-6 * x])
-    assert not report.passed
+    with pytest.raises(InvalidPovm, match="fails validation|deviates"):
+        read_povm(povm_file(tmp_path, [proj, np.eye(4) - proj + 1e-6 * x]))
 
 
 def test_povm_trace_sums_to_dim_squared():
@@ -227,13 +240,21 @@ def test_read_povm_rejects_missing_fields(tmp_path):
 
 def test_read_povm_rejects_non_psd(tmp_path):
     mats = [np.diag([1.5, 1.0, 1.0, 1.0]), np.diag([-0.5, 0.0, 0.0, 0.0])]
-    doc = {
-        "local_dim": 2,
-        "elements": [[[[float(v.real), float(v.imag)] for v in row] for row in m] for m in mats],
-    }
-    path = tmp_path / "nonpsd.json"
-    import json
+    with pytest.raises(InvalidPovm, match="POVM file fails validation: min eigenvalue"):
+        read_povm(povm_file(tmp_path, mats))
 
-    path.write_text(json.dumps(doc))
-    with pytest.raises(InvalidPovm):
-        read_povm(path)
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0), (2, 3)])
+def test_read_povm_rejects_non_finite_entry(tmp_path, value, pos):
+    # each is one InvalidPovm, never numpy's LinAlgError from eigvalsh
+    m = np.eye(4) / 2
+    m[pos] = value
+    with pytest.raises(InvalidPovm, match="POVM file fails validation: .*not Hermitian"):
+        read_povm(povm_file(tmp_path, [m, np.eye(4) / 2]))
+
+
+def test_read_povm_rejects_wrong_local_dim(tmp_path):
+    for local_dim in (1, 3):
+        with pytest.raises(ShapeMismatch):
+            read_povm(povm_file(tmp_path, [np.eye(4)], local_dim=local_dim))
