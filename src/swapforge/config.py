@@ -22,13 +22,11 @@ directory.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .families import FAMILIES, build_family, family_sweep_params
+from .families import FAMILIES, _is_finite_number, build_family, family_sweep_params
 from .states import Povm
 
 __all__ = [
@@ -86,27 +84,27 @@ class ScenarioConfig:
             )
         return owners[0]
 
-    def build_round(self, index: int, param_value: float | None = None) -> Povm:
-        """Instantiate one round, substituting the swept parameter value
-        when one is given and the round owns it."""
+    def build_round(self, index: int) -> Povm:
+        """Instantiate one round with its configured parameters; a sweep
+        builds its swept round as a stack (families.family_sweep_stack)."""
         spec = self.rounds[index]
         params = dict(spec.params)
-        if param_value is not None and index == self.swept_round_index():
-            params[self.sweep.param_name] = param_value
         if spec.family == "file" and "path" in params:
             params["path"] = os.path.join(self.base_dir, params["path"])
         return build_family(spec.family, params)
 
-    def build_rounds(self, param_value: float | None = None) -> tuple[Povm, ...]:
-        """Instantiate the measurement chain, substituting the swept
-        parameter value when one is given."""
-        return tuple(self.build_round(i, param_value) for i in range(len(self.rounds)))
+    def build_rounds(self) -> tuple[Povm, ...]:
+        """Instantiate the measurement chain."""
+        return tuple(self.build_round(i) for i in range(len(self.rounds)))
 
     def resolve_output(self, path: str | None) -> str | None:
         if path is None:
             return None
         return os.path.join(self.base_dir, path)
 
+
+# A sweep holds its grid, rows and CSV text in memory whole.
+MAX_SWEEP_STEPS = 1_000_000
 
 # Tolerance names a config may override; anything else is a typo.
 TOLERANCE_KEYS = ("prob_tol",)
@@ -115,11 +113,6 @@ TOLERANCE_KEYS = ("prob_tol",)
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
-
-
-def _is_number(value) -> bool:
-    """A JSON number: strings, booleans and null are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_path(value) -> bool:
@@ -152,8 +145,8 @@ def load_scenario_config(path) -> ScenarioConfig:
         _require(isinstance(params, dict), f"round {i}: params must be an object")
         for name in sorted(family_sweep_params(family) & params.keys()):
             _require(
-                _is_number(params[name]),
-                f"round {i}: parameter {name!r} must be a number, got {params[name]!r}",
+                _is_finite_number(params[name]),
+                f"round {i}: parameter {name!r} must be a finite number, got {params[name]!r}",
             )
         if family == "file" and "path" in params:
             _require(_is_path(params["path"]), f"round {i}: 'path' must be a file name string")
@@ -166,10 +159,13 @@ def load_scenario_config(path) -> ScenarioConfig:
         for key in ("param_name", "start", "stop", "steps"):
             _require(key in raw, f"sweep needs {key!r}")
         steps = raw["steps"]
-        _require(isinstance(steps, int) and steps >= 2, "sweep.steps must be an integer >= 2")
+        _require(
+            isinstance(steps, int) and 2 <= steps <= MAX_SWEEP_STEPS,
+            f"sweep.steps must be an integer in [2, {MAX_SWEEP_STEPS}]",
+        )
         for key in ("start", "stop"):
             _require(
-                _is_number(raw[key]) and math.isfinite(raw[key]),
+                _is_finite_number(raw[key]),
                 f"sweep.{key} must be a finite number, got {raw[key]!r}",
             )
         start, stop = float(raw["start"]), float(raw["stop"])
@@ -191,7 +187,7 @@ def load_scenario_config(path) -> ScenarioConfig:
         known = ", ".join(TOLERANCE_KEYS)
         _require(key in TOLERANCE_KEYS, f"unknown tolerance {key!r}; known: {known}")
         _require(
-            _is_number(value) and math.isfinite(value) and value >= 0,
+            _is_finite_number(value) and value >= 0,
             f"tolerance {key!r} must be a finite nonnegative number, got {value!r}",
         )
 

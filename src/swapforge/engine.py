@@ -28,7 +28,6 @@ from .errors import (
 from .measures import (
     CUT_12_34,
     CUT_14_23,
-    _state_tensor,
     i_concurrence,
     negativity,
     trace_distance,
@@ -54,10 +53,8 @@ __all__ = [
     "chain",
     "disturbance_check",
     "initial_state",
-    "rho12_contraction",
     "rho14_from_element",
     "rho14_two_round_spectral",
-    "rho34_contraction",
     "second_round_probability",
     "stacked_branches",
     "stacked_chain_negativities",
@@ -381,24 +378,6 @@ def rho14_from_element(el: PovmElement) -> DensityMatrix:
         raise InvalidPovm("outer-pair state undefined for a traceless element")
     d = el.local_dim
     return DensityMatrix(conjugate_computational(el.matrix) / tr, (d, d))
-
-
-def rho12_contraction(el: PovmElement) -> DensityMatrix:
-    """(1,2)-pair state of the element's branch via the explicit index
-    contraction over eigenbasis amplitudes (independent of partial traces)."""
-    t = _state_tensor(el)  # layout (w1, w4, w2, w3)
-    d = el.local_dim
-    rho = np.einsum("ijkl,pjql->ikpq", t, t.conj()).reshape(d * d, d * d) / el.trace
-    return DensityMatrix(rho, (d, d))
-
-
-def rho34_contraction(el: PovmElement) -> DensityMatrix:
-    """(3,4)-pair state of the element's branch via the explicit index
-    contraction; wire 3 indexes first."""
-    t = _state_tensor(el)  # layout (w1, w4, w2, w3)
-    d = el.local_dim
-    rho = np.einsum("ijkl,iJkL->ljLJ", t, t.conj()).reshape(d * d, d * d) / el.trace
-    return DensityMatrix(rho, (d, d))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ output is byte-stable across runs.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -30,6 +29,7 @@ from .engine import (
     stacked_chain_negativities,
 )
 from .errors import ConfigError
+from .families import family_sweep_stack
 from .tolerances import PROB_TOL
 
 __all__ = [
@@ -110,21 +110,16 @@ def paper_formulas(lam: float) -> tuple[float, float]:
     return round1, round2
 
 
-def _reference_curves(config: ScenarioConfig, lam: float) -> tuple[float, float]:
-    """The paper formulas that apply to the swept scenario.
+def _paper_formulas_apply(config: ScenarioConfig) -> tuple[bool, bool]:
+    """Which paper formulas apply to the swept scenario (round 1, round 2).
 
     Both are emitted unclamped, so a discrepancy with the measured
     average stays visible in the data.  Rows for scenarios without a
     known formula carry nan.
     """
-    round1 = math.nan
-    round2 = math.nan
-    if config.sweep is not None and config.sweep.param_name == "lambda":
-        if config.swept_round_index() == 0 and config.rounds[0].family == "noisy_bell":
-            round1, two_rounds = paper_formulas(lam)
-            if len(config.rounds) >= 2 and config.rounds[1].family == "wire2_computational":
-                round2 = two_rounds
-    return round1, round2
+    families = [spec.family for spec in config.rounds]
+    round1 = config.sweep.param_name == "lambda" and families[0] == "noisy_bell"
+    return round1, round1 and families[1:2] == ["wire2_computational"]
 
 
 def _element_stack(povm) -> np.ndarray:
@@ -134,10 +129,11 @@ def _element_stack(povm) -> np.ndarray:
 def sweep_rows(config: ScenarioConfig) -> list[SweepRow]:
     """Evaluate every grid point; grid order is preserved in the output.
 
-    Rounds that do not own the swept parameter are built once; the swept
-    round is built, and so validated, at every point.  The grid goes
-    through the stacked engine in chunks sized so that no stacked array
-    holds more than STACK_ENTRIES entries.
+    Rounds that do not own the swept parameter are built once.  The grid
+    goes through the stacked engine in chunks sized so that no stacked
+    array holds more than STACK_ENTRIES entries; for each chunk the swept
+    round is built as one element stack over the chunk's values and
+    checked, every element of it, in one pass (family_sweep_stack).
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -145,34 +141,34 @@ def sweep_rows(config: ScenarioConfig) -> list[SweepRow]:
     prob_tol = config.tolerance_overrides.get("prob_tol", PROB_TOL)
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
     worker_count(len(grid))  # rejects a malformed SWAPFORGE_THREADS
-    swept_povms = (config.build_round(swept, float(lam)) for lam in grid)
-    first = next(swept_povms, None)
-    if first is None:  # an empty grid from a config built in code
+    if not len(grid):  # an empty grid from a config built in code
         return []
-    swept_povms = itertools.chain([first], swept_povms)
+    family, param = config.rounds[swept].family, config.sweep.param_name
+    first = family_sweep_stack(family, param, grid[:1])
     stacks = [
-        _element_stack(first if i == swept else config.build_round(i))[None]
+        first if i == swept else _element_stack(config.build_round(i))[None]
         for i in range(len(config.rounds))
     ]
     branches = prod(s.shape[1] for s in stacks)
     chunk = max(1, STACK_ENTRIES // (branches * config.local_dim**4))
     parts = []
-    for _ in range(0, len(grid), chunk):
-        stacks[swept] = np.stack([_element_stack(p) for p in itertools.islice(swept_povms, chunk)])
+    for start in range(0, len(grid), chunk):
+        stacks[swept] = family_sweep_stack(family, param, grid[start : start + chunk])
         parts.append(stacked_chain_negativities(config.local_dim, stacks, prob_tol))
     avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
     if len(config.rounds) == 1:
         avg_last = np.full(len(grid), math.nan)
+    has_round1, has_round2 = _paper_formulas_apply(config)
     rows = []
     for k, lam in enumerate(grid.tolist()):
-        f1, f2 = _reference_curves(config, lam)
+        f1, f2 = paper_formulas(lam) if has_round1 else (math.nan, math.nan)
         rows.append(
             SweepRow(
                 param_value=lam,
                 avg_neg_round1=float(avg1[k]),
                 avg_neg_round2=float(avg_last[k]),
                 paper_formula_round1=f1,
-                paper_formula_round2=f2,
+                paper_formula_round2=f2 if has_round2 else math.nan,
                 max_branch_negativity=float(top[k]),
             )
         )

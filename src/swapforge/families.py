@@ -7,13 +7,14 @@ operations built from single-qubit factors.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParameter, ZeroTrace
 from .linalg import kron
-from .states import Povm, read_povm
+from .states import Povm, check_povm_stack, read_povm
 
 __all__ = [
     "BELL_STATES",
@@ -22,7 +23,9 @@ __all__ = [
     "bell_projective",
     "build_family",
     "family_sweep_params",
+    "family_sweep_stack",
     "noisy_bell_povm",
+    "noisy_bell_stack",
     "separable_product_povm",
     "single_qubit_element",
     "single_qubit_residual_concurrence",
@@ -45,15 +48,24 @@ BELL_STATES = np.array(
 BELL_STATES.setflags(write=False)
 
 
+_BELL_PROJECTORS = BELL_STATES[:, :, None] * BELL_STATES.conj()[:, None, :]
+
+
+def noisy_bell_stack(lams) -> np.ndarray:
+    """Bell measurement mixed with white noise, one POVM per lambda, as a
+    (G, 4, 4, 4) element stack: element n of POVM g is
+    lams[g] * |bell_n><bell_n| + (1 - lams[g])/4 * I."""
+    lam = np.asarray(lams, dtype=float).reshape(-1)
+    inside = (lam >= 0.0) & (lam <= 1.0)  # NaN falls outside
+    if not inside.all():
+        raise BadParameter(f"lambda must lie in [0, 1], got {float(lam[~inside][0])!r}")
+    lam = lam[:, None, None, None]
+    return lam * _BELL_PROJECTORS + (1.0 - lam) / 4.0 * np.eye(4, dtype=complex)
+
+
 def noisy_bell_povm(lam: float) -> Povm:
-    """Bell measurement mixed with white noise:
-    each element is lam * |bell_n><bell_n| + (1 - lam)/4 * I."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise BadParameter(f"lambda must lie in [0, 1], got {lam!r}")
-    eye = np.eye(4, dtype=complex)
-    mats = [lam * np.outer(b, b.conj()) + (1.0 - lam) / 4.0 * eye for b in BELL_STATES]
-    return Povm.from_matrices(mats, local_dim=2)
+    """The white-noise Bell measurement at one lambda (see noisy_bell_stack)."""
+    return Povm.from_matrices(noisy_bell_stack([float(lam)])[0], local_dim=2)
 
 
 def bell_projective() -> Povm:
@@ -70,6 +82,13 @@ def wire2_computational_povm() -> Povm:
     return Povm.from_matrices([kron(p0, eye), kron(p1, eye)], local_dim=2)
 
 
+def _is_finite_number(value) -> bool:
+    """A finite real number: strings, booleans, None, NaN, infinities and
+    integers beyond the float range are not."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class SingleQubitElementParams:
     """A single-qubit PSD factor tau1 |v1><v1| + tau2 |v2><v2| with
@@ -83,8 +102,8 @@ class SingleQubitElementParams:
     def __post_init__(self):
         for name in ("theta", "phi", "tau1", "tau2"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise BadParameter(f"{name} must be a number, got {value!r}")
+            if not _is_finite_number(value):
+                raise BadParameter(f"{name} must be a finite number, got {value!r}")
         if self.tau1 < 0.0 or self.tau2 < 0.0:
             raise BadParameter(f"weights must be nonnegative, got ({self.tau1}, {self.tau2})")
 
@@ -116,8 +135,8 @@ def single_qubit_residual_concurrence(p: SingleQubitElementParams) -> float:
 
 # ---------------------------------------------------------------------------
 # Family registry used by scenario configs.  Each entry maps the family
-# name to a builder taking the params mapping, plus the set of parameter
-# names a sweep may vary.
+# name to a builder taking the params mapping; sweepable parameters also
+# have a stack builder.
 # ---------------------------------------------------------------------------
 
 
@@ -163,19 +182,27 @@ FAMILIES = {
     "file": _build_file,
 }
 
+# Each sweepable parameter maps to a builder taking an array of values
+# and returning the family's POVMs as one (G, K, D, D) element stack.
 _SWEEPABLE = {
-    "noisy_bell": frozenset({"lambda"}),
-    "bell_projective": frozenset(),
-    "wire2_computational": frozenset(),
-    "separable_product": frozenset(),
-    "file": frozenset(),
+    "noisy_bell": {"lambda": noisy_bell_stack},
 }
 
 
 def family_sweep_params(name: str) -> frozenset[str]:
-    if name not in _SWEEPABLE:
+    if name not in FAMILIES:
         raise BadParameter(f"unknown measurement family {name!r}")
-    return _SWEEPABLE[name]
+    return frozenset(_SWEEPABLE.get(name, ()))
+
+
+def family_sweep_stack(name: str, param: str, values) -> np.ndarray:
+    """The family's POVMs at each value of one sweepable parameter, as a
+    (G, K, D, D) element stack checked as Povm checks one POVM."""
+    if param not in family_sweep_params(name):
+        raise BadParameter(f"{name!r} has no sweepable parameter {param!r}")
+    stack = _SWEEPABLE[name][param](values)
+    check_povm_stack(stack)
+    return stack
 
 
 def build_family(name: str, params: dict | None = None) -> Povm:

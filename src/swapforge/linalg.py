@@ -115,7 +115,8 @@ def _hermiticity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     allowed = HERM_TOL * np.fmax(scale, 1.0)
     if not np.isfinite(scale).all():  # and inf - inf would warn below
         return np.full_like(scale, np.nan), allowed
-    return np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0), allowed
+    with np.errstate(over="ignore"):  # a defect beyond the float range is inf, and fails
+        return np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0), allowed
 
 
 def _require_hermitian(m: np.ndarray) -> None:

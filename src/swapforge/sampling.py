@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import Povm, PovmElement, PureState, check_povm_stack
+from .states import Povm, PovmElement, check_povm_stack
 
 __all__ = [
     "random_element",
     "random_povm",
     "random_povm_stack",
     "random_product_rank1_element",
-    "random_pure_state",
     "random_rank1_element",
     "random_separable_element",
     "random_unitary",
@@ -31,12 +30,6 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
-
-
-def random_pure_state(rng: np.random.Generator, dims) -> PureState:
-    dims = tuple(int(d) for d in dims)
-    v = _ginibre(rng, int(np.prod(dims)), 1)[:, 0]
-    return PureState(v / np.linalg.norm(v), dims)
 
 
 def random_element(rng: np.random.Generator, d: int = 2, rank: int | None = None) -> PovmElement:

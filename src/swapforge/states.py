@@ -327,11 +327,13 @@ def read_povm(path) -> Povm:
         for raw in doc["elements"]:
             mat = np.array([[complex(re, im) for re, im in row] for row in raw])
             mats.append(mat)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise FileFormatError(f"malformed element matrix: {exc}") from exc
     if not mats:
         raise FileFormatError("POVM document has no elements")
     try:
         return Povm.from_matrices(mats, local_dim=d)
+    except IncompletePovm as exc:
+        raise IncompletePovm(f"POVM file fails validation: {exc}") from exc
     except (ValidationFailure, NotPsd) as exc:
         raise InvalidPovm(f"POVM file fails validation: {exc}") from exc

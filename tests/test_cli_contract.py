@@ -1,13 +1,14 @@
-"""The exit-code contract of ``swapforge run`` and ``swapforge classify``
+"""The exit-code contract of ``swapforge run``, ``sweep`` and ``classify``
 under mutated inputs.
 
 A valid scenario config and the POVM file it reads are mutated (a value
-replaced or deleted anywhere in either document, the file's bytes cut
-short or replaced, or a directory in its place) and ``cli.main`` runs
-in-process.  Every outcome must be exit 0, 2 (input) or 3 (I/O) with
-``error_code=`` first on stderr; exit 1 means "verification failed" and
-never comes from ``run`` or ``classify``, and an exception escaping
-``main`` would be a traceback.
+replaced or deleted anywhere in either document, one numeric leaf made
+non-finite or huge, the file's bytes cut short or replaced, or a
+directory in its place) and ``cli.main`` runs in-process.  Every outcome
+must be exit 0, 2 (input) or 3 (I/O) with ``error_code=`` first on
+stderr and no warning; exit 1 means "verification failed" and never
+comes from these commands, and an exception escaping ``main`` would be
+a traceback.
 """
 
 import contextlib
@@ -16,12 +17,14 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from swapforge.cli import main
+from swapforge.experiment import CSV_COLUMNS
 from swapforge.sampling import random_povm
 
 POVM_NAME = "meas.json"
@@ -90,12 +93,23 @@ def node_paths(node, prefix=()):
         yield from node_paths(child, prefix + (key,))
 
 
+def value_at(doc, path):
+    for part in path:
+        doc = doc[part]
+    return doc
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @st.composite
 def mutated(draw, doc):
     """The document with one value replaced or deleted at a drawn path,
-    serialized; or its serialized bytes cut short or replaced; or None,
-    for a directory in place of the file."""
-    how = draw(st.sampled_from(["replace", "delete", "truncate", "bytes", "directory"]))
+    or one numeric leaf replaced by NaN, +-Infinity or 1e308, serialized;
+    or its serialized bytes cut short or replaced; or None, for a
+    directory in place of the file."""
+    how = draw(st.sampled_from(["replace", "delete", "numeric", "truncate", "bytes", "directory"]))
     raw = json.dumps(doc).encode()
     if how == "truncate":
         return raw[: draw(st.integers(0, len(raw) - 1))]
@@ -104,15 +118,51 @@ def mutated(draw, doc):
     if how == "directory":
         return None
     doc = json.loads(raw)
-    *outer, key = draw(st.sampled_from(list(node_paths(doc))[1:]))
-    parent = doc
-    for part in outer:
-        parent = parent[part]
+    paths = list(node_paths(doc))[1:]
+    if how == "numeric":
+        paths = [path for path in paths if is_number(value_at(doc, path))]
+    *outer, key = draw(st.sampled_from(paths))
+    parent = value_at(doc, outer)
     if how == "replace":
         parent[key] = draw(json_values)
+    elif how == "numeric":
+        parent[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e308]))
     else:
         del parent[key]
     return json.dumps(doc).encode()
+
+
+def write_inputs(tmpdir, data, target):
+    """Both documents into tmpdir, the target one mutated."""
+    docs = {CONFIG_NAME: CONFIG_DOC, POVM_NAME: povm_doc()}
+    for name, doc in docs.items():
+        raw = data.draw(mutated(doc)) if name == target else json.dumps(doc).encode()
+        if raw is None:
+            os.mkdir(os.path.join(tmpdir, name))
+            continue
+        with open(os.path.join(tmpdir, name), "wb") as fh:
+            fh.write(raw)
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of ``main``; a warning, which the
+    command line would print ahead of ``error_code=``, fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented(code, err):
+    assert code in (0, 2, 3), err
+    if code:
+        assert err.startswith("error_code="), err
+    else:
+        assert err == ""
+    assert "Traceback" not in err
 
 
 @given(
@@ -120,25 +170,29 @@ def mutated(draw, doc):
     data=st.data(),
 )
 def test_run_exits_with_a_documented_code(target, data):
-    docs = {CONFIG_NAME: CONFIG_DOC, POVM_NAME: povm_doc()}
     with tempfile.TemporaryDirectory() as tmpdir:
-        for name, doc in docs.items():
-            raw = data.draw(mutated(doc)) if name == target else json.dumps(doc).encode()
-            if raw is None:
-                os.mkdir(os.path.join(tmpdir, name))
-                continue
-            with open(os.path.join(tmpdir, name), "wb") as fh:
-                fh.write(raw)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["run", os.path.join(tmpdir, CONFIG_NAME)])
-    assert code in (0, 2, 3), err.getvalue()
-    if code:
-        assert err.getvalue().startswith("error_code="), err.getvalue()
-    else:
-        assert err.getvalue() == ""
-        assert math.isfinite(float(out.getvalue().splitlines()[-1].split(":")[1]))
-    assert "Traceback" not in err.getvalue()
+        write_inputs(tmpdir, data, target)
+        code, out, err = run_main(["run", os.path.join(tmpdir, CONFIG_NAME)])
+    assert_documented(code, err)
+    if code == 0:
+        assert math.isfinite(float(out.splitlines()[-1].split(":")[1]))
+
+
+@given(
+    target=st.sampled_from([CONFIG_NAME, POVM_NAME]),
+    data=st.data(),
+)
+def test_sweep_exits_with_a_documented_code(target, data):
+    with tempfile.TemporaryDirectory() as tmpdir:
+        write_inputs(tmpdir, data, target)
+        csv_path = os.path.join(tmpdir, "sweep.csv")
+        code, out, err = run_main(["sweep", os.path.join(tmpdir, CONFIG_NAME), "--csv", csv_path])
+        assert_documented(code, err)
+        if code == 0:
+            with open(csv_path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            assert lines[0] == ",".join(CSV_COLUMNS)
+            assert out == f"wrote {len(lines) - 1} rows to {csv_path}\n"
 
 
 @given(data=st.data())
@@ -151,16 +205,10 @@ def test_classify_exits_with_a_documented_code(data):
         else:
             with open(path, "wb") as fh:
                 fh.write(raw)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["classify", path])
-    assert code in (0, 2, 3), err.getvalue()
-    if code:
-        assert err.getvalue().startswith("error_code="), err.getvalue()
-    else:
-        assert err.getvalue() == ""
-        assert len(json.loads(out.getvalue())["per_element"]) >= 1
-    assert "Traceback" not in err.getvalue()
+        code, out, err = run_main(["classify", path])
+    assert_documented(code, err)
+    if code == 0:
+        assert len(json.loads(out)["per_element"]) >= 1
 
 
 def test_unmutated_inputs_run():
@@ -173,3 +221,17 @@ def test_unmutated_inputs_run():
         with open(os.path.join(tmpdir, "report.json"), encoding="utf-8") as fh:
             report = json.load(fh)
     assert len(report["branches"]) == 3 * 4 * 2
+
+
+def test_sweep_grid_outside_the_unit_interval_exits_two():
+    doc = dict(CONFIG_DOC, sweep={"param_name": "lambda", "start": -0.5, "stop": 1.0, "steps": 3})
+    with tempfile.TemporaryDirectory() as tmpdir:
+        for name, content in ((CONFIG_NAME, doc), (POVM_NAME, povm_doc())):
+            with open(os.path.join(tmpdir, name), "w", encoding="utf-8") as fh:
+                json.dump(content, fh)
+        code, _, err = run_main(
+            ["sweep", os.path.join(tmpdir, CONFIG_NAME), "--csv", os.path.join(tmpdir, "s.csv")]
+        )
+    assert code == 2
+    assert err.startswith("error_code=BadParameter\n"), err
+    assert "-0.5" in err

@@ -12,17 +12,15 @@ from swapforge.engine import (
     chain,
     disturbance_check,
     initial_state,
-    rho12_contraction,
     rho14_from_element,
     rho14_two_round_spectral,
-    rho34_contraction,
     second_round_probability,
 )
 from swapforge.errors import BadDimension, IncompleteBranchSet, InvalidPovm
 from swapforge.families import bell_projective, noisy_bell_povm, wire2_computational_povm
 from swapforge.measures import CUT_12_34, CUT_14_23, element_swap_state, i_concurrence
 from swapforge.sampling import random_element, random_povm, random_rank1_element
-from swapforge.states import Povm, PovmElement
+from swapforge.states import DensityMatrix, Povm, PovmElement
 
 from conftest import rng_from
 
@@ -157,6 +155,31 @@ def test_product_rank1_leaves_pure_pair_states(rng):
     rec = one_round(povm)[0]
     assert rec.full_state.reduced((0, 1)).purity() == pytest.approx(1.0, abs=1e-10)
     assert rec.full_state.reduced((2, 3)).purity() == pytest.approx(1.0, abs=1e-10)
+
+
+def state_tensor(el):
+    """Unnormalized branch amplitudes T[w1, w4, w2, w3] from the element's
+    spectral data: sum_k sqrt(pi_k) conj(A_k)[w1, w4] A_k[w2, w3]."""
+    a = el.basis_tensor()
+    return np.einsum("a,aij,akl->ijkl", np.sqrt(el.spectral.eigenvalues), a.conj(), a)
+
+
+def rho12_contraction(el):
+    """(1,2)-pair state of the element's branch by explicit index
+    contraction, independent of partial traces."""
+    t = state_tensor(el)
+    d = el.local_dim
+    rho = np.einsum("ijkl,pjql->ikpq", t, t.conj()).reshape(d * d, d * d) / el.trace
+    return DensityMatrix(rho, (d, d))
+
+
+def rho34_contraction(el):
+    """(3,4)-pair state of the element's branch by explicit index
+    contraction; wire 3 indexes first."""
+    t = state_tensor(el)
+    d = el.local_dim
+    rho = np.einsum("ijkl,iJkL->ljLJ", t, t.conj()).reshape(d * d, d * d) / el.trace
+    return DensityMatrix(rho, (d, d))
 
 
 @given(seeds)

@@ -155,11 +155,14 @@ def _with(path, value):
         _with(("outputs", "report_path"), 5),
         _with(("outputs", "csv_path"), "a\0b"),
         _with(("rounds", 1), {"family": "file", "params": {"path": 5}}),
+        _with(("sweep", "start"), 10**400),
+        _with(("rounds", 0, "params", "lambda"), 10**400),
+        _with(("rounds", 0, "params", "lambda"), float("inf")),
     ],
     ids=[
         "start-string", "prob_tol-string", "lambda-null", "unknown-tolerance", "lambda-string",
         "prob_tol-nan", "prob_tol-negative", "report_path-number", "csv_path-nul",
-        "file-path-number",
+        "file-path-number", "start-huge-int", "lambda-huge-int", "lambda-inf",
     ],
 )
 def test_malformed_config_exits_two_with_error_code(tmp_path, capsys, command, doc):
@@ -228,7 +231,10 @@ def test_povm_file_that_is_not_utf8_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field", ["theta", "phi", "tau1", "tau2"])
-@pytest.mark.parametrize("value", ["0.5", None, True, [1.0]])
+@pytest.mark.parametrize(
+    "value",
+    ["0.5", None, True, [1.0], float("inf"), float("nan"), pytest.param(10**400, id="huge-int")],
+)
 def test_single_qubit_params_reject_non_numbers(field, value):
     params = dict(theta=0.1, phi=0.2, tau1=0.5, tau2=0.5)
     params[field] = value

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from swapforge.families import (
     bell_projective,
     build_family,
     noisy_bell_povm,
+    noisy_bell_stack,
     separable_product_povm,
     single_qubit_element,
     single_qubit_residual_concurrence,
@@ -54,6 +57,49 @@ def test_noisy_bell_rejects_out_of_range():
     for lam in (-0.1, 1.1):
         with pytest.raises(BadParameter):
             noisy_bell_povm(lam)
+
+
+def test_noisy_bell_stack_is_the_per_point_povm_bit_for_bit():
+    grid = np.linspace(0.0, 1.0, 1001)
+    per_point = np.stack([[el.matrix for el in noisy_bell_povm(lam).elements] for lam in grid])
+    stack = noisy_bell_stack(grid)
+    assert stack.shape == (1001, 4, 4, 4)
+    assert np.array_equal(stack, per_point)
+
+
+@pytest.mark.parametrize(
+    "lams, named",
+    [
+        ([0.2, np.nan, 0.5, 1.5], "nan"),
+        ([0.0, 1.0, 1.0 + 1e-12, np.nan], repr(1.0 + 1e-12)),
+        ([0.5, -0.25], "-0.25"),
+    ],
+)
+def test_noisy_bell_stack_names_the_first_bad_lambda(lams, named):
+    with pytest.raises(BadParameter, match=rf"^lambda must lie in \[0, 1\], got {re.escape(named)}$"):
+        noisy_bell_stack(np.array(lams))
+
+
+def test_sweep_in_uneven_chunks_matches_per_point_chain(monkeypatch):
+    import swapforge.experiment
+    from swapforge.config import RoundSpec, ScenarioConfig, SweepSpec
+
+    from test_stacked_engine import TOL, reference
+
+    # 3 grid points per chunk (2 * 4 branches of 16 entries), 13 points
+    monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 3 * 8 * 16)
+    config = ScenarioConfig(
+        local_dim=2,
+        rounds=(RoundSpec("wire2_computational"), RoundSpec("noisy_bell")),
+        sweep=SweepSpec(param_name="lambda", start=0.1, stop=0.9, steps=13),
+    )
+    rows = swapforge.experiment.sweep_rows(config)
+    assert [row.param_value for row in rows] == np.linspace(0.1, 0.9, 13).tolist()
+    first = wire2_computational_povm()
+    for row in rows:
+        ref = reference(2, (first, noisy_bell_povm(row.param_value)))
+        got = (row.avg_neg_round1, row.avg_neg_round2, row.max_branch_negativity)
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= TOL
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.2, 0.5, 0.9, 1.0])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ def test_validate_povm_matrices_catches_small_perturbation(rng, tmp_path):
     proj = np.diag([1.0, 0, 0, 0])
     x = rng.normal(size=(4, 4))
     x = x + x.T
-    with pytest.raises(InvalidPovm, match="fails validation|deviates"):
+    with pytest.raises(InvalidPovm, match="^POVM file fails validation: "):
         read_povm(povm_file(tmp_path, [proj, np.eye(4) - proj + 1e-6 * x]))
 
 
@@ -252,6 +253,23 @@ def test_read_povm_rejects_non_finite_entry(tmp_path, value, pos):
     m[pos] = value
     with pytest.raises(InvalidPovm, match="POVM file fails validation: .*not Hermitian"):
         read_povm(povm_file(tmp_path, [m, np.eye(4) / 2]))
+
+
+def test_read_povm_rejects_huge_imaginary_diagonal_without_warning(tmp_path):
+    # m - m^dagger overflows to inf there, which fails the test without a warning
+    m = np.eye(4, dtype=complex) / 2
+    m[3, 3] += 1e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidPovm, match="POVM file fails validation: .*not Hermitian"):
+            read_povm(povm_file(tmp_path, [m, np.eye(4) / 2]))
+
+
+@pytest.mark.parametrize("local_dim", [float("inf"), float("-inf"), float("nan")])
+def test_read_povm_rejects_non_finite_local_dim(tmp_path, local_dim):
+    # int(inf) raises OverflowError, which must surface as a format error
+    with pytest.raises(FileFormatError):
+        read_povm(povm_file(tmp_path, [np.eye(4)], local_dim=local_dim))
 
 
 def test_read_povm_rejects_wrong_local_dim(tmp_path):
