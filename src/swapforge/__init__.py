@@ -42,7 +42,6 @@ from .linalg import (
     matrix_rank,
     partial_trace,
     partial_transpose,
-    permute_subsystems,
     psd_sqrt,
     psd_sqrt_closed_2x2,
     trace_norm,
@@ -113,7 +112,6 @@ __all__ = [
     "noisy_bell_povm",
     "partial_trace",
     "partial_transpose",
-    "permute_subsystems",
     "psd_sqrt",
     "psd_sqrt_closed_2x2",
     "read_povm",

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from math import isqrt
 
 import numpy as np
 
 from . import linalg
 from .errors import ShapeMismatch, ZeroTrace
-from .measures import c12_vs_34, c14_vs_23
+from .measures import _pure_concurrence, c14_vs_23
 from .states import Povm, PovmElement
-from .tolerances import INSEP_TOL, PPT_TOL, RANK_REL_TOL
+from .tolerances import INSEP_TOL, PPT_TOL, PSD_TOL, RANK_REL_TOL
 
 __all__ = [
     "ClassificationReport",
@@ -29,6 +30,7 @@ __all__ = [
     "UNENTANGLED_BOUNDARY",
     "classify_element",
     "classify_measurement",
+    "classify_stack",
     "lemma1_predicate",
     "lemma2_predicate",
     "report_to_json",
@@ -68,10 +70,52 @@ class ClassificationReport:
     local_dim: int
 
 
-def _min_pt_eigenvalue(el: PovmElement) -> float:
-    normalized = el.matrix / el.trace
-    pt = linalg.partial_transpose(normalized, el.dims, 1)
-    return float(np.linalg.eigvalsh(pt)[0])
+def classify_stack(
+    m,
+    ppt_tol: float = PPT_TOL,
+    insep_tol: float = INSEP_TOL,
+    rank_rel_tol: float = RANK_REL_TOL,
+) -> tuple[ElementClass, ...]:
+    """Classify each element of a checked (N, d*d, d*d) stack in one pass.
+
+    The verdict comes from the smallest partial-transpose eigenvalue of
+    the trace-normalized element; values within ppt_tol of the edge get
+    the boundary verdict rather than being rounded to either side.  One
+    eigh per element gives the rank (matrix_rank's rule, on the unfloored
+    spectrum) and c14vs23 (c14_vs_23's formula, on the floored one);
+    c12vs34 is c12_vs_34's, on the stacked post-measurement states.
+    """
+    m = np.asarray(m, dtype=complex)
+    d = isqrt(m.shape[-1]) if m.ndim == 3 else 0
+    if d < 2 or m.shape[1:] != (d * d, d * d):
+        raise ShapeMismatch(f"expected an (N, d*d, d*d) element stack, got shape {m.shape}")
+    trace = np.trace(m, axis1=1, axis2=2).real
+    if not (trace > 0.0).all():
+        raise ZeroTrace("cannot classify a traceless element")
+    pt = (m / trace[:, None, None]).reshape(-1, d, d, d, d).swapaxes(2, 4).reshape(m.shape)
+    min_pt = np.linalg.eigvalsh(pt)[:, 0]
+    raw, v = np.linalg.eigh(m)  # ascending
+    rank = np.where(raw[:, -1] <= PSD_TOL, 0, (raw > rank_rel_tol * raw[:, -1:]).sum(axis=1))
+    w = linalg._floor_spectrum(raw[:, ::-1])
+    tr = w.sum(axis=1)
+    c14 = np.sqrt(np.maximum(d * d / (d * d - 1) * (1.0 - (w * w).sum(axis=1) / (tr * tr)), 0.0))
+    a = np.ascontiguousarray(v[:, :, ::-1]).swapaxes(1, 2).reshape(-1, d * d, d, d)
+    t = np.einsum("na,naij,nakl->nijkl", np.sqrt(w), a.conj(), a)  # (w1, w4, w2, w3)
+    c12 = _pure_concurrence(t.transpose(0, 1, 3, 4, 2).reshape(m.shape))
+    return tuple(
+        ElementClass(
+            verdict=(
+                ENTANGLED if p < -ppt_tol else UNENTANGLED if p > ppt_tol else UNENTANGLED_BOUNDARY
+            ),
+            min_pt_eigenvalue=p,
+            rank=r,
+            c14vs23=c,
+            c12vs34=c2,
+            operation_kind=INSEPARABLE_OPERATION if c2 > insep_tol else SEPARABLE_OPERATION,
+            local_dim=d,
+        )
+        for p, r, c, c2 in zip(min_pt.tolist(), rank.tolist(), c14.tolist(), c12.tolist())
+    )
 
 
 def classify_element(
@@ -81,34 +125,10 @@ def classify_element(
     insep_tol: float = INSEP_TOL,
     rank_rel_tol: float = RANK_REL_TOL,
 ) -> ElementClass:
-    """Classify one measurement element.
-
-    Values within ppt_tol of the separability edge get the boundary
-    verdict rather than being silently rounded to either side.
-    """
-    if el.trace <= 0.0:
-        raise ZeroTrace("cannot classify a traceless element")
+    """Classify one measurement element (classify_stack of one)."""
     if d is not None and d != el.local_dim:
         raise ShapeMismatch(f"element local dimension {el.local_dim} does not match d={d}")
-    min_pt = _min_pt_eigenvalue(el)
-    if min_pt < -ppt_tol:
-        verdict = ENTANGLED
-    elif min_pt <= ppt_tol:
-        verdict = UNENTANGLED_BOUNDARY
-    else:
-        verdict = UNENTANGLED
-    c14 = c14_vs_23(el)
-    c12 = c12_vs_34(el)
-    kind = INSEPARABLE_OPERATION if c12 > insep_tol else SEPARABLE_OPERATION
-    return ElementClass(
-        verdict=verdict,
-        min_pt_eigenvalue=min_pt,
-        rank=linalg.matrix_rank(el.matrix, rel_tol=rank_rel_tol),
-        c14vs23=c14,
-        c12vs34=c12,
-        operation_kind=kind,
-        local_dim=el.local_dim,
-    )
+    return classify_stack(el.matrix[None], ppt_tol, insep_tol, rank_rel_tol)[0]
 
 
 def classify_measurement(
@@ -118,10 +138,8 @@ def classify_measurement(
     rank_rel_tol: float = RANK_REL_TOL,
 ) -> ClassificationReport:
     """Classify every element and aggregate the measurement-level flags."""
-    per_element = tuple(
-        classify_element(el, ppt_tol=ppt_tol, insep_tol=insep_tol, rank_rel_tol=rank_rel_tol)
-        for el in povm.elements
-    )
+    mats = [el.matrix for el in povm.elements]
+    per_element = classify_stack(mats, ppt_tol, insep_tol, rank_rel_tol)
     return ClassificationReport(
         per_element=per_element,
         measurement_entangled=any(ec.verdict == ENTANGLED for ec in per_element),

@@ -59,10 +59,10 @@ def _cmd_sweep(args) -> int:
     config = load_scenario_config(args.config)
     if config.sweep is None:
         raise ConfigError("config has no sweep block")
-    rows = run_sweep(config, csv_path=args.csv)
-    target = args.csv or config.resolve_output(config.outputs.csv_path)
+    target = args.csv if args.csv is not None else config.resolve_output(config.outputs.csv_path)
     if target is None:
         raise ConfigError("no CSV target: set outputs.csv_path or pass --csv")
+    rows = run_sweep(config, csv_path=target)
     print(f"wrote {len(rows)} rows to {target}")
     return EXIT_OK
 

@@ -15,11 +15,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
 
-from .classify import _sig15, classify_element, verdict_label
+from .classify import _sig15, classify_stack, verdict_label
 from .config import ScenarioConfig
 from .engine import (
     STACK_ENTRIES,
@@ -195,42 +196,33 @@ def run_scenario(config: ScenarioConfig) -> dict:
     digits and the report file is byte-identical from run to run.
     """
     prob_tol = config.tolerance_overrides.get("prob_tol", PROB_TOL)
-    rounds = config.build_rounds()
-    scenario = SwapScenario(config.local_dim, rounds)
-    found = stacked_branches(
-        scenario.local_dim, [_element_stack(povm) for povm in scenario.rounds], prob_tol
-    )
+    scenario = SwapScenario(config.local_dim, config.build_rounds())
+    stacks = [_element_stack(povm) for povm in scenario.rounds]
+    found = stacked_branches(scenario.local_dim, stacks, prob_tol)
     paths = found.outcome_paths.tolist()
-    # only the elements on kept branches are classified, once each: a
-    # dropped outcome (a traceless element, say) needs no class
-    element_classes = {
-        (r, n): classify_element(rounds[r].elements[n])
-        for r, n in {(r, n) for path in paths for r, n in enumerate(path)}
-    }
+    # one stack per round of the elements on kept branches: a dropped
+    # outcome (a traceless element, say) needs no class
+    labels = {}
+    for r, stack in enumerate(stacks):
+        kept = sorted({path[r] for path in paths})
+        for n, ec in zip(kept, classify_stack(stack[kept])):
+            labels[r, n] = (verdict_label(ec.verdict, ec.local_dim), ec.operation_kind)
     probabilities = found.probability.tolist()
     negativities = found.negativity14.tolist()
-    branches = []
-    for path, p, neg, c14, c12 in zip(
-        paths,
-        probabilities,
-        negativities,
-        found.c14vs23.tolist(),
-        found.c12vs34.tolist(),
-    ):
-        per_round = [element_classes[r, outcome] for r, outcome in enumerate(path)]
-        branches.append(
-            {
-                "outcome_path": path,
-                "probability": _sig15(p),
-                "negativity14": _sig15(neg),
-                "c14vs23": _sig15(c14),
-                "c12vs34": _sig15(c12),
-                "classification": [
-                    {"verdict": verdict_label(ec.verdict, ec.local_dim), "operation_kind": ec.operation_kind}
-                    for ec in per_round
-                ],
-            }
-        )
+    columns = (found.c14vs23.tolist(), found.c12vs34.tolist())
+    branches = [
+        {
+            "outcome_path": path,
+            "probability": _sig15(p),
+            "negativity14": _sig15(neg),
+            "c14vs23": _sig15(c14),
+            "c12vs34": _sig15(c12),
+            "classification": [
+                dict(zip(("verdict", "operation_kind"), labels[r, n])) for r, n in enumerate(path)
+            ],
+        }
+        for path, p, neg, c14, c12 in zip(paths, probabilities, negativities, *columns)
+    ]
     report = {
         "local_dim": config.local_dim,
         "rounds": [
@@ -242,5 +234,41 @@ def run_scenario(config: ScenarioConfig) -> dict:
     target = config.resolve_output(config.outputs.report_path)
     if target is not None:
         with open(target, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
+            fh.write(_report_text(report) + "\n")
     return report
+
+
+# A kept branch and a classification entry, indented as by json.dumps(indent=2).
+_BRANCH = (
+    '\n    {\n      "outcome_path": [\n%s\n      ],\n      "probability": %s,'
+    '\n      "negativity14": %s,\n      "c14vs23": %s,\n      "c12vs34": %s,'
+    '\n      "classification": [%s\n      ]\n    }'
+)
+_CLASS = '\n        {\n          "verdict": %s,\n          "operation_kind": %s\n        }'
+
+
+@lru_cache(maxsize=64)
+def _class_entry(verdict: str, kind: str) -> str:
+    return _CLASS % (json.dumps(verdict), json.dumps(kind))
+
+
+def _num(x) -> str:
+    return repr(x) if math.isfinite(x) else json.dumps(x)  # NaN, Infinity, -Infinity
+
+
+def _report_text(report: dict) -> str:
+    """json.dumps(report, indent=2) of a run_scenario report from fixed
+    templates (with an indent, json leaves its C encoder for Python)."""
+    head = json.dumps({"local_dim": report["local_dim"], "rounds": report["rounds"]}, indent=2)
+    branches = [
+        _BRANCH % (
+            ",\n".join(f"        {n!r}" for n in b["outcome_path"]),
+            *(_num(b[key]) for key in ("probability", "negativity14", "c14vs23", "c12vs34")),
+            ",".join(_class_entry(c["verdict"], c["operation_kind"]) for c in b["classification"]),
+        )
+        for b in report["branches"]
+    ]
+    body = "[" + ",".join(branches) + "\n  ]" if branches else "[]"
+    average = _num(report["average_negativity"])
+    # head[:-2] drops the "\n}" that closes the head document
+    return f'{head[:-2]},\n  "branches": {body},\n  "average_negativity": {average}\n}}'

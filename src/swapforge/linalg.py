@@ -24,7 +24,6 @@ __all__ = [
     "matrix_rank",
     "partial_trace",
     "partial_transpose",
-    "permute_subsystems",
     "psd_sqrt",
     "psd_sqrt_closed_2x2",
     "sqrt_from_spectrum",
@@ -93,19 +92,6 @@ def partial_transpose(m: np.ndarray, dims, sub: int) -> np.ndarray:
     return t.transpose(axes).reshape(m.shape).copy()
 
 
-def permute_subsystems(m: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder wires so that output wire k carries input wire ``perm[k]``."""
-    m = _square(m)
-    dims = _checked_dims(m, dims)
-    n = len(dims)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(n)):
-        raise BadIndex(f"perm={perm} is not a permutation of {n} wires")
-    t = m.reshape(dims + dims)
-    axes = list(perm) + [p + n for p in perm]
-    return t.transpose(axes).reshape(m.shape).copy()
-
-
 def _hermiticity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermiticity defect max|M - M^dagger| of each matrix of a (..., D, D)
     stack, and the defect it may have: HERM_TOL * max(1, max|M|).  A
@@ -156,10 +142,14 @@ def floored_psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at a time or stacked, takes its spectrum from here.
     """
     w, v = np.linalg.eigh(m)
-    w = np.clip(w[..., ::-1], 0.0, None)
+    return _floor_spectrum(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
+
+
+def _floor_spectrum(w: np.ndarray) -> np.ndarray:
+    """floored_psd_eigh's floor, for descending spectra on leading axes."""
+    w = np.clip(w, 0.0, None)
     top = w[..., :1]
-    w = np.where((top > 0.0) & (w < RANK_REL_TOL * top), 0.0, w)
-    return w, np.ascontiguousarray(v[..., ::-1])
+    return np.where((top > 0.0) & (w < RANK_REL_TOL * top), 0.0, w)
 
 
 def sqrt_from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:

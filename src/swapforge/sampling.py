@@ -16,20 +16,11 @@ __all__ = [
     "random_product_rank1_element",
     "random_rank1_element",
     "random_separable_element",
-    "random_unitary",
 ]
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase-fixed diagonal."""
-    q, r = np.linalg.qr(_ginibre(rng, n, n))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
 
 
 def random_element(rng: np.random.Generator, d: int = 2, rank: int | None = None) -> PovmElement:

@@ -321,18 +321,19 @@ def read_povm(path) -> Povm:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "local_dim" not in doc or "elements" not in doc:
         raise FileFormatError("POVM document needs 'local_dim' and 'elements' fields")
+    if type(doc["local_dim"]) is not int:  # not a bool; one that fits no element: ShapeMismatch
+        raise FileFormatError(f"local_dim must be an integer, got {doc['local_dim']!r}")
     try:
-        d = int(doc["local_dim"])
         mats = []
         for raw in doc["elements"]:
             mat = np.array([[complex(re, im) for re, im in row] for row in raw])
             mats.append(mat)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (TypeError, ValueError, OverflowError) as exc:  # complex() of a huge int overflows
         raise FileFormatError(f"malformed element matrix: {exc}") from exc
     if not mats:
         raise FileFormatError("POVM document has no elements")
     try:
-        return Povm.from_matrices(mats, local_dim=d)
+        return Povm.from_matrices(mats, local_dim=doc["local_dim"])
     except IncompletePovm as exc:
         raise IncompletePovm(f"POVM file fails validation: {exc}") from exc
     except (ValidationFailure, NotPsd) as exc:

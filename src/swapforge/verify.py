@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import ENTANGLED, UNENTANGLED, UNENTANGLED_BOUNDARY, classify_element
+from .classify import ENTANGLED, INSEPARABLE_OPERATION, UNENTANGLED, UNENTANGLED_BOUNDARY
+from .classify import classify_element, classify_stack
 from .config import RoundSpec, ScenarioConfig, SweepSpec
 from .engine import (
     SwapScenario,
@@ -68,7 +69,7 @@ from .sampling import (
     random_separable_element,
 )
 from .states import Povm, PovmElement, PureState, conjugate_computational, max_entangled_state
-from .tolerances import RANK_REL_TOL
+from .tolerances import INSEP_TOL, PPT_TOL, RANK_REL_TOL
 
 
 def _cli_main(argv: list[str]) -> int:
@@ -668,9 +669,22 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
                 max(abs(column[b] - value) for column, value in zip(columns, ref)),
                 f"{tag} path {rec.outcome_path}",
             )
+    # The stacked classifier against the per-element references.
+    for d in (2, 3):
+        els = [random_element(rng, d=d, rank=rank) for rank in (1, 2, 3, 4)]
+        els += [random_separable_element(rng, d=d), random_product_rank1_element(rng, d=d)]
+        for k, (el, ec) in enumerate(zip(els, classify_stack([el.matrix for el in els]))):
+            pt = float(np.linalg.eigvalsh(partial_transpose(el.matrix / el.trace, el.dims, 1))[0])
+            want = [ENTANGLED, UNENTANGLED_BOUNDARY, UNENTANGLED][(pt >= -PPT_TOL) + (pt > PPT_TOL)]
+            ref = (pt, c14_vs_23(el), c12_vs_34(el))
+            kinds = (want, matrix_rank(el.matrix), ref[2] > INSEP_TOL)
+            if kinds != (ec.verdict, ec.rank, ec.operation_kind == INSEPARABLE_OPERATION):
+                mismatched.append(f"classify d={d} element {k}")
+            got = (ec.min_pt_eigenvalue, ec.c14vs23, ec.c12vs34)
+            worst.push(max(abs(a - b) for a, b in zip(got, ref)), f"classify d={d} element {k}")
     extra = ""
     if mismatched:
-        extra = f"outcomes kept differently at {', '.join(mismatched)}"
+        extra = f"outcomes kept or classified differently at {', '.join(mismatched)}"
     return _result("batched_sweep_equivalence", worst, tol, extra=extra, failed=bool(mismatched))
 
 

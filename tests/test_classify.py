@@ -13,13 +13,16 @@ from swapforge.classify import (
     UNENTANGLED_BOUNDARY,
     classify_element,
     classify_measurement,
+    classify_stack,
     lemma1_predicate,
     lemma2_predicate,
     report_to_json,
 )
-from swapforge.errors import ZeroTrace
+from swapforge.errors import ShapeMismatch, ZeroTrace
 from swapforge.families import bell_projective, noisy_bell_povm, wire2_computational_povm
-from swapforge.measures import negativity
+from swapforge.linalg import matrix_rank, partial_transpose
+from swapforge.measures import c12_vs_34, c14_vs_23, negativity
+from swapforge.tolerances import INSEP_TOL, PPT_TOL
 from swapforge.sampling import (
     random_element,
     random_product_rank1_element,
@@ -188,3 +191,71 @@ def test_report_serialization_renames_ppt_beyond_qubits(rng):
     for entry in doc["per_element"]:
         assert entry["verdict"] in ("ppt", "ppt-boundary", "entangled")
         assert "unentangled" not in entry["verdict"]
+
+
+# ---------------------------------------------------------------------------
+# classify_stack against the per-element references
+# ---------------------------------------------------------------------------
+
+
+def reference_class(el, rank_rel_tol=1e-9):
+    """verdict, rank, kind and numbers of one element, each from its own
+    per-element routine."""
+    min_pt = float(np.linalg.eigvalsh(partial_transpose(el.matrix / el.trace, el.dims, 1))[0])
+    if min_pt < -PPT_TOL:
+        verdict = ENTANGLED
+    elif min_pt <= PPT_TOL:
+        verdict = UNENTANGLED_BOUNDARY
+    else:
+        verdict = UNENTANGLED
+    c12 = c12_vs_34(el)
+    kind = INSEPARABLE_OPERATION if c12 > INSEP_TOL else SEPARABLE_OPERATION
+    rank = matrix_rank(el.matrix, rel_tol=rank_rel_tol)
+    return verdict, rank, kind, (min_pt, c14_vs_23(el), c12)
+
+
+def assert_stack_matches_references(els, **tols):
+    got = classify_stack(np.array([el.matrix for el in els]), **tols)
+    assert len(got) == len(els)
+    for ec, el in zip(got, els):
+        verdict, rank, kind, numbers = reference_class(el, **tols)
+        assert (ec.verdict, ec.rank, ec.operation_kind) == (verdict, rank, kind)
+        assert ec.local_dim == el.local_dim
+        for value, expected in zip((ec.min_pt_eigenvalue, ec.c14vs23, ec.c12vs34), numbers):
+            assert abs(value - expected) <= 1e-13
+        assert ec == classify_element(el, **tols)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_classify_stack_matches_per_element_references(d):
+    rng = np.random.default_rng(700 + d)
+    els = [random_element(rng, d=d, rank=rank) for rank in range(1, d * d + 1)]
+    els += [random_product_rank1_element(rng, d=d), random_rank1_element(rng, d=d)]
+    assert_stack_matches_references(els)
+
+
+def test_classify_stack_coarse_rank_tolerance():
+    # a loose cutoff drops the small eigenvalues from the rank, as matrix_rank does
+    rng = np.random.default_rng(71)
+    for d in (2, 3):
+        els = [random_element(rng, d=d, rank=rank) for rank in range(1, d * d + 1)]
+        assert_stack_matches_references(els, rank_rel_tol=1e-1)
+    assert classify_stack(np.diag([1.0, 0.5, 0.05, 0.01])[None], rank_rel_tol=1e-1)[0].rank == 2
+
+
+def test_classify_stack_boundary_verdict_at_one_third():
+    els = [noisy_bell_povm(lam).elements[0] for lam in (1 / 3, 1 / 3 - 1e-6, 1 / 3 + 1e-6)]
+    got = classify_stack(np.array([el.matrix for el in els]))
+    assert [ec.verdict for ec in got] == [UNENTANGLED_BOUNDARY, UNENTANGLED, ENTANGLED]
+
+
+def test_classify_stack_rejects_traceless_element():
+    stack = np.array([np.eye(4) / 2, np.zeros((4, 4)), np.eye(4) / 2])
+    with pytest.raises(ZeroTrace):
+        classify_stack(stack)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 4, 5), (1, 3, 3), (1, 1, 1), (2, 2, 4, 4)])
+def test_classify_stack_rejects_bad_shapes(shape):
+    with pytest.raises(ShapeMismatch):
+        classify_stack(np.ones(shape))

@@ -196,6 +196,18 @@ def test_cli_sweep_unowned_param_names_it(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_cli_sweep_without_csv_target_fails_before_sweeping(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep called without a CSV target")
+
+    monkeypatch.setattr("swapforge.cli.run_sweep", no_sweep)
+    doc = {key: value for key, value in PAPER_DOC.items() if key != "outputs"}
+    assert main(["sweep", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "error_code=ConfigParse" in err
+    assert "no CSV target" in err
+
+
 def test_cli_classify_povm_file(tmp_path, capsys):
     path = tmp_path / "noisy.json"
     write_povm(noisy_bell_povm(0.2), path)

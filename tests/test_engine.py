@@ -1,3 +1,5 @@
+import copy
+import json
 import logging
 
 import numpy as np
@@ -16,11 +18,13 @@ from swapforge.engine import (
     rho14_two_round_spectral,
     second_round_probability,
 )
+from swapforge.config import load_scenario_config
 from swapforge.errors import BadDimension, IncompleteBranchSet, InvalidPovm
+from swapforge.experiment import _report_text, run_scenario
 from swapforge.families import bell_projective, noisy_bell_povm, wire2_computational_povm
 from swapforge.measures import CUT_12_34, CUT_14_23, element_swap_state, i_concurrence
 from swapforge.sampling import random_element, random_povm, random_rank1_element
-from swapforge.states import DensityMatrix, Povm, PovmElement
+from swapforge.states import DensityMatrix, Povm, PovmElement, write_povm
 
 from conftest import rng_from
 
@@ -347,3 +351,79 @@ def test_trivial_povm_never_disturbs():
     report = disturbance_check(rec, Povm.from_matrices([np.eye(4)], local_dim=2))
     assert report.max_trace_distance <= 1e-12
     assert report.max_negativity_change <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# run_scenario's templated report text against json.dumps(indent=2)
+# ---------------------------------------------------------------------------
+
+SEPARABLE_PRODUCT_ROUND = {
+    "family": "separable_product",
+    "params": {
+        "elements": [
+            {
+                "a": {"theta": 0.3, "phi": 0.1, "tau1": 1.0, "tau2": 0.0},
+                "b": {"theta": 0.0, "phi": 0.0, "tau1": 1.0, "tau2": 1.0},
+            },
+            {
+                "a": {"theta": 0.3, "phi": 0.1, "tau1": 0.0, "tau2": 1.0},
+                "b": {"theta": 0.0, "phi": 0.0, "tau1": 1.0, "tau2": 1.0},
+            },
+        ]
+    },
+}
+
+FAMILY_ROUNDS = [
+    {"family": "noisy_bell", "params": {"lambda": 0.2}},
+    {"family": "bell_projective"},
+    {"family": "wire2_computational"},
+    SEPARABLE_PRODUCT_ROUND,
+    {"family": "file", "params": {"path": "povm.json"}},
+]
+
+
+def scenario_report(tmp_path, local_dim, rounds):
+    """run_scenario's report, checked against the bytes it wrote."""
+    doc = {"local_dim": local_dim, "rounds": rounds, "outputs": {"report_path": "report.json"}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    report = run_scenario(load_scenario_config(str(path)))
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == _report_text(report) + "\n"
+    return report
+
+
+@pytest.mark.parametrize("first", FAMILY_ROUNDS, ids=lambda r: r["family"])
+def test_report_text_is_json_dumps_for_every_family(tmp_path, first):
+    write_povm(random_povm(np.random.default_rng(17), d=2, n_elements=3), tmp_path / "povm.json")
+    rounds = [first, {"family": "noisy_bell", "params": {"lambda": 0.7}}]
+    report = scenario_report(tmp_path, 2, rounds)
+    assert _report_text(report) == json.dumps(report, indent=2)
+
+
+def test_report_text_is_json_dumps_for_qutrit_files(tmp_path):
+    rng = np.random.default_rng(18)
+    for r in range(2):
+        write_povm(random_povm(rng, d=3, n_elements=3), tmp_path / f"povm{r}.json")
+    rounds = [{"family": "file", "params": {"path": f"povm{r}.json"}} for r in range(2)]
+    report = scenario_report(tmp_path, 3, rounds)
+    assert _report_text(report) == json.dumps(report, indent=2)
+
+
+def test_report_text_is_json_dumps_for_hand_built_reports(tmp_path):
+    base = scenario_report(tmp_path, 2, [{"family": "noisy_bell", "params": {"lambda": 0.9}}])
+    odd = copy.deepcopy(base)
+    odd["rounds"][0]["params"] = {
+        "branches": [{"branches": "\u03bb \u00e9"}],
+        "\u03bb": float("nan"),
+        "\n}": "\n}",
+    }
+    odd["rounds"].append({"family": "bell_projective", "params": {}})
+    branch = odd["branches"][0]
+    branch["probability"] = float("nan")
+    branch["negativity14"] = float("inf")
+    branch["c14vs23"] = float("-inf")
+    branch["c12vs34"] = 1e-300
+    odd["average_negativity"] = float("-inf")
+    empty = dict(copy.deepcopy(base), branches=[], average_negativity=float("nan"))
+    for report in (base, odd, empty):
+        assert _report_text(report) == json.dumps(report, indent=2)

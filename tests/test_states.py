@@ -272,6 +272,13 @@ def test_read_povm_rejects_non_finite_local_dim(tmp_path, local_dim):
         read_povm(povm_file(tmp_path, [np.eye(4)], local_dim=local_dim))
 
 
+@pytest.mark.parametrize("local_dim", [2.7, "2", True, 2.0])
+def test_read_povm_rejects_non_integer_local_dim(tmp_path, local_dim):
+    # the config loader's rule: a JSON integer, never rounded or coerced
+    with pytest.raises(FileFormatError, match=f"local_dim must be an integer, got {local_dim!r}"):
+        read_povm(povm_file(tmp_path, [np.eye(4)], local_dim=local_dim))
+
+
 def test_read_povm_rejects_wrong_local_dim(tmp_path):
     for local_dim in (1, 3):
         with pytest.raises(ShapeMismatch):
