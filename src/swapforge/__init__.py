@@ -56,7 +56,6 @@ from .measures import (
     i_concurrence,
     is_ppt,
     negativity,
-    negativity_closed_form,
     trace_distance,
 )
 from .states import (
@@ -108,7 +107,6 @@ __all__ = [
     "matrix_rank",
     "max_entangled_state",
     "negativity",
-    "negativity_closed_form",
     "noisy_bell_povm",
     "partial_trace",
     "partial_transpose",

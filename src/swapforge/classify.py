@@ -120,14 +120,11 @@ def classify_stack(
 
 def classify_element(
     el: PovmElement,
-    d: int | None = None,
     ppt_tol: float = PPT_TOL,
     insep_tol: float = INSEP_TOL,
     rank_rel_tol: float = RANK_REL_TOL,
 ) -> ElementClass:
     """Classify one measurement element (classify_stack of one)."""
-    if d is not None and d != el.local_dim:
-        raise ShapeMismatch(f"element local dimension {el.local_dim} does not match d={d}")
     return classify_stack(el.matrix[None], ppt_tol, insep_tol, rank_rel_tol)[0]
 
 

@@ -250,9 +250,12 @@ def _expand(d: int, stacks: list[np.ndarray], prob_tol: float, start: PureState 
 
     ``stacks[r]`` holds round r's element matrices, shape (G_r, K_r, D, D)
     with G_r the number of grid points G or 1 for a shared round.  Every
+    round is checked as Povm checks one (check_povm_stack), and its
+    element roots come from the one ``eigh`` that check takes.  Every
     grid point starts from ``start`` (the initial state if None).
     x[g, b, (k l), (i j)] holds branch b's normalized psi[i, k, l, j],
-    branches in chain's depth-first order, and weight[g, b] its joint
+    branches in chain's depth-first order (x's leading axis is 1 while
+    every round so far is shared), and weight[g, b] its joint
     probability.  A branch whose conditional probability is below
     prob_tol (or PROB_TOL) gets zero weight and zero state, and so do its
     descendants.
@@ -270,25 +273,19 @@ def _expand(d: int, stacks: list[np.ndarray], prob_tol: float, start: PureState 
     if total > MAX_BRANCHES:
         raise InvalidPovm(f"scenario expands to {total} branches (limit {MAX_BRANCHES})")
 
-    # One eigendecomposition for every element of every round.
-    w, v = linalg.floored_psd_eigh(np.concatenate([s.reshape(-1, dim, dim) for s in stacks]))
-    roots = linalg.sqrt_from_spectrum(w, v)
+    roots = [linalg.sqrt_from_spectrum(*linalg.floor_eigh(*check_povm_stack(s))) for s in stacks]
     tol = max(prob_tol, PROB_TOL)
-
-    state = initial_state(d) if start is None else start
-    x0 = state.tensor().transpose(1, 2, 0, 3).reshape(dim, dim)
-    x = np.broadcast_to(x0, (grid, 1, dim, dim))
+    x = None if start is None else start.tensor().transpose(1, 2, 0, 3).reshape(1, 1, dim, dim)
     weight = np.ones((grid, 1))
-    offset = 0
-    for s in stacks:
-        size = s.shape[0] * s.shape[1]
-        op = roots[offset:offset + size].reshape(s.shape)
-        offset += size
-        out = op[:, None] @ x[:, :, None]  # (grid, branch, outcome, kl, ij)
+    for op in roots:
+        if x is None:  # the initial state's x is I/d: no matmul
+            out = op[:, None] * (1.0 / d)  # (grid, branch, outcome, kl, ij)
+        else:
+            out = op[:, None] @ x[:, :, None]
         p = (out.real * out.real + out.imag * out.imag).sum(axis=(-2, -1))
         p = np.where(p >= tol, p, 0.0)
         scale = np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=p > 0.0)
-        x = (out * scale[..., None, None]).reshape(grid, -1, dim, dim)
+        x = (out * scale[..., None, None]).reshape(out.shape[0], -1, dim, dim)
         weight = (weight[:, :, None] * p).reshape(grid, -1)
         yield x, weight
 
@@ -481,7 +478,6 @@ def stacked_disturbance(
     m = np.asarray(povms, dtype=complex)
     if m.ndim != 4 or m.shape[2:] != (dim, dim):
         raise ShapeMismatch(f"POVM stack of shape {m.shape} does not fit d={d}")
-    check_povm_stack(m)
     # the P POVMs are P grid points of one round started from the branch
     x, weight = next(_expand(d, [m], PROB_TOL, rec.full_state))
     kept = weight > 0.0

@@ -4,9 +4,9 @@ reports, and parameter sweeps emitting deterministic CSV.
 CSV contract: fixed column order (param_value, avg_neg_round1,
 avg_neg_round2, paper_formula_round1, paper_formula_round2,
 max_branch_negativity), header row, '.' decimal separator, every value
-printed with 15 significant digits, newline-terminated rows.  Rows are
-written in grid order and computed by one deterministic stacked pass, so
-output is byte-stable across runs.
+printed with 15 significant digits ("%.15g"), newline-terminated rows.
+Rows are computed in grid order by one deterministic stacked pass and
+written from its columns, so output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .engine import (
 )
 from .errors import ConfigError
 from .families import family_sweep_stack
+from .states import check_povm_stack
 from .tolerances import PROB_TOL
 
 __all__ = [
@@ -52,10 +53,6 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")
-
-
 @dataclass(frozen=True)
 class SweepRow:
     param_value: float
@@ -64,19 +61,6 @@ class SweepRow:
     paper_formula_round1: float
     paper_formula_round2: float
     max_branch_negativity: float
-
-    def as_csv(self) -> str:
-        return ",".join(
-            _fmt(v)
-            for v in (
-                self.param_value,
-                self.avg_neg_round1,
-                self.avg_neg_round2,
-                self.paper_formula_round1,
-                self.paper_formula_round2,
-                self.max_branch_negativity,
-            )
-        )
 
 
 def worker_count(grid_size: int) -> int:
@@ -98,8 +82,9 @@ def worker_count(grid_size: int) -> int:
     return max(1, min(requested, grid_size))
 
 
-def paper_formulas(lam: float) -> tuple[float, float]:
-    """The paper's closed-form averages for a white-noise Bell measurement.
+def paper_formulas(lam):
+    """The paper's closed-form averages for a white-noise Bell measurement,
+    at one lambda or elementwise over an array of them.
 
     One round gives (3*lam - 1)/2, which goes negative below the
     separability edge lam = 1/3 where the measured average clamps at
@@ -107,7 +92,7 @@ def paper_formulas(lam: float) -> tuple[float, float]:
     (lam - 1 + sqrt(1 - 2*lam + 5*lam^2))/2.
     """
     round1 = (3.0 * lam - 1.0) / 2.0
-    round2 = (lam - 1.0 + math.sqrt(1.0 - 2.0 * lam + 5.0 * lam * lam)) / 2.0
+    round2 = (lam - 1.0 + np.sqrt(1.0 - 2.0 * lam + 5.0 * lam * lam)) / 2.0
     return round1, round2
 
 
@@ -127,14 +112,16 @@ def _element_stack(povm) -> np.ndarray:
     return np.stack([el.matrix for el in povm.elements])
 
 
-def sweep_rows(config: ScenarioConfig) -> list[SweepRow]:
-    """Evaluate every grid point; grid order is preserved in the output.
+def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
+    """The six CSV columns of the sweep as float64 arrays, in grid order.
 
     Rounds that do not own the swept parameter are built once.  The grid
     goes through the stacked engine in chunks sized so that no stacked
     array holds more than STACK_ENTRIES entries; for each chunk the swept
-    round is built as one element stack over the chunk's values and
-    checked, every element of it, in one pass (family_sweep_stack).
+    round is built as one element stack over the chunk's values, and the
+    engine checks every element of it in the ``eigh`` its roots come
+    from.  The first point's stack is checked before the other rounds
+    are built, so a swept round bad there fails before any other is read.
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -143,9 +130,10 @@ def sweep_rows(config: ScenarioConfig) -> list[SweepRow]:
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
     worker_count(len(grid))  # rejects a malformed SWAPFORGE_THREADS
     if not len(grid):  # an empty grid from a config built in code
-        return []
+        return (grid,) * 6
     family, param = config.rounds[swept].family, config.sweep.param_name
     first = family_sweep_stack(family, param, grid[:1])
+    check_povm_stack(first)
     stacks = [
         first if i == swept else _element_stack(config.build_round(i))[None]
         for i in range(len(config.rounds))
@@ -157,35 +145,35 @@ def sweep_rows(config: ScenarioConfig) -> list[SweepRow]:
         stacks[swept] = family_sweep_stack(family, param, grid[start : start + chunk])
         parts.append(stacked_chain_negativities(config.local_dim, stacks, prob_tol))
     avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
+    nan = np.full(len(grid), math.nan)
     if len(config.rounds) == 1:
-        avg_last = np.full(len(grid), math.nan)
+        avg_last = nan
     has_round1, has_round2 = _paper_formulas_apply(config)
-    rows = []
-    for k, lam in enumerate(grid.tolist()):
-        f1, f2 = paper_formulas(lam) if has_round1 else (math.nan, math.nan)
-        rows.append(
-            SweepRow(
-                param_value=lam,
-                avg_neg_round1=float(avg1[k]),
-                avg_neg_round2=float(avg_last[k]),
-                paper_formula_round1=f1,
-                paper_formula_round2=f2 if has_round2 else math.nan,
-                max_branch_negativity=float(top[k]),
-            )
-        )
-    return rows
+    f1, f2 = paper_formulas(grid) if has_round1 else (nan, nan)
+    return grid, avg1, avg_last, f1, f2 if has_round2 else nan, top
+
+
+def _rows(columns) -> list[SweepRow]:
+    return list(map(SweepRow, *(column.tolist() for column in columns)))
+
+
+def sweep_rows(config: ScenarioConfig) -> list[SweepRow]:
+    """Evaluate every grid point; grid order is preserved in the output."""
+    return _rows(_sweep_columns(config))
 
 
 def run_sweep(config: ScenarioConfig, csv_path: str | None = None) -> list[SweepRow]:
     """Run the sweep and write the CSV (to the configured path unless
-    overridden); returns the rows."""
-    rows = sweep_rows(config)
+    overridden); returns the rows.  The CSV body is formatted from the
+    columns in one ``%`` operation, "%.15g" per value."""
+    columns = _sweep_columns(config)
     target = csv_path if csv_path is not None else config.resolve_output(config.outputs.csv_path)
-    text = ",".join(CSV_COLUMNS) + "\n" + "".join(row.as_csv() + "\n" for row in rows)
     if target is not None:
+        values = tuple(np.stack(columns, axis=-1).ravel().tolist())
+        body = ("%.15g," * 5 + "%.15g\n") * len(columns[0]) % values
         with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return rows
+            fh.write(",".join(CSV_COLUMNS) + "\n" + body)
+    return _rows(columns)
 
 
 def run_scenario(config: ScenarioConfig) -> dict:

@@ -18,6 +18,7 @@ from .tolerances import HERM_TOL, PSD_TOL, RANK_REL_TOL
 
 __all__ = [
     "HermitianSpectrum",
+    "floor_eigh",
     "floored_psd_eigh",
     "hermitian_eig",
     "kron",
@@ -141,7 +142,12 @@ def floored_psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     noise into branch states, so every POVM element's square root, one
     at a time or stacked, takes its spectrum from here.
     """
-    w, v = np.linalg.eigh(m)
+    return floor_eigh(*np.linalg.eigh(m))
+
+
+def floor_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floored_psd_eigh from an ascending ``eigh`` result (w, v) already
+    taken, as the POVM stack check takes one."""
     return _floor_spectrum(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
 
 

@@ -11,12 +11,13 @@ the two differ only by that constant factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateDenominator, ShapeMismatch, ZeroTrace
+from .errors import ShapeMismatch, ZeroTrace
 from .states import DensityMatrix, PovmElement, PureState
 from .tolerances import PPT_TOL
 
@@ -25,7 +26,6 @@ __all__ = [
     "CUT_1_2",
     "CUT_12_34",
     "CUT_14_23",
-    "ClosedFormResult",
     "c12_vs_34",
     "c12_vs_34_contraction",
     "c14_vs_23",
@@ -34,7 +34,6 @@ __all__ = [
     "is_ppt",
     "levi_civita_det4",
     "negativity",
-    "negativity_closed_form",
     "trace_distance",
 ]
 
@@ -184,6 +183,17 @@ def c12_vs_34(el: PovmElement) -> float:
     return float(_pure_concurrence(m))
 
 
+_C12_PURITY = "a,b,c,e,aij,akl,bpj,bql,cpr,cqs,eir,eks->"
+
+
+@lru_cache(maxsize=None)
+def _c12_path(d: int) -> tuple:
+    """The greedy contraction order of _C12_PURITY at local dimension d,
+    searched once: the operand shapes depend on d alone."""
+    w, a = np.ones(d * d), np.ones((d * d, d, d))
+    return tuple(np.einsum_path(_C12_PURITY, *(w,) * 4, *(a,) * 8, optimize="greedy")[0])
+
+
 def c12_vs_34_contraction(el: PovmElement) -> float:
     """Independent second path for c12_vs_34: the explicit eight-index
     contraction of the (1,2)-pair purity over the element's eigenbasis
@@ -193,12 +203,8 @@ def c12_vs_34_contraction(el: PovmElement) -> float:
         raise ZeroTrace("c12_vs_34 undefined for a traceless element")
     wgt = np.sqrt(el.spectral.eigenvalues)
     a = el.basis_tensor()
-    purity = np.einsum(
-        "a,b,c,e,aij,akl,bpj,bql,cpr,cqs,eir,eks->",
-        wgt, wgt, wgt, wgt,
-        a.conj(), a, a, a.conj(), a.conj(), a, a, a.conj(),
-        optimize=True,
-    )
+    operands = (wgt,) * 4 + (a.conj(), a, a, a.conj(), a.conj(), a, a, a.conj())
+    purity = np.einsum(_C12_PURITY, *operands, optimize=_c12_path(el.local_dim))
     purity = float(purity.real) / tr ** 2
     dsq = el.local_dim ** 2
     value = dsq / (dsq - 1) * (1.0 - purity)
@@ -206,7 +212,7 @@ def c12_vs_34_contraction(el: PovmElement) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form negativity diagnostic for two-qubit states.
+# Levi-Civita determinant (verify check 9's closed-form diagnostic uses it).
 # ---------------------------------------------------------------------------
 
 _EPS4 = np.zeros((4, 4, 4, 4))
@@ -228,47 +234,3 @@ def levi_civita_det4(u: np.ndarray) -> complex:
     if u.shape != (4, 4):
         raise ShapeMismatch(f"expected a 4x4 matrix, got {u.shape}")
     return complex(np.einsum("efgh,e,f,g,h->", _EPS4, u[0], u[1], u[2], u[3]))
-
-
-@dataclass(frozen=True)
-class ClosedFormResult:
-    """Closed-form negativity estimate and its deviation from the
-    eigenvalue route.  ``value`` uses the same normalization as
-    ``negativity``; it is a diagnostic, not a trusted result: the
-    two-by-two square-root identity it rests on is not exact for the
-    4x4 matrix U, so ``deviation`` is generally nonzero."""
-
-    value: float
-    oracle: float
-    deviation: float
-    x: float
-    y: float
-
-
-def negativity_closed_form(rho: DensityMatrix) -> ClosedFormResult:
-    """Evaluate the closed-form negativity of a two-qubit state.
-
-    Builds U = (rho^T_B)^dagger rho^T_B, takes X = tr U and Y = det U
-    (via the Levi-Civita contraction), and reports
-    (X + 4 sqrt(Y)) / sqrt(X + 2 sqrt(Y)) - 1 next to the eigenvalue
-    negativity and their absolute difference.
-    """
-    if rho.dims != (2, 2):
-        raise ShapeMismatch(f"closed form is defined for two qubits, got dims {rho.dims}")
-    m = linalg.partial_transpose(rho.matrix, rho.dims, 1)
-    u = m.conj().T @ m
-    x = float(np.trace(u).real)
-    y = float(levi_civita_det4(u).real)
-    sqrt_y = np.sqrt(max(y, 0.0))
-    denom_sq = x + 2.0 * sqrt_y
-    if denom_sq <= 0.0:
-        raise DegenerateDenominator("X + 2 sqrt(Y) vanished; input is the zero matrix")
-    value = (x + 4.0 * sqrt_y) / np.sqrt(denom_sq) - 1.0
-    oracle = negativity(rho, CUT_1_2)
-    return ClosedFormResult(
-        value=float(value),
-        oracle=oracle,
-        deviation=float(abs(value - oracle)),
-        x=x,
-        y=y,
-    )

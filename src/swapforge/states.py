@@ -138,11 +138,13 @@ class DensityMatrix:
 # The Hermiticity rule lives in linalg, which checks its inputs by it too.
 
 
-def _check_elements(m: np.ndarray) -> None:
+def _check_elements(m: np.ndarray, vectors: bool = False):
     """Raise unless each matrix of the (..., D, D) stack is a POVM element:
     d*d square for a local dimension d >= 2, Hermitian within tolerance,
     no eigenvalue below -PSD_TOL.  NaN and infinity fail the Hermiticity
-    test."""
+    test.  Returns the ascending eigenvalues the PSD rule reads and, when
+    ``vectors`` is set, their eigenvectors from the same ``eigh`` (else
+    None)."""
     if m.shape[-1] != m.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[-1]
@@ -152,9 +154,11 @@ def _check_elements(m: np.ndarray) -> None:
     defect, allowed = _hermiticity(m)
     if not (defect <= allowed).all():
         raise ValidationFailure("POVM element is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(m)[..., 0]
-    if not (w >= -PSD_TOL).all():
-        raise NotPsd(f"min eigenvalue {w.min():.3e} below -{PSD_TOL:.0e}")
+    w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    low = w[..., 0]
+    if not (low >= -PSD_TOL).all():
+        raise NotPsd(f"min eigenvalue {low.min():.3e} below -{PSD_TOL:.0e}")
+    return w, v
 
 
 def _check_completeness(m: np.ndarray) -> None:
@@ -269,15 +273,21 @@ class Povm:
         return len(self.elements)
 
 
-def check_povm_stack(stack) -> None:
+def check_povm_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     """The checks Povm.from_matrices makes, for POVMs stacked on the
     leading axes: ``stack`` has shape (..., K, D, D) with element k of
-    each POVM at [..., k, :, :].  Raises as PovmElement and Povm do."""
+    each POVM at [..., k, :, :].  Raises as PovmElement and Povm do.
+
+    The PSD rule reads one ``eigh`` of every element, and its ascending
+    (eigenvalues, eigenvectors) are returned, so a caller that needs the
+    spectra (the stacked engine takes its element roots from them)
+    decomposes each element once."""
     m = np.asarray(stack, dtype=complex)
     if m.ndim < 3:
         raise ShapeMismatch(f"expected a (..., K, D, D) stack, got shape {m.shape}")
-    _check_elements(m)
+    spectrum = _check_elements(m, vectors=True)
     _check_completeness(m)
+    return spectrum
 
 
 def max_entangled_state(d: int) -> PureState:

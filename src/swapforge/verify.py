@@ -58,7 +58,7 @@ from .measures import (
     c14_vs_23,
     i_concurrence,
     levi_civita_det4,
-    negativity_closed_form,
+    negativity,
 )
 from .sampling import (
     random_element,
@@ -68,7 +68,9 @@ from .sampling import (
     random_rank1_element,
     random_separable_element,
 )
-from .states import Povm, PovmElement, PureState, conjugate_computational, max_entangled_state
+from .errors import DegenerateDenominator, ShapeMismatch
+from .states import DensityMatrix, Povm, PovmElement, PureState
+from .states import conjugate_computational, max_entangled_state
 from .tolerances import INSEP_TOL, PPT_TOL, RANK_REL_TOL
 
 
@@ -495,7 +497,7 @@ def _check_dual_path_equivalence(overrides: dict) -> CheckResult:
         worst.push(abs(x_spectral - float(np.trace(u_direct).real)), f"X sample {k}")
         y_spectral = float(levi_civita_det4(u_spectral).real)
         worst.push(abs(y_spectral - float(np.linalg.det(u_direct).real)), f"Y sample {k}")
-        max_closed_dev = max(max_closed_dev, negativity_closed_form(rho_direct).deviation)
+        max_closed_dev = max(max_closed_dev, _negativity_closed_form(rho_direct).deviation)
     extra = f"closed-form vs eigenvalue negativity deviation up to {max_closed_dev:.3e} (reported, not asserted)"
     return _result("dual_path_equivalence", worst, tol, extra=extra)
 
@@ -503,6 +505,44 @@ def _check_dual_path_equivalence(overrides: dict) -> CheckResult:
 def _pt_square(rho: np.ndarray) -> np.ndarray:
     pt = partial_transpose(rho, (2, 2), 1)
     return pt.conj().T @ pt
+
+
+@dataclass(frozen=True)
+class _ClosedFormResult:
+    """Closed-form negativity estimate and its deviation from the
+    eigenvalue route.  ``value`` uses the same normalization as
+    ``negativity``; it is a diagnostic, not a trusted result: the
+    two-by-two square-root identity it rests on is not exact for the
+    4x4 matrix U, so ``deviation`` is generally nonzero."""
+
+    value: float
+    oracle: float
+    deviation: float
+    x: float
+    y: float
+
+
+def _negativity_closed_form(rho: DensityMatrix) -> _ClosedFormResult:
+    """The closed-form negativity of a two-qubit state, check 9's
+    reported diagnostic.
+
+    Builds U = (rho^T_B)^dagger rho^T_B, takes X = tr U and Y = det U
+    (via the Levi-Civita contraction), and reports
+    (X + 4 sqrt(Y)) / sqrt(X + 2 sqrt(Y)) - 1 next to the eigenvalue
+    negativity and their absolute difference.
+    """
+    if rho.dims != (2, 2):
+        raise ShapeMismatch(f"closed form is defined for two qubits, got dims {rho.dims}")
+    u = _pt_square(rho.matrix)
+    x = float(np.trace(u).real)
+    y = float(levi_civita_det4(u).real)
+    sqrt_y = np.sqrt(max(y, 0.0))
+    denom_sq = x + 2.0 * sqrt_y
+    if denom_sq <= 0.0:
+        raise DegenerateDenominator("X + 2 sqrt(Y) vanished; input is the zero matrix")
+    value = float((x + 4.0 * sqrt_y) / np.sqrt(denom_sq) - 1.0)
+    oracle = negativity(rho, CUT_1_2)
+    return _ClosedFormResult(value, oracle, abs(value - oracle), x, y)
 
 
 # ---------------------------------------------------------------------------

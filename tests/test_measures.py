@@ -19,11 +19,11 @@ from swapforge.measures import (
     is_ppt,
     levi_civita_det4,
     negativity,
-    negativity_closed_form,
     trace_distance,
 )
 from swapforge.sampling import random_element
 from swapforge.states import DensityMatrix, PovmElement, PureState
+from swapforge.verify import _negativity_closed_form as negativity_closed_form
 
 from conftest import rng_from
 

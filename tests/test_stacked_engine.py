@@ -6,12 +6,15 @@ sampler against repeated random_povm."""
 
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import swapforge.engine
+import swapforge.experiment
 import swapforge.families
+from swapforge.cli import main
 from swapforge.config import RoundSpec, ScenarioConfig, SweepSpec, load_scenario_config
 from swapforge.engine import (
     MAX_BRANCHES,
@@ -19,6 +22,7 @@ from swapforge.engine import (
     average_negativity,
     chain,
     disturbance_check,
+    initial_state,
     stacked_branches,
     stacked_chain_negativities,
     stacked_disturbance,
@@ -30,8 +34,10 @@ from swapforge.errors import (
     ShapeMismatch,
     ValidationFailure,
 )
-from swapforge.experiment import run_scenario, sweep_rows
+from swapforge.experiment import CSV_COLUMNS, run_scenario, run_sweep, sweep_rows
 from swapforge.families import BELL_STATES, noisy_bell_povm, wire2_computational_povm
+from swapforge.linalg import floored_psd_eigh, sqrt_from_spectrum
+from swapforge.measures import _pure_concurrence
 from swapforge.sampling import (
     random_element,
     random_povm,
@@ -321,23 +327,26 @@ def first_branch(el):
     return chain(SwapScenario(d, (povm,)))[0]
 
 
+def break_povm(povm, how):
+    """Break one (K, D, D) POVM in place."""
+    if how == "non-hermitian":
+        povm[1, 0, 1] += 1e-6
+    elif how == "non-psd":
+        povm[0] -= np.eye(povm.shape[-1])  # still complete, no longer PSD
+        povm[1] += np.eye(povm.shape[-1])
+    elif how == "incomplete":
+        povm *= 1.01
+    else:
+        povm[0, 0, 0] = np.nan
+
+
 def corrupted(stack, how):
     """A copy of the stack with one POVM broken; returns it and the index
     of the broken POVM."""
     bad = stack.copy()
-    dim = bad.shape[-1]
-    if how == "non-hermitian":
-        bad[2, 1, 0, 1] += 1e-6
-        return bad, 2
-    if how == "non-psd":
-        bad[1, 0] -= np.eye(dim)  # still complete, no longer PSD
-        bad[1, 1] += np.eye(dim)
-        return bad, 1
-    if how == "incomplete":
-        bad[3] *= 1.01
-        return bad, 3
-    bad[0, 0, 0, 0] = np.nan
-    return bad, 0
+    index = {"non-hermitian": 2, "non-psd": 1, "incomplete": 3, "nan": 0}[how]
+    break_povm(bad[index], how)
+    return bad, index
 
 
 CORRUPTIONS = [
@@ -474,3 +483,159 @@ def test_sampler_raises_on_a_corrupted_stack():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValidationFailure):
             random_povm_stack(_ZeroNormals(), 3, d=2, n_elements=2)
+
+
+# ---------------------------------------------------------------------------
+# One decomposition per element, no first-round matmul: bit for bit the
+# round loop that took a separate eigh and a matmul from initial_state.
+# ---------------------------------------------------------------------------
+
+
+def matmul_expansion(d, stacks, prob_tol=1e-12):
+    """The stacked round loop with one floored_psd_eigh of every element
+    of every round and a broadcast matmul in every round, the first one
+    from initial_state's amplitudes; returns the last (x, weight)."""
+    dim = d * d
+    grid = max(s.shape[0] for s in stacks)
+    elements = np.concatenate([s.reshape(-1, dim, dim) for s in stacks])
+    roots = sqrt_from_spectrum(*floored_psd_eigh(elements))
+    x0 = initial_state(d).tensor().transpose(1, 2, 0, 3).reshape(dim, dim)
+    x = np.broadcast_to(x0, (grid, 1, dim, dim))
+    weight = np.ones((grid, 1))
+    offset = 0
+    rounds = []
+    for s in stacks:
+        op = roots[offset : offset + s.shape[0] * s.shape[1]].reshape(s.shape)
+        offset += s.shape[0] * s.shape[1]
+        out = op[:, None] @ x[:, :, None]
+        p = (out.real * out.real + out.imag * out.imag).sum(axis=(-2, -1))
+        p = np.where(p >= max(prob_tol, 1e-12), p, 0.0)
+        scale = np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=p > 0.0)
+        x = (out * scale[..., None, None]).reshape(grid, -1, dim, dim)
+        weight = (weight[:, :, None] * p).reshape(grid, -1)
+        rounds.append((x, weight))
+    return rounds
+
+
+def seeded_stacks(d, grid, shared_first):
+    """Three rounds of random POVMs: the first over the grid (or shared),
+    the second shared, the third over the grid."""
+    rng = np.random.default_rng(300 + d)
+    sizes = (3, 2, 2) if d < 4 else (2, 2, 2)
+    shapes = (1 if shared_first else grid, 1, grid)
+    return [random_povm_stack(rng, g, d=d, n_elements=k) for g, k in zip(shapes, sizes)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("shared_first", [False, True])
+def test_stacked_chain_negativities_equals_matmul_expansion(d, shared_first):
+    stacks = seeded_stacks(d, 3, shared_first)
+    got = stacked_chain_negativities(d, stacks)
+    (x1, w1), _, (x3, w3) = matmul_expansion(d, stacks)
+    neg1 = swapforge.engine._stacked_negativity(swapforge.engine._stacked_rho14(x1), d)
+    neg3 = swapforge.engine._stacked_negativity(swapforge.engine._stacked_rho14(x3), d)
+    expected = (
+        swapforge.engine._checked_average(w1, neg1),
+        swapforge.engine._checked_average(w3, neg3),
+        np.where(w3 > 0.0, neg3, -np.inf).max(axis=-1),
+    )
+    for column, want in zip(got, expected):
+        assert np.array_equal(column, want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n_rounds", [1, 2, 3])
+def test_stacked_branches_equals_matmul_expansion(d, n_rounds):
+    stacks = seeded_stacks(d, 1, False)[:n_rounds]
+    got = stacked_branches(d, [s[0] for s in stacks])
+    x, weight = matmul_expansion(d, stacks)[-1]
+    kept = np.flatnonzero(weight[0] > 0.0)
+    x = x[0, kept]
+    x12 = x.reshape(-1, d, d, d, d).transpose(0, 3, 1, 2, 4).reshape(x.shape)
+    assert np.array_equal(got.probability, weight[0, kept])
+    rho = swapforge.engine._stacked_rho14(x)
+    assert np.array_equal(got.negativity14, swapforge.engine._stacked_negativity(rho, d))
+    assert np.array_equal(got.c14vs23, _pure_concurrence(x))
+    assert np.array_equal(got.c12vs34, _pure_concurrence(x12))
+
+
+# ---------------------------------------------------------------------------
+# A corrupted swept round still fails: the engine checks every element.
+# ---------------------------------------------------------------------------
+
+# the CLI's error_code for each corruption
+SWEEP_ERROR_CODES = {
+    "non-hermitian": "ValidationFailure",
+    "non-psd": "NotPsd",
+    "incomplete": "InvalidPovm",
+    "nan": "ValidationFailure",
+}
+
+
+def corrupt_sweep(monkeypatch, how, at):
+    """Make the noisy_bell lambda stack builder break the POVM at the
+    grid value ``at``, and cut the sweep into chunks of two points."""
+    real = swapforge.families.noisy_bell_stack
+
+    def build(values):
+        stack = real(values)
+        for g in np.flatnonzero(np.asarray(values) == at):
+            break_povm(stack[g], how)
+        return stack
+
+    monkeypatch.setitem(swapforge.families._SWEEPABLE["noisy_bell"], "lambda", build)
+    monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 2 * 8 * 16)
+
+
+@pytest.mark.parametrize("at", [0.0, 0.625])  # the first point, a later chunk
+@pytest.mark.parametrize("how,error", CORRUPTIONS)
+def test_corrupted_swept_stack_raises_through_sweep_rows(monkeypatch, how, error, at):
+    config = sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=9)
+    sweep_rows(config)
+    corrupt_sweep(monkeypatch, how, at)
+    with pytest.raises(error):
+        sweep_rows(config)
+
+
+@pytest.mark.parametrize("how", sorted(SWEEP_ERROR_CODES))
+def test_cli_sweep_on_a_corrupted_swept_stack_exits_two(tmp_path, capsys, monkeypatch, how):
+    doc = {
+        "rounds": [{"family": "noisy_bell"}, {"family": "wire2_computational"}],
+        "sweep": {"param_name": "lambda", "start": 0.0, "stop": 1.0, "steps": 9},
+        "outputs": {"csv_path": "sweep.csv"},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    corrupt_sweep(monkeypatch, how, 0.625)
+    assert main(["sweep", str(path)]) == 2
+    assert f"error_code={SWEEP_ERROR_CODES[how]}\n" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_bad_first_swept_point_fails_before_the_other_rounds_are_built(monkeypatch):
+    # the file round does not exist: building it would raise OSError
+    config = sweep_config([RoundSpec("noisy_bell"), RoundSpec("file", {"path": "missing.json"})])
+    corrupt_sweep(monkeypatch, "non-psd", 0.0)
+    with pytest.raises(NotPsd):
+        sweep_rows(config)
+
+
+# ---------------------------------------------------------------------------
+# The columnar CSV writer.
+# ---------------------------------------------------------------------------
+
+
+def test_columnar_csv_equals_per_value_format(tmp_path, monkeypatch):
+    values = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e16]
+    values += [0.1, 1 / 3, -2.5e-8, 5e-324, 0.0, 1.0]
+    columns = tuple(np.array(values[k:] + values[:k]) for k in range(6))
+    monkeypatch.setattr(swapforge.experiment, "_sweep_columns", lambda config: columns)
+    config = sweep_config([RoundSpec("noisy_bell")])
+    rows = run_sweep(config, csv_path=str(tmp_path / "out.csv"))
+    expected = ",".join(CSV_COLUMNS) + "\n" + "".join(
+        ",".join(format(x, ".15g") for x in row) + "\n" for row in zip(*columns)
+    )
+    assert (tmp_path / "out.csv").read_text() == expected
+    assert [list(map(repr, astuple(row))) for row in rows] == [
+        list(map(repr, row)) for row in zip(*(c.tolist() for c in columns))
+    ]
