@@ -246,13 +246,13 @@ def _checked_average(weight: np.ndarray, neg: np.ndarray) -> np.ndarray:
 
 
 def _expand(d: int, stacks: list[np.ndarray], prob_tol: float, start: PureState | None = None):
-    """The stacked round loop: yields (x, weight) after each round.
+    """The stacked round loop: yields (x, weight, spectrum) after each round.
 
     ``stacks[r]`` holds round r's element matrices, shape (G_r, K_r, D, D)
-    with G_r the number of grid points G or 1 for a shared round.  Every
-    round is checked as Povm checks one (check_povm_stack), and its
-    element roots come from the one ``eigh`` that check takes.  Every
-    grid point starts from ``start`` (the initial state if None).
+    with G_r the number of grid points G or 1 for a shared round; each is
+    checked by check_povm_stack, whose ascending ``eigh`` (w, v) is the
+    round's ``spectrum`` and gives its element roots.  Every grid point
+    starts from ``start`` (the initial state if None).
     x[g, b, (k l), (i j)] holds branch b's normalized psi[i, k, l, j],
     branches in chain's depth-first order (x's leading axis is 1 while
     every round so far is shared), and weight[g, b] its joint
@@ -273,11 +273,12 @@ def _expand(d: int, stacks: list[np.ndarray], prob_tol: float, start: PureState 
     if total > MAX_BRANCHES:
         raise InvalidPovm(f"scenario expands to {total} branches (limit {MAX_BRANCHES})")
 
-    roots = [linalg.sqrt_from_spectrum(*linalg.floor_eigh(*check_povm_stack(s))) for s in stacks]
+    spectra = [check_povm_stack(s) for s in stacks]
+    roots = [linalg.sqrt_from_spectrum(*linalg.floor_eigh(w, v)) for w, v in spectra]
     tol = max(prob_tol, PROB_TOL)
     x = None if start is None else start.tensor().transpose(1, 2, 0, 3).reshape(1, 1, dim, dim)
     weight = np.ones((grid, 1))
-    for op in roots:
+    for op, spectrum in zip(roots, spectra):
         if x is None:  # the initial state's x is I/d: no matmul
             out = op[:, None] * (1.0 / d)  # (grid, branch, outcome, kl, ij)
         else:
@@ -287,7 +288,7 @@ def _expand(d: int, stacks: list[np.ndarray], prob_tol: float, start: PureState 
         scale = np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=p > 0.0)
         x = (out * scale[..., None, None]).reshape(out.shape[0], -1, dim, dim)
         weight = (weight[:, :, None] * p).reshape(grid, -1)
-        yield x, weight
+        yield x, weight, spectrum
 
 
 def stacked_chain_negativities(
@@ -314,7 +315,7 @@ def stacked_chain_negativities(
     """
     d = int(local_dim)
     stacks = [np.asarray(s, dtype=complex) for s in element_stacks]
-    for r, (x, weight) in enumerate(_expand(d, stacks, prob_tol)):
+    for r, (x, weight, _) in enumerate(_expand(d, stacks, prob_tol)):
         if r == 0 or r == len(stacks) - 1:
             neg = _stacked_negativity(_stacked_rho14(x), d)
             if r == 0:
@@ -327,14 +328,16 @@ def stacked_chain_negativities(
 @dataclass(frozen=True, eq=False)
 class StackedBranches:
     """The kept last-round branches of a chain, one row each, in chain's
-    depth-first order: ``outcome_paths`` has shape (B, rounds), the other
-    fields shape (B,), with ``probability`` the joint probability."""
+    depth-first order: ``outcome_paths`` has shape (B, rounds), the
+    numeric fields shape (B,), with ``probability`` the joint probability.
+    ``spectra[r]`` is round r's ascending (w, v) from its check's eigh."""
 
     outcome_paths: np.ndarray
     probability: np.ndarray
     negativity14: np.ndarray
     c14vs23: np.ndarray
     c12vs34: np.ndarray
+    spectra: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def stacked_branches(local_dim: int, rounds, prob_tol: float = PROB_TOL) -> StackedBranches:
@@ -347,8 +350,9 @@ def stacked_branches(local_dim: int, rounds, prob_tol: float = PROB_TOL) -> Stac
     """
     d = int(local_dim)
     stacks = [np.asarray(s, dtype=complex)[None] for s in rounds]
-    for x, weight in _expand(d, stacks, prob_tol):
-        pass
+    spectra = []
+    for x, weight, (w, v) in _expand(d, stacks, prob_tol):
+        spectra.append((w[0], v[0]))
     kept = np.flatnonzero(weight[0] > 0.0)
     x = x[0, kept]
     # x[b, (k l), (i j)] is the 23|14 matricization; regroup to (i k)|(l j)
@@ -359,6 +363,7 @@ def stacked_branches(local_dim: int, rounds, prob_tol: float = PROB_TOL) -> Stac
         negativity14=_stacked_negativity(_stacked_rho14(x), d),
         c14vs23=measures._pure_concurrence(x),
         c12vs34=measures._pure_concurrence(x12),
+        spectra=tuple(spectra),
     )
 
 
@@ -479,7 +484,7 @@ def stacked_disturbance(
     if m.ndim != 4 or m.shape[2:] != (dim, dim):
         raise ShapeMismatch(f"POVM stack of shape {m.shape} does not fit d={d}")
     # the P POVMs are P grid points of one round started from the branch
-    x, weight = next(_expand(d, [m], PROB_TOL, rec.full_state))
+    x, weight, _ = next(_expand(d, [m], PROB_TOL, rec.full_state))
     kept = weight > 0.0
     rho = _stacked_rho14(x[kept])
     # rho - rho_base is Hermitian: its trace norm is the sum of |eigenvalues|

@@ -118,10 +118,9 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     Rounds that do not own the swept parameter are built once.  The grid
     goes through the stacked engine in chunks sized so that no stacked
     array holds more than STACK_ENTRIES entries; for each chunk the swept
-    round is built as one element stack over the chunk's values, and the
-    engine checks every element of it in the ``eigh`` its roots come
-    from.  The first point's stack is checked before the other rounds
-    are built, so a swept round bad there fails before any other is read.
+    round is built as one element stack over the chunk's values, which
+    the engine checks.  The first point's stack is checked before the
+    other rounds are built, so a swept round bad there fails first.
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -188,12 +187,13 @@ def run_scenario(config: ScenarioConfig) -> dict:
     stacks = [_element_stack(povm) for povm in scenario.rounds]
     found = stacked_branches(scenario.local_dim, stacks, prob_tol)
     paths = found.outcome_paths.tolist()
-    # one stack per round of the elements on kept branches: a dropped
-    # outcome (a traceless element, say) needs no class
+    # one stack per round of the elements on kept branches, with the
+    # spectra the engine's check took: a dropped outcome (a traceless
+    # element, say) needs no class
     labels = {}
-    for r, stack in enumerate(stacks):
+    for r, (stack, (w, v)) in enumerate(zip(stacks, found.spectra)):
         kept = sorted({path[r] for path in paths})
-        for n, ec in zip(kept, classify_stack(stack[kept])):
+        for n, ec in zip(kept, classify_stack(stack[kept], spectrum=(w[kept], v[kept]))):
             labels[r, n] = (verdict_label(ec.verdict, ec.local_dim), ec.operation_kind)
     probabilities = found.probability.tolist()
     negativities = found.negativity14.tolist()

@@ -142,9 +142,8 @@ def _check_elements(m: np.ndarray, vectors: bool = False):
     """Raise unless each matrix of the (..., D, D) stack is a POVM element:
     d*d square for a local dimension d >= 2, Hermitian within tolerance,
     no eigenvalue below -PSD_TOL.  NaN and infinity fail the Hermiticity
-    test.  Returns the ascending eigenvalues the PSD rule reads and, when
-    ``vectors`` is set, their eigenvectors from the same ``eigh`` (else
-    None)."""
+    test.  Returns the ascending eigenvalues the PSD rule reads, and their
+    eigenvectors from the same ``eigh`` if ``vectors`` is set (else None)."""
     if m.shape[-1] != m.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[-1]
@@ -277,11 +276,8 @@ def check_povm_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     """The checks Povm.from_matrices makes, for POVMs stacked on the
     leading axes: ``stack`` has shape (..., K, D, D) with element k of
     each POVM at [..., k, :, :].  Raises as PovmElement and Povm do.
-
-    The PSD rule reads one ``eigh`` of every element, and its ascending
-    (eigenvalues, eigenvectors) are returned, so a caller that needs the
-    spectra (the stacked engine takes its element roots from them)
-    decomposes each element once."""
+    Returns the ascending (eigenvalues, eigenvectors) of the one ``eigh``
+    the PSD rule reads, so a caller needing them decomposes once."""
     m = np.asarray(stack, dtype=complex)
     if m.ndim < 3:
         raise ShapeMismatch(f"expected a (..., K, D, D) stack, got shape {m.shape}")

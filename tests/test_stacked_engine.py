@@ -14,6 +14,7 @@ import pytest
 import swapforge.engine
 import swapforge.experiment
 import swapforge.families
+from swapforge.classify import classify_element, verdict_label
 from swapforge.cli import main
 from swapforge.config import RoundSpec, ScenarioConfig, SweepSpec, load_scenario_config
 from swapforge.engine import (
@@ -243,6 +244,18 @@ def test_run_scenario_matches_chain(tmp_path, d, n_rounds):
     high = 4 if d < 4 else 3  # keeps d=4 chains at a few dozen branches
     povms = [random_povm(rng, d=d, n_elements=int(k)) for k in rng.integers(2, high, size=n_rounds)]
     assert_report_matches_chain(scenario_config(tmp_path, povms), povms)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_run_scenario_classifies_like_classify_element(tmp_path, d):
+    # the report's classes come from the spectra the engine's check took
+    rng = np.random.default_rng(4000 + d)
+    povms = [random_povm(rng, d=d, n_elements=3), random_povm(rng, d=d, n_elements=2)]
+    report = run_scenario(scenario_config(tmp_path, povms))
+    for branch in report["branches"]:
+        for r, (n, got) in enumerate(zip(branch["outcome_path"], branch["classification"])):
+            ec = classify_element(povms[r].elements[n])
+            assert got == {"verdict": verdict_label(ec.verdict, d), "operation_kind": ec.operation_kind}
 
 
 def test_run_scenario_never_calls_chain(tmp_path, rng, monkeypatch):
