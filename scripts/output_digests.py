@@ -36,6 +36,7 @@ from swapforge.states import write_povm
 SWEEP_POINTS = (201, 1001, 2001)
 DIMS = (2, 3, 4)
 MAX_BRANCHES = 64
+PER_DIM = 8  # scenarios per local dimension
 
 
 def _sha(data: bytes) -> str:
@@ -59,12 +60,12 @@ def sweep_digests(workdir: str):
         yield f"sweep paper steps={steps}", _file_sha(path)
 
 
-def run_and_classify_digests(workdir: str, seed: int, per_dim: int):
+def run_and_classify_digests(workdir: str, seed: int):
     """Seeded scenarios of 1-3 rounds over random POVM files: the digest
     of each run report, then of `classify` on each of its POVM files."""
     rng = np.random.default_rng(seed)
     for d in DIMS:
-        for i in range(per_dim):
+        for i in range(PER_DIM):
             n_rounds = int(rng.integers(1, 4))
             while True:
                 sizes = [int(k) for k in rng.integers(2, d * d + 1, size=n_rounds)]
@@ -94,12 +95,11 @@ def main() -> None:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--seed", type=int, default=2024, help="seed of the scenario inputs")
-    parser.add_argument("--per-dim", type=int, default=8, help="scenarios per local dimension")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
         for label, digest in sweep_digests(workdir):
             print(f"{digest}  {label}")
-        for label, digest in run_and_classify_digests(workdir, args.seed, args.per_dim):
+        for label, digest in run_and_classify_digests(workdir, args.seed):
             print(f"{digest}  {label}")
 
 

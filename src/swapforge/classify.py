@@ -75,7 +75,7 @@ def classify_stack(
     ppt_tol: float = PPT_TOL,
     insep_tol: float = INSEP_TOL,
     rank_rel_tol: float = RANK_REL_TOL,
-    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
+    _spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ElementClass, ...]:
     """Classify each element of a checked (N, d*d, d*d) stack in one pass.
 
@@ -85,8 +85,7 @@ def classify_stack(
     eigh per element gives the rank (matrix_rank's rule, on the unfloored
     spectrum) and c14vs23 (c14_vs_23's formula, on the floored one);
     c12vs34 is c12_vs_34's, on the stacked post-measurement states.
-    A caller holding that ``eigh`` of ``m`` (ascending, as the stacked
-    engine's check returns it) passes it as ``spectrum``.
+    ``_spectrum`` is private to run_scenario: the engine check's eigh of m.
     """
     m = np.asarray(m, dtype=complex)
     d = isqrt(m.shape[-1]) if m.ndim == 3 else 0
@@ -97,7 +96,9 @@ def classify_stack(
         raise ZeroTrace("cannot classify a traceless element")
     pt = (m / trace[:, None, None]).reshape(-1, d, d, d, d).swapaxes(2, 4).reshape(m.shape)
     min_pt = np.linalg.eigvalsh(pt)[:, 0]
-    raw, v = np.linalg.eigh(m) if spectrum is None else spectrum  # ascending
+    raw, v = np.linalg.eigh(m) if _spectrum is None else _spectrum  # ascending
+    if raw.shape != m.shape[:2] or v.shape != m.shape:
+        raise ShapeMismatch(f"spectrum of shapes {raw.shape}, {v.shape} is not that of {m.shape}")
     rank = np.where(raw[:, -1] <= PSD_TOL, 0, (raw > rank_rel_tol * raw[:, -1:]).sum(axis=1))
     w = linalg._floor_spectrum(raw[:, ::-1])
     tr = w.sum(axis=1)

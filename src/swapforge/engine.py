@@ -330,14 +330,14 @@ class StackedBranches:
     """The kept last-round branches of a chain, one row each, in chain's
     depth-first order: ``outcome_paths`` has shape (B, rounds), the
     numeric fields shape (B,), with ``probability`` the joint probability.
-    ``spectra[r]`` is round r's ascending (w, v) from its check's eigh."""
+    ``_spectra[r]`` (private to run_scenario) is round r's check spectrum."""
 
     outcome_paths: np.ndarray
     probability: np.ndarray
     negativity14: np.ndarray
     c14vs23: np.ndarray
     c12vs34: np.ndarray
-    spectra: tuple[tuple[np.ndarray, np.ndarray], ...]
+    _spectra: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def stacked_branches(local_dim: int, rounds, prob_tol: float = PROB_TOL) -> StackedBranches:
@@ -363,7 +363,7 @@ def stacked_branches(local_dim: int, rounds, prob_tol: float = PROB_TOL) -> Stac
         negativity14=_stacked_negativity(_stacked_rho14(x), d),
         c14vs23=measures._pure_concurrence(x),
         c12vs34=measures._pure_concurrence(x12),
-        spectra=tuple(spectra),
+        _spectra=tuple(spectra),
     )
 
 

@@ -187,13 +187,12 @@ def run_scenario(config: ScenarioConfig) -> dict:
     stacks = [_element_stack(povm) for povm in scenario.rounds]
     found = stacked_branches(scenario.local_dim, stacks, prob_tol)
     paths = found.outcome_paths.tolist()
-    # one stack per round of the elements on kept branches, with the
-    # spectra the engine's check took: a dropped outcome (a traceless
-    # element, say) needs no class
+    # classify per round only the elements on kept branches (a dropped one, say
+    # traceless, needs no class), with the spectra the engine's check took
     labels = {}
-    for r, (stack, (w, v)) in enumerate(zip(stacks, found.spectra)):
+    for r, (stack, (w, v)) in enumerate(zip(stacks, found._spectra)):
         kept = sorted({path[r] for path in paths})
-        for n, ec in zip(kept, classify_stack(stack[kept], spectrum=(w[kept], v[kept]))):
+        for n, ec in zip(kept, classify_stack(stack[kept], _spectrum=(w[kept], v[kept]))):
             labels[r, n] = (verdict_label(ec.verdict, ec.local_dim), ec.operation_kind)
     probabilities = found.probability.tolist()
     negativities = found.negativity14.tolist()
