@@ -3,9 +3,10 @@
 
 Covers the paper sweep CSV at 201, 1001 and 2001 points, the JSON
 reports of seeded d = 2, 3 and 4 scenario runs over random POVM files,
-and the `swapforge classify` output on each of those files.  Every input
-is drawn from a fixed seed, so two checkouts that write the same bytes
-print the same lines and a change in output is one `diff` away:
+the `swapforge classify` output on each of those files, and the
+`swapforge verify` table.  Every input is drawn from a fixed seed, so
+two checkouts that write the same bytes print the same lines and a
+change in output is one `diff` away:
 
     PYTHONPATH=/path/to/before/src python scripts/output_digests.py > before.txt
     PYTHONPATH=src python scripts/output_digests.py > after.txt
@@ -60,6 +61,13 @@ def sweep_digests(workdir: str):
         yield f"sweep paper steps={steps}", _file_sha(path)
 
 
+def _cli_stdout(argv: list[str]) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue().encode()
+
+
 def run_and_classify_digests(workdir: str, seed: int):
     """Seeded scenarios of 1-3 rounds over random POVM files: the digest
     of each run report, then of `classify` on each of its POVM files."""
@@ -84,10 +92,8 @@ def run_and_classify_digests(workdir: str, seed: int):
             run_scenario(load_scenario_config(config_path))
             yield f"run {name} rounds={sizes}", _file_sha(os.path.join(workdir, f"{name}.report"))
             for r in range(n_rounds):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = cli.main(["classify", os.path.join(workdir, f"{name}_{r}.json")])
-                yield f"classify {name}_{r} exit={code}", _sha(out.getvalue().encode())
+                code, out = _cli_stdout(["classify", os.path.join(workdir, f"{name}_{r}.json")])
+                yield f"classify {name}_{r} exit={code}", _sha(out)
 
 
 def main() -> None:
@@ -101,6 +107,8 @@ def main() -> None:
             print(f"{digest}  {label}")
         for label, digest in run_and_classify_digests(workdir, args.seed):
             print(f"{digest}  {label}")
+    code, out = _cli_stdout(["verify"])
+    print(f"{_sha(out)}  verify exit={code}")
 
 
 if __name__ == "__main__":

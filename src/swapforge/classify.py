@@ -75,7 +75,6 @@ def classify_stack(
     ppt_tol: float = PPT_TOL,
     insep_tol: float = INSEP_TOL,
     rank_rel_tol: float = RANK_REL_TOL,
-    _spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ElementClass, ...]:
     """Classify each element of a checked (N, d*d, d*d) stack in one pass.
 
@@ -85,7 +84,7 @@ def classify_stack(
     eigh per element gives the rank (matrix_rank's rule, on the unfloored
     spectrum) and c14vs23 (c14_vs_23's formula, on the floored one);
     c12vs34 is c12_vs_34's, on the stacked post-measurement states.
-    ``_spectrum`` is private to run_scenario: the engine check's eigh of m.
+    An empty (0, d*d, d*d) stack gives ().
     """
     m = np.asarray(m, dtype=complex)
     d = isqrt(m.shape[-1]) if m.ndim == 3 else 0
@@ -96,9 +95,7 @@ def classify_stack(
         raise ZeroTrace("cannot classify a traceless element")
     pt = (m / trace[:, None, None]).reshape(-1, d, d, d, d).swapaxes(2, 4).reshape(m.shape)
     min_pt = np.linalg.eigvalsh(pt)[:, 0]
-    raw, v = np.linalg.eigh(m) if _spectrum is None else _spectrum  # ascending
-    if raw.shape != m.shape[:2] or v.shape != m.shape:
-        raise ShapeMismatch(f"spectrum of shapes {raw.shape}, {v.shape} is not that of {m.shape}")
+    raw, v = np.linalg.eigh(m)  # ascending
     rank = np.where(raw[:, -1] <= PSD_TOL, 0, (raw > rank_rel_tol * raw[:, -1:]).sum(axis=1))
     w = linalg._floor_spectrum(raw[:, ::-1])
     tr = w.sum(axis=1)

@@ -245,14 +245,14 @@ def _checked_average(weight: np.ndarray, neg: np.ndarray) -> np.ndarray:
     return (weight * neg).sum(axis=-1)
 
 
-def _expand(d: int, stacks: list[np.ndarray], prob_tol: float, start: PureState | None = None):
-    """The stacked round loop: yields (x, weight, spectrum) after each round.
+def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
+    """The stacked round loop: yields (x, weight) after each round.
 
-    ``stacks[r]`` holds round r's element matrices, shape (G_r, K_r, D, D)
-    with G_r the number of grid points G or 1 for a shared round; each is
-    checked by check_povm_stack, whose ascending ``eigh`` (w, v) is the
-    round's ``spectrum`` and gives its element roots.  Every grid point
-    starts from ``start`` (the initial state if None).
+    ``spectra[r]`` is the ascending ``eigh`` (w, v) of round r's element
+    matrices, v of shape (G_r, K_r, D, D) with G_r the number of grid
+    points G or 1 for a shared round; the matrices are checked POVMs
+    (Povm or check_povm_stack), so the loop only takes their roots.
+    Every grid point starts from ``start`` (the initial state if None).
     x[g, b, (k l), (i j)] holds branch b's normalized psi[i, k, l, j],
     branches in chain's depth-first order (x's leading axis is 1 while
     every round so far is shared), and weight[g, b] its joint
@@ -261,24 +261,23 @@ def _expand(d: int, stacks: list[np.ndarray], prob_tol: float, start: PureState 
     descendants.
     """
     dim = d * d
-    if not stacks:
+    if not spectra:
         raise InvalidPovm("a scenario needs at least one measurement round")
-    grid = max(s.shape[0] for s in stacks)
-    for s in stacks:
-        if s.ndim != 4 or s.shape[2:] != (dim, dim) or s.shape[0] not in (1, grid):
+    grid = max(v.shape[0] for _, v in spectra)
+    for _, v in spectra:
+        if v.ndim != 4 or v.shape[2:] != (dim, dim) or v.shape[0] not in (1, grid):
             raise ShapeMismatch(
-                f"element stack of shape {s.shape} does not fit d={d} and {grid} grid points"
+                f"element stack of shape {v.shape} does not fit d={d} and {grid} grid points"
             )
-    total = prod(s.shape[1] for s in stacks)
+    total = prod(v.shape[1] for _, v in spectra)
     if total > MAX_BRANCHES:
         raise InvalidPovm(f"scenario expands to {total} branches (limit {MAX_BRANCHES})")
 
-    spectra = [check_povm_stack(s) for s in stacks]
-    roots = [linalg.sqrt_from_spectrum(*linalg.floor_eigh(w, v)) for w, v in spectra]
     tol = max(prob_tol, PROB_TOL)
     x = None if start is None else start.tensor().transpose(1, 2, 0, 3).reshape(1, 1, dim, dim)
     weight = np.ones((grid, 1))
-    for op, spectrum in zip(roots, spectra):
+    for w, v in spectra:
+        op = linalg.sqrt_from_spectrum(*linalg.floor_eigh(w, v))
         if x is None:  # the initial state's x is I/d: no matmul
             out = op[:, None] * (1.0 / d)  # (grid, branch, outcome, kl, ij)
         else:
@@ -288,7 +287,7 @@ def _expand(d: int, stacks: list[np.ndarray], prob_tol: float, start: PureState 
         scale = np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=p > 0.0)
         x = (out * scale[..., None, None]).reshape(out.shape[0], -1, dim, dim)
         weight = (weight[:, :, None] * p).reshape(grid, -1)
-        yield x, weight, spectrum
+        yield x, weight
 
 
 def stacked_chain_negativities(
@@ -311,12 +310,13 @@ def stacked_chain_negativities(
     below prob_tol (or PROB_TOL) gets zero weight and so do its
     descendants; both averages need their weights to sum to one within
     PROB_SUM_TOL.  Negativity is the sum of |eigenvalues| of the Hermitian
-    partial transpose, minus one.
+    partial transpose, minus one.  Every stack is checked with
+    check_povm_stack, whose ``eigh`` also gives the element roots.
     """
     d = int(local_dim)
-    stacks = [np.asarray(s, dtype=complex) for s in element_stacks]
-    for r, (x, weight, _) in enumerate(_expand(d, stacks, prob_tol)):
-        if r == 0 or r == len(stacks) - 1:
+    spectra = [check_povm_stack(s) for s in element_stacks]
+    for r, (x, weight) in enumerate(_expand(d, spectra, prob_tol)):
+        if r == 0 or r == len(spectra) - 1:
             neg = _stacked_negativity(_stacked_rho14(x), d)
             if r == 0:
                 first = _checked_average(weight, neg)
@@ -329,41 +329,43 @@ def stacked_chain_negativities(
 class StackedBranches:
     """The kept last-round branches of a chain, one row each, in chain's
     depth-first order: ``outcome_paths`` has shape (B, rounds), the
-    numeric fields shape (B,), with ``probability`` the joint probability.
-    ``_spectra[r]`` (private to run_scenario) is round r's check spectrum."""
+    numeric fields shape (B,), with ``probability`` the joint probability."""
 
     outcome_paths: np.ndarray
     probability: np.ndarray
     negativity14: np.ndarray
     c14vs23: np.ndarray
     c12vs34: np.ndarray
-    _spectra: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def stacked_branches(local_dim: int, rounds, prob_tol: float = PROB_TOL) -> StackedBranches:
+def _element_stack(povm: Povm) -> np.ndarray:
+    """The (K, D, D) stack of a POVM's element matrices."""
+    return np.stack([el.matrix for el in povm.elements])
+
+
+def stacked_branches(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> StackedBranches:
     """Every kept last-round branch of a measurement chain, in one pass.
 
-    ``rounds[r]`` holds round r's element matrices, shape (K_r, d^2, d^2).
-    The branches and their numbers are those of the records ``chain``
-    returns, which stays the reference; the two I-concurrences come from
-    the Schmidt coefficients of the 14|23 and 12|34 matricizations.
+    The rounds are checked Povms, so each round's element stack takes one
+    ``eigh`` for its roots and no check.  The branches and their numbers
+    are those of the records ``chain(scenario, prob_tol)`` returns, which
+    stays the reference; the two I-concurrences come from the Schmidt
+    coefficients of the 14|23 and 12|34 matricizations.
     """
-    d = int(local_dim)
-    stacks = [np.asarray(s, dtype=complex)[None] for s in rounds]
-    spectra = []
-    for x, weight, (w, v) in _expand(d, stacks, prob_tol):
-        spectra.append((w[0], v[0]))
+    d = scenario.local_dim
+    spectra = [np.linalg.eigh(_element_stack(povm)[None]) for povm in scenario.rounds]
+    for x, weight in _expand(d, spectra, prob_tol):
+        pass  # only the last round's branches are reported
     kept = np.flatnonzero(weight[0] > 0.0)
     x = x[0, kept]
     # x[b, (k l), (i j)] is the 23|14 matricization; regroup to (i k)|(l j)
     x12 = x.reshape(-1, d, d, d, d).transpose(0, 3, 1, 2, 4).reshape(x.shape)
     return StackedBranches(
-        outcome_paths=np.stack(np.unravel_index(kept, [s.shape[1] for s in stacks]), axis=-1),
+        outcome_paths=np.stack(np.unravel_index(kept, [len(p) for p in scenario.rounds]), axis=-1),
         probability=weight[0, kept],
         negativity14=_stacked_negativity(_stacked_rho14(x), d),
         c14vs23=measures._pure_concurrence(x),
         c12vs34=measures._pure_concurrence(x12),
-        _spectra=tuple(spectra),
     )
 
 
@@ -484,7 +486,7 @@ def stacked_disturbance(
     if m.ndim != 4 or m.shape[2:] != (dim, dim):
         raise ShapeMismatch(f"POVM stack of shape {m.shape} does not fit d={d}")
     # the P POVMs are P grid points of one round started from the branch
-    x, weight, _ = next(_expand(d, [m], PROB_TOL, rec.full_state))
+    x, weight = next(_expand(d, [check_povm_stack(m)], PROB_TOL, rec.full_state))
     kept = weight > 0.0
     rho = _stacked_rho14(x[kept])
     # rho - rho_base is Hermitian: its trace norm is the sum of |eigenvalues|

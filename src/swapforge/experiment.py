@@ -26,6 +26,7 @@ from .engine import (
     STACK_ENTRIES,
     SwapScenario,
     _closed_average,
+    _element_stack,
     stacked_branches,
     stacked_chain_negativities,
 )
@@ -108,10 +109,6 @@ def _paper_formulas_apply(config: ScenarioConfig) -> tuple[bool, bool]:
     return round1, round1 and families[1:2] == ["wire2_computational"]
 
 
-def _element_stack(povm) -> np.ndarray:
-    return np.stack([el.matrix for el in povm.elements])
-
-
 def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     """The six CSV columns of the sweep as float64 arrays, in grid order.
 
@@ -184,15 +181,14 @@ def run_scenario(config: ScenarioConfig) -> dict:
     """
     prob_tol = config.tolerance_overrides.get("prob_tol", PROB_TOL)
     scenario = SwapScenario(config.local_dim, config.build_rounds())
-    stacks = [_element_stack(povm) for povm in scenario.rounds]
-    found = stacked_branches(scenario.local_dim, stacks, prob_tol)
+    found = stacked_branches(scenario, prob_tol)
     paths = found.outcome_paths.tolist()
     # classify per round only the elements on kept branches (a dropped one, say
-    # traceless, needs no class), with the spectra the engine's check took
+    # traceless, needs no class); with none kept the stack is (0, D, D)
     labels = {}
-    for r, (stack, (w, v)) in enumerate(zip(stacks, found._spectra)):
+    for r, povm in enumerate(scenario.rounds):
         kept = sorted({path[r] for path in paths})
-        for n, ec in zip(kept, classify_stack(stack[kept], _spectrum=(w[kept], v[kept]))):
+        for n, ec in zip(kept, classify_stack(_element_stack(povm)[kept])):
             labels[r, n] = (verdict_label(ec.verdict, ec.local_dim), ec.operation_kind)
     probabilities = found.probability.tolist()
     negativities = found.negativity14.tolist()

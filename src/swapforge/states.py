@@ -208,10 +208,6 @@ class PovmElement:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.trace <= PSD_TOL
-
     @cached_property
     def spectral(self) -> HermitianSpectrum:
         # Eigenvalues below the rank-detection floor are exact zeros here.
@@ -237,7 +233,6 @@ class Povm:
 
     elements: tuple[PovmElement, ...]
     local_dim: int
-    degenerate_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
         els = tuple(self.elements)
@@ -250,9 +245,6 @@ class Povm:
         _check_completeness(np.array([el.matrix for el in els]))
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "local_dim", d)
-        object.__setattr__(
-            self, "degenerate_indices", tuple(i for i, el in enumerate(els) if el.is_zero)
-        )
 
     @classmethod
     def from_matrices(cls, matrices, local_dim: int | None = None) -> "Povm":

@@ -29,6 +29,7 @@ from .engine import (
     chain,
     disturbance_check,
     initial_state,
+    rho14_from_element,
     rho14_two_round_spectral,
     stacked_branches,
     stacked_chain_negativities,
@@ -70,7 +71,7 @@ from .sampling import (
 )
 from .errors import DegenerateDenominator, ShapeMismatch
 from .states import DensityMatrix, Povm, PovmElement, PureState
-from .states import conjugate_computational, max_entangled_state
+from .states import max_entangled_state
 from .tolerances import INSEP_TOL, PPT_TOL, RANK_REL_TOL
 
 
@@ -165,7 +166,7 @@ def _check_swap_identity(overrides: dict) -> CheckResult:
             if post is None:
                 continue
             rho = post.reduced((0, 3)).matrix
-            expected = conjugate_computational(el.matrix) / el.trace
+            expected = rho14_from_element(el).matrix
             worst.push(float(np.abs(rho - expected).max()), f"d={d} sample {k}")
     return _result("swap_identity", worst, tol)
 
@@ -580,7 +581,7 @@ def _check_qudit_generalization(overrides: dict) -> CheckResult:
             continue
         rho = post.reduced((0, 3)).matrix
         worst_identity.push(
-            float(np.abs(rho - conjugate_computational(el.matrix) / el.trace).max()),
+            float(np.abs(rho - rho14_from_element(el).matrix).max()),
             f"identity sample {k}",
         )
         worst_born.push(abs(p - el.trace / 9.0), f"born sample {k}")
@@ -696,8 +697,9 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
     # Stacked branches against chain's records, branch by branch.
     for d, shape in ((2, (3,)), (2, (2, 3, 2)), (3, (4,)), (3, (2, 3)), (4, (3,)), (4, (2, 2, 2))):
         povms = [random_povm(rng, d=d, n_elements=k) for k in shape]
-        records = chain(SwapScenario(d, povms))
-        got = stacked_branches(d, [[el.matrix for el in povm.elements] for povm in povms])
+        scenario = SwapScenario(d, povms)
+        records = chain(scenario)
+        got = stacked_branches(scenario)
         tag = f"branches d={d} outcomes={shape}"
         if [list(rec.outcome_path) for rec in records] != got.outcome_paths.tolist():
             mismatched.append(tag)

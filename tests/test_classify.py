@@ -260,11 +260,3 @@ def test_classify_stack_rejects_bad_shapes(shape):
     with pytest.raises(ShapeMismatch):
         classify_stack(np.ones(shape))
 
-
-def test_classify_stack_given_spectrum_matches_own_and_is_shape_checked():
-    stack = np.array([el.matrix for el in bell_projective().elements])
-    w, v = np.linalg.eigh(stack)
-    assert classify_stack(stack, _spectrum=(w, v)) == classify_stack(stack)
-    for bad in ((w[:2], v[:2]), (w, v[..., :2]), (w[:, :2], v)):
-        with pytest.raises(ShapeMismatch):
-            classify_stack(stack, _spectrum=bad)

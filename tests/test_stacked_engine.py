@@ -14,6 +14,7 @@ import pytest
 import swapforge.engine
 import swapforge.experiment
 import swapforge.families
+import swapforge.states
 from swapforge.classify import classify_element, verdict_label
 from swapforge.cli import main
 from swapforge.config import RoundSpec, ScenarioConfig, SweepSpec, load_scenario_config
@@ -248,7 +249,7 @@ def test_run_scenario_matches_chain(tmp_path, d, n_rounds):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_run_scenario_classifies_like_classify_element(tmp_path, d):
-    # the report's classes come from the spectra the engine's check took
+    # each round's kept elements are classified in one classify_stack call
     rng = np.random.default_rng(4000 + d)
     povms = [random_povm(rng, d=d, n_elements=3), random_povm(rng, d=d, n_elements=2)]
     report = run_scenario(scenario_config(tmp_path, povms))
@@ -263,11 +264,30 @@ def test_run_scenario_never_calls_chain(tmp_path, rng, monkeypatch):
     config = scenario_config(tmp_path, povms)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the per-record engine was called")
+        raise AssertionError("the per-record engine or a second POVM check was called")
 
     monkeypatch.setattr(swapforge.engine, "chain", refuse)
     monkeypatch.setattr(swapforge.engine, "apply_element", refuse)
+    # the rounds are checked Povms: the engine does not check them again
+    monkeypatch.setattr(swapforge.engine, "check_povm_stack", refuse)
     assert len(run_scenario(config)["branches"]) == 6
+
+
+def test_run_scenario_checks_each_round_once(tmp_path, monkeypatch):
+    # a round is checked where its file becomes a Povm, and not again
+    rng = np.random.default_rng(5000)
+    povms = [random_povm(rng, d=2, n_elements=k) for k in (3, 2, 4)]
+    config = scenario_config(tmp_path, povms)
+    checked = []
+    real = swapforge.states._check_completeness
+
+    def spy(m):
+        checked.append(m.shape)
+        real(m)
+
+    monkeypatch.setattr(swapforge.states, "_check_completeness", spy)
+    run_scenario(config)
+    assert checked == [(3, 4, 4), (2, 4, 4), (4, 4, 4)]
 
 
 def test_run_scenario_prob_tol_drops_a_branch_and_its_descendants(tmp_path):
@@ -282,8 +302,9 @@ def test_run_scenario_prob_tol_drops_a_branch_and_its_descendants(tmp_path):
 
 def test_zero_element_branches_are_dropped_like_chain(tmp_path):
     povms = [Povm.from_matrices([np.zeros((4, 4)), np.eye(4)], local_dim=2), noisy_bell_povm(0.7)]
-    records = chain(SwapScenario(2, povms))
-    got = stacked_branches(2, [[el.matrix for el in povm.elements] for povm in povms])
+    scenario = SwapScenario(2, povms)
+    records = chain(scenario)
+    got = stacked_branches(scenario)
     assert got.outcome_paths.tolist() == [list(rec.outcome_path) for rec in records]
     assert got.outcome_paths[:, 0].tolist() == [1, 1, 1, 1]
     for b, rec in enumerate(records):
@@ -560,7 +581,7 @@ def test_stacked_chain_negativities_equals_matmul_expansion(d, shared_first):
 @pytest.mark.parametrize("n_rounds", [1, 2, 3])
 def test_stacked_branches_equals_matmul_expansion(d, n_rounds):
     stacks = seeded_stacks(d, 1, False)[:n_rounds]
-    got = stacked_branches(d, [s[0] for s in stacks])
+    got = stacked_branches(SwapScenario(d, [Povm.from_matrices(s[0], d) for s in stacks]))
     x, weight = matmul_expansion(d, stacks)[-1]
     kept = np.flatnonzero(weight[0] > 0.0)
     x = x[0, kept]

@@ -144,11 +144,6 @@ def test_povm_trace_sums_to_dim_squared():
     assert sum(el.trace for el in povm.elements) == pytest.approx(4.0, abs=1e-9)
 
 
-def test_povm_flags_degenerate_elements():
-    povm = Povm.from_matrices([np.eye(4), np.zeros((4, 4))], local_dim=2)
-    assert povm.degenerate_indices == (1,)
-
-
 # ---------------------------------------------------------------------------
 # spectral decomposition of elements
 # ---------------------------------------------------------------------------
