@@ -12,6 +12,8 @@ error, 3 I/O error.  Every failure path prints a machine-readable
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import math
 import sys
 
@@ -100,20 +102,18 @@ def _cmd_verify(args) -> int:
             f"--skip names unknown check {unknown[0]!r}; known: {', '.join(CHECK_NAMES)}"
         )
     results = run_verification(tol_overrides=overrides, skip=tuple(args.skip or []))
-    width = max(len(r.name) for r in results)
-    failures = 0
-    for r in results:
-        if r.skipped:
-            status = "SKIP"
-        elif r.passed:
-            status = "PASS"
-        else:
-            status = "FAIL"
-            failures += 1
-        print(f"{status}  {r.name:<{width}}  {r.detail}")
-    print(f"{len(results) - failures}/{len(results)} checks passed" + (
-        f" ({failures} failed)" if failures else ""
-    ))
+    failures = sum(not r.passed for r in results)
+    if args.json:
+        for r in results:
+            print(json.dumps(dataclasses.asdict(r)))
+    else:
+        width = max(len(r.name) for r in results)
+        for r in results:
+            status = "SKIP" if r.skipped else "PASS" if r.passed else "FAIL"
+            print(f"{status}  {r.name:<{width}}  {r.detail}")
+        print(f"{len(results) - failures}/{len(results)} checks passed" + (
+            f" ({failures} failed)" if failures else ""
+        ))
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
@@ -152,6 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--skip", action="append", metavar="NAME",
         help="skip a named check (repeatable); skipped checks do not affect the exit code",
+    )
+    p_ver.add_argument(
+        "--json", action="store_true",
+        help="print one JSON object per check (name, passed, skipped, max_deviation, "
+        "tolerance, detail, seconds) instead of the table",
     )
     p_ver.set_defaults(func=_cmd_verify)
     return parser

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -100,18 +101,44 @@ class OutcomeRecord:
     ``probability`` is the joint weight of the whole outcome path; the
     per-round conditional probabilities are kept alongside so averages
     can be taken without renormalizing.  The pair states (1,2) and (3,4)
-    are ``full_state.reduced((0, 1))`` and ``((2, 3))``.
+    are ``full_state.reduced((0, 1))`` and ``((2, 3))``.  The outer-pair
+    state ``rho14``, its ``negativity14`` and the I-concurrences
+    ``c14vs23`` and ``c12vs34`` of ``full_state`` are computed on first
+    read and kept, so a caller that reads only probabilities pays for
+    none of them.
     """
 
     outcome_path: tuple[int, ...]
     probability: float
     round_probabilities: tuple[float, ...]
     full_state: PureState
-    rho14: DensityMatrix
-    negativity14: float
-    c14vs23: float
-    c12vs34: float
     element: PovmElement
+
+    @cached_property
+    def rho14(self) -> DensityMatrix:
+        return self.full_state.reduced((0, 3))
+
+    @cached_property
+    def negativity14(self) -> float:
+        return negativity(self.rho14)
+
+    @cached_property
+    def c14vs23(self) -> float:
+        return i_concurrence(self.full_state, CUT_14_23)
+
+    @cached_property
+    def c12vs34(self) -> float:
+        return i_concurrence(self.full_state, CUT_12_34)
+
+
+class _ChainRecord(OutcomeRecord):
+    """The records ``chain`` builds.  perfbench's tracer replaces
+    OutcomeRecord's ``c14vs23`` and ``c12vs34`` with descriptors that
+    only read values set at construction; bound again here, the lazy
+    values resolve ahead of such a patch."""
+
+    c14vs23 = OutcomeRecord.c14vs23
+    c12vs34 = OutcomeRecord.c12vs34
 
 
 def initial_state(d: int) -> PureState:
@@ -153,18 +180,7 @@ def _make_record(
     path: tuple[int, ...],
     round_probs: tuple[float, ...],
 ) -> OutcomeRecord:
-    rho14 = post.reduced((0, 3))
-    return OutcomeRecord(
-        outcome_path=path,
-        probability=float(prod(round_probs)),
-        round_probabilities=round_probs,
-        full_state=post,
-        rho14=rho14,
-        negativity14=negativity(rho14),
-        c14vs23=i_concurrence(post, CUT_14_23),
-        c12vs34=i_concurrence(post, CUT_12_34),
-        element=element,
-    )
+    return _ChainRecord(path, float(prod(round_probs)), round_probs, post, element)
 
 
 def chain(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> list[OutcomeRecord]:
@@ -313,8 +329,13 @@ def stacked_chain_negativities(
     partial transpose, minus one.  Every stack is checked with
     check_povm_stack, whose ``eigh`` also gives the element roots.
     """
-    d = int(local_dim)
     spectra = [check_povm_stack(s) for s in element_stacks]
+    return _chain_negativities(int(local_dim), spectra, prob_tol)
+
+
+def _chain_negativities(d: int, spectra, prob_tol: float):
+    """stacked_chain_negativities on the rounds' ascending ``eigh``
+    spectra (as ``_expand`` takes them) of checked element stacks."""
     for r, (x, weight) in enumerate(_expand(d, spectra, prob_tol)):
         if r == 0 or r == len(spectra) - 1:
             neg = _stacked_negativity(_stacked_rho14(x), d)
@@ -343,6 +364,12 @@ def _element_stack(povm: Povm) -> np.ndarray:
     return np.stack([el.matrix for el in povm.elements])
 
 
+def _round_spectrum(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending ``eigh`` of a checked round as one shared (1, K, D, D)
+    stack, as ``_expand`` takes it; a Povm needs no further check."""
+    return np.linalg.eigh(_element_stack(povm)[None])
+
+
 def stacked_branches(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> StackedBranches:
     """Every kept last-round branch of a measurement chain, in one pass.
 
@@ -353,7 +380,7 @@ def stacked_branches(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> Stac
     coefficients of the 14|23 and 12|34 matricizations.
     """
     d = scenario.local_dim
-    spectra = [np.linalg.eigh(_element_stack(povm)[None]) for povm in scenario.rounds]
+    spectra = [_round_spectrum(povm) for povm in scenario.rounds]
     for x, weight in _expand(d, spectra, prob_tol):
         pass  # only the last round's branches are reported
     kept = np.flatnonzero(weight[0] > 0.0)

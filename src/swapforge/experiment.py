@@ -25,10 +25,11 @@ from .config import ScenarioConfig
 from .engine import (
     STACK_ENTRIES,
     SwapScenario,
+    _chain_negativities,
     _closed_average,
     _element_stack,
+    _round_spectrum,
     stacked_branches,
-    stacked_chain_negativities,
 )
 from .errors import ConfigError
 from .families import family_sweep_stack
@@ -112,12 +113,13 @@ def _paper_formulas_apply(config: ScenarioConfig) -> tuple[bool, bool]:
 def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     """The six CSV columns of the sweep as float64 arrays, in grid order.
 
-    Rounds that do not own the swept parameter are built once.  The grid
-    goes through the stacked engine in chunks sized so that no stacked
-    array holds more than STACK_ENTRIES entries; for each chunk the swept
-    round is built as one element stack over the chunk's values, which
-    the engine checks.  The first point's stack is checked before the
-    other rounds are built, so a swept round bad there fails first.
+    Rounds that do not own the swept parameter are built and decomposed
+    once.  The grid goes through the stacked engine in chunks sized so
+    that no stacked array holds more than STACK_ENTRIES entries; for each
+    chunk the swept round is built as one element stack over the chunk's
+    values and checked with check_povm_stack, whose ``eigh`` the engine
+    takes.  The first point's stack is checked before the other rounds
+    are built, so a swept round bad there fails first.
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -128,18 +130,18 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     if not len(grid):  # an empty grid from a config built in code
         return (grid,) * 6
     family, param = config.rounds[swept].family, config.sweep.param_name
-    first = family_sweep_stack(family, param, grid[:1])
-    check_povm_stack(first)
-    stacks = [
-        first if i == swept else _element_stack(config.build_round(i))[None]
+    first = check_povm_stack(family_sweep_stack(family, param, grid[:1]))
+    spectra = [
+        first if i == swept else _round_spectrum(config.build_round(i))
         for i in range(len(config.rounds))
     ]
-    branches = prod(s.shape[1] for s in stacks)
+    branches = prod(v.shape[1] for _, v in spectra)
     chunk = max(1, STACK_ENTRIES // (branches * config.local_dim**4))
     parts = []
     for start in range(0, len(grid), chunk):
-        stacks[swept] = family_sweep_stack(family, param, grid[start : start + chunk])
-        parts.append(stacked_chain_negativities(config.local_dim, stacks, prob_tol))
+        stack = family_sweep_stack(family, param, grid[start : start + chunk])
+        spectra[swept] = check_povm_stack(stack)
+        parts.append(_chain_negativities(config.local_dim, spectra, prob_tol))
     avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
     nan = np.full(len(grid), math.nan)
     if len(config.rounds) == 1:

@@ -14,7 +14,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from time import perf_counter
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from .measures import (
     negativity,
 )
 from .sampling import (
+    _povm_matrices,
     random_element,
     random_povm,
     random_povm_stack,
@@ -98,6 +100,7 @@ class CheckResult:
     tolerance: float
     detail: str
     skipped: bool = False
+    seconds: float = 0.0  # wall time of the check, set by run_check
 
 
 class _Worst:
@@ -393,8 +396,9 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
         p, post = apply_element(base, el)
         rec = _make_record(post, el, (0,), (p,))
         checked += 1
-        # 50 two-outcome second rounds in one stack
-        povms = random_povm_stack(rng, 50, d=2, n_elements=2)
+        # 50 two-outcome second rounds in one stack, checked once, by
+        # stacked_disturbance (random_povm_stack would check them first)
+        povms = _povm_matrices(rng, 50, 2, 2)
         kept, distance, change = stacked_disturbance(rec, povms)
         entries = np.zeros((2,) + kept.shape)
         entries[:, kept] = distance, change
@@ -752,7 +756,9 @@ CHECK_NAMES = tuple(_CHECKS)
 def run_check(name: str, tol_overrides: dict | None = None) -> CheckResult:
     if name not in _CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    return _CHECKS[name](dict(tol_overrides or {}))
+    start = perf_counter()
+    result = _CHECKS[name](dict(tol_overrides or {}))
+    return replace(result, seconds=perf_counter() - start)
 
 
 def run_verification(

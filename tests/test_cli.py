@@ -341,3 +341,23 @@ def test_cli_verify_skip_flag(capsys):
     out = capsys.readouterr().out
     assert out.count("SKIP") == 11
     assert "psd_sqrt_closed_form" in out
+
+
+def test_cli_verify_json_prints_one_row_per_check(capsys):
+    from swapforge.verify import CHECK_NAMES
+
+    run = ("bipartition_closed_forms", "psd_sqrt_closed_form")
+    skips = [arg for name in CHECK_NAMES if name not in run for arg in ("--skip", name)]
+    # a zero tolerance fails psd_sqrt_closed_form: the exit code is the table's
+    argv = ["verify", "--json", *skips, "--tol-override", "psd_sqrt_closed_form=0"]
+    assert main(argv) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["name"] for row in rows] == list(CHECK_NAMES)
+    keys = {"name", "passed", "skipped", "max_deviation", "tolerance", "detail", "seconds"}
+    assert all(set(row) == keys for row in rows)
+    by_name = {row["name"]: row for row in rows}
+    passed, failed = by_name["bipartition_closed_forms"], by_name["psd_sqrt_closed_form"]
+    assert passed["passed"] and not passed["skipped"] and passed["seconds"] > 0.0
+    assert not failed["passed"] and failed["tolerance"] == 0.0 and failed["max_deviation"] > 0.0
+    skipped = [row for row in rows if row["name"] not in run]
+    assert all(row["skipped"] and row["passed"] and row["seconds"] == 0.0 for row in skipped)

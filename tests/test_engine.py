@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import swapforge.engine
 from swapforge.engine import (
+    OutcomeRecord,
     SwapScenario,
     apply_element,
     average_negativity,
@@ -22,7 +24,13 @@ from swapforge.config import load_scenario_config
 from swapforge.errors import BadDimension, IncompleteBranchSet, InvalidPovm
 from swapforge.experiment import _report_text, run_scenario
 from swapforge.families import bell_projective, noisy_bell_povm, wire2_computational_povm
-from swapforge.measures import CUT_12_34, CUT_14_23, element_swap_state, i_concurrence
+from swapforge.measures import (
+    CUT_12_34,
+    CUT_14_23,
+    element_swap_state,
+    i_concurrence,
+    negativity,
+)
 from swapforge.sampling import random_element, random_povm, random_rank1_element
 from swapforge.states import DensityMatrix, Povm, PovmElement, write_povm
 
@@ -128,6 +136,54 @@ def test_chain_skips_zero_probability_branches(caplog):
         records = one_round(povm)
     assert [r.outcome_path for r in records] == [(0,)]
     assert any("skipping" in msg for msg in caplog.messages)
+
+
+@pytest.mark.parametrize("d, shape", [(2, (3,)), (2, (2, 3)), (3, (2, 2))])
+def test_record_values_are_their_formulas_on_the_full_state(d, shape):
+    rng = np.random.default_rng(17 * d + len(shape))
+    records = chain(SwapScenario(d, [random_povm(rng, d=d, n_elements=k) for k in shape]))
+    for rec in records:
+        rho = rec.full_state.reduced((0, 3))
+        assert np.array_equal(rec.rho14.matrix, rho.matrix)
+        assert rec.negativity14 == negativity(rho)
+        assert rec.c14vs23 == i_concurrence(rec.full_state, CUT_14_23)
+        assert rec.c12vs34 == i_concurrence(rec.full_state, CUT_12_34)
+
+
+def test_record_values_are_computed_on_first_read_only(monkeypatch):
+    calls = []
+
+    def spy(psi, cut):
+        calls.append(cut)
+        return i_concurrence(psi, cut)
+
+    monkeypatch.setattr(swapforge.engine, "i_concurrence", spy)
+    rng = np.random.default_rng(23)
+    records = chain(SwapScenario(2, [random_povm(rng, n_elements=3), random_povm(rng)]))
+    assert sum(rec.probability for rec in records) == pytest.approx(1.0)
+    assert calls == []
+    first = records[0].c14vs23
+    assert records[0].c14vs23 == first and records[0].c12vs34 >= 0.0
+    assert calls == [CUT_14_23, CUT_12_34]
+
+
+def test_chain_records_compute_values_hidden_on_the_base_class(monkeypatch):
+    # perfbench's tracer puts a descriptor reading only eagerly set values
+    # on OutcomeRecord's concurrence attributes; chain's records still compute
+    class Unset:
+        def __get__(self, obj, owner=None):
+            raise AssertionError("read through the patched base-class attribute")
+
+        def __set__(self, obj, value):
+            raise AssertionError("set through the patched base-class attribute")
+
+    records = one_round(bell_projective())
+    for name in ("c14vs23", "c12vs34"):
+        monkeypatch.setattr(OutcomeRecord, name, Unset())
+    psi = records[0].full_state
+    assert isinstance(records[0], OutcomeRecord)
+    assert records[0].c14vs23 == i_concurrence(psi, CUT_14_23)
+    assert records[0].c12vs34 == i_concurrence(psi, CUT_12_34)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,37 @@ def test_run_scenario_checks_each_round_once(tmp_path, monkeypatch):
     assert checked == [(3, 4, 4), (2, 4, 4), (4, 4, 4)]
 
 
+def test_lemma1_necessity_checks_each_branch_stack_once(monkeypatch):
+    from swapforge.verify import run_check
+
+    checked = []
+    real = swapforge.states._check_completeness
+
+    def spy(m):
+        checked.append(m.shape)
+        real(m)
+
+    monkeypatch.setattr(swapforge.states, "_check_completeness", spy)
+    assert run_check("lemma1_necessity").passed
+    assert checked == [(50, 2, 4, 4)] * 200
+
+
+def test_sweep_checks_only_the_swept_round_per_chunk(monkeypatch):
+    # wire2_computational is a checked Povm, decomposed once per sweep;
+    # the swept noisy_bell stack is checked at the first point and per chunk
+    monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 3 * 8 * 16)
+    checked = []
+    real = swapforge.experiment.check_povm_stack
+
+    def spy(m):
+        checked.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(swapforge.experiment, "check_povm_stack", spy)
+    sweep_rows(sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=11))
+    assert checked == [(1, 4, 4, 4), (3, 4, 4, 4), (3, 4, 4, 4), (3, 4, 4, 4), (2, 4, 4, 4)]
+
+
 def test_run_scenario_prob_tol_drops_a_branch_and_its_descendants(tmp_path):
     # the scaled Bell outcome has probability 2.5e-8, below the override
     povms = [dropping_povm(1e-7), wire2_computational_povm()]
