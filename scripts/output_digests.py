@@ -2,11 +2,12 @@
 """Print sha256 digests of swapforge's byte-stable outputs, one per line.
 
 Covers the paper sweep CSV at 201, 1001 and 2001 points, the JSON
-reports of seeded d = 2, 3 and 4 scenario runs over random POVM files,
-the `swapforge classify` output on each of those files, and the
-`swapforge verify` table.  Every input is drawn from a fixed seed, so
-two checkouts that write the same bytes print the same lines and a
-change in output is one `diff` away:
+reports of family runs whose rounds have degenerate spectra (so that
+eigenvectors are not unique), the JSON reports of seeded d = 2, 3 and 4
+scenario runs over random POVM files, the `swapforge classify` output on
+each of those files, and the `swapforge verify` table.  Every input is
+drawn from a fixed seed, so two checkouts that write the same bytes print
+the same lines and a change in output is one `diff` away:
 
     PYTHONPATH=/path/to/before/src python scripts/output_digests.py > before.txt
     PYTHONPATH=src python scripts/output_digests.py > after.txt
@@ -29,7 +30,13 @@ import tempfile
 import numpy as np
 
 from swapforge import cli
-from swapforge.config import RoundSpec, ScenarioConfig, SweepSpec, load_scenario_config
+from swapforge.config import (
+    OutputsSpec,
+    RoundSpec,
+    ScenarioConfig,
+    SweepSpec,
+    load_scenario_config,
+)
 from swapforge.experiment import run_scenario, run_sweep
 from swapforge.sampling import random_povm
 from swapforge.states import write_povm
@@ -59,6 +66,38 @@ def sweep_digests(workdir: str):
         path = os.path.join(workdir, f"paper_{steps}.csv")
         run_sweep(config, csv_path=path)
         yield f"sweep paper steps={steps}", _file_sha(path)
+
+
+def _factor(theta: float, tau1: float, tau2: float) -> dict:
+    return {"theta": theta, "phi": 0.0, "tau1": tau1, "tau2": tau2}
+
+
+# |0><0| x I (a doubly degenerate spectrum), then |1><1| x B for two
+# factors B diagonal in the |+>, |-> basis that sum to I.
+SEPARABLE_ELEMENTS = [
+    {"a": _factor(0.0, 1.0, 0.0), "b": _factor(0.0, 1.0, 1.0)},
+    {"a": _factor(np.pi, 1.0, 0.0), "b": _factor(np.pi / 2, 0.7, 0.3)},
+    {"a": _factor(np.pi, 1.0, 0.0), "b": _factor(np.pi / 2, 0.3, 0.7)},
+]
+
+
+def family_run_digests(workdir: str):
+    """Run reports over built-in families at points where every round's
+    spectrum is degenerate: noisy Bell at lambda = 0, 1/3 and 1, each
+    followed by wire2_computational, and one separable_product round."""
+    wire2 = RoundSpec("wire2_computational")
+    scenarios = [
+        (f"noisy_bell lambda={label}", (RoundSpec("noisy_bell", {"lambda": lam}), wire2))
+        for label, lam in (("0", 0.0), ("1/3", 1.0 / 3.0), ("1", 1.0))
+    ]
+    scenarios.append(
+        ("separable_product", (RoundSpec("separable_product", {"elements": SEPARABLE_ELEMENTS}),))
+    )
+    for i, (label, rounds) in enumerate(scenarios):
+        path = os.path.join(workdir, f"family_{i}.report")
+        outputs = OutputsSpec(report_path=path)
+        run_scenario(ScenarioConfig(local_dim=2, rounds=rounds, outputs=outputs))
+        yield f"run {label}", _file_sha(path)
 
 
 def _cli_stdout(argv: list[str]) -> tuple[int, bytes]:
@@ -104,6 +143,8 @@ def main() -> None:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
         for label, digest in sweep_digests(workdir):
+            print(f"{digest}  {label}")
+        for label, digest in family_run_digests(workdir):
             print(f"{digest}  {label}")
         for label, digest in run_and_classify_digests(workdir, args.seed):
             print(f"{digest}  {label}")

@@ -54,7 +54,6 @@ from .measures import (
     c12_vs_34,
     c14_vs_23,
     i_concurrence,
-    is_ppt,
     negativity,
     trace_distance,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "hermitian_eig",
     "i_concurrence",
     "initial_state",
-    "is_ppt",
     "kron",
     "lemma1_predicate",
     "lemma2_predicate",

@@ -90,12 +90,18 @@ def classify_stack(
     d = isqrt(m.shape[-1]) if m.ndim == 3 else 0
     if d < 2 or m.shape[1:] != (d * d, d * d):
         raise ShapeMismatch(f"expected an (N, d*d, d*d) element stack, got shape {m.shape}")
+    return _classify(m, *np.linalg.eigh(m), ppt_tol, insep_tol, rank_rel_tol)
+
+
+def _classify(m, raw, v, ppt_tol=PPT_TOL, insep_tol=INSEP_TOL, rank_rel_tol=RANK_REL_TOL):
+    """classify_stack of a checked (N, D, D) stack ``m`` whose ascending
+    ``eigh`` (raw, v) is already taken, as a Povm keeps it."""
+    d = isqrt(m.shape[-1])
     trace = np.trace(m, axis1=1, axis2=2).real
     if not (trace > 0.0).all():
         raise ZeroTrace("cannot classify a traceless element")
     pt = (m / trace[:, None, None]).reshape(-1, d, d, d, d).swapaxes(2, 4).reshape(m.shape)
     min_pt = np.linalg.eigvalsh(pt)[:, 0]
-    raw, v = np.linalg.eigh(m)  # ascending
     rank = np.where(raw[:, -1] <= PSD_TOL, 0, (raw > rank_rel_tol * raw[:, -1:]).sum(axis=1))
     w = linalg._floor_spectrum(raw[:, ::-1])
     tr = w.sum(axis=1)
@@ -135,9 +141,9 @@ def classify_measurement(
     insep_tol: float = INSEP_TOL,
     rank_rel_tol: float = RANK_REL_TOL,
 ) -> ClassificationReport:
-    """Classify every element and aggregate the measurement-level flags."""
-    mats = [el.matrix for el in povm.elements]
-    per_element = classify_stack(mats, ppt_tol, insep_tol, rank_rel_tol)
+    """Classify every element, from the ``eigh`` the Povm keeps, and
+    aggregate the measurement-level flags."""
+    per_element = _classify(povm.matrices, *povm.spectrum, ppt_tol, insep_tol, rank_rel_tol)
     return ClassificationReport(
         per_element=per_element,
         measurement_entangled=any(ec.verdict == ENTANGLED for ec in per_element),

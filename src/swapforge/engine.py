@@ -359,25 +359,22 @@ class StackedBranches:
     c12vs34: np.ndarray
 
 
-def _element_stack(povm: Povm) -> np.ndarray:
-    """The (K, D, D) stack of a POVM's element matrices."""
-    return np.stack([el.matrix for el in povm.elements])
-
-
 def _round_spectrum(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending ``eigh`` of a checked round as one shared (1, K, D, D)
-    stack, as ``_expand`` takes it; a Povm needs no further check."""
-    return np.linalg.eigh(_element_stack(povm)[None])
+    """A checked round's kept ``eigh`` (Povm.spectrum) as one shared
+    (1, K, D, D) stack, as ``_expand`` takes it."""
+    w, v = povm.spectrum
+    return w[None], v[None]
 
 
 def stacked_branches(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> StackedBranches:
     """Every kept last-round branch of a measurement chain, in one pass.
 
-    The rounds are checked Povms, so each round's element stack takes one
-    ``eigh`` for its roots and no check.  The branches and their numbers
-    are those of the records ``chain(scenario, prob_tol)`` returns, which
-    stays the reference; the two I-concurrences come from the Schmidt
-    coefficients of the 14|23 and 12|34 matricizations.
+    The rounds are checked Povms: their roots come from the ``eigh`` each
+    Povm keeps, with no check and no decomposition here.  The branches
+    and their numbers are those of the records ``chain(scenario,
+    prob_tol)`` returns, which stays the reference; the two
+    I-concurrences come from the Schmidt coefficients of the 14|23 and
+    12|34 matricizations.
     """
     d = scenario.local_dim
     spectra = [_round_spectrum(povm) for povm in scenario.rounds]

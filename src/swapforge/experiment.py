@@ -20,18 +20,17 @@ from math import prod
 
 import numpy as np
 
-from .classify import _sig15, classify_stack, verdict_label
+from .classify import _classify, _sig15, verdict_label
 from .config import ScenarioConfig
 from .engine import (
     STACK_ENTRIES,
     SwapScenario,
     _chain_negativities,
     _closed_average,
-    _element_stack,
     _round_spectrum,
     stacked_branches,
 )
-from .errors import ConfigError
+from .errors import ConfigError, IncompleteBranchSet
 from .families import family_sweep_stack
 from .states import check_povm_stack
 from .tolerances import PROB_TOL
@@ -185,15 +184,23 @@ def run_scenario(config: ScenarioConfig) -> dict:
     scenario = SwapScenario(config.local_dim, config.build_rounds())
     found = stacked_branches(scenario, prob_tol)
     paths = found.outcome_paths.tolist()
+    probabilities = found.probability.tolist()
+    negativities = found.negativity14.tolist()
+    try:
+        average = _closed_average(probabilities, negativities)
+    except IncompleteBranchSet as exc:
+        expanded = prod(len(povm) for povm in scenario.rounds)
+        raise IncompleteBranchSet(
+            f"{exc}: {len(paths)} of {expanded} branches kept at prob_tol={prob_tol!r}"
+        ) from exc
     # classify per round only the elements on kept branches (a dropped one, say
-    # traceless, needs no class); with none kept the stack is (0, D, D)
+    # traceless, needs no class), from the eigh the round's Povm keeps
     labels = {}
     for r, povm in enumerate(scenario.rounds):
         kept = sorted({path[r] for path in paths})
-        for n, ec in zip(kept, classify_stack(_element_stack(povm)[kept])):
+        w, v = povm.spectrum
+        for n, ec in zip(kept, _classify(povm.matrices[kept], w[kept], v[kept])):
             labels[r, n] = (verdict_label(ec.verdict, ec.local_dim), ec.operation_kind)
-    probabilities = found.probability.tolist()
-    negativities = found.negativity14.tolist()
     columns = (found.c14vs23.tolist(), found.c12vs34.tolist())
     branches = [
         {
@@ -214,7 +221,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
             {"family": spec.family, "params": spec.params} for spec in config.rounds
         ],
         "branches": branches,
-        "average_negativity": _sig15(_closed_average(probabilities, negativities)),
+        "average_negativity": _sig15(average),
     }
     target = config.resolve_output(config.outputs.report_path)
     if target is not None:

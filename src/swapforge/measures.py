@@ -1,4 +1,4 @@
-"""Entanglement quantifiers: negativity, I-concurrence, PPT tests, and the
+"""Entanglement quantifiers: negativity, I-concurrence, trace distance, and the
 per-element bipartition concurrences of the swap protocol.
 
 Normalization convention: ``negativity`` returns the trace norm of the
@@ -19,7 +19,6 @@ import numpy as np
 from . import linalg
 from .errors import ShapeMismatch, ZeroTrace
 from .states import DensityMatrix, PovmElement, PureState
-from .tolerances import PPT_TOL
 
 __all__ = [
     "BipartiteCut",
@@ -29,9 +28,7 @@ __all__ = [
     "c12_vs_34",
     "c12_vs_34_contraction",
     "c14_vs_23",
-    "element_swap_state",
     "i_concurrence",
-    "is_ppt",
     "levi_civita_det4",
     "negativity",
     "trace_distance",
@@ -58,14 +55,6 @@ CUT_14_23 = BipartiteCut(left=(0, 3), right=(1, 2))
 CUT_12_34 = BipartiteCut(left=(0, 1), right=(2, 3))
 
 
-def _transpose_right(rho: DensityMatrix, cut: BipartiteCut) -> np.ndarray:
-    cut.check(rho.n_wires)
-    m = rho.matrix
-    for wire in cut.right:
-        m = linalg.partial_transpose(m, rho.dims, wire)
-    return m
-
-
 def negativity(rho: DensityMatrix, cut: BipartiteCut | None = None) -> float:
     """Trace norm of the partial transpose minus one; 0 for PPT states.
 
@@ -75,8 +64,11 @@ def negativity(rho: DensityMatrix, cut: BipartiteCut | None = None) -> float:
         if rho.n_wires != 2:
             raise ShapeMismatch("negativity needs an explicit cut for more than two wires")
         cut = CUT_1_2
-    value = linalg.trace_norm(_transpose_right(rho, cut)) - 1.0
-    return max(0.0, value)
+    cut.check(rho.n_wires)
+    m = rho.matrix
+    for wire in cut.right:
+        m = linalg.partial_transpose(m, rho.dims, wire)
+    return max(0.0, linalg.trace_norm(m) - 1.0)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -84,16 +76,6 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     if a.dims != b.dims:
         raise ShapeMismatch(f"dims {a.dims} vs {b.dims}")
     return 0.5 * linalg.trace_norm(a.matrix - b.matrix)
-
-
-def is_ppt(rho: DensityMatrix, cut: BipartiteCut | None = None, ppt_tol: float = PPT_TOL) -> bool:
-    """True when the partial transpose has no eigenvalue below -ppt_tol."""
-    if cut is None:
-        if rho.n_wires != 2:
-            raise ShapeMismatch("is_ppt needs an explicit cut for more than two wires")
-        cut = CUT_1_2
-    w = np.linalg.eigvalsh(_transpose_right(rho, cut))
-    return bool(w[0] >= -ppt_tol)
 
 
 def _schmidt_purity(matricized: np.ndarray) -> np.ndarray:
@@ -145,18 +127,6 @@ def _state_tensor(el: PovmElement) -> np.ndarray:
     w = el.spectral.eigenvalues
     a = el.basis_tensor()
     return np.einsum("a,aij,akl->ijkl", np.sqrt(w), a.conj(), a)
-
-
-def element_swap_state(el: PovmElement) -> PureState:
-    """Normalized four-wire state after measuring ``el`` on wires (2,3)
-    of two maximally entangled pairs, stored in wire order (1,2,3,4)."""
-    if el.trace <= 0.0:
-        raise ZeroTrace("post-measurement state undefined for a traceless element")
-    t = _state_tensor(el)
-    psi = np.transpose(t, (0, 2, 3, 1)).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
-    d = el.local_dim
-    return PureState(psi, (d, d, d, d))
 
 
 def c14_vs_23(el: PovmElement) -> float:

@@ -1,14 +1,16 @@
 """Validated quantum states, POVMs, and the POVM file format.
 
-POVM elements cache their spectral decomposition and PSD square root at
-construction; everything is immutable after validation, so instances are
-safe to share across threads.
+POVM elements compute their spectral decomposition and PSD square root on
+first read; the elements of ``Povm.from_matrices`` (every family, sampled
+and file POVM) get theirs from the ``eigh`` of their Povm's check instead.
+Everything is read-only after validation, so instances are safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt, prod
 
@@ -51,6 +53,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each marked read-only in place."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized pure state on an ordered tuple of wires."""
@@ -78,9 +87,6 @@ class PureState:
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per wire."""
         return self.amplitudes.reshape(self.dims)
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
 
     def reduced(self, keep) -> "DensityMatrix":
         """Reduced density matrix on the kept wires (in the order given)."""
@@ -129,9 +135,6 @@ class DensityMatrix:
             tuple(self.dims[int(k)] for k in keep),
         )
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 # The POVM rules, one home each; every array is a stack of matrices on
 # its last two axes, so one element and many POVMs share the same code.
@@ -175,8 +178,8 @@ def _check_completeness(m: np.ndarray) -> None:
 class PovmElement:
     """One PSD measurement operator on a d x d pair of wires.
 
-    The spectral decomposition and the PSD square root are computed once
-    and cached; every downstream protocol formula consumes them.
+    The spectral decomposition (seeded by ``Povm.from_matrices``) and the
+    PSD square root are kept once computed; every protocol formula uses them.
     """
 
     matrix: np.ndarray
@@ -190,9 +193,9 @@ class PovmElement:
 
     @classmethod
     def _checked(cls, m: np.ndarray) -> "PovmElement":
-        # for a matrix _check_elements has already passed as part of a stack
+        # for a read-only complex matrix _check_elements has already passed
         el = object.__new__(cls)
-        object.__setattr__(el, "matrix", _frozen(m))
+        object.__setattr__(el, "matrix", m)
         return el
 
     @property
@@ -211,9 +214,7 @@ class PovmElement:
     @cached_property
     def spectral(self) -> HermitianSpectrum:
         # Eigenvalues below the rank-detection floor are exact zeros here.
-        w, v = linalg.floored_psd_eigh(self.matrix)
-        w.setflags(write=False)
-        v.setflags(write=False)
+        w, v = _read_only(*linalg.floored_psd_eigh(self.matrix))
         return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
 
     @cached_property
@@ -229,10 +230,18 @@ class PovmElement:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """A complete measurement: PSD elements summing to the identity."""
+    """A complete measurement: PSD elements summing to the identity.
+
+    ``matrices`` is the read-only (K, D, D) element stack and ``spectrum``
+    its read-only ascending ``eigh`` (w, v), decomposed once:
+    ``from_matrices`` keeps the ``eigh`` of its PSD check and seeds every
+    element's ``spectral`` from it; a Povm built from elements takes it
+    on first read.
+    """
 
     elements: tuple[PovmElement, ...]
     local_dim: int
+    matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         els = tuple(self.elements)
@@ -242,9 +251,15 @@ class Povm:
         # elements have a local dimension >= 2, so this also rejects local_dim < 2
         if any(el.local_dim != d for el in els):
             raise ShapeMismatch("element dimensions disagree with local_dim")
-        _check_completeness(np.array([el.matrix for el in els]))
+        stack = _frozen([el.matrix for el in els])
+        _check_completeness(stack)
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "local_dim", d)
+        object.__setattr__(self, "matrices", stack)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(*np.linalg.eigh(self.matrices))
 
     @classmethod
     def from_matrices(cls, matrices, local_dim: int | None = None) -> "Povm":
@@ -254,11 +269,16 @@ class Povm:
             raise InvalidPovm("a POVM needs at least one element")
         if any(m.ndim != 2 or m.shape != mats[0].shape for m in mats):
             raise ShapeMismatch("POVM elements are not square matrices of one shape")
-        stack = np.array(mats)
-        _check_elements(stack)
+        stack = _frozen(mats)
+        w, v = _read_only(*_check_elements(stack, vectors=True))
         els = tuple(PovmElement._checked(m) for m in stack)
         d = local_dim if local_dim is not None else els[0].local_dim
-        return cls(elements=els, local_dim=d)
+        povm = cls(elements=els, local_dim=d)
+        povm.__dict__["spectrum"] = (w, v)  # the cached_property's slot
+        floored = _read_only(*linalg.floor_eigh(w, v))
+        for el, fw, fv in zip(els, *floored):
+            el.__dict__["spectral"] = HermitianSpectrum(eigenvalues=fw, eigenvectors=fv)
+        return povm
 
     def __len__(self) -> int:
         return len(self.elements)

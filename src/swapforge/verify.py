@@ -666,10 +666,7 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
     rng = np.random.default_rng(_SEED + 13)
     for d, shape in ((2, (3,)), (2, (2, 3)), (2, (3, 2, 2)), (3, (2, 3))):
         chains = [[random_povm(rng, d=d, n_elements=k) for k in shape] for _ in range(3)]
-        stacks = [
-            np.stack([[el.matrix for el in povms[r].elements] for povms in chains])
-            for r in range(len(shape))
-        ]
+        stacks = [np.stack([povms[r].matrices for povms in chains]) for r in range(len(shape))]
         got = stacked_chain_negativities(d, stacks)
         for g, povms in enumerate(chains):
             ref = _chain_reference(d, povms)

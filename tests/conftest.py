@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from swapforge.measures import _state_tensor
+from swapforge.states import PureState
+
 settings.register_profile(
     "swapforge",
     deadline=None,
@@ -29,3 +32,12 @@ def rng():
 def rng_from(seed: int) -> np.random.Generator:
     """Generator for hypothesis-driven randomized properties."""
     return np.random.default_rng(seed)
+
+
+def element_swap_state(el) -> PureState:
+    """Normalized four-wire state after measuring ``el`` on wires (2,3) of
+    two maximally entangled pairs, in wire order (1,2,3,4), built from the
+    element's spectral data."""
+    psi = _state_tensor(el).transpose(0, 2, 3, 1).reshape(-1)  # from (w1, w4, w2, w3)
+    d = el.local_dim
+    return PureState(psi / np.linalg.norm(psi), (d, d, d, d))

@@ -174,6 +174,17 @@ def test_cli_run_bad_config_exit_two(tmp_path, capsys):
     assert "error_code=ConfigParse" in err
 
 
+def test_cli_run_names_the_dropped_branches(tmp_path, capsys):
+    # prob_tol = 1 drops every branch: the closure error says how many were kept
+    doc = {key: PAPER_DOC[key] for key in ("local_dim", "rounds")}
+    doc["tolerance_overrides"] = {"prob_tol": 1}
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error_code=IncompleteBranchSet\n"
+        "branch probabilities sum to 0, expected 1: 0 of 8 branches kept at prob_tol=1.0\n"
+    )
+
+
 def test_cli_run_missing_file_exit_three(capsys):
     assert main(["run", "/definitely/not/here.json"]) == 3
     assert "error_code=IO" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from swapforge.errors import (
 )
 from swapforge.experiment import worker_count
 from swapforge.families import SingleQubitElementParams, noisy_bell_povm
-from swapforge.measures import BipartiteCut, is_ppt, negativity
+from swapforge.measures import BipartiteCut, negativity
 from swapforge.sampling import random_element
 from swapforge.states import DensityMatrix, Povm, PovmElement, PureState
 
@@ -64,8 +64,6 @@ def test_measures_need_explicit_cut_beyond_two_wires():
     rho = DensityMatrix(np.eye(16) / 16, (2, 2, 2, 2))
     with pytest.raises(ShapeMismatch):
         negativity(rho)
-    with pytest.raises(ShapeMismatch):
-        is_ppt(rho)
     assert negativity(rho, BipartiteCut(left=(0, 1), right=(2, 3))) == pytest.approx(
         0.0, abs=1e-12
     )

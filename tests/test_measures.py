@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from swapforge.errors import ShapeMismatch, ZeroTrace
 from swapforge.families import noisy_bell_povm
-from swapforge.linalg import kron
+from swapforge.linalg import kron, partial_transpose
 from swapforge.measures import (
     CUT_1_2,
     CUT_12_34,
@@ -14,9 +14,7 @@ from swapforge.measures import (
     c12_vs_34,
     c12_vs_34_contraction,
     c14_vs_23,
-    element_swap_state,
     i_concurrence,
-    is_ppt,
     levi_civita_det4,
     negativity,
     trace_distance,
@@ -25,7 +23,9 @@ from swapforge.sampling import random_element
 from swapforge.states import DensityMatrix, PovmElement, PureState
 from swapforge.verify import _negativity_closed_form as negativity_closed_form
 
-from conftest import rng_from
+from swapforge.tolerances import PPT_TOL
+
+from conftest import element_swap_state, rng_from
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -70,6 +70,12 @@ def test_negativity_noisy_bell_branch_value():
 def test_negativity_rejects_bad_cut():
     with pytest.raises(ShapeMismatch):
         negativity(bell_density(), BipartiteCut(left=(0,), right=()))
+
+
+def is_ppt(rho: DensityMatrix, ppt_tol: float = PPT_TOL) -> bool:
+    """True when the partial transpose of a two-wire state has no
+    eigenvalue below -ppt_tol."""
+    return bool(np.linalg.eigvalsh(partial_transpose(rho.matrix, rho.dims, 1))[0] >= -ppt_tol)
 
 
 def test_is_ppt_values():

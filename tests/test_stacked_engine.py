@@ -14,6 +14,7 @@ import pytest
 import swapforge.engine
 import swapforge.experiment
 import swapforge.families
+import swapforge.linalg
 import swapforge.states
 from swapforge.classify import classify_element, verdict_label
 from swapforge.cli import main
@@ -288,6 +289,38 @@ def test_run_scenario_checks_each_round_once(tmp_path, monkeypatch):
     monkeypatch.setattr(swapforge.states, "_check_completeness", spy)
     run_scenario(config)
     assert checked == [(3, 4, 4), (2, 4, 4), (4, 4, 4)]
+
+
+def test_run_scenario_decomposes_each_round_once(tmp_path, monkeypatch):
+    # the eigh of a round's PSD check serves its roots and its classes
+    rng = np.random.default_rng(5000)
+    povms = [random_povm(rng, d=2, n_elements=k) for k in (3, 2, 4)]
+    config = scenario_config(tmp_path, povms)
+    decomposed = []
+    real = np.linalg.eigh
+
+    def spy(m, *args, **kwargs):
+        decomposed.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    run_scenario(config)
+    assert decomposed == [(3, 4, 4), (2, 4, 4), (4, 4, 4)]
+
+
+def test_chain_takes_element_spectra_from_the_povm_check(monkeypatch):
+    calls = []
+    real = swapforge.linalg.floored_psd_eigh
+
+    def spy(m):
+        calls.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(swapforge.linalg, "floored_psd_eigh", spy)
+    rng = np.random.default_rng(5000)
+    povms = [random_povm(rng, d=2, n_elements=k) for k in (3, 2, 4)]
+    assert len(chain(SwapScenario(2, povms))) == 24
+    assert calls == []
 
 
 def test_lemma1_necessity_checks_each_branch_stack_once(monkeypatch):

@@ -15,7 +15,13 @@ from swapforge.errors import (
     ShapeMismatch,
     ValidationFailure,
 )
-from swapforge.families import noisy_bell_povm
+from swapforge.families import (
+    SingleQubitElementParams,
+    noisy_bell_povm,
+    separable_product_povm,
+    wire2_computational_povm,
+)
+from swapforge.linalg import floored_psd_eigh
 from swapforge.measures import CUT_1_2, i_concurrence
 from swapforge.states import (
     DensityMatrix,
@@ -28,6 +34,7 @@ from swapforge.states import (
     read_povm,
     write_povm,
 )
+from swapforge.sampling import random_povm
 
 from conftest import rng_from
 
@@ -175,6 +182,65 @@ def test_element_spectral_reconstructs(seed):
 def test_element_sqrt_squares_back(rng):
     el = PovmElement(random_element_matrix(rng))
     np.testing.assert_allclose(el.sqrt_matrix @ el.sqrt_matrix, el.matrix, atol=1e-10)
+
+
+def shared_spectrum_povms() -> dict:
+    """Random d = 2, 3, 4 POVMs, and built-in families at points where
+    their spectra are degenerate, built afresh on every call."""
+    rng = np.random.default_rng(4242)
+    povms = {
+        f"random-d{d}-k{k}": random_povm(rng, d=d, n_elements=k)
+        for d in (2, 3, 4)
+        for k in (2, d * d)
+    }
+    for lam in (0.0, 1 / 3, 1.0):
+        povms[f"noisy_bell-{lam:.3f}"] = noisy_bell_povm(lam)
+    povms["wire2_computational"] = wire2_computational_povm()
+    ket0, ket1 = (SingleQubitElementParams(t, 0.0, 1.0, 0.0) for t in (0.0, np.pi))
+    povms["separable_product"] = separable_product_povm(
+        [
+            (ket0, SingleQubitElementParams(0.0, 0.0, 1.0, 1.0)),  # |0><0| x I
+            (ket1, SingleQubitElementParams(np.pi / 2, 0.0, 0.7, 0.3)),
+            (ket1, SingleQubitElementParams(np.pi / 2, 0.0, 0.3, 0.7)),
+        ]
+    )
+    return povms
+
+
+@pytest.mark.parametrize("name", list(shared_spectrum_povms()))
+def test_povm_check_seeds_element_spectra(name):
+    # the eigh of the PSD check is the one decomposition: the Povm keeps it
+    # and each element's floored spectrum is cut from it, bit for bit
+    povm = shared_spectrum_povms()[name]
+    w, v = np.linalg.eigh(povm.matrices)
+    assert np.array_equal(povm.spectrum[0], w) and np.array_equal(povm.spectrum[1], v)
+    for el, m in zip(povm.elements, povm.matrices):
+        assert "spectral" in el.__dict__  # seeded, not yet computed on read
+        assert np.array_equal(el.matrix, m)
+        fw, fv = floored_psd_eigh(el.matrix)
+        assert np.array_equal(el.spectral.eigenvalues, fw)
+        assert np.array_equal(el.spectral.eigenvectors, fv)
+
+
+@pytest.mark.parametrize("name", list(shared_spectrum_povms()))
+def test_povm_shared_spectrum_is_read_only(name):
+    povm = shared_spectrum_povms()[name]
+    el = povm.elements[0]
+    shared = [povm.matrices, *povm.spectrum, el.matrix, el.spectral.eigenvalues]
+    for a in shared + [el.spectral.eigenvectors]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[..., 0] = 0.0
+
+
+def test_povm_from_elements_decomposes_on_first_read(rng):
+    els = tuple(PovmElement(m) for m in random_povm(rng, d=3, n_elements=4).matrices)
+    povm = Povm(elements=els, local_dim=3)
+    assert "spectrum" not in povm.__dict__
+    w, v = povm.spectrum
+    assert np.array_equal(w, np.linalg.eigh(povm.matrices)[0])
+    for a in (povm.matrices, w, v):
+        with pytest.raises(ValueError, match="read-only"):
+            a[..., 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
