@@ -5,7 +5,10 @@ Covers the paper sweep CSV at 201, 1001 and 2001 points, the JSON
 reports of family runs whose rounds have degenerate spectra (so that
 eigenvectors are not unique), the JSON reports of seeded d = 2, 3 and 4
 scenario runs over random POVM files, the `swapforge classify` output on
-each of those files, and the `swapforge verify` table.  Every input is
+each of those files, and the `swapforge verify` table.  Each run report
+gets a second digest with its two I-concurrence fields (c14vs23, c12vs34)
+removed, so a change of concurrence route leaves the rest of the report
+byte-gated.  Every input is
 drawn from a fixed seed, so two checkouts that write the same bytes print
 the same lines and a change in output is one `diff` away:
 
@@ -56,6 +59,21 @@ def _file_sha(path: str) -> str:
         return _sha(fh.read())
 
 
+CONCURRENCE_FIELDS = ("c14vs23", "c12vs34")
+
+
+def _report_digests(label: str, path: str):
+    """The digest of a run report's bytes, then of the report with its
+    I-concurrence fields removed, re-serialized as json.dumps(indent=2)."""
+    yield label, _file_sha(path)
+    with open(path, "rb") as fh:
+        report = json.load(fh)
+    for branch in report["branches"]:
+        for key in CONCURRENCE_FIELDS:
+            del branch[key]
+    yield f"{label} without concurrences", _sha(json.dumps(report, indent=2).encode())
+
+
 def sweep_digests(workdir: str):
     for steps in SWEEP_POINTS:
         config = ScenarioConfig(
@@ -97,7 +115,7 @@ def family_run_digests(workdir: str):
         path = os.path.join(workdir, f"family_{i}.report")
         outputs = OutputsSpec(report_path=path)
         run_scenario(ScenarioConfig(local_dim=2, rounds=rounds, outputs=outputs))
-        yield f"run {label}", _file_sha(path)
+        yield from _report_digests(f"run {label}", path)
 
 
 def _cli_stdout(argv: list[str]) -> tuple[int, bytes]:
@@ -129,7 +147,9 @@ def run_and_classify_digests(workdir: str, seed: int):
             with open(config_path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
             run_scenario(load_scenario_config(config_path))
-            yield f"run {name} rounds={sizes}", _file_sha(os.path.join(workdir, f"{name}.report"))
+            yield from _report_digests(
+                f"run {name} rounds={sizes}", os.path.join(workdir, f"{name}.report")
+            )
             for r in range(n_rounds):
                 code, out = _cli_stdout(["classify", os.path.join(workdir, f"{name}_{r}.json")])
                 yield f"classify {name}_{r} exit={code}", _sha(out)

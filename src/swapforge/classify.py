@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ShapeMismatch, ZeroTrace
-from .measures import _pure_concurrence, c14_vs_23
+from .measures import _concurrence, _pure_concurrence, c14_vs_23
 from .states import Povm, PovmElement
 from .tolerances import INSEP_TOL, PPT_TOL, PSD_TOL, RANK_REL_TOL
 
@@ -90,12 +90,14 @@ def classify_stack(
     d = isqrt(m.shape[-1]) if m.ndim == 3 else 0
     if d < 2 or m.shape[1:] != (d * d, d * d):
         raise ShapeMismatch(f"expected an (N, d*d, d*d) element stack, got shape {m.shape}")
-    return _classify(m, *np.linalg.eigh(m), ppt_tol, insep_tol, rank_rel_tol)
+    raw, v = np.linalg.eigh(m)
+    return _classify(m, raw, *linalg.floor_eigh(raw, v), ppt_tol, insep_tol, rank_rel_tol)
 
 
-def _classify(m, raw, v, ppt_tol=PPT_TOL, insep_tol=INSEP_TOL, rank_rel_tol=RANK_REL_TOL):
+def _classify(m, raw, w, v, ppt_tol=PPT_TOL, insep_tol=INSEP_TOL, rank_rel_tol=RANK_REL_TOL):
     """classify_stack of a checked (N, D, D) stack ``m`` whose ascending
-    ``eigh`` (raw, v) is already taken, as a Povm keeps it."""
+    eigenvalues ``raw`` and floored spectrum (w, v) are already taken, as
+    a Povm keeps them."""
     d = isqrt(m.shape[-1])
     trace = np.trace(m, axis1=1, axis2=2).real
     if not (trace > 0.0).all():
@@ -103,10 +105,9 @@ def _classify(m, raw, v, ppt_tol=PPT_TOL, insep_tol=INSEP_TOL, rank_rel_tol=RANK
     pt = (m / trace[:, None, None]).reshape(-1, d, d, d, d).swapaxes(2, 4).reshape(m.shape)
     min_pt = np.linalg.eigvalsh(pt)[:, 0]
     rank = np.where(raw[:, -1] <= PSD_TOL, 0, (raw > rank_rel_tol * raw[:, -1:]).sum(axis=1))
-    w = linalg._floor_spectrum(raw[:, ::-1])
     tr = w.sum(axis=1)
-    c14 = np.sqrt(np.maximum(d * d / (d * d - 1) * (1.0 - (w * w).sum(axis=1) / (tr * tr)), 0.0))
-    a = np.ascontiguousarray(v[:, :, ::-1]).swapaxes(1, 2).reshape(-1, d * d, d, d)
+    c14 = _concurrence((w * w).sum(axis=1) / (tr * tr), d * d)
+    a = v.swapaxes(1, 2).reshape(-1, d * d, d, d)
     t = np.einsum("na,naij,nakl->nijkl", np.sqrt(w), a.conj(), a)  # (w1, w4, w2, w3)
     c12 = _pure_concurrence(t.transpose(0, 1, 3, 4, 2).reshape(m.shape))
     return tuple(
@@ -143,7 +144,9 @@ def classify_measurement(
 ) -> ClassificationReport:
     """Classify every element, from the ``eigh`` the Povm keeps, and
     aggregate the measurement-level flags."""
-    per_element = _classify(povm.matrices, *povm.spectrum, ppt_tol, insep_tol, rank_rel_tol)
+    per_element = _classify(
+        povm.matrices, povm.spectrum[0], *povm.floored_spectrum, ppt_tol, insep_tol, rank_rel_tol
+    )
     return ClassificationReport(
         per_element=per_element,
         measurement_entangled=any(ec.verdict == ENTANGLED for ec in per_element),

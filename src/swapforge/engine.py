@@ -251,12 +251,31 @@ def _stacked_negativity(rho: np.ndarray, d: int) -> np.ndarray:
     return np.maximum(value, 0.0)
 
 
-def _checked_average(weight: np.ndarray, neg: np.ndarray) -> np.ndarray:
+def _grid_point(g: int) -> str:
+    return f"grid point {g}"
+
+
+def _checked_average(
+    weight: np.ndarray,
+    neg: np.ndarray,
+    last: np.ndarray | None = None,
+    prob_tol: float = PROB_TOL,
+    point=_grid_point,
+) -> np.ndarray:
+    """sum weight * neg over the branch axis, once every grid point's
+    weights are checked to sum to one within PROB_SUM_TOL.  The error
+    names the first point that fails (``point(g)``) and how many of its
+    branches in ``last`` (the last round's weights; ``weight`` if None)
+    were kept at prob_tol."""
     total = weight.sum(axis=-1)
     bad = np.flatnonzero(np.abs(total - 1.0) > PROB_SUM_TOL)
     if bad.size:
+        g = int(bad[0])
+        last = weight if last is None else last
         raise IncompleteBranchSet(
-            f"branch probabilities sum to {float(total[bad[0]])!r}, expected 1"
+            f"branch probabilities sum to {float(total[g])!r}, expected 1 at {point(g)}: "
+            f"{np.count_nonzero(last[g])} of {last.shape[-1]} branches kept "
+            f"at prob_tol={prob_tol!r}"
         )
     return (weight * neg).sum(axis=-1)
 
@@ -264,10 +283,11 @@ def _checked_average(weight: np.ndarray, neg: np.ndarray) -> np.ndarray:
 def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
     """The stacked round loop: yields (x, weight) after each round.
 
-    ``spectra[r]`` is the ascending ``eigh`` (w, v) of round r's element
-    matrices, v of shape (G_r, K_r, D, D) with G_r the number of grid
-    points G or 1 for a shared round; the matrices are checked POVMs
-    (Povm or check_povm_stack), so the loop only takes their roots.
+    ``spectra[r]`` is the floored spectrum (w, v) of round r's element
+    matrices, as linalg.floor_eigh gives it, v of shape (G_r, K_r, D, D)
+    with G_r the number of grid points G or 1 for a shared round; the
+    matrices are checked POVMs (Povm or check_povm_stack), so the loop
+    only takes their roots.
     Every grid point starts from ``start`` (the initial state if None).
     x[g, b, (k l), (i j)] holds branch b's normalized psi[i, k, l, j],
     branches in chain's depth-first order (x's leading axis is 1 while
@@ -293,7 +313,7 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
     x = None if start is None else start.tensor().transpose(1, 2, 0, 3).reshape(1, 1, dim, dim)
     weight = np.ones((grid, 1))
     for w, v in spectra:
-        op = linalg.sqrt_from_spectrum(*linalg.floor_eigh(w, v))
+        op = linalg.sqrt_from_spectrum(w, v)
         if x is None:  # the initial state's x is I/d: no matmul
             out = op[:, None] * (1.0 / d)  # (grid, branch, outcome, kl, ij)
         else:
@@ -327,21 +347,26 @@ def stacked_chain_negativities(
     descendants; both averages need their weights to sum to one within
     PROB_SUM_TOL.  Negativity is the sum of |eigenvalues| of the Hermitian
     partial transpose, minus one.  Every stack is checked with
-    check_povm_stack, whose ``eigh`` also gives the element roots.
+    check_povm_stack, whose ``eigh``, floored once, also gives the
+    element roots.  A closure error names the first grid point whose
+    first- or last-round weights fail, and how many of its last-round
+    branches were kept.
     """
-    spectra = [check_povm_stack(s) for s in element_stacks]
+    spectra = [linalg.floor_eigh(*check_povm_stack(s)) for s in element_stacks]
     return _chain_negativities(int(local_dim), spectra, prob_tol)
 
 
-def _chain_negativities(d: int, spectra, prob_tol: float):
-    """stacked_chain_negativities on the rounds' ascending ``eigh``
-    spectra (as ``_expand`` takes them) of checked element stacks."""
+def _chain_negativities(d: int, spectra, prob_tol: float, point=_grid_point):
+    """stacked_chain_negativities on the rounds' floored spectra (as
+    ``_expand`` takes them) of checked element stacks; ``point(g)`` names
+    stack point g in a closure error."""
     for r, (x, weight) in enumerate(_expand(d, spectra, prob_tol)):
         if r == 0 or r == len(spectra) - 1:
             neg = _stacked_negativity(_stacked_rho14(x), d)
             if r == 0:
-                first = _checked_average(weight, neg)
-    last = _checked_average(weight, neg)
+                first_round = weight, neg
+    first = _checked_average(*first_round, weight, prob_tol, point)
+    last = _checked_average(weight, neg, weight, prob_tol, point)
     top = np.where(weight > 0.0, neg, -np.inf).max(axis=-1)
     return first, last, top
 
@@ -360,21 +385,24 @@ class StackedBranches:
 
 
 def _round_spectrum(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """A checked round's kept ``eigh`` (Povm.spectrum) as one shared
-    (1, K, D, D) stack, as ``_expand`` takes it."""
-    w, v = povm.spectrum
+    """A checked round's kept floored spectrum (Povm.floored_spectrum) as
+    one shared (1, K, D, D) stack, as ``_expand`` takes it."""
+    w, v = povm.floored_spectrum
     return w[None], v[None]
 
 
 def stacked_branches(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> StackedBranches:
     """Every kept last-round branch of a measurement chain, in one pass.
 
-    The rounds are checked Povms: their roots come from the ``eigh`` each
-    Povm keeps, with no check and no decomposition here.  The branches
-    and their numbers are those of the records ``chain(scenario,
-    prob_tol)`` returns, which stays the reference; the two
-    I-concurrences come from the Schmidt coefficients of the 14|23 and
-    12|34 matricizations.
+    The rounds are checked Povms: their roots come from the floored
+    spectrum each Povm keeps, with no check and no decomposition here.
+    The branches and their numbers are those of the records
+    ``chain(scenario, prob_tol)`` returns, which stays the reference.
+    The I-concurrences come from the purity of a Gram matrix, not an SVD:
+    c14vs23 from the rho14 the negativity is taken from, c12vs34 from one
+    batched product of the 12|34 matricization with its adjoint.  A row
+    below measures.GRAM_CUTOFF is recomputed from its Schmidt
+    coefficients, which keep a product state at exactly 0.
     """
     d = scenario.local_dim
     spectra = [_round_spectrum(povm) for povm in scenario.rounds]
@@ -382,14 +410,20 @@ def stacked_branches(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> Stac
         pass  # only the last round's branches are reported
     kept = np.flatnonzero(weight[0] > 0.0)
     x = x[0, kept]
-    # x[b, (k l), (i j)] is the 23|14 matricization; regroup to (i k)|(l j)
+    rho = _stacked_rho14(x)
+    negativity14 = _stacked_negativity(rho, d)
+    c14vs23 = measures._gram_concurrence(rho, x)
+    # x[b, (k l), (i j)] is the 23|14 matricization; regroup to (i k)|(l j).
+    # rho14 and x go before the 12|34 Gram matrix is formed, which keeps the
+    # peak memory of a large stack below that of the two SVDs it replaces
     x12 = x.reshape(-1, d, d, d, d).transpose(0, 3, 1, 2, 4).reshape(x.shape)
+    del rho, x
     return StackedBranches(
         outcome_paths=np.stack(np.unravel_index(kept, [len(p) for p in scenario.rounds]), axis=-1),
         probability=weight[0, kept],
-        negativity14=_stacked_negativity(_stacked_rho14(x), d),
-        c14vs23=measures._pure_concurrence(x),
-        c12vs34=measures._pure_concurrence(x12),
+        negativity14=negativity14,
+        c14vs23=c14vs23,
+        c12vs34=measures._gram_concurrence(x12 @ x12.conj().swapaxes(-1, -2), x12),
     )
 
 
@@ -510,7 +544,8 @@ def stacked_disturbance(
     if m.ndim != 4 or m.shape[2:] != (dim, dim):
         raise ShapeMismatch(f"POVM stack of shape {m.shape} does not fit d={d}")
     # the P POVMs are P grid points of one round started from the branch
-    x, weight = next(_expand(d, [check_povm_stack(m)], PROB_TOL, rec.full_state))
+    spectrum = linalg.floor_eigh(*check_povm_stack(m))
+    x, weight = next(_expand(d, [spectrum], PROB_TOL, rec.full_state))
     kept = weight > 0.0
     rho = _stacked_rho14(x[kept])
     # rho - rho_base is Hermitian: its trace norm is the sum of |eigenvalues|

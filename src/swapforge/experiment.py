@@ -20,6 +20,7 @@ from math import prod
 
 import numpy as np
 
+from . import linalg
 from .classify import _classify, _sig15, verdict_label
 from .config import ScenarioConfig
 from .engine import (
@@ -112,13 +113,15 @@ def _paper_formulas_apply(config: ScenarioConfig) -> tuple[bool, bool]:
 def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     """The six CSV columns of the sweep as float64 arrays, in grid order.
 
-    Rounds that do not own the swept parameter are built and decomposed
-    once.  The grid goes through the stacked engine in chunks sized so
-    that no stacked array holds more than STACK_ENTRIES entries; for each
-    chunk the swept round is built as one element stack over the chunk's
-    values and checked with check_povm_stack, whose ``eigh`` the engine
-    takes.  The first point's stack is checked before the other rounds
-    are built, so a swept round bad there fails first.
+    Rounds that do not own the swept parameter are built, decomposed and
+    floored once.  The grid goes through the stacked engine in chunks
+    sized so that no stacked array holds more than STACK_ENTRIES entries;
+    for each chunk the swept round is built as one element stack over the
+    chunk's values and checked with check_povm_stack, whose ``eigh`` the
+    engine takes, floored once.  The first point's stack is checked
+    before the other rounds are built, so a swept round bad there fails
+    first.  A closure error names the grid index and parameter value of
+    the first point that fails.
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -129,7 +132,7 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     if not len(grid):  # an empty grid from a config built in code
         return (grid,) * 6
     family, param = config.rounds[swept].family, config.sweep.param_name
-    first = check_povm_stack(family_sweep_stack(family, param, grid[:1]))
+    first = linalg.floor_eigh(*check_povm_stack(family_sweep_stack(family, param, grid[:1])))
     spectra = [
         first if i == swept else _round_spectrum(config.build_round(i))
         for i in range(len(config.rounds))
@@ -138,9 +141,13 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     chunk = max(1, STACK_ENTRIES // (branches * config.local_dim**4))
     parts = []
     for start in range(0, len(grid), chunk):
+
+        def point(g: int) -> str:  # g indexes the chunk starting at grid index `start`
+            return f"grid index {start + g} ({param}={float(grid[start + g])!r})"
+
         stack = family_sweep_stack(family, param, grid[start : start + chunk])
-        spectra[swept] = check_povm_stack(stack)
-        parts.append(_chain_negativities(config.local_dim, spectra, prob_tol))
+        spectra[swept] = linalg.floor_eigh(*check_povm_stack(stack))
+        parts.append(_chain_negativities(config.local_dim, spectra, prob_tol, point))
     avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
     nan = np.full(len(grid), math.nan)
     if len(config.rounds) == 1:
@@ -194,12 +201,12 @@ def run_scenario(config: ScenarioConfig) -> dict:
             f"{exc}: {len(paths)} of {expanded} branches kept at prob_tol={prob_tol!r}"
         ) from exc
     # classify per round only the elements on kept branches (a dropped one, say
-    # traceless, needs no class), from the eigh the round's Povm keeps
+    # traceless, needs no class), from the spectra the round's Povm keeps
     labels = {}
     for r, povm in enumerate(scenario.rounds):
         kept = sorted({path[r] for path in paths})
-        w, v = povm.spectrum
-        for n, ec in zip(kept, _classify(povm.matrices[kept], w[kept], v[kept])):
+        (raw, _), (w, v) = povm.spectrum, povm.floored_spectrum
+        for n, ec in zip(kept, _classify(povm.matrices[kept], raw[kept], w[kept], v[kept])):
             labels[r, n] = (verdict_label(ec.verdict, ec.local_dim), ec.operation_kind)
     columns = (found.c14vs23.tolist(), found.c12vs34.tolist())
     branches = [

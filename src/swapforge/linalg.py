@@ -148,14 +148,10 @@ def floored_psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def floor_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """floored_psd_eigh from an ascending ``eigh`` result (w, v) already
     taken, as the POVM stack check takes one."""
-    return _floor_spectrum(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
-
-
-def _floor_spectrum(w: np.ndarray) -> np.ndarray:
-    """floored_psd_eigh's floor, for descending spectra on leading axes."""
-    w = np.clip(w, 0.0, None)
+    w = np.clip(w[..., ::-1], 0.0, None)
     top = w[..., :1]
-    return np.where((top > 0.0) & (w < RANK_REL_TOL * top), 0.0, w)
+    floored = np.where((top > 0.0) & (w < RANK_REL_TOL * top), 0.0, w)
+    return floored, np.ascontiguousarray(v[..., ::-1])
 
 
 def sqrt_from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -85,19 +85,56 @@ def _schmidt_purity(matricized: np.ndarray) -> np.ndarray:
     matrix-product route would leave sqrt-amplified rounding noise.
     Squares are spelled as products, not ``**2``: the array power can be
     a non-correctly-rounded libm pow, and a one-ulp wobble here surfaces
-    as a 1e-8 concurrence after the sqrt."""
+    as a 1e-8 concurrence after the sqrt.
+
+    The reference routes keep this SVD: i_concurrence, c12_vs_34 and
+    classify_stack, so that chain's records and the element classes are
+    exact at product states.  The run path's stacked branches take the
+    Gram route (_gram_concurrence) and come back here only for the rows
+    below GRAM_CUTOFF, where that exactness matters."""
     sigma = np.linalg.svd(matricized, compute_uv=False)
     sigma_sq = sigma * sigma
     total = sigma_sq.sum(axis=-1)
     return (sigma_sq * sigma_sq).sum(axis=-1) / (total * total)
 
 
+def _concurrence(purity, d_left: int):
+    """sqrt(D/(D-1) (1 - purity)), clipped at zero, D being the
+    left-block dimension: the one home of the I-concurrence formula."""
+    value = d_left / (d_left - 1) * (1.0 - purity)
+    return np.sqrt(np.maximum(value, 0.0))
+
+
 def _pure_concurrence(matricized: np.ndarray) -> np.ndarray:
     """sqrt(D/(D-1) (1 - tr rho_left^2)) for each matricized pure state of
     a (..., D, right) stack, D being the left-block dimension."""
-    d_left = matricized.shape[-2]
-    value = d_left / (d_left - 1) * (1.0 - _schmidt_purity(matricized))
-    return np.sqrt(np.maximum(value, 0.0))
+    return _concurrence(_schmidt_purity(matricized), matricized.shape[-2])
+
+
+# Gram-route I-concurrences below this are recomputed by the SVD.  Near a
+# product state 1 - P is a difference of nearly equal numbers, and the sqrt
+# amplifies its rounding: against the SVD, on 4,000 random states each at
+# D = 4, 9 and 16 (Schmidt weights 1 - eps and eps spread over the rest,
+# eps log-uniform in [1e-18, 1]), the Gram route is off by at most 3.7e-15
+# for C >= 0.1 and 7.7e-15 for 0.05 <= C < 0.1, but by up to 4.3e-12 for
+# 1e-4 <= C < 1e-2 and 3.4e-8 below 1e-4, while the SVD gives a product
+# state exactly 0.  A fixed property of the two routes, not a tolerance.
+GRAM_CUTOFF = 0.1
+
+
+def _gram_concurrence(gram: np.ndarray, matricized: np.ndarray) -> np.ndarray:
+    """_pure_concurrence of an (N, D, right) stack of matricized pure
+    states from their (N, n, n) Gram matrices G (either side's reduced
+    state, unnormalized): purity sum|G|^2 / (tr G)^2, without an SVD.
+    Rows whose value falls below GRAM_CUTOFF take the SVD route, so they
+    equal _pure_concurrence bit for bit."""
+    gram_sq = (gram.real * gram.real + gram.imag * gram.imag).sum(axis=(-2, -1))
+    tr = np.trace(gram, axis1=-2, axis2=-1).real
+    c = _concurrence(gram_sq / (tr * tr), matricized.shape[-2])
+    low = np.flatnonzero(c < GRAM_CUTOFF)
+    if low.size:
+        c[low] = _pure_concurrence(matricized[low])
+    return c
 
 
 def i_concurrence(psi: PureState, cut: BipartiteCut) -> float:
@@ -136,9 +173,7 @@ def c14_vs_23(el: PovmElement) -> float:
         raise ZeroTrace("c14_vs_23 undefined for a traceless element")
     w = el.spectral.eigenvalues
     tr = float(w.sum())  # spectral trace keeps the ratio exact for rank-1 inputs
-    dsq = el.local_dim ** 2
-    value = dsq / (dsq - 1) * (1.0 - float((w * w).sum()) / (tr * tr))
-    return float(np.sqrt(max(value, 0.0)))
+    return float(_concurrence(float((w * w).sum()) / (tr * tr), el.local_dim ** 2))
 
 
 def c12_vs_34(el: PovmElement) -> float:
@@ -175,10 +210,7 @@ def c12_vs_34_contraction(el: PovmElement) -> float:
     a = el.basis_tensor()
     operands = (wgt,) * 4 + (a.conj(), a, a, a.conj(), a.conj(), a, a, a.conj())
     purity = np.einsum(_C12_PURITY, *operands, optimize=_c12_path(el.local_dim))
-    purity = float(purity.real) / tr ** 2
-    dsq = el.local_dim ** 2
-    value = dsq / (dsq - 1) * (1.0 - purity)
-    return float(np.sqrt(max(value, 0.0)))
+    return float(_concurrence(float(purity.real) / tr ** 2, el.local_dim ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -232,11 +232,12 @@ class PovmElement:
 class Povm:
     """A complete measurement: PSD elements summing to the identity.
 
-    ``matrices`` is the read-only (K, D, D) element stack and ``spectrum``
-    its read-only ascending ``eigh`` (w, v), decomposed once:
-    ``from_matrices`` keeps the ``eigh`` of its PSD check and seeds every
-    element's ``spectral`` from it; a Povm built from elements takes it
-    on first read.
+    ``matrices`` is the read-only (K, D, D) element stack, ``spectrum``
+    its read-only ascending ``eigh`` (w, v), decomposed once, and
+    ``floored_spectrum`` that ``eigh`` floored once (linalg.floor_eigh):
+    ``from_matrices`` keeps the ``eigh`` of its PSD check and its floor,
+    and seeds every element's ``spectral`` with views of the floored pair;
+    a Povm built from elements takes both on first read.
     """
 
     elements: tuple[PovmElement, ...]
@@ -261,6 +262,10 @@ class Povm:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         return _read_only(*np.linalg.eigh(self.matrices))
 
+    @cached_property
+    def floored_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(*linalg.floor_eigh(*self.spectrum))
+
     @classmethod
     def from_matrices(cls, matrices, local_dim: int | None = None) -> "Povm":
         """Build a Povm from element matrices, checking them as one stack."""
@@ -274,8 +279,8 @@ class Povm:
         els = tuple(PovmElement._checked(m) for m in stack)
         d = local_dim if local_dim is not None else els[0].local_dim
         povm = cls(elements=els, local_dim=d)
-        povm.__dict__["spectrum"] = (w, v)  # the cached_property's slot
-        floored = _read_only(*linalg.floor_eigh(w, v))
+        povm.__dict__["spectrum"] = (w, v)  # the cached_properties' slots
+        floored = povm.__dict__["floored_spectrum"] = _read_only(*linalg.floor_eigh(w, v))
         for el, fw, fv in zip(els, *floored):
             el.__dict__["spectral"] = HermitianSpectrum(eigenvalues=fw, eigenvectors=fv)
         return povm

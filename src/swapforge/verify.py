@@ -695,13 +695,20 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
             for (j, m, t, n), got_t, got_n in zip(ref, distance, change):
                 tag = f"disturbance d={d} rank={rank} povm {j} outcome {m}"
                 worst.push(max(abs(got_t - t), abs(got_n - n)), tag)
-    # Stacked branches against chain's records, branch by branch.
-    for d, shape in ((2, (3,)), (2, (2, 3, 2)), (3, (4,)), (3, (2, 3)), (4, (3,)), (4, (2, 2, 2))):
-        povms = [random_povm(rng, d=d, n_elements=k) for k in shape]
-        scenario = SwapScenario(d, povms)
+    # Stacked branches against chain's records, branch by branch: random
+    # POVMs, whose concurrences take the Gram route, and the paper chain at
+    # lambda = 1, whose c14vs23 = 0 rows take the SVD and c12vs34 =
+    # sqrt(2/3) rows the Gram route.
+    shapes = ((2, (3,)), (2, (2, 3, 2)), (3, (4,)), (3, (2, 3)), (4, (3,)), (4, (2, 2, 2)))
+    scenarios = [
+        (f"d={d} outcomes={ks}", SwapScenario(d, [random_povm(rng, d=d, n_elements=k) for k in ks]))
+        for d, ks in shapes
+    ]
+    scenarios.append(("noisy_bell(1.0) -> wire2", SwapScenario(2, (noisy_bell_povm(1.0), second))))
+    for label, scenario in scenarios:
         records = chain(scenario)
         got = stacked_branches(scenario)
-        tag = f"branches d={d} outcomes={shape}"
+        tag = f"branches {label}"
         if [list(rec.outcome_path) for rec in records] != got.outcome_paths.tolist():
             mismatched.append(tag)
             continue

@@ -185,6 +185,19 @@ def test_cli_run_names_the_dropped_branches(tmp_path, capsys):
     )
 
 
+def test_cli_sweep_names_the_first_unclosed_grid_point(tmp_path, capsys):
+    # prob_tol = 1 drops every branch at every point: the closure error names
+    # the first point and how many of its branches were kept
+    doc = {key: PAPER_DOC[key] for key in ("local_dim", "rounds", "sweep")}
+    doc["tolerance_overrides"] = {"prob_tol": 1}
+    assert main(["sweep", write_config(tmp_path, doc), "--csv", str(tmp_path / "a.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error_code=IncompleteBranchSet\n"
+        "branch probabilities sum to 0.0, expected 1 at grid index 0 (lambda=0.0): "
+        "0 of 8 branches kept at prob_tol=1.0\n"
+    )
+
+
 def test_cli_run_missing_file_exit_three(capsys):
     assert main(["run", "/definitely/not/here.json"]) == 3
     assert "error_code=IO" in capsys.readouterr().err

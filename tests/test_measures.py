@@ -10,7 +10,10 @@ from swapforge.measures import (
     CUT_1_2,
     CUT_12_34,
     CUT_14_23,
+    GRAM_CUTOFF,
     BipartiteCut,
+    _gram_concurrence,
+    _pure_concurrence,
     c12_vs_34,
     c12_vs_34_contraction,
     c14_vs_23,
@@ -122,6 +125,37 @@ def test_i_concurrence_local_unitary_invariant(seed):
     assert i_concurrence(rotated, CUT_1_2) == pytest.approx(
         i_concurrence(psi, CUT_1_2), abs=1e-10
     )
+
+
+def controlled_schmidt_states(rng, dim, targets):
+    """One (dim, dim) matricized pure state per target I-concurrence C:
+    Schmidt weights (1 - eps) e_0 + eps / dim, for which C^2 = eps (2 - eps),
+    between Haar-random unitaries."""
+    eps = np.asarray(targets) ** 2 / (1.0 + np.sqrt(1.0 - np.asarray(targets) ** 2))
+    states = []
+    for e in eps:
+        weights = np.full(dim, e / dim)
+        weights[0] += 1.0 - e
+        u, v = random_unitary(rng, dim), random_unitary(rng, dim)
+        states.append((u * np.sqrt(weights)) @ v.conj().T)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("dim", [4, 9, 16])
+def test_gram_concurrence_cutoff_bands(dim):
+    # 0.1 itself is not on the grid, so no state sits on the cutoff
+    targets = np.logspace(-9, 0, 31)
+    m = controlled_schmidt_states(np.random.default_rng(dim), dim, targets)
+    ref = _pure_concurrence(m)
+    # the states span the band (below 1e-4 even the SVD route rounds)
+    resolved = targets >= 1e-4
+    assert np.allclose(ref[resolved], targets[resolved], rtol=1e-6)
+    got = _gram_concurrence(m @ m.conj().swapaxes(-1, -2), m)
+    high = ref >= GRAM_CUTOFF
+    assert np.abs(got[high] - ref[high]).max() <= 1e-14
+    # below the cutoff the SVD route serves the row, bit for bit
+    assert np.array_equal(got[~high], ref[~high])
+    assert high.sum() == 4 and (~high).sum() == 27
 
 
 # ---------------------------------------------------------------------------

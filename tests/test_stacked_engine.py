@@ -4,6 +4,7 @@ per-branch values of run_scenario's report and per-outcome disturbances
 to 1e-13, same branch dropping, same errors.  Also the stacked POVM
 sampler against repeated random_povm."""
 
+import dataclasses
 import json
 import math
 from dataclasses import astuple
@@ -15,6 +16,7 @@ import swapforge.engine
 import swapforge.experiment
 import swapforge.families
 import swapforge.linalg
+import swapforge.measures
 import swapforge.states
 from swapforge.classify import classify_element, verdict_label
 from swapforge.cli import main
@@ -40,7 +42,7 @@ from swapforge.errors import (
 from swapforge.experiment import CSV_COLUMNS, run_scenario, run_sweep, sweep_rows
 from swapforge.families import BELL_STATES, noisy_bell_povm, wire2_computational_povm
 from swapforge.linalg import floored_psd_eigh, sqrt_from_spectrum
-from swapforge.measures import _pure_concurrence
+from swapforge.measures import GRAM_CUTOFF, _gram_concurrence
 from swapforge.sampling import (
     random_element,
     random_povm,
@@ -306,6 +308,83 @@ def test_run_scenario_decomposes_each_round_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", spy)
     run_scenario(config)
     assert decomposed == [(3, 4, 4), (2, 4, 4), (4, 4, 4)]
+
+
+def test_run_scenario_floors_each_round_once(tmp_path, monkeypatch):
+    # the floor of a round's PSD-check eigh serves its element spectra,
+    # its roots and its classes
+    rng = np.random.default_rng(5000)
+    povms = [random_povm(rng, d=2, n_elements=k) for k in (3, 2, 4)]
+    config = scenario_config(tmp_path, povms)
+    floored = []
+    real = swapforge.linalg.floor_eigh
+
+    def spy(w, v):
+        floored.append(np.shape(v))
+        return real(w, v)
+
+    monkeypatch.setattr(swapforge.linalg, "floor_eigh", spy)
+    run_scenario(config)
+    assert floored == [(3, 4, 4), (2, 4, 4), (4, 4, 4)]
+
+
+def test_sweep_floors_the_shared_round_once_and_the_swept_round_per_chunk(monkeypatch):
+    monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 3 * 8 * 16)
+    floored = []
+    real = swapforge.linalg.floor_eigh
+
+    def spy(w, v):
+        floored.append(np.shape(v))
+        return real(w, v)
+
+    monkeypatch.setattr(swapforge.linalg, "floor_eigh", spy)
+    sweep_rows(sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=11))
+    first, chunks = [(1, 4, 4, 4)], [(3, 4, 4, 4)] * 3 + [(2, 4, 4, 4)]
+    assert floored == first + [(2, 4, 4)] + chunks
+
+
+def test_run_scenario_takes_no_svd_concurrence_above_the_cutoff(tmp_path, monkeypatch):
+    # every branch of a seeded d = 4 chain is far from a product across
+    # both cuts, so both I-concurrences come from the Gram route alone
+    rng = np.random.default_rng(5004)
+    povms = [random_povm(rng, d=4, n_elements=k) for k in (3, 2)]
+    config = scenario_config(tmp_path, povms)
+    calls = []
+    real = swapforge.measures._pure_concurrence
+
+    def spy(m):
+        calls.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(swapforge.measures, "_pure_concurrence", spy)
+    report = run_scenario(config)
+    assert calls == []
+    assert len(report["branches"]) == 6
+    assert min(min(b["c14vs23"], b["c12vs34"]) for b in report["branches"]) >= GRAM_CUTOFF
+
+
+def test_sweep_closure_error_names_the_grid_point(monkeypatch):
+    # at lambda = 0.625, in the third two-point chunk, an outcome of
+    # probability 2.5e-3 falls below prob_tol = 1e-2 with its two children
+    real = swapforge.families.noisy_bell_stack
+
+    def build(values):
+        stack = real(values)
+        tiny = 1e-2 * np.outer(BELL_STATES[0], BELL_STATES[0].conj())
+        for g in np.flatnonzero(np.asarray(values) == 0.625):
+            stack[g] = [tiny] + [(np.eye(4) - tiny) / 3.0] * 3
+        return stack
+
+    monkeypatch.setitem(swapforge.families._SWEEPABLE["noisy_bell"], "lambda", build)
+    monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 2 * 8 * 16)
+    config = sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=9)
+    config = dataclasses.replace(config, tolerance_overrides={"prob_tol": 1e-2})
+    with pytest.raises(IncompleteBranchSet) as caught:
+        sweep_rows(config)
+    assert str(caught.value) == (
+        "branch probabilities sum to 0.9975, expected 1 at grid index 5 (lambda=0.625): "
+        "6 of 8 branches kept at prob_tol=0.01"
+    )
 
 
 def test_chain_takes_element_spectra_from_the_povm_check(monkeypatch):
@@ -653,8 +732,8 @@ def test_stacked_branches_equals_matmul_expansion(d, n_rounds):
     assert np.array_equal(got.probability, weight[0, kept])
     rho = swapforge.engine._stacked_rho14(x)
     assert np.array_equal(got.negativity14, swapforge.engine._stacked_negativity(rho, d))
-    assert np.array_equal(got.c14vs23, _pure_concurrence(x))
-    assert np.array_equal(got.c12vs34, _pure_concurrence(x12))
+    assert np.array_equal(got.c14vs23, _gram_concurrence(rho, x))
+    assert np.array_equal(got.c12vs34, _gram_concurrence(x12 @ x12.conj().swapaxes(-1, -2), x12))
 
 
 # ---------------------------------------------------------------------------
