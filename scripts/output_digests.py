@@ -5,7 +5,9 @@ Covers the paper sweep CSV at 201, 1001 and 2001 points, the JSON
 reports of family runs whose rounds have degenerate spectra (so that
 eigenvectors are not unique), the JSON reports of seeded d = 2, 3 and 4
 scenario runs over random POVM files, the `swapforge classify` output on
-each of those files, and the `swapforge verify` table.  Each run report
+each of those files, the `swapforge verify` table, and its `--json`
+rows with each row's wall time (`seconds`) removed, so that every
+check's `max_deviation` and `tolerance` are byte-gated.  Each run report
 gets a second digest with its two I-concurrence fields (c14vs23, c12vs34)
 removed, so a change of concurrence route leaves the rest of the report
 byte-gated.  Every input is
@@ -170,6 +172,11 @@ def main() -> None:
             print(f"{digest}  {label}")
     code, out = _cli_stdout(["verify"])
     print(f"{_sha(out)}  verify exit={code}")
+    code, out = _cli_stdout(["verify", "--json"])
+    rows = [json.loads(line) for line in out.decode().splitlines()]
+    for row in rows:
+        del row["seconds"]
+    print(f"{_sha(json.dumps(rows).encode())}  verify --json without seconds exit={code}")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ from .classify import (
     ElementClass,
     classify_element,
     classify_measurement,
-    lemma1_predicate,
-    lemma2_predicate,
+    lemma1_blocked,
+    lemma2_open,
 )
 from .engine import (
     DisturbanceReport,
@@ -100,8 +100,8 @@ __all__ = [
     "i_concurrence",
     "initial_state",
     "kron",
-    "lemma1_predicate",
-    "lemma2_predicate",
+    "lemma1_blocked",
+    "lemma2_open",
     "matrix_rank",
     "max_entangled_state",
     "negativity",

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ShapeMismatch, ZeroTrace
-from .measures import _concurrence, _pure_concurrence, c14_vs_23
+from .measures import _concurrence, _pure_concurrence
 from .states import Povm, PovmElement
 from .tolerances import INSEP_TOL, PPT_TOL, PSD_TOL, RANK_REL_TOL
 
@@ -31,8 +31,8 @@ __all__ = [
     "classify_element",
     "classify_measurement",
     "classify_stack",
-    "lemma1_predicate",
-    "lemma2_predicate",
+    "lemma1_blocked",
+    "lemma2_open",
     "report_to_json",
     "verdict_label",
 ]
@@ -153,32 +153,22 @@ def classify_measurement(
         measurement_separable_operation=all(
             ec.operation_kind == SEPARABLE_OPERATION for ec in per_element
         ),
-        lemma1_blocked=all(ec.rank <= 1 for ec in per_element),
+        lemma1_blocked=all(lemma1_blocked(ec) for ec in per_element),
         lemma2_open_outcomes=tuple(
-            i for i, ec in enumerate(per_element) if ec.rank > 1 and ec.c14vs23 > insep_tol
+            i for i, ec in enumerate(per_element) if lemma2_open(ec, insep_tol)
         ),
         local_dim=povm.local_dim,
     )
 
 
-def lemma1_predicate(el: PovmElement, rank_rel_tol: float = RANK_REL_TOL) -> bool:
-    """True when the element is rank one or zero, i.e. no later measurement
-    on the middle pair can disturb the outer pair of its branch."""
-    return linalg.matrix_rank(el.matrix, rel_tol=rank_rel_tol) <= 1
+def lemma1_blocked(ec: ElementClass) -> bool:
+    """Lemma 1: an element of rank at most one freezes its branch."""
+    return ec.rank <= 1
 
 
-def lemma2_predicate(
-    el: PovmElement,
-    insep_tol: float = INSEP_TOL,
-    rank_rel_tol: float = RANK_REL_TOL,
-) -> bool:
-    """True when a second measurement has the potential to disturb the
-    outer pair: rank above one and nonzero 14|23 concurrence."""
-    if el.trace <= 0.0:
-        raise ZeroTrace("lemma2 predicate undefined for a traceless element")
-    if linalg.matrix_rank(el.matrix, rel_tol=rank_rel_tol) <= 1:
-        return False
-    return c14_vs_23(el) > insep_tol
+def lemma2_open(ec: ElementClass, insep_tol: float = INSEP_TOL) -> bool:
+    """Lemma 2: rank above one and nonzero 14|23 concurrence leave the outcome open."""
+    return ec.rank > 1 and ec.c14vs23 > insep_tol
 
 
 def _sig15(x: float) -> float:

@@ -33,10 +33,6 @@ class ZeroTrace(SwapforgeError, ValueError):
     """Operation undefined on a traceless operator."""
 
 
-class DegenerateDenominator(SwapforgeError, ValueError):
-    """Closed-form denominator vanished on a nonzero input."""
-
-
 class ValidationFailure(SwapforgeError, ValueError):
     """A state or operator violates its construction invariants."""
 

@@ -8,9 +8,6 @@ Randomized checks draw from fixed seeds so results are reproducible.
 
 from __future__ import annotations
 
-import contextlib
-import io
-import json
 import math
 import os
 import tempfile
@@ -20,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from .classify import ENTANGLED, INSEPARABLE_OPERATION, UNENTANGLED, UNENTANGLED_BOUNDARY
-from .classify import classify_element, classify_stack
+from .classify import classify_element, classify_stack, lemma1_blocked
 from .config import RoundSpec, ScenarioConfig, SweepSpec
 from .engine import (
     SwapScenario,
@@ -36,7 +33,7 @@ from .engine import (
     stacked_chain_negativities,
     stacked_disturbance,
 )
-from .experiment import paper_formulas, sweep_rows
+from .experiment import paper_formulas, run_sweep, sweep_rows
 from .families import (
     SingleQubitElementParams,
     bell_projective,
@@ -60,7 +57,6 @@ from .measures import (
     c14_vs_23,
     i_concurrence,
     levi_civita_det4,
-    negativity,
 )
 from .sampling import (
     _povm_matrices,
@@ -71,25 +67,20 @@ from .sampling import (
     random_rank1_element,
     random_separable_element,
 )
-from .errors import DegenerateDenominator, ShapeMismatch
-from .states import DensityMatrix, Povm, PovmElement, PureState
-from .states import max_entangled_state
+from .states import Povm, PovmElement, PureState, max_entangled_state
 from .tolerances import INSEP_TOL, PPT_TOL, RANK_REL_TOL
 
-
-def _cli_main(argv: list[str]) -> int:
-    # Imported lazily: the CLI module imports this one for its verify
-    # subcommand, so a top-level import would be circular.  The command's
-    # own stdout is swallowed so it cannot land in the verify table.
-    from .cli import main
-
-    with contextlib.redirect_stdout(io.StringIO()):
-        return main(argv)
 
 __all__ = ["CheckResult", "CHECK_NAMES", "TOLERANCES", "run_check", "run_verification"]
 
 _SEED = 20260810
 _LAMBDA_GRID = [k / 20.0 for k in range(21)]
+# The paper sweep over _LAMBDA_GRID, shared by checks 5, 12 and 13.
+_PAPER_SWEEP = ScenarioConfig(
+    local_dim=2,
+    rounds=(RoundSpec("noisy_bell"), RoundSpec("wire2_computational")),
+    sweep=SweepSpec(param_name="lambda", start=0.0, stop=1.0, steps=len(_LAMBDA_GRID)),
+)
 
 
 @dataclass(frozen=True)
@@ -124,6 +115,18 @@ def _result(name, worst: _Worst, tol: float, extra: str = "", failed: bool = Fal
     if extra:
         detail += f"; {extra}"
     return CheckResult(name=name, passed=passed, max_deviation=worst.value, tolerance=tol, detail=detail)
+
+
+def _parts_result(name, parts, failed: bool = False):
+    """One result over (label, worst, tolerance) parts, each held to its own tolerance."""
+    detail = ", ".join(f"{label} {worst.value:.3e} (tol {tol:.0e})" for label, worst, tol in parts)
+    return CheckResult(
+        name=name,
+        passed=all(worst.value <= tol for _, worst, tol in parts) and not failed,
+        max_deviation=max(worst.value for _, worst, _ in parts),
+        tolerance=max(tol for _, _, tol in parts),
+        detail=detail,
+    )
 
 
 # Every tolerance a check reads, by the name `--tol-override` uses.
@@ -267,17 +270,9 @@ def _check_bipartition_closed_forms(overrides: dict) -> CheckResult:
         for n, el in enumerate(povm.elements):
             worst14.push(abs(c14_vs_23(el) - math.sqrt(1.0 - lam * lam)), f"lambda={lam} n={n}")
             worst12.push(abs(c12_vs_34(el) - _c12_reference_curve(lam)), f"lambda={lam} n={n}")
-    passed = worst14.value <= tol14 and worst12.value <= tol12
-    detail = (
-        f"c14 deviation {worst14.value:.3e} (tol {tol14:.0e}), "
-        f"c12 deviation {worst12.value:.3e} (tol {tol12:.0e})"
-    )
-    return CheckResult(
-        name="bipartition_closed_forms",
-        passed=passed,
-        max_deviation=max(worst14.value, worst12.value),
-        tolerance=max(tol14, tol12),
-        detail=detail,
+    return _parts_result(
+        "bipartition_closed_forms",
+        [("c14 deviation", worst14, tol14), ("c12 deviation", worst12, tol12)],
     )
 
 
@@ -295,20 +290,13 @@ def _expected_two_round_rho(lam: float) -> np.ndarray:
     return (1 + lam) / 2 * np.outer(xi, xi) + (1 - lam) / 2 * np.outer(ket01, ket01)
 
 
-def _paper_scenario_config(tmpdir: str, csv_name: str) -> str:
-    doc = {
-        "local_dim": 2,
-        "rounds": [
-            {"family": "noisy_bell", "params": {"lambda": 0.5}},
-            {"family": "wire2_computational"},
-        ],
-        "sweep": {"param_name": "lambda", "start": 0.0, "stop": 1.0, "steps": 21},
-        "outputs": {"csv_path": csv_name},
-    }
-    path = os.path.join(tmpdir, "paper_sweep.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    return path
+def _paper_sweep_csv() -> bytes:
+    """The bytes of the CSV that run_sweep writes for _PAPER_SWEEP."""
+    with tempfile.TemporaryDirectory() as tmpdir:
+        path = os.path.join(tmpdir, "paper.csv")
+        run_sweep(_PAPER_SWEEP, csv_path=path)
+        with open(path, "rb") as fh:
+            return fh.read()
 
 
 def _check_two_round_worked_example(overrides: dict) -> CheckResult:
@@ -333,40 +321,19 @@ def _check_two_round_worked_example(overrides: dict) -> CheckResult:
         expected_eig = np.array([(1 + lam) / 2, (1 - lam) / 2, 0.0, 0.0])
         worst_state.push(float(np.abs(eig - expected_eig).max()), f"eigs lambda={lam}")
     # Sweep CSV reproduces both reference curves.
-    with tempfile.TemporaryDirectory() as tmpdir:
-        path = _paper_scenario_config(tmpdir, "curve.csv")
-        code = _cli_main(["sweep", path])
-        csv_rows = _read_csv(os.path.join(tmpdir, "curve.csv"))
-        for row in csv_rows:
-            round1, round2 = paper_formulas(row["param_value"])
-            worst_neg.push(abs(row["avg_neg_round1"] - max(0.0, round1)), "csv round1")
-            worst_neg.push(abs(row["avg_neg_round2"] - round2), "csv round2")
-        failed = code != 0 or len(csv_rows) != 21
-    passed = (
-        worst_prob.value <= tol_prob
-        and worst_state.value <= tol_state
-        and worst_neg.value <= tol_neg
-        and not failed
+    csv = np.loadtxt(_paper_sweep_csv().splitlines(), delimiter=",", skiprows=1)
+    ref1, ref2 = paper_formulas(csv[:, 0])
+    worst_neg.push(np.abs(csv[:, 1] - np.maximum(ref1, 0.0)).max(), "csv round1")
+    worst_neg.push(np.abs(csv[:, 2] - ref2).max(), "csv round2")
+    return _parts_result(
+        "two_round_worked_example",
+        [
+            ("probability dev", worst_prob, tol_prob),
+            ("state dev", worst_state, tol_state),
+            ("negativity/CSV dev", worst_neg, tol_neg),
+        ],
+        failed=len(csv) != len(_LAMBDA_GRID),
     )
-    detail = (
-        f"probability dev {worst_prob.value:.3e} (tol {tol_prob:.0e}), "
-        f"state dev {worst_state.value:.3e} (tol {tol_state:.0e}), "
-        f"negativity/CSV dev {worst_neg.value:.3e} (tol {tol_neg:.0e})"
-    )
-    return CheckResult(
-        name="two_round_worked_example",
-        passed=passed,
-        max_deviation=max(worst_prob.value, worst_state.value, worst_neg.value),
-        tolerance=tol_neg,
-        detail=detail,
-    )
-
-
-def _read_csv(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    header = lines[0].split(",")
-    return [dict(zip(header, map(float, ln.split(",")))) for ln in lines[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +354,11 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
         el = random_rank1_element(rng)
         bump = random_element(rng, rank=2)
         candidates.append(PovmElement(el.matrix + 5e-3 * bump.matrix))
+    classes = classify_stack([el.matrix for el in candidates], rank_rel_tol=rank_rel_tol)
     worst = _Worst()
     checked = 0
-    for k, el in enumerate(candidates):
-        if matrix_rank(el.matrix, rel_tol=rank_rel_tol) != 1:
+    for k, (el, ec) in enumerate(zip(candidates, classes)):
+        if not lemma1_blocked(ec):
             continue
         # the branch of el alone; its complement's record is never read
         p, post = apply_element(base, el)
@@ -406,7 +374,8 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
         maxima = entries.max(axis=-1).T
         j, which = np.unravel_index(np.argmax(maxima), maxima.shape)
         worst.push(maxima[j, which], f"element {k} povm {j} {('distance', 'negativity')[which]}")
-    return _result("lemma1_necessity", worst, tol, extra=f"{checked} rank-1 branches checked")
+    extra = f"{checked} rank-1 branches checked"
+    return _result("lemma1_necessity", worst, tol, extra=extra, failed=checked == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +438,7 @@ def _check_separable_residual_concurrence(overrides: dict) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# 9. Redundant computation paths agree; closed-form deviation reported.
+# 9. Redundant computation paths agree.
 # ---------------------------------------------------------------------------
 
 
@@ -480,7 +449,6 @@ def _check_dual_path_equivalence(overrides: dict) -> CheckResult:
     for k in range(200):
         el = random_element(rng, rank=int(rng.integers(1, 5)))
         worst.push(abs(c12_vs_34(el) - c12_vs_34_contraction(el)), f"c12 paths sample {k}")
-    max_closed_dev = 0.0
     base = initial_state(2)
     for k in range(50):
         first = random_element(rng, rank=int(rng.integers(2, 5)))
@@ -502,52 +470,12 @@ def _check_dual_path_equivalence(overrides: dict) -> CheckResult:
         worst.push(abs(x_spectral - float(np.trace(u_direct).real)), f"X sample {k}")
         y_spectral = float(levi_civita_det4(u_spectral).real)
         worst.push(abs(y_spectral - float(np.linalg.det(u_direct).real)), f"Y sample {k}")
-        max_closed_dev = max(max_closed_dev, _negativity_closed_form(rho_direct).deviation)
-    extra = f"closed-form vs eigenvalue negativity deviation up to {max_closed_dev:.3e} (reported, not asserted)"
-    return _result("dual_path_equivalence", worst, tol, extra=extra)
+    return _result("dual_path_equivalence", worst, tol)
 
 
 def _pt_square(rho: np.ndarray) -> np.ndarray:
     pt = partial_transpose(rho, (2, 2), 1)
     return pt.conj().T @ pt
-
-
-@dataclass(frozen=True)
-class _ClosedFormResult:
-    """Closed-form negativity estimate and its deviation from the
-    eigenvalue route.  ``value`` uses the same normalization as
-    ``negativity``; it is a diagnostic, not a trusted result: the
-    two-by-two square-root identity it rests on is not exact for the
-    4x4 matrix U, so ``deviation`` is generally nonzero."""
-
-    value: float
-    oracle: float
-    deviation: float
-    x: float
-    y: float
-
-
-def _negativity_closed_form(rho: DensityMatrix) -> _ClosedFormResult:
-    """The closed-form negativity of a two-qubit state, check 9's
-    reported diagnostic.
-
-    Builds U = (rho^T_B)^dagger rho^T_B, takes X = tr U and Y = det U
-    (via the Levi-Civita contraction), and reports
-    (X + 4 sqrt(Y)) / sqrt(X + 2 sqrt(Y)) - 1 next to the eigenvalue
-    negativity and their absolute difference.
-    """
-    if rho.dims != (2, 2):
-        raise ShapeMismatch(f"closed form is defined for two qubits, got dims {rho.dims}")
-    u = _pt_square(rho.matrix)
-    x = float(np.trace(u).real)
-    y = float(levi_civita_det4(u).real)
-    sqrt_y = np.sqrt(max(y, 0.0))
-    denom_sq = x + 2.0 * sqrt_y
-    if denom_sq <= 0.0:
-        raise DegenerateDenominator("X + 2 sqrt(Y) vanished; input is the zero matrix")
-    value = float((x + 4.0 * sqrt_y) / np.sqrt(denom_sq) - 1.0)
-    oracle = negativity(rho, CUT_1_2)
-    return _ClosedFormResult(value, oracle, abs(value - oracle), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -598,17 +526,12 @@ def _check_qudit_generalization(overrides: dict) -> CheckResult:
     worst_identity.push(
         abs(i_concurrence(initial_state(3), CUT_14_23) - 1.0), "initial 14|23 concurrence"
     )
-    passed = worst_identity.value <= tol_identity and worst_born.value <= tol_born
-    detail = (
-        f"identity/concurrence dev {worst_identity.value:.3e} (tol {tol_identity:.0e}), "
-        f"born dev {worst_born.value:.3e} (tol {tol_born:.0e})"
-    )
-    return CheckResult(
-        name="qudit_generalization",
-        passed=passed,
-        max_deviation=max(worst_identity.value, worst_born.value),
-        tolerance=max(tol_identity, tol_born),
-        detail=detail,
+    return _parts_result(
+        "qudit_generalization",
+        [
+            ("identity/concurrence dev", worst_identity, tol_identity),
+            ("born dev", worst_born, tol_born),
+        ],
     )
 
 
@@ -618,15 +541,7 @@ def _check_qudit_generalization(overrides: dict) -> CheckResult:
 
 
 def _check_sweep_determinism(overrides: dict) -> CheckResult:
-    with tempfile.TemporaryDirectory() as tmpdir:
-        path = _paper_scenario_config(tmpdir, "first.csv")
-        code1 = _cli_main(["sweep", path, "--csv", os.path.join(tmpdir, "a.csv")])
-        code2 = _cli_main(["sweep", path, "--csv", os.path.join(tmpdir, "b.csv")])
-        with open(os.path.join(tmpdir, "a.csv"), "rb") as fh:
-            first = fh.read()
-        with open(os.path.join(tmpdir, "b.csv"), "rb") as fh:
-            second = fh.read()
-    identical = first == second and code1 == 0 and code2 == 0
+    identical = _paper_sweep_csv() == _paper_sweep_csv()
     return CheckResult(
         name="sweep_determinism",
         passed=identical,
@@ -652,13 +567,8 @@ def _chain_reference(d: int, povms) -> tuple[float, float, float]:
 def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
     tol = _tol(overrides, "batched_sweep_equivalence")
     worst = _Worst()
-    config = ScenarioConfig(
-        local_dim=2,
-        rounds=(RoundSpec("noisy_bell"), RoundSpec("wire2_computational")),
-        sweep=SweepSpec(param_name="lambda", start=0.0, stop=1.0, steps=len(_LAMBDA_GRID)),
-    )
     second = wire2_computational_povm()
-    for row in sweep_rows(config):
+    for row in sweep_rows(_PAPER_SWEEP):
         ref = _chain_reference(2, (noisy_bell_povm(row.param_value), second))
         got = (row.avg_neg_round1, row.avg_neg_round2, row.max_branch_negativity)
         worst.push(max(abs(a - b) for a, b in zip(got, ref)), f"paper lambda={row.param_value}")

@@ -19,7 +19,7 @@ CRITERIA = [
     (6, "lemma1_necessity", "rank-1 first elements: zero disturbance <=1e-10"),
     (7, "zero_c14_implies_zero_c12", "unentangled elements: c14<=1e-9 forces c12<=1e-9"),
     (8, "separable_residual_concurrence", "2 sqrt(t1 t2)/(t1+t2) vs state oracle <=1e-10, angle-free"),
-    (9, "dual_path_equivalence", "contraction/spectral vs direct paths <=1e-9, closed form reported"),
+    (9, "dual_path_equivalence", "contraction/spectral vs direct paths <=1e-9"),
     (10, "psd_sqrt_closed_form", "2x2 closed root vs spectral <=1e-12 on 1000 samples"),
     (11, "qudit_generalization", "criteria 1-2 at d=3 and unit concurrences <=1e-10"),
     (12, "sweep_determinism", "byte-identical CSV across consecutive sweep runs"),

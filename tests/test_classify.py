@@ -14,8 +14,8 @@ from swapforge.classify import (
     classify_element,
     classify_measurement,
     classify_stack,
-    lemma1_predicate,
-    lemma2_predicate,
+    lemma1_blocked,
+    lemma2_open,
     report_to_json,
 )
 from swapforge.errors import ShapeMismatch, ZeroTrace
@@ -104,20 +104,20 @@ def test_classify_measurement_wire2_computational():
 
 
 # ---------------------------------------------------------------------------
-# lemma predicates
+# lemma rules
 # ---------------------------------------------------------------------------
 
 
 def test_lemma1_predicate_values(rng):
-    assert lemma1_predicate(random_rank1_element(rng))
-    assert not lemma1_predicate(PovmElement(np.eye(4)))
-    assert lemma1_predicate(noisy_bell_povm(1.0).elements[0])
+    assert lemma1_blocked(classify_element(random_rank1_element(rng)))
+    assert not lemma1_blocked(classify_element(PovmElement(np.eye(4))))
+    assert lemma1_blocked(classify_element(noisy_bell_povm(1.0).elements[0]))
 
 
 def test_lemma2_predicate_values(rng):
-    assert lemma2_predicate(noisy_bell_povm(0.5).elements[0])
-    assert not lemma2_predicate(bell_projective().elements[0])  # rank 1
-    assert lemma2_predicate(PovmElement(np.eye(4)))  # rank 4, c14 = 1
+    assert lemma2_open(classify_element(noisy_bell_povm(0.5).elements[0]))
+    assert not lemma2_open(classify_element(bell_projective().elements[0]))  # rank 1
+    assert lemma2_open(classify_element(PovmElement(np.eye(4))))  # rank 4, c14 = 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import swapforge
 from swapforge.cli import main
 from swapforge.config import load_scenario_config
 from swapforge.errors import ConfigError
-from swapforge.experiment import CSV_COLUMNS, run_scenario, run_sweep, worker_count
+from swapforge.experiment import CSV_COLUMNS, paper_formulas, run_scenario, run_sweep, worker_count
 from swapforge.families import noisy_bell_povm
 from swapforge.states import Povm, write_povm
 
@@ -203,11 +203,20 @@ def test_cli_run_missing_file_exit_three(capsys):
     assert "error_code=IO" in capsys.readouterr().err
 
 
-def test_cli_sweep_deterministic_bytes(tmp_path):
-    path = write_config(tmp_path, PAPER_DOC)
-    assert main(["sweep", path, "--csv", str(tmp_path / "a.csv")]) == 0
+@pytest.mark.parametrize("steps", [5, 21])
+def test_cli_sweep_deterministic_bytes(tmp_path, steps):
+    # 21 steps is the paper sweep that verify checks 5 and 12 run in process
+    doc = {**PAPER_DOC, "sweep": {**PAPER_DOC["sweep"], "steps": steps}}
+    path = write_config(tmp_path, doc)
+    assert main(["sweep", path]) == 0
     assert main(["sweep", path, "--csv", str(tmp_path / "b.csv")]) == 0
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    written = (tmp_path / "sweep.csv").read_bytes()
+    assert written == (tmp_path / "b.csv").read_bytes()
+    rows = np.loadtxt(written.splitlines(), delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) == steps
+    round1, round2 = paper_formulas(rows[:, 0])
+    assert np.abs(rows[:, 1] - np.maximum(round1, 0.0)).max() <= 1e-9
+    assert np.abs(rows[:, 2] - round2).max() <= 1e-9
 
 
 def test_cli_sweep_unowned_param_names_it(tmp_path, capsys):
@@ -347,6 +356,14 @@ def test_verify_fault_injection_corrupted_rank_cutoff():
     # the candidate set is pinned: 200 rank-one elements plus the 20
     # near-rank-one contaminants the corrupted cutoff lets through
     assert corrupted.detail.endswith("; 220 rank-1 branches checked")
+    # a cutoff of 1 or more reads every candidate as rank 0: all are checked
+    at_one = run_check("lemma1_necessity", {"rank_rel_tol": 1.0})
+    assert not at_one.passed
+    assert at_one.detail.endswith("; 220 rank-1 branches checked")
+    # a negative cutoff reads every candidate as rank 4: checking none fails
+    negative = run_check("lemma1_necessity", {"rank_rel_tol": -1.0})
+    assert not negative.passed
+    assert negative.detail.endswith("; 0 rank-1 branches checked")
     healthy = run_check("lemma1_necessity")
     assert healthy.passed
     assert healthy.detail.endswith("; 200 rank-1 branches checked")

@@ -24,7 +24,6 @@ from swapforge.measures import (
 )
 from swapforge.sampling import random_element
 from swapforge.states import DensityMatrix, PovmElement, PureState
-from swapforge.verify import _negativity_closed_form as negativity_closed_form
 
 from swapforge.tolerances import PPT_TOL
 
@@ -217,47 +216,10 @@ def test_c12_vs_34_contraction_d3(rng):
 
 
 # ---------------------------------------------------------------------------
-# closed-form negativity diagnostic
+# Levi-Civita determinant
 # ---------------------------------------------------------------------------
 
 
 def test_levi_civita_det_matches_numpy(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert levi_civita_det4(m) == pytest.approx(np.linalg.det(m), abs=1e-12)
-
-
-def test_closed_form_bell_frozen_values():
-    # U = I/16 for the Bell pair: X = 1/4... scaled by trace-norm squared:
-    # PT eigenvalues are +-1/2, so U = I/4, X = 1, Y = (1/4)^4 = 1/256.
-    res = negativity_closed_form(bell_density())
-    assert res.x == pytest.approx(1.0, abs=1e-12)
-    assert res.y == pytest.approx(1.0 / 256.0, abs=1e-14)
-    assert res.oracle == pytest.approx(1.0, abs=1e-12)
-    # (X + 4 sqrt(Y)) / sqrt(X + 2 sqrt(Y)) - 1, doubled-normalization form
-    expected = (1.0 + 4.0 / 16.0) / np.sqrt(1.0 + 2.0 / 16.0) - 1.0
-    assert res.value == pytest.approx(expected, abs=1e-12)
-    assert res.deviation == pytest.approx(abs(expected - 1.0), abs=1e-12)
-
-
-def test_closed_form_maximally_mixed():
-    res = negativity_closed_form(DensityMatrix(np.eye(4) / 4, (2, 2)))
-    assert res.x == pytest.approx(1.0 / 4.0, abs=1e-14)
-    assert res.y == pytest.approx(1.0 / 65536.0, abs=1e-16)
-    assert res.oracle == pytest.approx(0.0, abs=1e-12)
-
-
-def test_closed_form_reports_deviation_for_degenerate_u():
-    # U proportional to the identity: the 2x2 root identity is still not
-    # exact for a 4x4 matrix, so the diagnostic must report the analytic gap
-    # rather than pretend agreement.
-    res = negativity_closed_form(bell_density())
-    c = 0.25  # U = c I
-    closed_trace = (4 * c + 4 * c**2) / np.sqrt(4 * c + 2 * c**2)
-    true_trace = 4 * np.sqrt(c)
-    assert res.deviation == pytest.approx(abs(closed_trace - true_trace), abs=1e-12)
-
-
-def test_closed_form_rejects_larger_systems(rng):
-    big = DensityMatrix(np.eye(9) / 9, (3, 3))
-    with pytest.raises(ShapeMismatch):
-        negativity_closed_form(big)
