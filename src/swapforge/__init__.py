@@ -36,9 +36,6 @@ from .families import (
     wire2_computational_povm,
 )
 from .linalg import (
-    HermitianSpectrum,
-    hermitian_eig,
-    kron,
     matrix_rank,
     partial_trace,
     partial_transpose,
@@ -62,7 +59,6 @@ from .states import (
     Povm,
     PovmElement,
     PureState,
-    conjugate_computational,
     max_entangled_state,
     read_povm,
     write_povm,
@@ -79,7 +75,6 @@ __all__ = [
     "DensityMatrix",
     "DisturbanceReport",
     "ElementClass",
-    "HermitianSpectrum",
     "OutcomeRecord",
     "Povm",
     "PovmElement",
@@ -94,12 +89,9 @@ __all__ = [
     "chain",
     "classify_element",
     "classify_measurement",
-    "conjugate_computational",
     "disturbance_check",
-    "hermitian_eig",
     "i_concurrence",
     "initial_state",
-    "kron",
     "lemma1_blocked",
     "lemma2_open",
     "matrix_rank",

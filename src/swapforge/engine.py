@@ -39,7 +39,6 @@ from .states import (
     PovmElement,
     PureState,
     check_povm_stack,
-    conjugate_computational,
 )
 from .tolerances import PROB_TOL
 
@@ -385,7 +384,7 @@ class StackedBranches:
 
 
 def _round_spectrum(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """A checked round's kept floored spectrum (Povm.floored_spectrum) as
+    """A checked round's floored spectrum (Povm.floored_spectrum) as
     one shared (1, K, D, D) stack, as ``_expand`` takes it."""
     w, v = povm.floored_spectrum
     return w[None], v[None]
@@ -439,7 +438,7 @@ def rho14_from_element(el: PovmElement) -> DensityMatrix:
     if tr <= 0.0:
         raise InvalidPovm("outer-pair state undefined for a traceless element")
     d = el.local_dim
-    return DensityMatrix(conjugate_computational(el.matrix) / tr, (d, d))
+    return DensityMatrix(np.conj(el.matrix) / tr, (d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +448,7 @@ def rho14_from_element(el: PovmElement) -> DensityMatrix:
 
 def _overlaps(first: PovmElement, second: PovmElement) -> np.ndarray:
     # g[m, a] = <second basis m | first basis a>
-    return second.spectral.eigenvectors.conj().T @ first.spectral.eigenvectors
+    return second.spectral[1].conj().T @ first.spectral[1]
 
 
 def second_round_probability(rec: OutcomeRecord, em: PovmElement) -> float:
@@ -462,7 +461,7 @@ def second_round_probability(rec: OutcomeRecord, em: PovmElement) -> float:
     born, _ = apply_element(rec.full_state, em)
     first = rec.element
     g = _overlaps(first, em)
-    weights = np.outer(em.spectral.eigenvalues, first.spectral.eigenvalues)
+    weights = np.outer(em.spectral[0], first.spectral[0])
     spectral = float((weights * np.abs(g) ** 2).sum()) / first.trace
     if abs(born - spectral) > 1e-10:
         raise InternalCheckError(
@@ -478,12 +477,12 @@ def rho14_two_round_spectral(first: PovmElement, second: PovmElement) -> Density
         raise ShapeMismatch("elements act on different local dimensions")
     d = first.local_dim
     g = _overlaps(first, second)
-    mu = second.spectral.eigenvalues
+    mu = second.spectral[0]
     # coeff[a, b] = sum_m mu_m g[m, a] conj(g[m, b])
     coeff = np.einsum("m,ma,mb->ab", mu, g, g.conj())
-    root_pi = np.sqrt(first.spectral.eigenvalues)
+    root_pi = np.sqrt(first.spectral[0])
     weighted = coeff * np.outer(root_pi, root_pi)
-    basis = first.spectral.eigenvectors.conj()  # columns are the conjugated grids
+    basis = first.spectral[1].conj()  # columns are the conjugated grids
     rho = basis @ weighted @ basis.conj().T
     tr = float(np.trace(rho).real)
     if tr <= 0.0:

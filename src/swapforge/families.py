@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, ZeroTrace
-from .linalg import kron
 from .states import Povm, read_povm
 
 __all__ = [
@@ -65,7 +64,7 @@ def noisy_bell_stack(lams) -> np.ndarray:
 
 def noisy_bell_povm(lam: float) -> Povm:
     """The white-noise Bell measurement at one lambda (see noisy_bell_stack)."""
-    return Povm.from_matrices(noisy_bell_stack([float(lam)])[0], local_dim=2)
+    return Povm(noisy_bell_stack([float(lam)])[0], local_dim=2)
 
 
 def bell_projective() -> Povm:
@@ -79,7 +78,7 @@ def wire2_computational_povm() -> Povm:
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
-    return Povm.from_matrices([kron(p0, eye), kron(p1, eye)], local_dim=2)
+    return Povm([np.kron(p0, eye), np.kron(p1, eye)], local_dim=2)
 
 
 def _is_finite_number(value) -> bool:
@@ -119,8 +118,8 @@ def single_qubit_element(p: SingleQubitElementParams) -> np.ndarray:
 def separable_product_povm(pairs) -> Povm:
     """POVM with product elements A_n x B_n from single-qubit factor
     parameters; the caller owns closure to the identity."""
-    mats = [kron(single_qubit_element(a), single_qubit_element(b)) for a, b in pairs]
-    return Povm.from_matrices(mats, local_dim=2)
+    mats = [np.kron(single_qubit_element(a), single_qubit_element(b)) for a, b in pairs]
+    return Povm(mats, local_dim=2)
 
 
 def single_qubit_residual_concurrence(p: SingleQubitElementParams) -> float:

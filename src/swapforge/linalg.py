@@ -8,7 +8,6 @@ functions are pure; inputs are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -17,11 +16,7 @@ from .errors import BadIndex, NotHermitian, NotPsd, ShapeMismatch
 from .tolerances import HERM_TOL, PSD_TOL, RANK_REL_TOL
 
 __all__ = [
-    "HermitianSpectrum",
     "floor_eigh",
-    "floored_psd_eigh",
-    "hermitian_eig",
-    "kron",
     "matrix_rank",
     "partial_trace",
     "partial_transpose",
@@ -30,11 +25,6 @@ __all__ = [
     "sqrt_from_spectrum",
     "trace_norm",
 ]
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; subsystem dimension lists concatenate."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def _square(m) -> np.ndarray:
@@ -55,6 +45,17 @@ def _checked_dims(m: np.ndarray, dims) -> tuple[int, ...]:
     return dims
 
 
+def _checked_wires(keep, n: int) -> tuple[int, ...]:
+    """``keep`` as a tuple of ints; raises BadIndex unless it names
+    distinct wires of an n-wire system."""
+    keep = tuple(int(k) for k in keep)
+    if len(set(keep)) != len(keep):
+        raise BadIndex(f"keep={keep} repeats a wire")
+    if any(k < 0 or k >= n for k in keep):
+        raise BadIndex(f"keep={keep} out of range for {n} wires")
+    return keep
+
+
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out every wire not in ``keep``.
 
@@ -64,11 +65,7 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     m = _square(m)
     dims = _checked_dims(m, dims)
     n = len(dims)
-    keep = tuple(int(k) for k in keep)
-    if len(set(keep)) != len(keep):
-        raise BadIndex(f"keep={keep} repeats a wire")
-    if any(k < 0 or k >= n for k in keep):
-        raise BadIndex(f"keep={keep} out of range for {n} wires")
+    keep = _checked_wires(keep, n)
     drop = [w for w in range(n) if w not in keep]
     t = m.reshape(dims + dims)
     order = list(keep) + drop + [k + n for k in keep] + [w + n for w in drop]
@@ -112,42 +109,16 @@ def _require_hermitian(m: np.ndarray) -> None:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {allowed:.3g}")
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianSpectrum:
-    """Eigenvalues in descending order with matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m: np.ndarray) -> HermitianSpectrum:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    m = _square(m)
-    _require_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    w = np.ascontiguousarray(w[::-1].real)
-    v = np.ascontiguousarray(v[:, ::-1])
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
-
-
-def floored_psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of PSD matrices stacked on the leading axes of ``m``
-    (shape (..., D, D)): eigenvalues descending, clipped at zero, and
-    those below RANK_REL_TOL times the largest set to exactly zero, with
-    the matching eigenvector columns.
+def floor_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The floored spectra of PSD matrices stacked on the leading axes,
+    from their ascending ``eigh`` (w, v): eigenvalues descending, clipped
+    at zero, and those below RANK_REL_TOL times the largest set to
+    exactly zero, with the matching eigenvector columns.
 
     Anything matrix_rank would not count must not leak sqrt-amplified
     noise into branch states, so every POVM element's square root, one
     at a time or stacked, takes its spectrum from here.
     """
-    return floor_eigh(*np.linalg.eigh(m))
-
-
-def floor_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floored_psd_eigh from an ascending ``eigh`` result (w, v) already
-    taken, as the POVM stack check takes one."""
     w = np.clip(w[..., ::-1], 0.0, None)
     top = w[..., :1]
     floored = np.where((top > 0.0) & (w < RANK_REL_TOL * top), 0.0, w)
@@ -165,12 +136,12 @@ def psd_sqrt(m: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
     Eigenvalues in [-psd_tol, 0) are clamped to zero so spectral noise
     from upstream products cannot poison the root.
     """
-    spec = hermitian_eig(m)
-    w = spec.eigenvalues
-    if w.size and w[-1] < -psd_tol:
-        raise NotPsd(f"min eigenvalue {w[-1]:.3e} below -{psd_tol:.0e}")
-    w = np.clip(w, 0.0, None)
-    v = spec.eigenvectors
+    m = _square(m)
+    _require_hermitian(m)
+    w, v = np.linalg.eigh(m)
+    if w.size and w[0] < -psd_tol:
+        raise NotPsd(f"min eigenvalue {w[0]:.3e} below -{psd_tol:.0e}")
+    w, v = np.clip(w[::-1], 0.0, None), v[:, ::-1]  # largest first
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -208,10 +179,11 @@ def matrix_rank(
     m: np.ndarray, rel_tol: float = RANK_REL_TOL, psd_tol: float = PSD_TOL
 ) -> int:
     """Count of eigenvalues above rel_tol times the largest; 0 for the zero matrix."""
-    spec = hermitian_eig(m)
-    w = spec.eigenvalues
-    if w.size and w[-1] < -psd_tol:
-        raise NotPsd(f"min eigenvalue {w[-1]:.3e} below -{psd_tol:.0e}")
-    if w.size == 0 or w[0] <= psd_tol:
+    m = _square(m)
+    _require_hermitian(m)
+    w = np.linalg.eigh(m)[0]
+    if w.size and w[0] < -psd_tol:
+        raise NotPsd(f"min eigenvalue {w[0]:.3e} below -{psd_tol:.0e}")
+    if w.size == 0 or w[-1] <= psd_tol:
         return 0
-    return int(np.count_nonzero(w > rel_tol * w[0]))
+    return int(np.count_nonzero(w > rel_tol * w[-1]))

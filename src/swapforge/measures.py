@@ -161,7 +161,7 @@ def _state_tensor(el: PovmElement) -> np.ndarray:
     T = sum_k sqrt(pi_k) conj(A_k)[w1, w4] A_k[w2, w3] built from the
     element's spectral data; its squared norm is tr(element).
     """
-    w = el.spectral.eigenvalues
+    w = el.spectral[0]
     a = el.basis_tensor()
     return np.einsum("a,aij,akl->ijkl", np.sqrt(w), a.conj(), a)
 
@@ -171,7 +171,7 @@ def c14_vs_23(el: PovmElement) -> float:
     sqrt(D/(D-1) (1 - sum pi^2 / (sum pi)^2)) from the element eigenvalues."""
     if el.trace <= 0.0:
         raise ZeroTrace("c14_vs_23 undefined for a traceless element")
-    w = el.spectral.eigenvalues
+    w = el.spectral[0]
     tr = float(w.sum())  # spectral trace keeps the ratio exact for rank-1 inputs
     return float(_concurrence(float((w * w).sum()) / (tr * tr), el.local_dim ** 2))
 
@@ -206,7 +206,7 @@ def c12_vs_34_contraction(el: PovmElement) -> float:
     tr = el.trace
     if tr <= 0.0:
         raise ZeroTrace("c12_vs_34 undefined for a traceless element")
-    wgt = np.sqrt(el.spectral.eigenvalues)
+    wgt = np.sqrt(el.spectral[0])
     a = el.basis_tensor()
     operands = (wgt,) * 4 + (a.conj(), a, a, a.conj(), a.conj(), a, a, a.conj())
     purity = np.einsum(_C12_PURITY, *operands, optimize=_c12_path(el.local_dim))
@@ -214,7 +214,7 @@ def c12_vs_34_contraction(el: PovmElement) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Levi-Civita determinant (verify check 9's closed-form diagnostic uses it).
+# Levi-Civita determinant: verify check 9's Y path, against numpy's det.
 # ---------------------------------------------------------------------------
 
 _EPS4 = np.zeros((4, 4, 4, 4))

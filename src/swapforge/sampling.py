@@ -85,7 +85,7 @@ def random_povm_stack(
 
     Draws the same normals in the same order as ``count`` calls of
     random_povm, gives the same matrices bit for bit, and makes every
-    check Povm.from_matrices makes.
+    check Povm makes.
     """
     mats = _povm_matrices(rng, count, d, n_elements)
     check_povm_stack(mats)
@@ -95,4 +95,4 @@ def random_povm_stack(
 def random_povm(rng: np.random.Generator, d: int = 2, n_elements: int = 3) -> Povm:
     """Random complete POVM: random PSD seeds conjugated by the inverse
     square root of their sum (random_povm_stack with a count of one)."""
-    return Povm.from_matrices(_povm_matrices(rng, 1, d, n_elements)[0], local_dim=d)
+    return Povm(_povm_matrices(rng, 1, d, n_elements)[0], local_dim=d)

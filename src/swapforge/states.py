@@ -1,10 +1,10 @@
 """Validated quantum states, POVMs, and the POVM file format.
 
-POVM elements compute their spectral decomposition and PSD square root on
-first read; the elements of ``Povm.from_matrices`` (every family, sampled
-and file POVM) get theirs from the ``eigh`` of their Povm's check instead.
-Everything is read-only after validation, so instances are safe to share
-across threads.
+A POVM element's spectrum comes from the ``eigh`` of its check: its own
+for a standalone PovmElement, its Povm's for the elements of a Povm.
+Only the PSD square root is computed on first read.  Everything is
+read-only after validation, so instances are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     ValidationFailure,
 )
-from .linalg import HermitianSpectrum, _hermiticity
+from .linalg import _hermiticity
 from .tolerances import COMPLETENESS_TOL, NORM_TOL, PSD_TOL
 
 __all__ = [
@@ -35,16 +35,10 @@ __all__ = [
     "PovmElement",
     "PureState",
     "check_povm_stack",
-    "conjugate_computational",
     "max_entangled_state",
     "read_povm",
     "write_povm",
 ]
-
-
-def conjugate_computational(m: np.ndarray) -> np.ndarray:
-    """Entrywise complex conjugate (conjugation in the computational basis)."""
-    return np.conj(np.asarray(m, dtype=complex))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -90,7 +84,7 @@ class PureState:
 
     def reduced(self, keep) -> "DensityMatrix":
         """Reduced density matrix on the kept wires (in the order given)."""
-        keep = tuple(int(k) for k in keep)
+        keep = linalg._checked_wires(keep, self.n_wires)
         rest = [w for w in range(self.n_wires) if w not in keep]
         m = self.tensor().transpose(list(keep) + rest)
         m = m.reshape(prod(self.dims[k] for k in keep), -1)
@@ -178,24 +172,30 @@ def _check_completeness(m: np.ndarray) -> None:
 class PovmElement:
     """One PSD measurement operator on a d x d pair of wires.
 
-    The spectral decomposition (seeded by ``Povm.from_matrices``) and the
-    PSD square root are kept once computed; every protocol formula uses them.
+    ``spectral`` is its floored spectrum (w, v) as linalg.floor_eigh gives
+    it: eigenvalues descending, eigenvectors in the matching columns, both
+    read-only and taken from the ``eigh`` of the element's check.  The PSD
+    square root is kept once computed; every protocol formula uses them.
     """
 
     matrix: np.ndarray
+    spectral: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2:
             raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
-        _check_elements(m)
+        spectrum = linalg.floor_eigh(*_check_elements(m, vectors=True))
         object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "spectral", _read_only(*spectrum))
 
     @classmethod
-    def _checked(cls, m: np.ndarray) -> "PovmElement":
-        # for a read-only complex matrix _check_elements has already passed
+    def _of_checked_stack(cls, m: np.ndarray, w: np.ndarray, v: np.ndarray) -> "PovmElement":
+        # m is a read-only row of a stack _check_elements has passed, and
+        # (w, v) its read-only floored spectrum
         el = object.__new__(cls)
         object.__setattr__(el, "matrix", m)
+        object.__setattr__(el, "spectral", (w, v))
         return el
 
     @property
@@ -212,87 +212,63 @@ class PovmElement:
         return float(np.trace(self.matrix).real)
 
     @cached_property
-    def spectral(self) -> HermitianSpectrum:
-        # Eigenvalues below the rank-detection floor are exact zeros here.
-        w, v = _read_only(*linalg.floored_psd_eigh(self.matrix))
-        return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
-
-    @cached_property
     def sqrt_matrix(self) -> np.ndarray:
-        spec = self.spectral
-        return _frozen(linalg.sqrt_from_spectrum(spec.eigenvalues, spec.eigenvectors))
+        return _frozen(linalg.sqrt_from_spectrum(*self.spectral))
 
     def basis_tensor(self) -> np.ndarray:
         """Eigenvectors as amplitude grids A[k, i, j] over the two local wires."""
         d = self.local_dim
-        return self.spectral.eigenvectors.T.reshape(d * d, d, d)
+        return self.spectral[1].T.reshape(d * d, d, d)
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
     """A complete measurement: PSD elements summing to the identity.
 
-    ``matrices`` is the read-only (K, D, D) element stack, ``spectrum``
-    its read-only ascending ``eigh`` (w, v), decomposed once, and
-    ``floored_spectrum`` that ``eigh`` floored once (linalg.floor_eigh):
-    ``from_matrices`` keeps the ``eigh`` of its PSD check and its floor,
-    and seeds every element's ``spectral`` with views of the floored pair;
-    a Povm built from elements takes both on first read.
+    Built from its element matrices (a (K, D, D) array or a sequence of
+    D x D matrices) and, optionally, the local dimension they must have.
+    The stack is checked once, and the one ``eigh`` the check takes is
+    kept: ``matrices`` is the read-only (K, D, D) stack, ``spectrum`` its
+    read-only ascending ``eigh`` (w, v), ``floored_spectrum`` that pair
+    floored once (linalg.floor_eigh), and each of ``elements`` holds its
+    row of the floored pair as its ``spectral``.
     """
 
-    elements: tuple[PovmElement, ...]
-    local_dim: int
-    matrices: np.ndarray = field(init=False, repr=False)
+    matrices: np.ndarray
+    local_dim: int | None = None
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    floored_spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    elements: tuple[PovmElement, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        els = tuple(self.elements)
-        if not els:
-            raise InvalidPovm("a POVM needs at least one element")
-        d = int(self.local_dim)
-        # elements have a local dimension >= 2, so this also rejects local_dim < 2
-        if any(el.local_dim != d for el in els):
-            raise ShapeMismatch("element dimensions disagree with local_dim")
-        stack = _frozen([el.matrix for el in els])
-        _check_completeness(stack)
-        object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "local_dim", d)
-        object.__setattr__(self, "matrices", stack)
-
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        return _read_only(*np.linalg.eigh(self.matrices))
-
-    @cached_property
-    def floored_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        return _read_only(*linalg.floor_eigh(*self.spectrum))
-
-    @classmethod
-    def from_matrices(cls, matrices, local_dim: int | None = None) -> "Povm":
-        """Build a Povm from element matrices, checking them as one stack."""
-        mats = [np.asarray(m, dtype=complex) for m in matrices]
+        mats = [np.asarray(m, dtype=complex) for m in self.matrices]
         if not mats:
             raise InvalidPovm("a POVM needs at least one element")
         if any(m.ndim != 2 or m.shape != mats[0].shape for m in mats):
             raise ShapeMismatch("POVM elements are not square matrices of one shape")
         stack = _frozen(mats)
         w, v = _read_only(*_check_elements(stack, vectors=True))
-        els = tuple(PovmElement._checked(m) for m in stack)
-        d = local_dim if local_dim is not None else els[0].local_dim
-        povm = cls(elements=els, local_dim=d)
-        povm.__dict__["spectrum"] = (w, v)  # the cached_properties' slots
-        floored = povm.__dict__["floored_spectrum"] = _read_only(*linalg.floor_eigh(w, v))
-        for el, fw, fv in zip(els, *floored):
-            el.__dict__["spectral"] = HermitianSpectrum(eigenvalues=fw, eigenvectors=fv)
-        return povm
+        d = isqrt(stack.shape[-1])
+        # the check passed, so d >= 2: this also rejects a local_dim below 2
+        if self.local_dim is not None and int(self.local_dim) != d:
+            raise ShapeMismatch("element dimensions disagree with local_dim")
+        _check_completeness(stack)
+        floored = _read_only(*linalg.floor_eigh(w, v))
+        els = tuple(PovmElement._of_checked_stack(*row) for row in zip(stack, *floored))
+        object.__setattr__(self, "matrices", stack)
+        object.__setattr__(self, "local_dim", d)
+        object.__setattr__(self, "spectrum", (w, v))
+        object.__setattr__(self, "floored_spectrum", floored)
+        object.__setattr__(self, "elements", els)
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
 def check_povm_stack(stack) -> tuple[np.ndarray, np.ndarray]:
-    """The checks Povm.from_matrices makes, for POVMs stacked on the
-    leading axes: ``stack`` has shape (..., K, D, D) with element k of
-    each POVM at [..., k, :, :].  Raises as PovmElement and Povm do.
+    """The checks Povm makes, for POVMs stacked on the leading axes:
+    ``stack`` has shape (..., K, D, D) with element k of each POVM at
+    [..., k, :, :].  Raises as PovmElement and Povm do.
     Returns the ascending (eigenvalues, eigenvectors) of the one ``eigh``
     the PSD rule reads, so a caller needing them decomposes once."""
     m = np.asarray(stack, dtype=complex)
@@ -356,7 +332,7 @@ def read_povm(path) -> Povm:
     if not mats:
         raise FileFormatError("POVM document has no elements")
     try:
-        return Povm.from_matrices(mats, local_dim=doc["local_dim"])
+        return Povm(mats, local_dim=doc["local_dim"])
     except IncompletePovm as exc:
         raise IncompletePovm(f"POVM file fails validation: {exc}") from exc
     except (ValidationFailure, NotPsd) as exc:

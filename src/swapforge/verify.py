@@ -590,14 +590,14 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
     for d in (2, 3):
         for rank in (1, 2, 3, 4):
             el = random_element(rng, d=d, rank=rank)
-            povm = Povm(elements=(el, PovmElement(np.eye(d * d) - el.matrix)), local_dim=d)
+            povm = Povm([el.matrix, np.eye(d * d) - el.matrix], local_dim=d)
             rec = chain(SwapScenario(d, (povm,)))[0]
             stack = random_povm_stack(rng, 3, d=d, n_elements=3)
             kept, distance, change = stacked_disturbance(rec, stack)
             ref = [
                 (j, m, t, n)
                 for j, mats in enumerate(stack)
-                for m, t, n in disturbance_check(rec, Povm.from_matrices(mats, d)).per_outcome
+                for m, t, n in disturbance_check(rec, Povm(mats, d)).per_outcome
             ]
             if [(j, m) for j, m, _, _ in ref] != list(zip(*np.nonzero(kept))):
                 mismatched.append(f"disturbance d={d} rank={rank}")

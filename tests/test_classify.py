@@ -90,7 +90,7 @@ def test_classify_measurement_computational_product_basis():
     mats = [np.zeros((4, 4)) for _ in range(4)]
     for k in range(4):
         mats[k][k, k] = 1.0
-    report = classify_measurement(Povm.from_matrices(mats, local_dim=2))
+    report = classify_measurement(Povm(mats, local_dim=2))
     assert report.measurement_separable_operation
     assert report.lemma1_blocked
     assert not report.measurement_entangled
@@ -155,7 +155,7 @@ def test_separable_operation_flag_invariant_under_rescale_and_reorder():
     povm = wire2_computational_povm()
     base = classify_measurement(povm)
     # reorder
-    reordered = Povm(elements=tuple(reversed(povm.elements)), local_dim=2)
+    reordered = Povm(povm.matrices[::-1], local_dim=2)
     assert (
         classify_measurement(reordered).measurement_separable_operation
         == base.measurement_separable_operation
@@ -185,7 +185,7 @@ def test_report_serialization_round_trip_fields():
 def test_report_serialization_renames_ppt_beyond_qubits(rng):
     el = random_separable_element(rng, d=3, terms=2)
     report = classify_measurement(
-        Povm.from_matrices([el.matrix, np.eye(9) - el.matrix], local_dim=3)
+        Povm([el.matrix, np.eye(9) - el.matrix], local_dim=3)
     )
     doc = json.loads(report_to_json(report))
     for entry in doc["per_element"]:

@@ -281,7 +281,7 @@ def test_cli_file_family_resolves_relative_to_config(tmp_path):
 
 
 def test_cli_run_reports_past_a_traceless_element(tmp_path, capsys):
-    write_povm(Povm.from_matrices([np.zeros((4, 4)), np.eye(4)], local_dim=2), tmp_path / "z.json")
+    write_povm(Povm([np.zeros((4, 4)), np.eye(4)], local_dim=2), tmp_path / "z.json")
     doc = {
         "rounds": [
             {"family": "file", "params": {"path": "z.json"}},

@@ -129,7 +129,7 @@ def test_eigenbasis_orthogonality_contraction(seed):
 
 
 def test_chain_skips_zero_probability_branches(caplog):
-    povm = Povm.from_matrices([np.eye(4), np.zeros((4, 4))], local_dim=2)
+    povm = Povm([np.eye(4), np.zeros((4, 4))], local_dim=2)
     with caplog.at_level(logging.DEBUG, logger="swapforge.engine"):
         records = one_round(povm)
     assert [r.outcome_path for r in records] == [(0,)]
@@ -209,7 +209,7 @@ def test_identity_direction_leaves_first_pair_entangled():
 def test_product_rank1_leaves_pure_pair_states(rng):
     u = np.array([1.0, 1.0]) / np.sqrt(2)
     el = PovmElement(np.kron(np.outer(u, u), np.outer(u, u)))
-    povm = Povm.from_matrices([el.matrix, np.eye(4) - el.matrix], local_dim=2)
+    povm = Povm([el.matrix, np.eye(4) - el.matrix], local_dim=2)
     rec = one_round(povm)[0]
     for pair in ((0, 1), (2, 3)):
         m = rec.full_state.reduced(pair).matrix
@@ -220,7 +220,7 @@ def state_tensor(el):
     """Unnormalized branch amplitudes T[w1, w4, w2, w3] from the element's
     spectral data: sum_k sqrt(pi_k) conj(A_k)[w1, w4] A_k[w2, w3]."""
     a = el.basis_tensor()
-    return np.einsum("a,aij,akl->ijkl", np.sqrt(el.spectral.eigenvalues), a.conj(), a)
+    return np.einsum("a,aij,akl->ijkl", np.sqrt(el.spectral[0]), a.conj(), a)
 
 
 def rho12_contraction(el):
@@ -327,7 +327,7 @@ def test_two_round_worked_example_branch(lam):
 
 
 def test_identity_round_chain_keeps_maximally_mixed_outer_pair():
-    ident = Povm.from_matrices([np.eye(4)], local_dim=2)
+    ident = Povm([np.eye(4)], local_dim=2)
     records = chain(SwapScenario(2, (ident, ident)))
     assert len(records) == 1
     np.testing.assert_allclose(records[0].rho14.matrix, np.eye(4) / 4, atol=1e-12)
@@ -386,7 +386,7 @@ def test_two_round_branch_negativity_nondecreasing_in_lambda():
 def test_rank1_branches_are_undisturbed(seed):
     rng = rng_from(seed)
     el = random_rank1_element(rng)
-    povm = Povm(elements=(el, PovmElement(np.eye(4) - el.matrix)), local_dim=2)
+    povm = Povm([el.matrix, np.eye(4) - el.matrix], local_dim=2)
     rec = one_round(povm)[0]
     report = disturbance_check(rec, random_povm(rng, n_elements=3))
     assert report.max_trace_distance <= 1e-10
@@ -403,7 +403,7 @@ def test_noisy_bell_branch_is_disturbed_by_separable_second_round():
 
 def test_trivial_povm_never_disturbs():
     rec = one_round(noisy_bell_povm(0.2))[0]
-    report = disturbance_check(rec, Povm.from_matrices([np.eye(4)], local_dim=2))
+    report = disturbance_check(rec, Povm([np.eye(4)], local_dim=2))
     assert report.max_trace_distance <= 1e-12
     assert report.max_negativity_change <= 1e-12
 

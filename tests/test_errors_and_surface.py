@@ -37,7 +37,7 @@ def test_scenario_rejects_empty_rounds():
 
 
 def test_scenario_rejects_dimension_mismatch(rng):
-    povm = Povm.from_matrices([np.eye(9)], local_dim=3)
+    povm = Povm([np.eye(9)], local_dim=3)
     with pytest.raises(ShapeMismatch):
         SwapScenario(2, (povm,))
 
@@ -113,11 +113,12 @@ def test_povm_element_rejects_non_square_pair_dimension():
         ([np.ones(4)], ShapeMismatch),
         ([np.eye(5)], ShapeMismatch),
         ([np.ones((2, 3))], ShapeMismatch),
+        ([np.eye(9) / 2, np.eye(4) / 2], ShapeMismatch),
     ],
 )
 def test_povm_from_matrices_rejects_bad_shapes(matrices, error):
     with pytest.raises(error):
-        Povm.from_matrices(matrices)
+        Povm(matrices)
 
 
 _PAPER_CONFIG = {

@@ -43,8 +43,8 @@ def test_noisy_bell_extremes():
 
 
 def test_noisy_bell_midpoint_eigenvalues():
-    spec = noisy_bell_povm(0.5).elements[0].spectral
-    np.testing.assert_allclose(spec.eigenvalues, [0.625, 0.125, 0.125, 0.125], atol=1e-14)
+    w, _ = noisy_bell_povm(0.5).elements[0].spectral
+    np.testing.assert_allclose(w, [0.625, 0.125, 0.125, 0.125], atol=1e-14)
 
 
 def test_noisy_bell_completeness_tight():

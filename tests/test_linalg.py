@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from swapforge.errors import BadIndex, NotHermitian, NotPsd, ShapeMismatch
 from swapforge.linalg import (
-    floored_psd_eigh,
-    hermitian_eig,
-    kron,
+    floor_eigh,
     matrix_rank,
     partial_trace,
     partial_transpose,
@@ -26,11 +24,6 @@ def random_complex(rng, rows, cols):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
-def random_hermitian(rng, n):
-    g = random_complex(rng, n, n)
-    return g + g.conj().T
-
-
 def random_psd(rng, n, rank=None):
     g = random_complex(rng, n, rank or n)
     return g @ g.conj().T
@@ -42,34 +35,6 @@ def random_density(rng, n):
 
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
-
-# ---------------------------------------------------------------------------
-# kron
-# ---------------------------------------------------------------------------
-
-
-def test_kron_identities():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    expected = np.zeros((4, 4))
-    expected[1, 1] = 1.0  # |01><01|
-    np.testing.assert_array_equal(kron(p0, p1), expected)
-
-
-@given(seeds)
-def test_kron_matches_index_formula(seed):
-    rng = rng_from(seed)
-    a = random_complex(rng, 2, 2)
-    b = random_complex(rng, 2, 2)
-    result = kron(a, b)
-    # (A x B)[2i+k, 2j+l] = A[i,j] B[k,l]
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    assert result[2 * i + k, 2 * j + l] == pytest.approx(a[i, j] * b[k, l])
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +52,7 @@ def test_partial_trace_product_oracle(seed):
     rng = rng_from(seed)
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 3)
-    joint = kron(rho_a, rho_b)
+    joint = np.kron(rho_a, rho_b)
     np.testing.assert_allclose(partial_trace(joint, (2, 3), (0,)), rho_a, atol=1e-12)
     np.testing.assert_allclose(partial_trace(joint, (2, 3), (1,)), rho_b, atol=1e-12)
 
@@ -98,7 +63,7 @@ def test_partial_trace_of_kron_scales_by_trace(seed):
     a = random_complex(rng, 2, 2)
     b = random_complex(rng, 2, 2)
     np.testing.assert_allclose(
-        partial_trace(kron(a, b), (2, 2), (0,)), np.trace(b) * a, atol=1e-12
+        partial_trace(np.kron(a, b), (2, 2), (0,)), np.trace(b) * a, atol=1e-12
     )
 
 
@@ -112,9 +77,9 @@ def test_partial_trace_all_wires_is_full_trace(rng):
 def test_partial_trace_keep_order():
     rho_a = np.diag([1.0, 0.0])
     rho_b = np.diag([0.3, 0.7]).astype(complex)
-    joint = kron(rho_a, rho_b)
+    joint = np.kron(rho_a, rho_b)
     swapped = partial_trace(joint, (2, 2), (1, 0))
-    np.testing.assert_allclose(swapped, kron(rho_b, rho_a), atol=1e-14)
+    np.testing.assert_allclose(swapped, np.kron(rho_b, rho_a), atol=1e-14)
 
 
 def test_partial_trace_errors(rng):
@@ -135,8 +100,8 @@ def test_partial_trace_errors(rng):
 def test_partial_transpose_product_factorizes(rng):
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 2)
-    out = partial_transpose(kron(rho_a, rho_b), (2, 2), 1)
-    np.testing.assert_allclose(out, kron(rho_a, rho_b.T), atol=1e-14)
+    out = partial_transpose(np.kron(rho_a, rho_b), (2, 2), 1)
+    np.testing.assert_allclose(out, np.kron(rho_a, rho_b.T), atol=1e-14)
 
 
 def test_partial_transpose_bell_spectrum():
@@ -178,8 +143,8 @@ def test_permute_identity_is_noop(rng):
 def test_permute_swaps_product_factors(rng):
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 3)
-    out = permute_subsystems(kron(rho_a, rho_b), (2, 3), (1, 0))
-    np.testing.assert_allclose(out, kron(rho_b, rho_a), atol=1e-14)
+    out = permute_subsystems(np.kron(rho_a, rho_b), (2, 3), (1, 0))
+    np.testing.assert_allclose(out, np.kron(rho_b, rho_a), atol=1e-14)
 
 
 @given(seeds)
@@ -209,36 +174,11 @@ def test_permute_rejects_non_permutation(rng):
 
 
 # ---------------------------------------------------------------------------
-# hermitian_eig
+# the Hermiticity rule of the spectral routines
 # ---------------------------------------------------------------------------
 
 
-def test_hermitian_eig_identity_and_projector():
-    spec = hermitian_eig(np.eye(4))
-    np.testing.assert_allclose(spec.eigenvalues, np.ones(4))
-    proj = np.outer(BELL, BELL.conj())
-    spec = hermitian_eig(proj)
-    np.testing.assert_allclose(spec.eigenvalues, [1, 0, 0, 0], atol=1e-14)
-
-
-@given(seeds)
-def test_hermitian_eig_reconstruction(seed):
-    rng = rng_from(seed)
-    h = random_hermitian(rng, 6)
-    spec = hermitian_eig(h)
-    v, w = spec.eigenvectors, spec.eigenvalues
-    assert list(w) == sorted(w, reverse=True)
-    np.testing.assert_allclose((v * w) @ v.conj().T, h, atol=1e-10 * max(1, np.abs(h).max()))
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-10)
-    assert w.sum() == pytest.approx(np.trace(h).real, abs=1e-10)
-
-
-def test_hermitian_eig_rejects_non_hermitian(rng):
-    with pytest.raises(NotHermitian):
-        hermitian_eig(random_complex(rng, 3, 3))
-
-
-@pytest.mark.parametrize("fn", [hermitian_eig, matrix_rank, psd_sqrt, psd_sqrt_closed_2x2])
+@pytest.mark.parametrize("fn", [matrix_rank, psd_sqrt, psd_sqrt_closed_2x2])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_matrix_is_not_hermitian(fn, value):
     with pytest.raises(NotHermitian):
@@ -250,7 +190,7 @@ def test_non_finite_matrix_is_not_hermitian(fn, value):
 
 
 def test_empty_matrix_is_hermitian():
-    assert hermitian_eig(np.zeros((0, 0))).eigenvalues.size == 0
+    assert psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
     assert matrix_rank(np.zeros((0, 0))) == 0
 
 
@@ -334,17 +274,17 @@ def test_matrix_rank_noisy_bell_element_is_full():
     assert matrix_rank(noisy) == 4
 
 
-def test_floored_psd_eigh_stack_matches_single_matrices(rng):
+def test_floor_eigh_stack_matches_single_matrices(rng):
     g = random_complex(rng, 6, 2)
     low_rank = g @ g.conj().T  # rank two: four eigenvalues at rounding level
     stack = np.stack([low_rank, np.eye(6), np.zeros((6, 6))])
-    w, v = floored_psd_eigh(stack)
+    w, v = floor_eigh(*np.linalg.eigh(stack))
     assert w.shape == (3, 6) and v.shape == (3, 6, 6)
     assert np.all(w[0, 2:] == 0.0) and np.all(w[0, :2] > 0.0)
     assert np.all(np.diff(w, axis=-1) <= 0.0)
     assert np.all(w[2] == 0.0)
     for k, m in enumerate(stack):
-        wk, vk = floored_psd_eigh(m)
+        wk, vk = floor_eigh(*np.linalg.eigh(m))
         np.testing.assert_array_equal(wk, w[k])
         root = sqrt_from_spectrum(w[k], v[k])
         np.testing.assert_allclose(root @ root, m, atol=1e-12)

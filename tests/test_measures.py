@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from swapforge.errors import ShapeMismatch, ZeroTrace
 from swapforge.families import noisy_bell_povm
-from swapforge.linalg import kron, partial_transpose
+from swapforge.linalg import partial_transpose
 from swapforge.measures import (
     CUT_1_2,
     CUT_12_34,
@@ -119,7 +119,7 @@ def test_i_concurrence_local_unitary_invariant(seed):
     rng = rng_from(seed)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi = PureState(v / np.linalg.norm(v), (2, 2))
-    u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
     rotated = PureState(u @ psi.amplitudes, (2, 2))
     assert i_concurrence(rotated, CUT_1_2) == pytest.approx(
         i_concurrence(psi, CUT_1_2), abs=1e-10

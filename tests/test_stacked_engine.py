@@ -41,7 +41,7 @@ from swapforge.errors import (
 )
 from swapforge.experiment import CSV_COLUMNS, run_scenario, run_sweep, sweep_rows
 from swapforge.families import BELL_STATES, noisy_bell_povm, wire2_computational_povm
-from swapforge.linalg import floored_psd_eigh, sqrt_from_spectrum
+from swapforge.linalg import floor_eigh, sqrt_from_spectrum
 from swapforge.measures import GRAM_CUTOFF, _gram_concurrence
 from swapforge.sampling import (
     random_element,
@@ -49,7 +49,7 @@ from swapforge.sampling import (
     random_povm_stack,
     random_rank1_element,
 )
-from swapforge.states import Povm, PovmElement, check_povm_stack, write_povm
+from swapforge.states import Povm, check_povm_stack, write_povm
 
 TOL = 1e-13
 
@@ -101,7 +101,7 @@ def dropping_povm(eps):
     probability eps/4) plus two halves of the rest."""
     tiny = eps * np.outer(BELL_STATES[0], BELL_STATES[0].conj())
     rest = (np.eye(4) - tiny) / 2.0
-    return Povm.from_matrices([tiny, rest, rest], local_dim=2)
+    return Povm([tiny, rest, rest], local_dim=2)
 
 
 @pytest.mark.parametrize("second", [False, True])
@@ -118,7 +118,7 @@ def test_dropped_branches_get_zero_weight_and_no_maximum(second):
 
 
 def test_zero_element_is_dropped():
-    povms = [Povm.from_matrices([np.zeros((4, 4)), np.eye(4)], local_dim=2), noisy_bell_povm(0.7)]
+    povms = [Povm([np.zeros((4, 4)), np.eye(4)], local_dim=2), noisy_bell_povm(0.7)]
     assert_matches_chain(2, [povms])
 
 
@@ -132,7 +132,7 @@ def test_incomplete_branch_set_raises_like_chain(rng):
 
 def test_max_branches_guard_like_chain():
     k = int(math.isqrt(MAX_BRANCHES)) + 1
-    povm = Povm.from_matrices([np.eye(4) / k] * k, local_dim=2)
+    povm = Povm([np.eye(4) / k] * k, local_dim=2)
     with pytest.raises(InvalidPovm):
         chain(SwapScenario(2, (povm, povm)))
     stack = np.broadcast_to(np.eye(4) / k, (1, k, 4, 4))
@@ -388,16 +388,16 @@ def test_sweep_closure_error_names_the_grid_point(monkeypatch):
 
 
 def test_chain_takes_element_spectra_from_the_povm_check(monkeypatch):
-    calls = []
-    real = swapforge.linalg.floored_psd_eigh
-
-    def spy(m):
-        calls.append(np.shape(m))
-        return real(m)
-
-    monkeypatch.setattr(swapforge.linalg, "floored_psd_eigh", spy)
     rng = np.random.default_rng(5000)
     povms = [random_povm(rng, d=2, n_elements=k) for k in (3, 2, 4)]
+    calls = []
+    real = swapforge.linalg.floor_eigh
+
+    def spy(w, v):
+        calls.append(np.shape(v))
+        return real(w, v)
+
+    monkeypatch.setattr(swapforge.linalg, "floor_eigh", spy)
     assert len(chain(SwapScenario(2, povms))) == 24
     assert calls == []
 
@@ -444,7 +444,7 @@ def test_run_scenario_prob_tol_drops_a_branch_and_its_descendants(tmp_path):
 
 
 def test_zero_element_branches_are_dropped_like_chain(tmp_path):
-    povms = [Povm.from_matrices([np.zeros((4, 4)), np.eye(4)], local_dim=2), noisy_bell_povm(0.7)]
+    povms = [Povm([np.zeros((4, 4)), np.eye(4)], local_dim=2), noisy_bell_povm(0.7)]
     scenario = SwapScenario(2, povms)
     records = chain(scenario)
     got = stacked_branches(scenario)
@@ -474,7 +474,7 @@ def test_run_scenario_incomplete_branch_set_raises_like_chain(tmp_path, rng):
 
 def test_run_scenario_max_branches_guard_like_chain(tmp_path):
     k = int(math.isqrt(MAX_BRANCHES)) + 1
-    povm = Povm.from_matrices([np.eye(4) / k] * k, local_dim=2)
+    povm = Povm([np.eye(4) / k] * k, local_dim=2)
     with pytest.raises(InvalidPovm, match="branches"):
         chain(SwapScenario(2, (povm, povm)))
     with pytest.raises(InvalidPovm, match="branches"):
@@ -500,7 +500,7 @@ def test_run_scenario_report_is_byte_stable(tmp_path, rng):
 def first_branch(el):
     """The first-round branch of el, completed to a two-outcome POVM."""
     d = el.local_dim
-    povm = Povm(elements=(el, PovmElement(np.eye(d * d) - el.matrix)), local_dim=d)
+    povm = Povm([el.matrix, np.eye(d * d) - el.matrix], local_dim=d)
     return chain(SwapScenario(d, (povm,)))[0]
 
 
@@ -566,7 +566,7 @@ def test_stacked_disturbance_matches_disturbance_check(d, rank):
 
 def test_zero_second_element_is_dropped_on_both_paths(rng):
     rec = first_branch(random_element(rng, d=2, rank=2))
-    povm = Povm.from_matrices([np.zeros((4, 4)), np.eye(4)], local_dim=2)
+    povm = Povm([np.zeros((4, 4)), np.eye(4)], local_dim=2)
     kept, distance, change = assert_disturbance_matches(rec, [povm])
     assert kept.tolist() == [[False, True]]
     assert distance[0] <= TOL and change[0] <= TOL  # the identity moves nothing
@@ -645,7 +645,7 @@ def test_check_povm_stack_rejects_corrupted_stack(rng, how, error):
     with pytest.raises(error):
         check_povm_stack(bad)
     with pytest.raises(error):
-        Povm.from_matrices(bad[index], local_dim=2)
+        Povm(bad[index], local_dim=2)
 
 
 class _ZeroNormals:
@@ -669,13 +669,13 @@ def test_sampler_raises_on_a_corrupted_stack():
 
 
 def matmul_expansion(d, stacks, prob_tol=1e-12):
-    """The stacked round loop with one floored_psd_eigh of every element
+    """The stacked round loop with one floored eigh of every element
     of every round and a broadcast matmul in every round, the first one
     from initial_state's amplitudes; returns the last (x, weight)."""
     dim = d * d
     grid = max(s.shape[0] for s in stacks)
     elements = np.concatenate([s.reshape(-1, dim, dim) for s in stacks])
-    roots = sqrt_from_spectrum(*floored_psd_eigh(elements))
+    roots = sqrt_from_spectrum(*floor_eigh(*np.linalg.eigh(elements)))
     x0 = initial_state(d).tensor().transpose(1, 2, 0, 3).reshape(dim, dim)
     x = np.broadcast_to(x0, (grid, 1, dim, dim))
     weight = np.ones((grid, 1))
@@ -724,7 +724,7 @@ def test_stacked_chain_negativities_equals_matmul_expansion(d, shared_first):
 @pytest.mark.parametrize("n_rounds", [1, 2, 3])
 def test_stacked_branches_equals_matmul_expansion(d, n_rounds):
     stacks = seeded_stacks(d, 1, False)[:n_rounds]
-    got = stacked_branches(SwapScenario(d, [Povm.from_matrices(s[0], d) for s in stacks]))
+    got = stacked_branches(SwapScenario(d, [Povm(s[0], d) for s in stacks]))
     x, weight = matmul_expansion(d, stacks)[-1]
     kept = np.flatnonzero(weight[0] > 0.0)
     x = x[0, kept]

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from swapforge.engine import initial_state
 from swapforge.errors import (
     BadDimension,
+    BadIndex,
     FileFormatError,
     IncompletePovm,
     InvalidPovm,
@@ -21,7 +23,7 @@ from swapforge.families import (
     separable_product_povm,
     wire2_computational_povm,
 )
-from swapforge.linalg import floored_psd_eigh
+from swapforge.linalg import floor_eigh
 from swapforge.measures import CUT_1_2, i_concurrence
 from swapforge.states import (
     DensityMatrix,
@@ -29,7 +31,6 @@ from swapforge.states import (
     PovmElement,
     PureState,
     check_povm_stack,
-    conjugate_computational,
     max_entangled_state,
     read_povm,
     write_povm,
@@ -95,6 +96,16 @@ def test_max_entangled_marginals_maximally_mixed(d):
     assert i_concurrence(psi, CUT_1_2) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("keep", [(0, 5), (0, 0), (-1,)])
+def test_reduced_rejects_bad_wires(keep):
+    # one wire rule for both state kinds: out of range, repeated, negative
+    psi = initial_state(2)
+    with pytest.raises(BadIndex):
+        psi.reduced(keep)
+    with pytest.raises(BadIndex):
+        psi.reduced((0, 1, 2, 3)).reduced(keep)
+
+
 def test_max_entangled_rejects_small_dimension():
     with pytest.raises(BadDimension):
         max_entangled_state(1)
@@ -112,7 +123,7 @@ def test_povm_element_rejects_non_psd():
 
 def test_povm_requires_completeness():
     with pytest.raises(InvalidPovm):
-        Povm.from_matrices([np.eye(4) / 2, np.eye(4) / 3], local_dim=2)
+        Povm([np.eye(4) / 2, np.eye(4) / 3], local_dim=2)
 
 
 def povm_file(tmp_path, mats, local_dim=2):
@@ -135,7 +146,7 @@ def test_validate_povm_noisy_bell_passes(lam):
 
 def test_validate_povm_matrices_reports_deviation():
     with pytest.raises(IncompletePovm, match="1.667e-01"):
-        Povm.from_matrices([np.eye(4) / 2, np.eye(4) / 3], local_dim=2)
+        Povm([np.eye(4) / 2, np.eye(4) / 3], local_dim=2)
 
 
 def test_validate_povm_matrices_catches_small_perturbation(rng, tmp_path):
@@ -158,23 +169,22 @@ def test_povm_trace_sums_to_dim_squared():
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
 def test_element_spectral_noisy_bell_eigenvalues(lam):
-    spec = noisy_bell_povm(lam).elements[0].spectral
+    w, _ = noisy_bell_povm(lam).elements[0].spectral
     expected = [(3 * lam + 1) / 4] + [(1 - lam) / 4] * 3
-    np.testing.assert_allclose(spec.eigenvalues, expected, atol=1e-12)
+    np.testing.assert_allclose(w, expected, atol=1e-12)
 
 
 def test_element_spectral_identity():
-    spec = PovmElement(np.eye(4)).spectral
-    np.testing.assert_allclose(spec.eigenvalues, np.ones(4))
+    w, _ = PovmElement(np.eye(4)).spectral
+    np.testing.assert_allclose(w, np.ones(4))
 
 
 @given(seeds)
 def test_element_spectral_reconstructs(seed):
     rng = rng_from(seed)
     el = PovmElement(random_element_matrix(rng))
-    spec = el.spectral
-    v, w = spec.eigenvectors, spec.eigenvalues
-    assert np.all(w >= 0)
+    w, v = el.spectral
+    assert np.all(w >= 0) and np.all(np.diff(w) <= 0.0)
     assert w.sum() == pytest.approx(el.trace, abs=1e-10)
     np.testing.assert_allclose((v * w) @ v.conj().T, el.matrix, atol=1e-10)
 
@@ -184,9 +194,31 @@ def test_element_sqrt_squares_back(rng):
     np.testing.assert_allclose(el.sqrt_matrix @ el.sqrt_matrix, el.matrix, atol=1e-10)
 
 
+def test_standalone_element_decomposes_once_at_its_check(rng, monkeypatch):
+    m = random_element_matrix(rng)
+    calls = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return spy
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    el = PovmElement(m)
+    assert calls == ["eigh"]
+    el.spectral, el.basis_tensor(), el.sqrt_matrix, el.sqrt_matrix
+    assert calls == ["eigh"]
+
+
 def shared_spectrum_povms() -> dict:
-    """Random d = 2, 3, 4 POVMs, and built-in families at points where
-    their spectra are degenerate, built afresh on every call."""
+    """Random d = 2, 3, 4 POVMs (one also with its elements reversed),
+    and built-in families at points where their spectra are degenerate,
+    built afresh on every call."""
     rng = np.random.default_rng(4242)
     povms = {
         f"random-d{d}-k{k}": random_povm(rng, d=d, n_elements=k)
@@ -195,6 +227,7 @@ def shared_spectrum_povms() -> dict:
     }
     for lam in (0.0, 1 / 3, 1.0):
         povms[f"noisy_bell-{lam:.3f}"] = noisy_bell_povm(lam)
+    povms["random-d3-k9-reversed"] = Povm(povms["random-d3-k9"].matrices[::-1], local_dim=3)
     povms["wire2_computational"] = wire2_computational_povm()
     ket0, ket1 = (SingleQubitElementParams(t, 0.0, 1.0, 0.0) for t in (0.0, np.pi))
     povms["separable_product"] = separable_product_povm(
@@ -209,66 +242,30 @@ def shared_spectrum_povms() -> dict:
 
 @pytest.mark.parametrize("name", list(shared_spectrum_povms()))
 def test_povm_check_seeds_element_spectra(name):
-    # the eigh of the PSD check is the one decomposition: the Povm keeps it
-    # and each element's floored spectrum is cut from it, bit for bit
+    # the eigh of the PSD check is the one decomposition: the Povm keeps it,
+    # floors it once, and each element's spectral is its row of that pair,
+    # bit for bit the spectrum a standalone element takes at its own check
     povm = shared_spectrum_povms()[name]
     w, v = np.linalg.eigh(povm.matrices)
     assert np.array_equal(povm.spectrum[0], w) and np.array_equal(povm.spectrum[1], v)
-    for el, m in zip(povm.elements, povm.matrices):
-        assert "spectral" in el.__dict__  # seeded, not yet computed on read
+    fw, fv = povm.floored_spectrum
+    assert all(np.array_equal(a, b) for a, b in zip((fw, fv), floor_eigh(w, v)))
+    for k, (el, m) in enumerate(zip(povm.elements, povm.matrices)):
         assert np.array_equal(el.matrix, m)
-        fw, fv = floored_psd_eigh(el.matrix)
-        assert np.array_equal(el.spectral.eigenvalues, fw)
-        assert np.array_equal(el.spectral.eigenvectors, fv)
+        assert np.shares_memory(el.spectral[0], fw[k]) and np.shares_memory(el.spectral[1], fv[k])
+        alone = PovmElement(m).spectral
+        assert np.array_equal(el.spectral[0], alone[0])
+        assert np.array_equal(el.spectral[1], alone[1])
 
 
 @pytest.mark.parametrize("name", list(shared_spectrum_povms()))
 def test_povm_shared_spectrum_is_read_only(name):
     povm = shared_spectrum_povms()[name]
     el = povm.elements[0]
-    shared = [povm.matrices, *povm.spectrum, el.matrix, el.spectral.eigenvalues]
-    for a in shared + [el.spectral.eigenvectors]:
+    shared = [povm.matrices, *povm.spectrum, *povm.floored_spectrum, el.matrix, *el.spectral]
+    for a in shared:
         with pytest.raises(ValueError, match="read-only"):
             a[..., 0] = 0.0
-
-
-def test_povm_from_elements_decomposes_on_first_read(rng):
-    els = tuple(PovmElement(m) for m in random_povm(rng, d=3, n_elements=4).matrices)
-    povm = Povm(elements=els, local_dim=3)
-    assert "spectrum" not in povm.__dict__
-    w, v = povm.spectrum
-    assert np.array_equal(w, np.linalg.eigh(povm.matrices)[0])
-    for a in (povm.matrices, w, v):
-        with pytest.raises(ValueError, match="read-only"):
-            a[..., 0] = 0.0
-
-
-# ---------------------------------------------------------------------------
-# computational-basis conjugation
-# ---------------------------------------------------------------------------
-
-
-def test_conjugate_real_fixed_and_involutive(rng):
-    real = np.real(random_element_matrix(rng))
-    np.testing.assert_array_equal(conjugate_computational(real), real)
-    m = random_element_matrix(rng)
-    np.testing.assert_array_equal(conjugate_computational(conjugate_computational(m)), m)
-
-
-def test_conjugate_flips_y_eigenstate():
-    plus_y = np.array([1.0, 1j]) / np.sqrt(2)
-    minus_y = np.array([1.0, -1j]) / np.sqrt(2)
-    conj = conjugate_computational(np.outer(plus_y, plus_y.conj()))
-    np.testing.assert_allclose(conj, np.outer(minus_y, minus_y.conj()), atol=1e-15)
-
-
-@given(seeds)
-def test_conjugate_preserves_spectrum(seed):
-    rng = rng_from(seed)
-    m = random_element_matrix(rng)
-    w1 = np.linalg.eigvalsh(m)
-    w2 = np.linalg.eigvalsh(conjugate_computational(m))
-    np.testing.assert_allclose(w1, w2, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
