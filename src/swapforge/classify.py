@@ -70,16 +70,11 @@ class ClassificationReport:
     local_dim: int
 
 
-def classify_stack(
-    m,
-    ppt_tol: float = PPT_TOL,
-    insep_tol: float = INSEP_TOL,
-    rank_rel_tol: float = RANK_REL_TOL,
-) -> tuple[ElementClass, ...]:
+def classify_stack(m, rank_rel_tol: float = RANK_REL_TOL) -> tuple[ElementClass, ...]:
     """Classify each element of a checked (N, d*d, d*d) stack in one pass.
 
     The verdict comes from the smallest partial-transpose eigenvalue of
-    the trace-normalized element; values within ppt_tol of the edge get
+    the trace-normalized element; values within PPT_TOL of the edge get
     the boundary verdict rather than being rounded to either side.  One
     eigh per element gives the rank (matrix_rank's rule, on the unfloored
     spectrum) and c14vs23 (c14_vs_23's formula, on the floored one);
@@ -91,10 +86,10 @@ def classify_stack(
     if d < 2 or m.shape[1:] != (d * d, d * d):
         raise ShapeMismatch(f"expected an (N, d*d, d*d) element stack, got shape {m.shape}")
     raw, v = np.linalg.eigh(m)
-    return _classify(m, raw, *linalg.floor_eigh(raw, v), ppt_tol, insep_tol, rank_rel_tol)
+    return _classify(m, raw, *linalg.floor_eigh(raw, v), rank_rel_tol)
 
 
-def _classify(m, raw, w, v, ppt_tol=PPT_TOL, insep_tol=INSEP_TOL, rank_rel_tol=RANK_REL_TOL):
+def _classify(m, raw, w, v, rank_rel_tol=RANK_REL_TOL):
     """classify_stack of a checked (N, D, D) stack ``m`` whose ascending
     eigenvalues ``raw`` and floored spectrum (w, v) are already taken, as
     a Povm keeps them."""
@@ -113,40 +108,28 @@ def _classify(m, raw, w, v, ppt_tol=PPT_TOL, insep_tol=INSEP_TOL, rank_rel_tol=R
     return tuple(
         ElementClass(
             verdict=(
-                ENTANGLED if p < -ppt_tol else UNENTANGLED if p > ppt_tol else UNENTANGLED_BOUNDARY
+                ENTANGLED if p < -PPT_TOL else UNENTANGLED if p > PPT_TOL else UNENTANGLED_BOUNDARY
             ),
             min_pt_eigenvalue=p,
             rank=r,
             c14vs23=c,
             c12vs34=c2,
-            operation_kind=INSEPARABLE_OPERATION if c2 > insep_tol else SEPARABLE_OPERATION,
+            operation_kind=INSEPARABLE_OPERATION if c2 > INSEP_TOL else SEPARABLE_OPERATION,
             local_dim=d,
         )
         for p, r, c, c2 in zip(min_pt.tolist(), rank.tolist(), c14.tolist(), c12.tolist())
     )
 
 
-def classify_element(
-    el: PovmElement,
-    ppt_tol: float = PPT_TOL,
-    insep_tol: float = INSEP_TOL,
-    rank_rel_tol: float = RANK_REL_TOL,
-) -> ElementClass:
+def classify_element(el: PovmElement) -> ElementClass:
     """Classify one measurement element (classify_stack of one)."""
-    return classify_stack(el.matrix[None], ppt_tol, insep_tol, rank_rel_tol)[0]
+    return classify_stack(el.matrix[None])[0]
 
 
-def classify_measurement(
-    povm: Povm,
-    ppt_tol: float = PPT_TOL,
-    insep_tol: float = INSEP_TOL,
-    rank_rel_tol: float = RANK_REL_TOL,
-) -> ClassificationReport:
+def classify_measurement(povm: Povm) -> ClassificationReport:
     """Classify every element, from the ``eigh`` the Povm keeps, and
     aggregate the measurement-level flags."""
-    per_element = _classify(
-        povm.matrices, povm.spectrum[0], *povm.floored_spectrum, ppt_tol, insep_tol, rank_rel_tol
-    )
+    per_element = _classify(povm.matrices, povm.spectrum[0], *povm.floored_spectrum)
     return ClassificationReport(
         per_element=per_element,
         measurement_entangled=any(ec.verdict == ENTANGLED for ec in per_element),
@@ -154,9 +137,7 @@ def classify_measurement(
             ec.operation_kind == SEPARABLE_OPERATION for ec in per_element
         ),
         lemma1_blocked=all(lemma1_blocked(ec) for ec in per_element),
-        lemma2_open_outcomes=tuple(
-            i for i, ec in enumerate(per_element) if lemma2_open(ec, insep_tol)
-        ),
+        lemma2_open_outcomes=tuple(i for i, ec in enumerate(per_element) if lemma2_open(ec)),
         local_dim=povm.local_dim,
     )
 
@@ -166,9 +147,9 @@ def lemma1_blocked(ec: ElementClass) -> bool:
     return ec.rank <= 1
 
 
-def lemma2_open(ec: ElementClass, insep_tol: float = INSEP_TOL) -> bool:
+def lemma2_open(ec: ElementClass) -> bool:
     """Lemma 2: rank above one and nonzero 14|23 concurrence leave the outcome open."""
-    return ec.rank > 1 and ec.c14vs23 > insep_tol
+    return ec.rank > 1 and ec.c14vs23 > INSEP_TOL
 
 
 def _sig15(x: float) -> float:

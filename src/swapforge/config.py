@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .families import FAMILIES, _is_finite_number, build_family, family_sweep_params
 from .states import Povm
+from .tolerances import PROB_TOL
 
 __all__ = [
     "OutputsSpec",
@@ -65,7 +66,7 @@ class ScenarioConfig:
     rounds: tuple[RoundSpec, ...]
     sweep: SweepSpec | None = None
     outputs: OutputsSpec = OutputsSpec()
-    tolerance_overrides: dict = field(default_factory=dict)
+    prob_tol: float = PROB_TOL
     base_dir: str = "."
 
     def swept_round_index(self) -> int | None:
@@ -196,7 +197,7 @@ def load_scenario_config(path) -> ScenarioConfig:
         rounds=tuple(rounds),
         sweep=sweep,
         outputs=outputs,
-        tolerance_overrides={str(k): float(v) for k, v in overrides.items()},
+        prob_tol=float(overrides.get("prob_tol", PROB_TOL)),
         base_dir=os.path.dirname(os.path.abspath(path)),
     )
     if sweep is not None:

@@ -40,7 +40,7 @@ from .states import (
     PureState,
     check_povm_stack,
 )
-from .tolerances import PROB_TOL
+from .tolerances import PROB_SUM_TOL, PROB_TOL
 
 __all__ = [
     "DisturbanceReport",
@@ -65,9 +65,6 @@ logger = logging.getLogger(__name__)
 
 # Guard against K^rounds blowup in chain expansion.
 MAX_BRANCHES = 100_000
-
-# How far a complete branch set's probabilities may sum away from one.
-PROB_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -189,8 +186,8 @@ def chain(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> list[OutcomeRec
     This is the record-by-record reference for every stacked path.  Joint
     probabilities multiply along each path; an outcome whose conditional
     probability is below prob_tol (or PROB_TOL) is skipped and logged,
-    and so are its descendants.  To follow one path, filter the records
-    on ``outcome_path``.
+    and so are its descendants; at the cut itself see ``_expand``'s tie
+    rule.  To follow one path, filter the records on ``outcome_path``.
     """
     total = prod(len(p.elements) for p in scenario.rounds)
     if total > MAX_BRANCHES:
@@ -210,22 +207,22 @@ def chain(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> list[OutcomeRec
     return [_make_record(post, el, path, probs) for path, probs, post, el in frontier]
 
 
-def average_negativity(records: list[OutcomeRecord], prob_sum_tol: float = PROB_SUM_TOL) -> float:
+def average_negativity(records: list[OutcomeRecord]) -> float:
     """Probability-weighted average of the branch negativities.
 
     The records must form a complete sibling set; branch negativities
     are nonnegative, so the average of an all-separable set is 0.
     """
     return _closed_average(
-        [rec.probability for rec in records], [rec.negativity14 for rec in records], prob_sum_tol
+        [rec.probability for rec in records], [rec.negativity14 for rec in records]
     )
 
 
-def _closed_average(probabilities, values, prob_sum_tol: float = PROB_SUM_TOL) -> float:
+def _closed_average(probabilities, values) -> float:
     """sum p * v over Python floats, in the order given, once the
-    probabilities are checked to sum to one within prob_sum_tol."""
+    probabilities are checked to sum to one within PROB_SUM_TOL."""
     total = sum(probabilities)
-    if abs(total - 1.0) > prob_sum_tol:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise IncompleteBranchSet(f"branch probabilities sum to {total!r}, expected 1")
     return float(sum(p * v for p, v in zip(probabilities, values)))
 
@@ -294,6 +291,12 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
     probability.  A branch whose conditional probability is below
     prob_tol (or PROB_TOL) gets zero weight and zero state, and so do its
     descendants.
+
+    Tie rule: near the cut, this route and ``chain``'s may disagree.
+    Each computes a conditional probability its own way (a stacked root
+    times x here, the Born rule on one state there), so the two roundings
+    of a probability at prob_tol can fall on opposite sides of it, and
+    one route keeps a branch the other drops.
     """
     dim = d * d
     if not spectra:
@@ -499,9 +502,7 @@ class DisturbanceReport:
     per_outcome: tuple[tuple[int, float, float], ...]
 
 
-def disturbance_check(
-    rec: OutcomeRecord, povm2: Povm, prob_tol: float = PROB_TOL
-) -> DisturbanceReport:
+def disturbance_check(rec: OutcomeRecord, povm2: Povm) -> DisturbanceReport:
     """How much a second measurement can move the outer-pair state of a
     branch: per-outcome trace distance and negativity change, plus maxima.
 
@@ -511,8 +512,8 @@ def disturbance_check(
     base_neg = rec.negativity14
     per_outcome = []
     for m, em in enumerate(povm2.elements):
-        p, post = apply_element(rec.full_state, em)
-        if post is None or p < prob_tol:
+        _, post = apply_element(rec.full_state, em)
+        if post is None:  # below PROB_TOL
             continue
         rho = post.reduced((0, 3))
         per_outcome.append(

@@ -34,7 +34,6 @@ from .engine import (
 from .errors import ConfigError, IncompleteBranchSet
 from .families import family_sweep_stack
 from .states import check_povm_stack
-from .tolerances import PROB_TOL
 
 __all__ = [
     "SweepRow",
@@ -126,7 +125,6 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     if config.sweep is None:
         raise ConfigError("config has no sweep block")
     swept = config.swept_round_index()
-    prob_tol = config.tolerance_overrides.get("prob_tol", PROB_TOL)
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
     worker_count(len(grid))  # rejects a malformed SWAPFORGE_THREADS
     if not len(grid):  # an empty grid from a config built in code
@@ -147,7 +145,7 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
 
         stack = family_sweep_stack(family, param, grid[start : start + chunk])
         spectra[swept] = linalg.floor_eigh(*check_povm_stack(stack))
-        parts.append(_chain_negativities(config.local_dim, spectra, prob_tol, point))
+        parts.append(_chain_negativities(config.local_dim, spectra, config.prob_tol, point))
     avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
     nan = np.full(len(grid), math.nan)
     if len(config.rounds) == 1:
@@ -187,9 +185,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
     ``chain`` stays the reference).  Report numbers carry 15 significant
     digits and the report file is byte-identical from run to run.
     """
-    prob_tol = config.tolerance_overrides.get("prob_tol", PROB_TOL)
     scenario = SwapScenario(config.local_dim, config.build_rounds())
-    found = stacked_branches(scenario, prob_tol)
+    found = stacked_branches(scenario, config.prob_tol)
     paths = found.outcome_paths.tolist()
     probabilities = found.probability.tolist()
     negativities = found.negativity14.tolist()
@@ -198,7 +195,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
     except IncompleteBranchSet as exc:
         expanded = prod(len(povm) for povm in scenario.rounds)
         raise IncompleteBranchSet(
-            f"{exc}: {len(paths)} of {expanded} branches kept at prob_tol={prob_tol!r}"
+            f"{exc}: {len(paths)} of {expanded} branches kept at prob_tol={config.prob_tol!r}"
         ) from exc
     # classify per round only the elements on kept branches (a dropped one, say
     # traceless, needs no class), from the spectra the round's Povm keeps

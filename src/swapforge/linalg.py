@@ -109,6 +109,14 @@ def _require_hermitian(m: np.ndarray) -> None:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {allowed:.3g}")
 
 
+def _require_psd(w: np.ndarray) -> None:
+    """Raise NotPsd if an ascending spectrum of the (..., D) stack ``w``
+    has an eigenvalue below -PSD_TOL."""
+    low = w[..., :1]
+    if not (low >= -PSD_TOL).all():
+        raise NotPsd(f"min eigenvalue {low.min():.3e} below -{PSD_TOL:.0e}")
+
+
 def floor_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The floored spectra of PSD matrices stacked on the leading axes,
     from their ascending ``eigh`` (w, v): eigenvalues descending, clipped
@@ -130,22 +138,21 @@ def sqrt_from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def psd_sqrt(m: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root via the spectral decomposition.
 
-    Eigenvalues in [-psd_tol, 0) are clamped to zero so spectral noise
+    Eigenvalues in [-PSD_TOL, 0) are clamped to zero so spectral noise
     from upstream products cannot poison the root.
     """
     m = _square(m)
     _require_hermitian(m)
     w, v = np.linalg.eigh(m)
-    if w.size and w[0] < -psd_tol:
-        raise NotPsd(f"min eigenvalue {w[0]:.3e} below -{psd_tol:.0e}")
+    _require_psd(w)
     w, v = np.clip(w[::-1], 0.0, None), v[:, ::-1]  # largest first
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def psd_sqrt_closed_2x2(m: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt_closed_2x2(m: np.ndarray) -> np.ndarray:
     """Closed-form square root of a 2x2 Hermitian PSD matrix.
 
     sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)); the zero
@@ -155,14 +162,12 @@ def psd_sqrt_closed_2x2(m: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
     if m.shape != (2, 2):
         raise ShapeMismatch(f"closed form is defined for 2x2 matrices, got {m.shape}")
     _require_hermitian(m)
-    w = np.linalg.eigvalsh(m)
-    if w[0] < -psd_tol:
-        raise NotPsd(f"min eigenvalue {w[0]:.3e} below -{psd_tol:.0e}")
+    _require_psd(np.linalg.eigvalsh(m))
     tr = float(np.trace(m).real)
     det = float((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real)
     root = np.sqrt(max(det, 0.0))
     denom_sq = tr + 2.0 * root
-    if denom_sq <= psd_tol:
+    if denom_sq <= PSD_TOL:
         return np.zeros_like(m)
     return (m + root * np.eye(2)) / np.sqrt(denom_sq)
 
@@ -175,15 +180,12 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def matrix_rank(
-    m: np.ndarray, rel_tol: float = RANK_REL_TOL, psd_tol: float = PSD_TOL
-) -> int:
+def matrix_rank(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     """Count of eigenvalues above rel_tol times the largest; 0 for the zero matrix."""
     m = _square(m)
     _require_hermitian(m)
     w = np.linalg.eigh(m)[0]
-    if w.size and w[0] < -psd_tol:
-        raise NotPsd(f"min eigenvalue {w[0]:.3e} below -{psd_tol:.0e}")
-    if w.size == 0 or w[-1] <= psd_tol:
+    _require_psd(w)
+    if w.size == 0 or w[-1] <= PSD_TOL:
         return 0
     return int(np.count_nonzero(w > rel_tol * w[-1]))

@@ -27,7 +27,7 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import _hermiticity
-from .tolerances import COMPLETENESS_TOL, NORM_TOL, PSD_TOL
+from .tolerances import COMPLETENESS_TOL, NORM_TOL
 
 __all__ = [
     "DensityMatrix",
@@ -99,9 +99,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
+        m = linalg._square(self.matrix)
         dims = tuple(int(d) for d in self.dims)
         if any(d < 2 for d in dims):
             raise BadDimension(f"every local dimension must be >= 2, got {dims}")
@@ -110,9 +108,7 @@ class DensityMatrix:
         defect, allowed = _hermiticity(m)
         if not defect <= allowed:  # NaN fails here too
             raise ValidationFailure("density matrix is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -PSD_TOL:
-            raise NotPsd(f"min eigenvalue {w[0]:.3e} below -{PSD_TOL:.0e}")
+        linalg._require_psd(np.linalg.eigvalsh(m))
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > NORM_TOL:
             raise ValidationFailure(f"trace {tr!r} is not 1 within {NORM_TOL:.0e}")
@@ -132,15 +128,16 @@ class DensityMatrix:
 
 # The POVM rules, one home each; every array is a stack of matrices on
 # its last two axes, so one element and many POVMs share the same code.
-# The Hermiticity rule lives in linalg, which checks its inputs by it too.
+# The Hermiticity and PSD rules live in linalg, which checks its inputs
+# by them too.
 
 
-def _check_elements(m: np.ndarray, vectors: bool = False):
+def _check_elements(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raise unless each matrix of the (..., D, D) stack is a POVM element:
     d*d square for a local dimension d >= 2, Hermitian within tolerance,
     no eigenvalue below -PSD_TOL.  NaN and infinity fail the Hermiticity
-    test.  Returns the ascending eigenvalues the PSD rule reads, and their
-    eigenvectors from the same ``eigh`` if ``vectors`` is set (else None)."""
+    test.  Returns the ascending eigenvalues the PSD rule reads and their
+    eigenvectors, from one ``eigh``."""
     if m.shape[-1] != m.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[-1]
@@ -150,10 +147,8 @@ def _check_elements(m: np.ndarray, vectors: bool = False):
     defect, allowed = _hermiticity(m)
     if not (defect <= allowed).all():
         raise ValidationFailure("POVM element is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
-    low = w[..., 0]
-    if not (low >= -PSD_TOL).all():
-        raise NotPsd(f"min eigenvalue {low.min():.3e} below -{PSD_TOL:.0e}")
+    w, v = np.linalg.eigh(m)
+    linalg._require_psd(w)
     return w, v
 
 
@@ -182,10 +177,8 @@ class PovmElement:
     spectral: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
-        spectrum = linalg.floor_eigh(*_check_elements(m, vectors=True))
+        m = linalg._square(self.matrix)
+        spectrum = linalg.floor_eigh(*_check_elements(m))
         object.__setattr__(self, "matrix", _frozen(m))
         object.__setattr__(self, "spectral", _read_only(*spectrum))
 
@@ -247,7 +240,7 @@ class Povm:
         if any(m.ndim != 2 or m.shape != mats[0].shape for m in mats):
             raise ShapeMismatch("POVM elements are not square matrices of one shape")
         stack = _frozen(mats)
-        w, v = _read_only(*_check_elements(stack, vectors=True))
+        w, v = _read_only(*_check_elements(stack))
         d = isqrt(stack.shape[-1])
         # the check passed, so d >= 2: this also rejects a local_dim below 2
         if self.local_dim is not None and int(self.local_dim) != d:
@@ -274,7 +267,7 @@ def check_povm_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(stack, dtype=complex)
     if m.ndim < 3:
         raise ShapeMismatch(f"expected a (..., K, D, D) stack, got shape {m.shape}")
-    spectrum = _check_elements(m, vectors=True)
+    spectrum = _check_elements(m)
     _check_completeness(m)
     return spectrum
 

@@ -26,5 +26,8 @@ INSEP_TOL = 1e-9
 # Branches with probability below this are dropped from expansions.
 PROB_TOL = 1e-12
 
+# How far a complete branch set's probabilities may sum away from one.
+PROB_SUM_TOL = 1e-6
+
 # Unit-trace / unit-norm validation bound for states.
 NORM_TOL = 1e-10

@@ -250,6 +250,27 @@ def test_run_scenario_matches_chain(tmp_path, d, n_rounds):
     assert_report_matches_chain(scenario_config(tmp_path, povms), povms)
 
 
+def test_a_tie_at_prob_tol_closes_on_neither_route(tmp_path, capsys):
+    # each Born probability of noisy_bell(0.62) rounds to 0.24999999999999997
+    # or ...92 at prob_tol = 0.25: chain keeps 0 of the 4 branches, the
+    # stacked route 2 (_expand's tie rule), and neither branch set closes
+    scenario = SwapScenario(2, (noisy_bell_povm(0.62),))
+    assert chain(scenario, 0.25) == []
+    assert stacked_branches(scenario, 0.25).outcome_paths.tolist() == [[0], [1]]
+    with pytest.raises(IncompleteBranchSet):
+        average_negativity(chain(scenario, 0.25))
+    doc = {
+        "rounds": [{"family": "noisy_bell", "params": {"lambda": 0.62}}],
+        "tolerance_overrides": {"prob_tol": 0.25},
+    }
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IncompleteBranchSet):
+        run_scenario(load_scenario_config(str(path)))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error_code=IncompleteBranchSet\n")
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_run_scenario_classifies_like_classify_element(tmp_path, d):
     # each round's kept elements are classified in one classify_stack call
@@ -378,7 +399,7 @@ def test_sweep_closure_error_names_the_grid_point(monkeypatch):
     monkeypatch.setitem(swapforge.families._SWEEPABLE["noisy_bell"], "lambda", build)
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 2 * 8 * 16)
     config = sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=9)
-    config = dataclasses.replace(config, tolerance_overrides={"prob_tol": 1e-2})
+    config = dataclasses.replace(config, prob_tol=1e-2)
     with pytest.raises(IncompleteBranchSet) as caught:
         sweep_rows(config)
     assert str(caught.value) == (

@@ -23,7 +23,7 @@ from swapforge.families import (
     separable_product_povm,
     wire2_computational_povm,
 )
-from swapforge.linalg import floor_eigh
+from swapforge.linalg import floor_eigh, matrix_rank, psd_sqrt, psd_sqrt_closed_2x2
 from swapforge.measures import CUT_1_2, i_concurrence
 from swapforge.states import (
     DensityMatrix,
@@ -119,6 +119,34 @@ def test_max_entangled_rejects_small_dimension():
 def test_povm_element_rejects_non_psd():
     with pytest.raises(NotPsd):
         PovmElement(np.diag([1.0, 1.0, 1.0, -0.5]))
+
+
+# Every entry that checks a spectrum, given a unit-trace diagonal matrix
+# (2x2 or 4x4) whose smallest eigenvalue is the one under test; the Povm
+# entries complete it with I - m, whose smallest eigenvalue is the same.
+PSD_ENTRIES = {
+    "DensityMatrix": (2, lambda m: DensityMatrix(m, (2,))),
+    "PovmElement": (4, PovmElement),
+    "Povm": (4, lambda m: Povm([m, np.eye(4) - m])),
+    "check_povm_stack": (4, lambda m: check_povm_stack([[m, np.eye(4) - m]])),
+    "psd_sqrt": (4, psd_sqrt),
+    "psd_sqrt_closed_2x2": (2, psd_sqrt_closed_2x2),
+    "matrix_rank": (4, matrix_rank),
+}
+
+
+@pytest.mark.parametrize("entry", PSD_ENTRIES)
+def test_one_psd_boundary_at_every_entry(entry):
+    # eigenvalues in [-PSD_TOL, 0) pass; below that, one rule and one message
+    dim, check = PSD_ENTRIES[entry]
+
+    def matrix(low):
+        return np.diag([1.0 - low, low] + [0.0] * (dim - 2))
+
+    check(matrix(-0.5e-10))
+    with pytest.raises(NotPsd) as caught:
+        check(matrix(-2e-10))
+    assert str(caught.value) == "min eigenvalue -2.000e-10 below -1e-10"
 
 
 def test_povm_requires_completeness():
