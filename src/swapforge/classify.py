@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import ShapeMismatch, ZeroTrace
 from .measures import _concurrence, _pure_concurrence
-from .states import Povm, PovmElement
+from .states import Povm, PovmElement, _check_elements
 from .tolerances import INSEP_TOL, PPT_TOL, PSD_TOL, RANK_REL_TOL
 
 __all__ = [
@@ -71,35 +71,33 @@ class ClassificationReport:
 
 
 def classify_stack(m, rank_rel_tol: float = RANK_REL_TOL) -> tuple[ElementClass, ...]:
-    """Classify each element of a checked (N, d*d, d*d) stack in one pass.
+    """Classify each element of an (N, d*d, d*d) stack in one pass.
 
-    The verdict comes from the smallest partial-transpose eigenvalue of
-    the trace-normalized element; values within PPT_TOL of the edge get
-    the boundary verdict rather than being rounded to either side.  One
-    eigh per element gives the rank (matrix_rank's rule, on the unfloored
-    spectrum) and c14vs23 (c14_vs_23's formula, on the floored one);
-    c12vs34 is c12_vs_34's, on the stacked post-measurement states.
-    An empty (0, d*d, d*d) stack gives ().
+    The stack is checked as PovmElement checks one element, and raises
+    as it does.  The verdict comes from the smallest partial-transpose
+    eigenvalue of the trace-normalized element; values within PPT_TOL of
+    the edge get the boundary verdict rather than being rounded to
+    either side.  The check's floored spectrum gives the rank (the count
+    above rank_rel_tol times the largest; matrix_rank's at the default,
+    and a cutoff below RANK_REL_TOL ranks as RANK_REL_TOL does) and
+    c14vs23 (c14_vs_23's formula); c12vs34 is c12_vs_34's, on the
+    stacked post-measurement states.  An empty (0, d*d, d*d) stack gives ().
     """
     m = np.asarray(m, dtype=complex)
-    d = isqrt(m.shape[-1]) if m.ndim == 3 else 0
-    if d < 2 or m.shape[1:] != (d * d, d * d):
+    if m.ndim != 3:
         raise ShapeMismatch(f"expected an (N, d*d, d*d) element stack, got shape {m.shape}")
-    raw, v = np.linalg.eigh(m)
-    return _classify(m, raw, *linalg.floor_eigh(raw, v), rank_rel_tol)
+    return _classify(m, *_check_elements(m), rank_rel_tol)
 
 
-def _classify(m, raw, w, v, rank_rel_tol=RANK_REL_TOL):
-    """classify_stack of a checked (N, D, D) stack ``m`` whose ascending
-    eigenvalues ``raw`` and floored spectrum (w, v) are already taken, as
-    a Povm keeps them."""
+def _classify(m, w, v, rank_rel_tol=RANK_REL_TOL):
+    """classify_stack of a checked (N, D, D) stack ``m`` whose floored
+    spectrum (w, v) its check returned, as a Povm keeps it."""
     d = isqrt(m.shape[-1])
     trace = np.trace(m, axis1=1, axis2=2).real
     if not (trace > 0.0).all():
         raise ZeroTrace("cannot classify a traceless element")
-    pt = (m / trace[:, None, None]).reshape(-1, d, d, d, d).swapaxes(2, 4).reshape(m.shape)
-    min_pt = np.linalg.eigvalsh(pt)[:, 0]
-    rank = np.where(raw[:, -1] <= PSD_TOL, 0, (raw > rank_rel_tol * raw[:, -1:]).sum(axis=1))
+    min_pt = np.linalg.eigvalsh(linalg._transpose_wire2(m / trace[:, None, None], d))[:, 0]
+    rank = np.where(w[:, 0] <= PSD_TOL, 0, (w > rank_rel_tol * w[:, :1]).sum(axis=1))
     tr = w.sum(axis=1)
     c14 = _concurrence((w * w).sum(axis=1) / (tr * tr), d * d)
     a = v.swapaxes(1, 2).reshape(-1, d * d, d, d)
@@ -122,14 +120,16 @@ def _classify(m, raw, w, v, rank_rel_tol=RANK_REL_TOL):
 
 
 def classify_element(el: PovmElement) -> ElementClass:
-    """Classify one measurement element (classify_stack of one)."""
-    return classify_stack(el.matrix[None])[0]
+    """Classify one measurement element (classify_stack of one), from
+    the spectrum it keeps."""
+    w, v = el.spectral
+    return _classify(el.matrix[None], w[None], v[None])[0]
 
 
 def classify_measurement(povm: Povm) -> ClassificationReport:
-    """Classify every element, from the ``eigh`` the Povm keeps, and
+    """Classify every element, from the spectrum the Povm keeps, and
     aggregate the measurement-level flags."""
-    per_element = _classify(povm.matrices, povm.spectrum[0], *povm.floored_spectrum)
+    per_element = _classify(povm.matrices, *povm.floored_spectrum)
     return ClassificationReport(
         per_element=per_element,
         measurement_entangled=any(ec.verdict == ENTANGLED for ec in per_element),

@@ -242,8 +242,7 @@ def _stacked_rho14(x: np.ndarray) -> np.ndarray:
 
 
 def _stacked_negativity(rho: np.ndarray, d: int) -> np.ndarray:
-    pt = rho.reshape(rho.shape[:-2] + (d, d, d, d)).swapaxes(-3, -1).reshape(rho.shape)
-    value = np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1) - 1.0
+    value = np.abs(np.linalg.eigvalsh(linalg._transpose_wire2(rho, d))).sum(axis=-1) - 1.0
     return np.maximum(value, 0.0)
 
 
@@ -279,11 +278,10 @@ def _checked_average(
 def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
     """The stacked round loop: yields (x, weight) after each round.
 
-    ``spectra[r]`` is the floored spectrum (w, v) of round r's element
-    matrices, as linalg.floor_eigh gives it, v of shape (G_r, K_r, D, D)
-    with G_r the number of grid points G or 1 for a shared round; the
-    matrices are checked POVMs (Povm or check_povm_stack), so the loop
-    only takes their roots.
+    ``spectra[r]`` is the floored spectrum (w, v) the POVM check of round
+    r's element matrices returns (Povm.floored_spectrum or
+    check_povm_stack), v of shape (G_r, K_r, D, D) with G_r the number of
+    grid points G or 1 for a shared round, so the loop only takes roots.
     Every grid point starts from ``start`` (the initial state if None).
     x[g, b, (k l), (i j)] holds branch b's normalized psi[i, k, l, j],
     branches in chain's depth-first order (x's leading axis is 1 while
@@ -349,12 +347,12 @@ def stacked_chain_negativities(
     descendants; both averages need their weights to sum to one within
     PROB_SUM_TOL.  Negativity is the sum of |eigenvalues| of the Hermitian
     partial transpose, minus one.  Every stack is checked with
-    check_povm_stack, whose ``eigh``, floored once, also gives the
-    element roots.  A closure error names the first grid point whose
-    first- or last-round weights fail, and how many of its last-round
-    branches were kept.
+    check_povm_stack, whose floored spectrum gives the element roots.
+    A closure error names the first grid point whose first- or
+    last-round weights fail, and how many of its last-round branches
+    were kept.
     """
-    spectra = [linalg.floor_eigh(*check_povm_stack(s)) for s in element_stacks]
+    spectra = [check_povm_stack(s) for s in element_stacks]
     return _chain_negativities(int(local_dim), spectra, prob_tol)
 
 
@@ -544,8 +542,7 @@ def stacked_disturbance(
     if m.ndim != 4 or m.shape[2:] != (dim, dim):
         raise ShapeMismatch(f"POVM stack of shape {m.shape} does not fit d={d}")
     # the P POVMs are P grid points of one round started from the branch
-    spectrum = linalg.floor_eigh(*check_povm_stack(m))
-    x, weight = next(_expand(d, [spectrum], PROB_TOL, rec.full_state))
+    x, weight = next(_expand(d, [check_povm_stack(m)], PROB_TOL, rec.full_state))
     kept = weight > 0.0
     rho = _stacked_rho14(x[kept])
     # rho - rho_base is Hermitian: its trace norm is the sum of |eigenvalues|

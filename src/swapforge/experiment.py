@@ -20,7 +20,6 @@ from math import prod
 
 import numpy as np
 
-from . import linalg
 from .classify import _classify, _sig15, verdict_label
 from .config import ScenarioConfig
 from .engine import (
@@ -116,8 +115,8 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     floored once.  The grid goes through the stacked engine in chunks
     sized so that no stacked array holds more than STACK_ENTRIES entries;
     for each chunk the swept round is built as one element stack over the
-    chunk's values and checked with check_povm_stack, whose ``eigh`` the
-    engine takes, floored once.  The first point's stack is checked
+    chunk's values and checked with check_povm_stack, whose floored
+    spectrum the engine takes.  The first point's stack is checked
     before the other rounds are built, so a swept round bad there fails
     first.  A closure error names the grid index and parameter value of
     the first point that fails.
@@ -130,7 +129,7 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     if not len(grid):  # an empty grid from a config built in code
         return (grid,) * 6
     family, param = config.rounds[swept].family, config.sweep.param_name
-    first = linalg.floor_eigh(*check_povm_stack(family_sweep_stack(family, param, grid[:1])))
+    first = check_povm_stack(family_sweep_stack(family, param, grid[:1]))
     spectra = [
         first if i == swept else _round_spectrum(config.build_round(i))
         for i in range(len(config.rounds))
@@ -144,7 +143,7 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
             return f"grid index {start + g} ({param}={float(grid[start + g])!r})"
 
         stack = family_sweep_stack(family, param, grid[start : start + chunk])
-        spectra[swept] = linalg.floor_eigh(*check_povm_stack(stack))
+        spectra[swept] = check_povm_stack(stack)
         parts.append(_chain_negativities(config.local_dim, spectra, config.prob_tol, point))
     avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
     nan = np.full(len(grid), math.nan)
@@ -202,8 +201,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
     labels = {}
     for r, povm in enumerate(scenario.rounds):
         kept = sorted({path[r] for path in paths})
-        (raw, _), (w, v) = povm.spectrum, povm.floored_spectrum
-        for n, ec in zip(kept, _classify(povm.matrices[kept], raw[kept], w[kept], v[kept])):
+        w, v = povm.floored_spectrum
+        for n, ec in zip(kept, _classify(povm.matrices[kept], w[kept], v[kept])):
             labels[r, n] = (verdict_label(ec.verdict, ec.local_dim), ec.operation_kind)
     columns = (found.c14vs23.tolist(), found.c12vs34.tolist())
     branches = [

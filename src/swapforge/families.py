@@ -197,7 +197,7 @@ def family_sweep_params(name: str) -> frozenset[str]:
 def family_sweep_stack(name: str, param: str, values) -> np.ndarray:
     """The family's POVMs at each value of one sweepable parameter, as a
     (G, K, D, D) element stack, unchecked: the stacked engine checks it
-    (check_povm_stack) in the ``eigh`` its roots come from."""
+    (check_povm_stack), and its roots come from that check."""
     if param not in family_sweep_params(name):
         raise BadParameter(f"{name!r} has no sweepable parameter {param!r}")
     return _SWEEPABLE[name][param](values)

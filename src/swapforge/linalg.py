@@ -12,7 +12,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import BadIndex, NotHermitian, NotPsd, ShapeMismatch
+from .errors import BadDimension, BadIndex, NotHermitian, NotPsd, ShapeMismatch
 from .tolerances import HERM_TOL, PSD_TOL, RANK_REL_TOL
 
 __all__ = [
@@ -34,14 +34,14 @@ def _square(m) -> np.ndarray:
     return m
 
 
-def _checked_dims(m: np.ndarray, dims) -> tuple[int, ...]:
+def _checked_dims(dims, size: int) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints; raises BadDimension for a local
+    dimension below 2 and ShapeMismatch unless they factor ``size``."""
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
-        raise ShapeMismatch(f"every local dimension must be >= 2, got {dims}")
-    if prod(dims) != m.shape[0]:
-        raise ShapeMismatch(
-            f"dims {dims} (product {prod(dims)}) do not factor dimension {m.shape[0]}"
-        )
+        raise BadDimension(f"every local dimension must be >= 2, got {dims}")
+    if prod(dims) != size:
+        raise ShapeMismatch(f"dims {dims} (product {prod(dims)}) do not factor dimension {size}")
     return dims
 
 
@@ -63,7 +63,7 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     ``keep``; an empty ``keep`` yields the 1x1 full trace.
     """
     m = _square(m)
-    dims = _checked_dims(m, dims)
+    dims = _checked_dims(dims, m.shape[0])
     n = len(dims)
     keep = _checked_wires(keep, n)
     drop = [w for w in range(n) if w not in keep]
@@ -79,7 +79,7 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
 def partial_transpose(m: np.ndarray, dims, sub: int) -> np.ndarray:
     """Transpose a single wire; applying it twice returns the input."""
     m = _square(m)
-    dims = _checked_dims(m, dims)
+    dims = _checked_dims(dims, m.shape[0])
     n = len(dims)
     sub = int(sub)
     if not 0 <= sub < n:
@@ -120,17 +120,24 @@ def _require_psd(w: np.ndarray) -> None:
 def floor_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The floored spectra of PSD matrices stacked on the leading axes,
     from their ascending ``eigh`` (w, v): eigenvalues descending, clipped
-    at zero, and those below RANK_REL_TOL times the largest set to
+    at zero, and those at or below RANK_REL_TOL times the largest set to
     exactly zero, with the matching eigenvector columns.
 
-    Anything matrix_rank would not count must not leak sqrt-amplified
-    noise into branch states, so every POVM element's square root, one
-    at a time or stacked, takes its spectrum from here.
+    The floor removes exactly what matrix_rank does not count, so no
+    uncounted eigenvalue leaks sqrt-amplified noise into a branch state.
+    states._check_elements is its one caller: every element root and
+    element class reads the pair that check returns.
     """
     w = np.clip(w[..., ::-1], 0.0, None)
     top = w[..., :1]
-    floored = np.where((top > 0.0) & (w < RANK_REL_TOL * top), 0.0, w)
+    floored = np.where((top > 0.0) & (w <= RANK_REL_TOL * top), 0.0, w)
     return floored, np.ascontiguousarray(v[..., ::-1])
+
+
+def _transpose_wire2(m: np.ndarray, d: int) -> np.ndarray:
+    """Partial transpose of wire 2 of each (d*d, d*d) matrix of a stack
+    on the leading axes."""
+    return m.reshape(m.shape[:-2] + (d, d, d, d)).swapaxes(-3, -1).reshape(m.shape)
 
 
 def sqrt_from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:

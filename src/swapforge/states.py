@@ -1,7 +1,8 @@
 """Validated quantum states, POVMs, and the POVM file format.
 
-A POVM element's spectrum comes from the ``eigh`` of its check: its own
-for a standalone PovmElement, its Povm's for the elements of a Povm.
+A POVM element's floored spectrum comes from its check, the one place
+an element stack is decomposed: its own check for a standalone
+PovmElement, its Povm's for the elements of a Povm.
 Only the PSD square root is computed on first read.  Everything is
 read-only after validation, so instances are safe to share across
 threads.
@@ -63,11 +64,7 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 2 for d in dims):
-            raise BadDimension(f"every local dimension must be >= 2, got {dims}")
-        if prod(dims) != amps.size:
-            raise ShapeMismatch(f"dims {dims} do not factor a {amps.size}-amplitude vector")
+        dims = linalg._checked_dims(self.dims, amps.size)
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValidationFailure(f"squared norm {norm_sq!r} is not 1 within {NORM_TOL:.0e}")
@@ -100,11 +97,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg._square(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 2 for d in dims):
-            raise BadDimension(f"every local dimension must be >= 2, got {dims}")
-        if prod(dims) != m.shape[0]:
-            raise ShapeMismatch(f"dims {dims} do not factor dimension {m.shape[0]}")
+        dims = linalg._checked_dims(self.dims, m.shape[0])
         defect, allowed = _hermiticity(m)
         if not defect <= allowed:  # NaN fails here too
             raise ValidationFailure("density matrix is not Hermitian within tolerance")
@@ -136,8 +129,9 @@ def _check_elements(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raise unless each matrix of the (..., D, D) stack is a POVM element:
     d*d square for a local dimension d >= 2, Hermitian within tolerance,
     no eigenvalue below -PSD_TOL.  NaN and infinity fail the Hermiticity
-    test.  Returns the ascending eigenvalues the PSD rule reads and their
-    eigenvectors, from one ``eigh``."""
+    test.  This is the one place an element stack is decomposed: it
+    returns the stack's floored spectrum (linalg.floor_eigh) from the one
+    ``eigh`` the PSD rule reads."""
     if m.shape[-1] != m.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[-1]
@@ -149,7 +143,7 @@ def _check_elements(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationFailure("POVM element is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
     linalg._require_psd(w)
-    return w, v
+    return linalg.floor_eigh(w, v)
 
 
 def _check_completeness(m: np.ndarray) -> None:
@@ -167,10 +161,10 @@ def _check_completeness(m: np.ndarray) -> None:
 class PovmElement:
     """One PSD measurement operator on a d x d pair of wires.
 
-    ``spectral`` is its floored spectrum (w, v) as linalg.floor_eigh gives
-    it: eigenvalues descending, eigenvectors in the matching columns, both
-    read-only and taken from the ``eigh`` of the element's check.  The PSD
-    square root is kept once computed; every protocol formula uses them.
+    ``spectral`` is the floored spectrum (w, v) the element's check
+    returns: eigenvalues descending, eigenvectors in the matching
+    columns, both read-only.  The PSD square root is kept once computed;
+    every protocol formula and the element's class use them.
     """
 
     matrix: np.ndarray
@@ -178,7 +172,7 @@ class PovmElement:
 
     def __post_init__(self):
         m = linalg._square(self.matrix)
-        spectrum = linalg.floor_eigh(*_check_elements(m))
+        spectrum = _check_elements(m)
         object.__setattr__(self, "matrix", _frozen(m))
         object.__setattr__(self, "spectral", _read_only(*spectrum))
 
@@ -220,16 +214,14 @@ class Povm:
 
     Built from its element matrices (a (K, D, D) array or a sequence of
     D x D matrices) and, optionally, the local dimension they must have.
-    The stack is checked once, and the one ``eigh`` the check takes is
-    kept: ``matrices`` is the read-only (K, D, D) stack, ``spectrum`` its
-    read-only ascending ``eigh`` (w, v), ``floored_spectrum`` that pair
-    floored once (linalg.floor_eigh), and each of ``elements`` holds its
-    row of the floored pair as its ``spectral``.
+    The stack is checked once, and the floored spectrum the check
+    returns is kept: ``matrices`` is the read-only (K, D, D) stack,
+    ``floored_spectrum`` its read-only floored (w, v), and each of
+    ``elements`` holds its row of that pair as its ``spectral``.
     """
 
     matrices: np.ndarray
     local_dim: int | None = None
-    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     floored_spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     elements: tuple[PovmElement, ...] = field(init=False, repr=False)
 
@@ -240,17 +232,15 @@ class Povm:
         if any(m.ndim != 2 or m.shape != mats[0].shape for m in mats):
             raise ShapeMismatch("POVM elements are not square matrices of one shape")
         stack = _frozen(mats)
-        w, v = _read_only(*_check_elements(stack))
+        floored = _read_only(*_check_elements(stack))
         d = isqrt(stack.shape[-1])
         # the check passed, so d >= 2: this also rejects a local_dim below 2
         if self.local_dim is not None and int(self.local_dim) != d:
             raise ShapeMismatch("element dimensions disagree with local_dim")
         _check_completeness(stack)
-        floored = _read_only(*linalg.floor_eigh(w, v))
         els = tuple(PovmElement._of_checked_stack(*row) for row in zip(stack, *floored))
         object.__setattr__(self, "matrices", stack)
         object.__setattr__(self, "local_dim", d)
-        object.__setattr__(self, "spectrum", (w, v))
         object.__setattr__(self, "floored_spectrum", floored)
         object.__setattr__(self, "elements", els)
 
@@ -262,8 +252,8 @@ def check_povm_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     """The checks Povm makes, for POVMs stacked on the leading axes:
     ``stack`` has shape (..., K, D, D) with element k of each POVM at
     [..., k, :, :].  Raises as PovmElement and Povm do.
-    Returns the ascending (eigenvalues, eigenvectors) of the one ``eigh``
-    the PSD rule reads, so a caller needing them decomposes once."""
+    Returns the floored spectrum (w, v) of the check, as Povm keeps it,
+    so a caller needing the element roots decomposes nothing."""
     m = np.asarray(stack, dtype=complex)
     if m.ndim < 3:
         raise ShapeMismatch(f"expected a (..., K, D, D) stack, got shape {m.shape}")

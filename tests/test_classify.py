@@ -18,7 +18,7 @@ from swapforge.classify import (
     lemma2_open,
     report_to_json,
 )
-from swapforge.errors import ShapeMismatch, ZeroTrace
+from swapforge.errors import NotPsd, ShapeMismatch, ValidationFailure, ZeroTrace
 from swapforge.families import bell_projective, noisy_bell_povm, wire2_computational_povm
 from swapforge.linalg import matrix_rank, partial_transpose
 from swapforge.measures import c12_vs_34, c14_vs_23, negativity
@@ -242,6 +242,51 @@ def test_classify_stack_coarse_rank_tolerance():
         els = [random_element(rng, d=d, rank=rank) for rank in range(1, d * d + 1)]
         assert_stack_matches_references(els, rank_rel_tol=1e-1)
     assert classify_stack(np.diag([1.0, 0.5, 0.05, 0.01])[None], rank_rel_tol=1e-1)[0].rank == 2
+
+
+def test_a_rank_cutoff_below_the_floor_ranks_as_the_floor():
+    # the rank counts the floored spectrum, which holds no 1e-11 eigenvalue
+    m = np.diag([1.0, 1e-11, 0.0, 0.0])[None]
+    assert classify_stack(m, rank_rel_tol=1e-12)[0].rank == 1
+
+
+def test_rank_and_root_read_one_floored_spectrum():
+    # the eigenvalue at RANK_REL_TOL times the largest is outside the rank
+    # and, as one decision, outside the root: no 1e-5 entry leaks into it
+    el = PovmElement(np.diag([1.0, 1e-10, 0.0, 0.0]))
+    assert np.array_equal(el.sqrt_matrix, np.diag([1.0, 0.0, 0.0, 0.0]))
+    assert classify_element(el).rank == matrix_rank(el.matrix) == 1
+
+
+def test_classify_element_reads_the_spectrum_its_check_took(monkeypatch):
+    el = noisy_bell_povm(0.4).elements[0]
+    expected = classify_stack(el.matrix[None])[0]
+    calls = []
+    real = np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    assert classify_element(el) == expected
+    assert calls == []
+
+
+def not_hermitian():
+    m = np.eye(4)
+    m[0, 1] = 1.0  # I + E_01
+    return m
+
+
+@pytest.mark.parametrize(
+    "m, error",
+    [(np.diag([1.0, -0.5, 0.2, 0.1]), NotPsd), (not_hermitian(), ValidationFailure)],
+    ids=["not-psd", "not-hermitian"],
+)
+def test_classify_stack_checks_its_elements(m, error):
+    with pytest.raises(error):
+        classify_stack(np.array([np.eye(4) / 2, m]))
 
 
 def test_classify_stack_boundary_verdict_at_one_third():

@@ -289,3 +289,12 @@ def test_floor_eigh_stack_matches_single_matrices(rng):
         root = sqrt_from_spectrum(w[k], v[k])
         np.testing.assert_allclose(root @ root, m, atol=1e-12)
     np.testing.assert_allclose(sqrt_from_spectrum(w, v)[1], np.eye(6), atol=1e-14)
+
+
+def test_floor_eigh_zeroes_what_matrix_rank_does_not_count():
+    # an eigenvalue at exactly RANK_REL_TOL times the largest is outside the
+    # rank, so the floor zeroes it
+    m = np.diag([1.0, 1e-10, 0.0, 0.0])
+    w, _ = floor_eigh(*np.linalg.eigh(m))
+    assert w.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert matrix_rank(m) == 1

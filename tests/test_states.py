@@ -23,7 +23,14 @@ from swapforge.families import (
     separable_product_povm,
     wire2_computational_povm,
 )
-from swapforge.linalg import floor_eigh, matrix_rank, psd_sqrt, psd_sqrt_closed_2x2
+from swapforge.linalg import (
+    floor_eigh,
+    matrix_rank,
+    partial_trace,
+    partial_transpose,
+    psd_sqrt,
+    psd_sqrt_closed_2x2,
+)
 from swapforge.measures import CUT_1_2, i_concurrence
 from swapforge.states import (
     DensityMatrix,
@@ -104,6 +111,27 @@ def test_reduced_rejects_bad_wires(keep):
         psi.reduced(keep)
     with pytest.raises(BadIndex):
         psi.reduced((0, 1, 2, 3)).reduced(keep)
+
+
+# Every entry that reads local dimensions, given a 4-dimensional operand
+# (amplitudes 1/2 each, or I/4) and the dims under test.
+DIMS_ENTRIES = {
+    "PureState": lambda dims: PureState(np.full(4, 0.5), dims),
+    "DensityMatrix": lambda dims: DensityMatrix(np.eye(4) / 4, dims),
+    "partial_trace": lambda dims: partial_trace(np.eye(4) / 4, dims, (0,)),
+    "partial_transpose": lambda dims: partial_transpose(np.eye(4) / 4, dims, 0),
+}
+
+
+@pytest.mark.parametrize("entry", DIMS_ENTRIES)
+def test_one_dimension_rule_at_every_entry(entry):
+    check = DIMS_ENTRIES[entry]
+    check((2, 2))
+    with pytest.raises(BadDimension, match=r"^every local dimension must be >= 2, got \(1, 4\)$"):
+        check((1, 4))
+    with pytest.raises(ShapeMismatch) as caught:
+        check((2, 3))
+    assert str(caught.value) == "dims (2, 3) (product 6) do not factor dimension 4"
 
 
 def test_max_entangled_rejects_small_dimension():
@@ -270,14 +298,14 @@ def shared_spectrum_povms() -> dict:
 
 @pytest.mark.parametrize("name", list(shared_spectrum_povms()))
 def test_povm_check_seeds_element_spectra(name):
-    # the eigh of the PSD check is the one decomposition: the Povm keeps it,
-    # floors it once, and each element's spectral is its row of that pair,
-    # bit for bit the spectrum a standalone element takes at its own check
+    # the check's floored eigh is the one decomposition: the Povm keeps only
+    # that pair, and each element's spectral is its row of it, bit for bit
+    # the spectrum a standalone element takes at its own check
     povm = shared_spectrum_povms()[name]
-    w, v = np.linalg.eigh(povm.matrices)
-    assert np.array_equal(povm.spectrum[0], w) and np.array_equal(povm.spectrum[1], v)
+    assert not hasattr(povm, "spectrum")
     fw, fv = povm.floored_spectrum
-    assert all(np.array_equal(a, b) for a, b in zip((fw, fv), floor_eigh(w, v)))
+    expected = floor_eigh(*np.linalg.eigh(povm.matrices))
+    assert all(np.array_equal(a, b) for a, b in zip((fw, fv), expected))
     for k, (el, m) in enumerate(zip(povm.elements, povm.matrices)):
         assert np.array_equal(el.matrix, m)
         assert np.shares_memory(el.spectral[0], fw[k]) and np.shares_memory(el.spectral[1], fv[k])
@@ -290,7 +318,7 @@ def test_povm_check_seeds_element_spectra(name):
 def test_povm_shared_spectrum_is_read_only(name):
     povm = shared_spectrum_povms()[name]
     el = povm.elements[0]
-    shared = [povm.matrices, *povm.spectrum, *povm.floored_spectrum, el.matrix, *el.spectral]
+    shared = [povm.matrices, *povm.floored_spectrum, el.matrix, *el.spectral]
     for a in shared:
         with pytest.raises(ValueError, match="read-only"):
             a[..., 0] = 0.0
