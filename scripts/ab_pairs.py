@@ -1,0 +1,93 @@
+"""Alternating A/B pairs of the benchmark on two checkouts.
+
+    python3 scripts/ab_pairs.py --parent DIR --change DIR --workload W --pairs N --seconds S
+
+Runs ``perfbench/run.py`` once per side and pair, in each checkout as a
+subprocess with seed = pair number (1..N), and alternates which side
+runs first.  For each end-to-end metric it prints the parent's median
+and interquartile range, the change's median, the relative change of
+the medians and in how many pairs the change was better (ties count for
+neither side).  Metric directions come from BENCHMARK.json next to this
+script.  Exits 1 if any run fails or reports an incorrect result.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict | None:
+    """The metric values of one benchmark run, or None if it failed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {}
+    if proc.returncode != 0 or not result.get("correct"):
+        print(f"run failed in {checkout} (seed {seed}, exit {proc.returncode}):\n"
+              f"{proc.stderr.strip()}", file=sys.stderr)
+        return None
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    for checkout in (args.parent, args.change):
+        if not (Path(checkout) / "perfbench" / "run.py").is_file():
+            parser.error(f"{checkout} has no perfbench/run.py")
+    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+    runs = {"parent": [], "change": []}
+    failed = False
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            metrics = run_once(getattr(args, side), args.workload, pair, args.seconds)
+            failed |= metrics is None
+            runs[side].append(metrics)
+        print(f"pair {pair}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+    if failed:
+        return 1
+
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs")
+    print(f"{'metric':14s} {'parent med':>11s} {'parent IQR':>11s} {'change med':>11s}"
+          f" {'rel':>8s} {'wins':>6s}")
+    for name, direction in better.items():
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        q1, med, q3 = quartiles(parent)
+        changed = statistics.median(change)
+        sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+        print(f"{name:14s} {med:11.5g} {q3 - q1:11.3g} {changed:11.5g}"
+              f" {(changed - med) / med:+8.2%} {wins:3d}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

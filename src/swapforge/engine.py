@@ -242,8 +242,10 @@ def _stacked_rho14(x: np.ndarray) -> np.ndarray:
 
 
 def _stacked_negativity(rho: np.ndarray, d: int) -> np.ndarray:
-    value = np.abs(np.linalg.eigvalsh(linalg._transpose_wire2(rho, d))).sum(axis=-1) - 1.0
-    return np.maximum(value, 0.0)
+    eigenvalues = np.linalg.eigvalsh(linalg._transpose_wire2(rho, d))
+    value = np.abs(eigenvalues, out=eigenvalues).sum(axis=-1)
+    value -= 1.0
+    return np.maximum(value, 0.0, out=value)
 
 
 def _grid_point(g: int) -> str:
@@ -318,10 +320,15 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
             out = op[:, None] * (1.0 / d)  # (grid, branch, outcome, kl, ij)
         else:
             out = op[:, None] @ x[:, :, None]
-        p = (out.real * out.real + out.imag * out.imag).sum(axis=(-2, -1))
-        p = np.where(p >= tol, p, 0.0)
+        # out is this round's own array, so it is squared and normalized in place
+        sq = out.real * out.real
+        sq += out.imag * out.imag
+        p = sq.sum(axis=(-2, -1))
+        del sq  # not kept alive into the next round's product
+        p[~(p >= tol)] = 0.0  # NaN is cut too; a tie at tol is kept
         scale = np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=p > 0.0)
-        x = (out * scale[..., None, None]).reshape(out.shape[0], -1, dim, dim)
+        out *= scale[..., None, None]
+        x = out.reshape(out.shape[0], -1, dim, dim)
         weight = (weight[:, :, None] * p).reshape(grid, -1)
         yield x, weight
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     param_value: float
     avg_neg_round1: float
     avg_neg_round2: float

@@ -59,7 +59,9 @@ def noisy_bell_stack(lams) -> np.ndarray:
     if not inside.all():
         raise BadParameter(f"lambda must lie in [0, 1], got {float(lam[~inside][0])!r}")
     lam = lam[:, None, None, None]
-    return lam * _BELL_PROJECTORS + (1.0 - lam) / 4.0 * np.eye(4, dtype=complex)
+    stack = lam * _BELL_PROJECTORS
+    stack += (1.0 - lam) / 4.0 * np.eye(4, dtype=complex)
+    return stack
 
 
 def noisy_bell_povm(lam: float) -> Povm:

@@ -8,6 +8,7 @@ functions are pure; inputs are never mutated.
 
 from __future__ import annotations
 
+import operator
 from math import prod
 
 import numpy as np
@@ -34,10 +35,17 @@ def _square(m) -> np.ndarray:
     return m
 
 
+def _integer(value, error: type[Exception], what: str) -> int:
+    try:  # ints and numpy integers pass; a float is not truncated
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 def _checked_dims(dims, size: int) -> tuple[int, ...]:
-    """``dims`` as a tuple of ints; raises BadDimension for a local
-    dimension below 2 and ShapeMismatch unless they factor ``size``."""
-    dims = tuple(int(d) for d in dims)
+    """``dims`` as a tuple of ints; raises BadDimension for a non-integer
+    or below-2 local dimension, ShapeMismatch unless they factor ``size``."""
+    dims = tuple(_integer(d, BadDimension, "local dimension") for d in dims)
     if any(d < 2 for d in dims):
         raise BadDimension(f"every local dimension must be >= 2, got {dims}")
     if prod(dims) != size:
@@ -48,7 +56,7 @@ def _checked_dims(dims, size: int) -> tuple[int, ...]:
 def _checked_wires(keep, n: int) -> tuple[int, ...]:
     """``keep`` as a tuple of ints; raises BadIndex unless it names
     distinct wires of an n-wire system."""
-    keep = tuple(int(k) for k in keep)
+    keep = tuple(_integer(k, BadIndex, "wire") for k in keep)
     if len(set(keep)) != len(keep):
         raise BadIndex(f"keep={keep} repeats a wire")
     if any(k < 0 or k >= n for k in keep):
@@ -81,7 +89,7 @@ def partial_transpose(m: np.ndarray, dims, sub: int) -> np.ndarray:
     m = _square(m)
     dims = _checked_dims(dims, m.shape[0])
     n = len(dims)
-    sub = int(sub)
+    sub = _integer(sub, BadIndex, "wire")
     if not 0 <= sub < n:
         raise BadIndex(f"wire {sub} out of range for {n} wires")
     t = m.reshape(dims + dims)
@@ -128,10 +136,10 @@ def floor_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     states._check_elements is its one caller: every element root and
     element class reads the pair that check returns.
     """
-    w = np.clip(w[..., ::-1], 0.0, None)
+    w = np.clip(w[..., ::-1], 0.0, None)  # a copy, so it is floored in place
     top = w[..., :1]
-    floored = np.where((top > 0.0) & (w <= RANK_REL_TOL * top), 0.0, w)
-    return floored, np.ascontiguousarray(v[..., ::-1])
+    w[(top > 0.0) & (w <= RANK_REL_TOL * top)] = 0.0
+    return w, np.ascontiguousarray(v[..., ::-1])
 
 
 def _transpose_wire2(m: np.ndarray, d: int) -> np.ndarray:

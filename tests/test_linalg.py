@@ -92,6 +92,28 @@ def test_partial_trace_errors(rng):
         partial_trace(rho, (2, 2), (2,))
 
 
+# a float where a wire index goes, to partial_trace's keep and partial_transpose's sub
+NON_INTEGER_WIRES = {
+    "trace_keep": lambda m: partial_trace(m, (2, 2), (0.7,)),
+    "trace_keep_numpy_float": lambda m: partial_trace(m, (2, 2), (np.float64(1.0),)),
+    "transpose_sub": lambda m: partial_transpose(m, (2, 2), 0.5),
+    "transpose_sub_whole_float": lambda m: partial_transpose(m, (2, 2), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_WIRES)
+def test_non_integer_wire_raises(rng, case):
+    # a float is rejected, not truncated; numpy integers read as ints
+    rho = random_density(rng, 4)
+    with pytest.raises(BadIndex, match=r"^wire must be an integer, got "):
+        NON_INTEGER_WIRES[case](rho)
+    one, two = np.int32(1), np.int64(2)
+    traced = partial_trace(rho, (two, two), (one,))
+    np.testing.assert_array_equal(traced, partial_trace(rho, (2, 2), (1,)))
+    transposed = partial_transpose(rho, (two, two), one)
+    np.testing.assert_array_equal(transposed, partial_transpose(rho, (2, 2), 1))
+
+
 # ---------------------------------------------------------------------------
 # partial_transpose
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ sampler against repeated random_povm."""
 import dataclasses
 import json
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -39,7 +38,7 @@ from swapforge.errors import (
     ShapeMismatch,
     ValidationFailure,
 )
-from swapforge.experiment import CSV_COLUMNS, run_scenario, run_sweep, sweep_rows
+from swapforge.experiment import CSV_COLUMNS, SweepRow, run_scenario, run_sweep, sweep_rows
 from swapforge.families import BELL_STATES, noisy_bell_povm, wire2_computational_povm
 from swapforge.linalg import floor_eigh, sqrt_from_spectrum
 from swapforge.measures import GRAM_CUTOFF, _gram_concurrence
@@ -253,10 +252,14 @@ def test_run_scenario_matches_chain(tmp_path, d, n_rounds):
 def test_a_tie_at_prob_tol_closes_on_neither_route(tmp_path, capsys):
     # each Born probability of noisy_bell(0.62) rounds to 0.24999999999999997
     # or ...92 at prob_tol = 0.25: chain keeps 0 of the 4 branches, the
-    # stacked route 2 (_expand's tie rule), and neither branch set closes
+    # stacked route 2 (_expand's tie rule), and neither branch set closes.
+    # The two the stacked route keeps sit exactly at the cut: a branch whose
+    # probability equals prob_tol is kept
     scenario = SwapScenario(2, (noisy_bell_povm(0.62),))
     assert chain(scenario, 0.25) == []
-    assert stacked_branches(scenario, 0.25).outcome_paths.tolist() == [[0], [1]]
+    kept = stacked_branches(scenario, 0.25)
+    assert kept.outcome_paths.tolist() == [[0], [1]]
+    assert kept.probability.tolist() == [float.fromhex("0x1p-2")] * 2
     with pytest.raises(IncompleteBranchSet):
         average_negativity(chain(scenario, 0.25))
     doc = {
@@ -265,7 +268,7 @@ def test_a_tie_at_prob_tol_closes_on_neither_route(tmp_path, capsys):
     }
     path = tmp_path / "tie.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(IncompleteBranchSet):
+    with pytest.raises(IncompleteBranchSet, match="2 of 4 branches kept at prob_tol=0.25$"):
         run_scenario(load_scenario_config(str(path)))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error_code=IncompleteBranchSet\n")
@@ -834,6 +837,48 @@ def test_columnar_csv_equals_per_value_format(tmp_path, monkeypatch):
         ",".join(format(x, ".15g") for x in row) + "\n" for row in zip(*columns)
     )
     assert (tmp_path / "out.csv").read_text() == expected
-    assert [list(map(repr, astuple(row))) for row in rows] == [
+    assert [list(map(repr, tuple(row))) for row in rows] == [
         list(map(repr, row)) for row in zip(*(c.tolist() for c in columns))
     ]
+    assert SweepRow._fields == CSV_COLUMNS  # a row is a NamedTuple in CSV column order
+
+
+# ---------------------------------------------------------------------------
+# In-place writes: the engine squares, normalizes and floors in place only
+# the arrays it allocated.
+# ---------------------------------------------------------------------------
+
+
+def test_stacked_calls_leave_the_caller_stacks_unchanged(rng):
+    stacks = seeded_stacks(2, 5, shared_first=False)
+    rec = first_branch(random_element(rng, d=2, rank=3))
+    povms = random_povm_stack(rng, 6, d=2)
+    given = [s.copy() for s in (*stacks, povms)]
+    stacked_chain_negativities(2, stacks)
+    stacked_disturbance(rec, povms)
+    for stack, copy in zip((*stacks, povms), given):
+        assert stack.flags.writeable
+        assert stack.tobytes() == copy.tobytes()
+
+
+def test_povm_arrays_stay_read_only_and_unchanged(tmp_path, monkeypatch):
+    # (povm, copies of its matrices and floored spectrum) of every round built
+    built = []
+    real = ScenarioConfig.build_round
+
+    def spy(self, index):
+        povm = real(self, index)
+        built.append((povm, [a.copy() for a in (povm.matrices, *povm.floored_spectrum)]))
+        return povm
+
+    monkeypatch.setattr(ScenarioConfig, "build_round", spy)
+    rng = np.random.default_rng(5000)
+    povms = [random_povm(rng, d=2, n_elements=k) for k in (3, 2)]
+    run_scenario(scenario_config(tmp_path, povms))
+    rounds = [RoundSpec("wire2_computational"), RoundSpec("noisy_bell")]
+    run_sweep(sweep_config(rounds), csv_path=str(tmp_path / "sweep.csv"))
+    assert len(built) == 3  # two file rounds, the sweep's shared round
+    for povm, copies in built:
+        for array, copy in zip((povm.matrices, *povm.floored_spectrum), copies):
+            assert not array.flags.writeable
+            assert array.tobytes() == copy.tobytes()

@@ -103,9 +103,10 @@ def test_max_entangled_marginals_maximally_mixed(d):
     assert i_concurrence(psi, CUT_1_2) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("keep", [(0, 5), (0, 0), (-1,)])
+@pytest.mark.parametrize("keep", [(0, 5), (0, 0), (-1,), (0.7, 3.2)])
 def test_reduced_rejects_bad_wires(keep):
-    # one wire rule for both state kinds: out of range, repeated, negative
+    # one wire rule for both state kinds: out of range, repeated, negative,
+    # not an integer
     psi = initial_state(2)
     with pytest.raises(BadIndex):
         psi.reduced(keep)
@@ -132,6 +133,15 @@ def test_one_dimension_rule_at_every_entry(entry):
     with pytest.raises(ShapeMismatch) as caught:
         check((2, 3))
     assert str(caught.value) == "dims (2, 3) (product 6) do not factor dimension 4"
+
+
+@pytest.mark.parametrize("entry", DIMS_ENTRIES)
+def test_non_integer_dimension_raises_at_every_entry(entry):
+    # a float is rejected, not truncated; numpy integers read as ints
+    check = DIMS_ENTRIES[entry]
+    check((np.int64(2), np.int32(2)))
+    with pytest.raises(BadDimension, match=r"^local dimension must be an integer, got 2\.7$"):
+        check((2.7, 2))
 
 
 def test_max_entangled_rejects_small_dimension():
