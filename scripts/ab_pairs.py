@@ -6,9 +6,13 @@ Runs ``perfbench/run.py`` once per side and pair, in each checkout as a
 subprocess with seed = pair number (1..N), and alternates which side
 runs first.  For each end-to-end metric it prints the parent's median
 and interquartile range, the change's median, the relative change of
-the medians and in how many pairs the change was better (ties count for
-neither side).  Metric directions come from BENCHMARK.json next to this
-script.  Exits 1 if any run fails or reports an incorrect result.
+the medians, in how many pairs the change was better (ties count for
+neither side) and a verdict by the claim rule: a gain needs at least 10
+pairs, wins in at least nine tenths of them, and a median better than the
+parent's by more than the parent's IQR.  Fewer than 10 pairs draw a
+warning, and a verdict of "no claim".  Metric directions come from
+BENCHMARK.json next to this script.  Exits 1 if any run fails or reports
+an incorrect result.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+MIN_PAIRS = 10  # the fewest pairs a gain may be claimed from
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict | None:
@@ -47,6 +52,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(pairs: int, wins: int, gap: float, iqr: float) -> str:
+    """The claim rule on one metric: ``gap`` is how much better the
+    change's median is than the parent's (negative if worse), ``iqr`` the
+    parent's interquartile range."""
+    if pairs < MIN_PAIRS:
+        return "no claim"
+    if 10 * wins < 9 * pairs:
+        return "no gain (wins)"
+    if not gap > iqr:
+        return "no gain (IQR)"
+    return "gain"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
@@ -57,6 +75,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.pairs < MIN_PAIRS:
+        print(f"warning: --pairs {args.pairs} is below {MIN_PAIRS}; no gain can be claimed",
+              file=sys.stderr)
     for checkout in (args.parent, args.change):
         if not (Path(checkout) / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} has no perfbench/run.py")
@@ -76,7 +97,7 @@ def main() -> int:
 
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':14s} {'parent med':>11s} {'parent IQR':>11s} {'change med':>11s}"
-          f" {'rel':>8s} {'wins':>6s}")
+          f" {'rel':>8s} {'wins':>6s}  verdict")
     for name, direction in better.items():
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
@@ -85,7 +106,8 @@ def main() -> int:
         sign = 1.0 if direction == "higher" else -1.0
         wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
         print(f"{name:14s} {med:11.5g} {q3 - q1:11.3g} {changed:11.5g}"
-              f" {(changed - med) / med:+8.2%} {wins:3d}/{args.pairs}")
+              f" {(changed - med) / med:+8.2%} {wins:3d}/{args.pairs}"
+              f"  {verdict(args.pairs, wins, sign * (changed - med), q3 - q1)}")
     return 0
 
 

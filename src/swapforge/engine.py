@@ -20,7 +20,6 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import (
-    BadDimension,
     InternalCheckError,
     IncompleteBranchSet,
     InvalidPovm,
@@ -75,9 +74,7 @@ class SwapScenario:
     rounds: tuple[Povm, ...]
 
     def __post_init__(self):
-        d = int(self.local_dim)
-        if d < 2:
-            raise BadDimension(f"local_dim must be >= 2, got {d}")
+        d = linalg._local_dim(self.local_dim)
         rounds = tuple(self.rounds)
         if not rounds:
             raise InvalidPovm("a scenario needs at least one measurement round")
@@ -139,9 +136,7 @@ class _ChainRecord(OutcomeRecord):
 
 def initial_state(d: int) -> PureState:
     """Two maximally entangled pairs (1,2) and (3,4) in wire order (1,2,3,4)."""
-    d = int(d)
-    if d < 2:
-        raise BadDimension(f"local dimension must be >= 2, got {d}")
+    d = linalg._local_dim(d)
     amps = np.zeros((d, d, d, d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -360,7 +355,7 @@ def stacked_chain_negativities(
     were kept.
     """
     spectra = [check_povm_stack(s) for s in element_stacks]
-    return _chain_negativities(int(local_dim), spectra, prob_tol)
+    return _chain_negativities(linalg._local_dim(local_dim), spectra, prob_tol)
 
 
 def _chain_negativities(d: int, spectra, prob_tol: float, point=_grid_point):
@@ -544,12 +539,8 @@ def stacked_disturbance(
     as disturbance_check drops it.  disturbance_check stays the reference.
     """
     d = _require_four_wires(rec.full_state)
-    dim = d * d
-    m = np.asarray(povms, dtype=complex)
-    if m.ndim != 4 or m.shape[2:] != (dim, dim):
-        raise ShapeMismatch(f"POVM stack of shape {m.shape} does not fit d={d}")
     # the P POVMs are P grid points of one round started from the branch
-    x, weight = next(_expand(d, [check_povm_stack(m)], PROB_TOL, rec.full_state))
+    x, weight = next(_expand(d, [check_povm_stack(povms)], PROB_TOL, rec.full_state))
     kept = weight > 0.0
     rho = _stacked_rho14(x[kept])
     # rho - rho_base is Hermitian: its trace norm is the sum of |eigenvalues|

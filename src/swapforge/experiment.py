@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .classify import _classify, _sig15, verdict_label
 from .config import ScenarioConfig
 from .engine import (
@@ -122,6 +123,7 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep block")
+    d = linalg._local_dim(config.local_dim)
     swept = config.swept_round_index()
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
     worker_count(len(grid))  # rejects a malformed SWAPFORGE_THREADS
@@ -134,7 +136,7 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
         for i in range(len(config.rounds))
     ]
     branches = prod(v.shape[1] for _, v in spectra)
-    chunk = max(1, STACK_ENTRIES // (branches * config.local_dim**4))
+    chunk = max(1, STACK_ENTRIES // (branches * d**4))
     parts = []
     for start in range(0, len(grid), chunk):
 
@@ -143,7 +145,7 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
 
         stack = family_sweep_stack(family, param, grid[start : start + chunk])
         spectra[swept] = check_povm_stack(stack)
-        parts.append(_chain_negativities(config.local_dim, spectra, config.prob_tol, point))
+        parts.append(_chain_negativities(d, spectra, config.prob_tol, point))
     avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
     nan = np.full(len(grid), math.nan)
     if len(config.rounds) == 1:
@@ -218,7 +220,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         for path, p, neg, c14, c12 in zip(paths, probabilities, negativities, *columns)
     ]
     report = {
-        "local_dim": config.local_dim,
+        "local_dim": scenario.local_dim,
         "rounds": [
             {"family": spec.family, "params": spec.params} for spec in config.rounds
         ],

@@ -53,6 +53,12 @@ def _checked_dims(dims, size: int) -> tuple[int, ...]:
     return dims
 
 
+def _local_dim(d) -> int:
+    """``d`` as an int by _checked_dims's rule; raises BadDimension unless
+    it is an integer >= 2 (a float is not truncated)."""
+    return _checked_dims((d,), d)[0]
+
+
 def _checked_wires(keep, n: int) -> tuple[int, ...]:
     """``keep`` as a tuple of ints; raises BadIndex unless it names
     distinct wires of an n-wire system."""

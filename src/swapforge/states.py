@@ -113,9 +113,10 @@ class DensityMatrix:
         return len(self.dims)
 
     def reduced(self, keep) -> "DensityMatrix":
+        keep = linalg._checked_wires(keep, self.n_wires)
         return DensityMatrix(
             linalg.partial_trace(self.matrix, self.dims, keep),
-            tuple(self.dims[int(k)] for k in keep),
+            tuple(self.dims[k] for k in keep),
         )
 
 
@@ -234,8 +235,8 @@ class Povm:
         stack = _frozen(mats)
         floored = _read_only(*_check_elements(stack))
         d = isqrt(stack.shape[-1])
-        # the check passed, so d >= 2: this also rejects a local_dim below 2
-        if self.local_dim is not None and int(self.local_dim) != d:
+        given = self.local_dim  # the check passed, so d >= 2: a given 1 disagrees too
+        if given is not None and linalg._integer(given, BadDimension, "local dimension") != d:
             raise ShapeMismatch("element dimensions disagree with local_dim")
         _check_completeness(stack)
         els = tuple(PovmElement._of_checked_stack(*row) for row in zip(stack, *floored))
@@ -264,9 +265,7 @@ def check_povm_stack(stack) -> tuple[np.ndarray, np.ndarray]:
 
 def max_entangled_state(d: int) -> PureState:
     """(1/sqrt(d)) sum_i |ii> on a pair of d-dimensional wires."""
-    d = int(d)
-    if d < 2:
-        raise BadDimension(f"local dimension must be >= 2, got {d}")
+    d = linalg._local_dim(d)
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1.0 / np.sqrt(d)
     return PureState(amps, (d, d))

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swapforge.engine import initial_state
+from swapforge.config import OutputsSpec, RoundSpec, ScenarioConfig, SweepSpec
+from swapforge.engine import SwapScenario, initial_state, stacked_chain_negativities
 from swapforge.errors import (
     BadDimension,
     BadIndex,
@@ -17,8 +19,10 @@ from swapforge.errors import (
     ShapeMismatch,
     ValidationFailure,
 )
+from swapforge.experiment import run_scenario, sweep_rows
 from swapforge.families import (
     SingleQubitElementParams,
+    bell_projective,
     noisy_bell_povm,
     separable_product_povm,
     wire2_computational_povm,
@@ -142,6 +146,57 @@ def test_non_integer_dimension_raises_at_every_entry(entry):
     check((np.int64(2), np.int32(2)))
     with pytest.raises(BadDimension, match=r"^local dimension must be an integer, got 2\.7$"):
         check((2.7, 2))
+
+
+def test_reduced_reads_a_generator_of_wires(rng):
+    amps = rng.normal(size=24) + 1j * rng.normal(size=24)
+    rho = PureState(amps / np.linalg.norm(amps), (2, 3, 4)).reduced((0, 1, 2))
+    got = rho.reduced(w for w in (2, 1))
+    assert got.dims == (4, 3)
+    np.testing.assert_array_equal(got.matrix, rho.reduced((2, 1)).matrix)
+
+
+def sweep_config(d) -> ScenarioConfig:
+    rounds = (RoundSpec("noisy_bell", {"lambda": 0.5}), RoundSpec("wire2_computational"))
+    return ScenarioConfig(local_dim=d, rounds=rounds, sweep=SweepSpec("lambda", 0.0, 1.0, 3))
+
+
+# Every entry that reads one local dimension d it is given, called with d.
+LOCAL_DIM_ENTRIES = {
+    "initial_state": initial_state,
+    "max_entangled_state": max_entangled_state,
+    "SwapScenario": lambda d: SwapScenario(d, (bell_projective(),)),
+    "Povm": lambda d: Povm(np.eye(4)[None], local_dim=d),
+    "stacked_chain_negativities": lambda d: stacked_chain_negativities(d, [np.eye(4)[None, None]]),
+    "run_scenario": lambda d: run_scenario(sweep_config(d)),
+    "sweep_rows": lambda d: sweep_rows(sweep_config(d)),
+}
+
+
+@pytest.mark.parametrize("entry", LOCAL_DIM_ENTRIES)
+def test_one_local_dimension_rule_at_every_scalar_entry(entry):
+    # linalg's rule: an integer >= 2, numpy integers included; a float or a
+    # string is rejected, never truncated.  Povm checks its local_dim against
+    # its elements, so a 1 there is a mismatch.
+    check = LOCAL_DIM_ENTRIES[entry]
+    check(np.int64(2))
+    for d in (2.7, "2", 2.0):
+        message = f"^local dimension must be an integer, got {re.escape(repr(d))}$"
+        with pytest.raises(BadDimension, match=message):
+            check(d)
+    with pytest.raises(ShapeMismatch if entry == "Povm" else BadDimension):
+        check(1)
+
+
+def test_run_scenario_reports_the_checked_local_dim(tmp_path):
+    config = ScenarioConfig(
+        local_dim=np.int64(2),
+        rounds=(RoundSpec("bell_projective"),),
+        outputs=OutputsSpec(report_path="report.json"),
+        base_dir=str(tmp_path),
+    )
+    assert type(run_scenario(config)["local_dim"]) is int
+    assert '\n  "local_dim": 2,\n' in (tmp_path / "report.json").read_text(encoding="utf-8")
 
 
 def test_max_entangled_rejects_small_dimension():
