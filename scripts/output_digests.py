@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Print sha256 digests of swapforge's byte-stable outputs, one per line.
 
-Covers the paper sweep CSV at 201, 1001 and 2001 points, the JSON
-reports of family runs whose rounds have degenerate spectra (so that
-eigenvectors are not unique), the JSON reports of seeded d = 2, 3 and 4
+Covers the paper sweep CSV at 201, 1001 and 2001 points, the CSVs of
+sweeps whose swept round is alone, second, or after a seeded POVM file
+round (their formula columns are nan), the JSON reports of family runs
+whose rounds have degenerate spectra (so that eigenvectors are not
+unique), the JSON reports of seeded d = 2, 3 and 4
 scenario runs over random POVM files, the `swapforge classify` output on
 each of those files, the `swapforge verify` table, and its `--json`
 rows with each row's wall time (`seconds`) removed, so that every
@@ -88,6 +90,25 @@ def sweep_digests(workdir: str):
         yield f"sweep paper steps={steps}", _file_sha(path)
 
 
+def swept_round_digests(workdir: str, seed: int):
+    """201-point noisy_bell lambda sweeps other than the paper's: the swept
+    round alone, after wire2_computational, and after a seeded file round."""
+    rng = np.random.default_rng(seed)
+    write_povm(random_povm(rng, d=2, n_elements=3), os.path.join(workdir, "swept_file.json"))
+    swept = RoundSpec("noisy_bell")
+    scenarios = [
+        ("noisy_bell", (swept,)),
+        ("wire2_computational,noisy_bell", (RoundSpec("wire2_computational"), swept)),
+        ("file,noisy_bell", (RoundSpec("file", {"path": "swept_file.json"}), swept)),
+    ]
+    for i, (label, rounds) in enumerate(scenarios):
+        sweep = SweepSpec(param_name="lambda", start=0.0, stop=1.0, steps=201)
+        config = ScenarioConfig(local_dim=2, rounds=rounds, sweep=sweep, base_dir=workdir)
+        path = os.path.join(workdir, f"swept_{i}.csv")
+        run_sweep(config, csv_path=path)
+        yield f"sweep {label} steps=201", _file_sha(path)
+
+
 def _factor(theta: float, tau1: float, tau2: float) -> dict:
     return {"theta": theta, "phi": 0.0, "tau1": tau1, "tau2": tau2}
 
@@ -165,6 +186,8 @@ def main() -> None:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
         for label, digest in sweep_digests(workdir):
+            print(f"{digest}  {label}")
+        for label, digest in swept_round_digests(workdir, args.seed):
             print(f"{digest}  {label}")
         for label, digest in family_run_digests(workdir):
             print(f"{digest}  {label}")

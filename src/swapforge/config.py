@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .families import FAMILIES, _is_finite_number, build_family, family_sweep_params
+from .families import FAMILIES, _is_finite_number, build_family
 from .states import Povm
 from .tolerances import PROB_TOL
 
@@ -70,13 +70,14 @@ class ScenarioConfig:
     base_dir: str = "."
 
     def swept_round_index(self) -> int | None:
-        """Index of the single round whose family owns the swept parameter."""
+        """Index of the single round whose family sweeps the swept parameter."""
         if self.sweep is None:
             return None
+        families = [FAMILIES.get(spec.family) for spec in self.rounds]
         owners = [
             i
-            for i, spec in enumerate(self.rounds)
-            if self.sweep.param_name in family_sweep_params(spec.family)
+            for i, family in enumerate(families)
+            if family and family.stack and family.params == (self.sweep.param_name,)
         ]
         if len(owners) != 1:
             raise ConfigError(
@@ -87,7 +88,7 @@ class ScenarioConfig:
 
     def build_round(self, index: int) -> Povm:
         """Instantiate one round with its configured parameters; a sweep
-        builds its swept round as a stack (families.family_sweep_stack)."""
+        builds its swept round as a stack (its family's ``stack``)."""
         spec = self.rounds[index]
         params = dict(spec.params)
         if spec.family == "file" and "path" in params:
@@ -116,6 +117,14 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _known_keys(doc: dict, known, where: str) -> None:
+    """Raise ConfigError naming the first key of ``doc`` outside ``known``."""
+    unknown = sorted(doc.keys() - set(known))
+    if unknown:
+        known = ", ".join(known) or "none"
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}; known: {known}")
+
+
 def _is_path(value) -> bool:
     """A string that can name a file: not empty, no NUL byte."""
     return isinstance(value, str) and value != "" and "\0" not in value
@@ -129,6 +138,7 @@ def load_scenario_config(path) -> ScenarioConfig:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "config must be a JSON object")
+    _known_keys(doc, ("local_dim", "rounds", "sweep", "outputs", "tolerance_overrides"), "config")
 
     local_dim = doc.get("local_dim", 2)
     _require(isinstance(local_dim, int) and local_dim >= 2, "local_dim must be an integer >= 2")
@@ -138,13 +148,15 @@ def load_scenario_config(path) -> ScenarioConfig:
     rounds = []
     for i, entry in enumerate(raw_rounds):
         _require(isinstance(entry, dict) and "family" in entry, f"round {i} needs a 'family'")
+        _known_keys(entry, ("family", "params"), f"round {i}")
         family = entry["family"]
         _require(
             isinstance(family, str) and family in FAMILIES, f"round {i}: unknown family {family!r}"
         )
         params = entry.get("params", {})
         _require(isinstance(params, dict), f"round {i}: params must be an object")
-        for name in sorted(family_sweep_params(family) & params.keys()):
+        _known_keys(params, FAMILIES[family].params, f"round {i} ({family}) params")
+        for name in params if FAMILIES[family].stack else ():  # a sweepable parameter
             _require(
                 _is_finite_number(params[name]),
                 f"round {i}: parameter {name!r} must be a finite number, got {params[name]!r}",
@@ -157,6 +169,7 @@ def load_scenario_config(path) -> ScenarioConfig:
     if doc.get("sweep") is not None:
         raw = doc["sweep"]
         _require(isinstance(raw, dict), "sweep must be an object")
+        _known_keys(raw, ("param_name", "start", "stop", "steps"), "sweep")
         for key in ("param_name", "start", "stop", "steps"):
             _require(key in raw, f"sweep needs {key!r}")
         steps = raw["steps"]
@@ -175,6 +188,7 @@ def load_scenario_config(path) -> ScenarioConfig:
 
     raw_out = doc.get("outputs", {})
     _require(isinstance(raw_out, dict), "outputs must be an object")
+    _known_keys(raw_out, ("csv_path", "report_path"), "outputs")
     for key in ("csv_path", "report_path"):
         value = raw_out.get(key)
         _require(value is None or _is_path(value), f"outputs.{key} must be a file name string")

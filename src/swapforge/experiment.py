@@ -32,7 +32,7 @@ from .engine import (
     stacked_branches,
 )
 from .errors import ConfigError, IncompleteBranchSet
-from .families import family_sweep_stack
+from .families import FAMILIES
 from .states import check_povm_stack
 
 __all__ = [
@@ -129,8 +129,8 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     worker_count(len(grid))  # rejects a malformed SWAPFORGE_THREADS
     if not len(grid):  # an empty grid from a config built in code
         return (grid,) * 6
-    family, param = config.rounds[swept].family, config.sweep.param_name
-    first = check_povm_stack(family_sweep_stack(family, param, grid[:1]))
+    stack, param = FAMILIES[config.rounds[swept].family].stack, config.sweep.param_name
+    first = check_povm_stack(stack(grid[:1]))
     spectra = [
         first if i == swept else _round_spectrum(config.build_round(i))
         for i in range(len(config.rounds))
@@ -143,8 +143,7 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
         def point(g: int) -> str:  # g indexes the chunk starting at grid index `start`
             return f"grid index {start + g} ({param}={float(grid[start + g])!r})"
 
-        stack = family_sweep_stack(family, param, grid[start : start + chunk])
-        spectra[swept] = check_povm_stack(stack)
+        spectra[swept] = check_povm_stack(stack(grid[start : start + chunk]))
         parts.append(_chain_negativities(d, spectra, config.prob_tol, point))
     avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
     nan = np.full(len(grid), math.nan)

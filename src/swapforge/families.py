@@ -9,6 +9,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -18,11 +19,10 @@ from .states import Povm, read_povm
 __all__ = [
     "BELL_STATES",
     "FAMILIES",
+    "Family",
     "SingleQubitElementParams",
     "bell_projective",
     "build_family",
-    "family_sweep_params",
-    "family_sweep_stack",
     "noisy_bell_povm",
     "noisy_bell_stack",
     "separable_product_povm",
@@ -134,78 +134,47 @@ def single_qubit_residual_concurrence(p: SingleQubitElementParams) -> float:
     return float(2.0 * np.sqrt(p.tau1 * p.tau2) / total)
 
 
-# ---------------------------------------------------------------------------
-# Family registry used by scenario configs.  Each entry maps the family
-# name to a builder taking the params mapping; sweepable parameters also
-# have a stack builder.
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Family:
+    """A measurement family a config round names: the parameter names the
+    round takes, the builder called with their values in that order, and,
+    for a family swept over its one parameter, ``stack``, which turns an
+    array of values into one (G, K, D, D) element stack, unchecked (the
+    stacked engine checks it with check_povm_stack)."""
+
+    params: tuple[str, ...]
+    build: Callable[..., Povm]
+    stack: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _build_noisy_bell(params: dict) -> Povm:
-    if "lambda" not in params:
-        raise BadParameter("noisy_bell needs a 'lambda' parameter")
-    return noisy_bell_povm(params["lambda"])
-
-
-def _build_bell_projective(params: dict) -> Povm:
-    return bell_projective()
-
-
-def _build_wire2_computational(params: dict) -> Povm:
-    return wire2_computational_povm()
-
-
-def _build_separable_product(params: dict) -> Povm:
+def _separable_product(elements) -> Povm:
     try:
         pairs = [
-            (
-                SingleQubitElementParams(**entry["a"]),
-                SingleQubitElementParams(**entry["b"]),
-            )
-            for entry in params["elements"]
+            (SingleQubitElementParams(**entry["a"]), SingleQubitElementParams(**entry["b"]))
+            for entry in elements
         ]
     except (KeyError, TypeError) as exc:
         raise BadParameter(f"separable_product needs elements: [{{a: ..., b: ...}}]: {exc}")
     return separable_product_povm(pairs)
 
 
-def _build_file(params: dict) -> Povm:
-    if "path" not in params:
-        raise BadParameter("file family needs a 'path' parameter")
-    return read_povm(params["path"])
-
-
 FAMILIES = {
-    "noisy_bell": _build_noisy_bell,
-    "bell_projective": _build_bell_projective,
-    "wire2_computational": _build_wire2_computational,
-    "separable_product": _build_separable_product,
-    "file": _build_file,
+    "noisy_bell": Family(("lambda",), noisy_bell_povm, stack=noisy_bell_stack),
+    "bell_projective": Family((), bell_projective),
+    "wire2_computational": Family((), wire2_computational_povm),
+    "separable_product": Family(("elements",), _separable_product),
+    # looks read_povm up in this module at call time, where a rebinding
+    # of the module global (a tracer's, say) sees the call
+    "file": Family(("path",), lambda path: read_povm(path)),
 }
-
-# Each sweepable parameter maps to a builder taking an array of values
-# and returning the family's POVMs as one (G, K, D, D) element stack.
-_SWEEPABLE = {
-    "noisy_bell": {"lambda": noisy_bell_stack},
-}
-
-
-def family_sweep_params(name: str) -> frozenset[str]:
-    if name not in FAMILIES:
-        raise BadParameter(f"unknown measurement family {name!r}")
-    return frozenset(_SWEEPABLE.get(name, ()))
-
-
-def family_sweep_stack(name: str, param: str, values) -> np.ndarray:
-    """The family's POVMs at each value of one sweepable parameter, as a
-    (G, K, D, D) element stack, unchecked: the stacked engine checks it
-    (check_povm_stack), and its roots come from that check."""
-    if param not in family_sweep_params(name):
-        raise BadParameter(f"{name!r} has no sweepable parameter {param!r}")
-    return _SWEEPABLE[name][param](values)
 
 
 def build_family(name: str, params: dict | None = None) -> Povm:
+    """The family's POVM; raises BadParameter for an unknown family or
+    unless ``params`` names exactly the family's parameters."""
     if name not in FAMILIES:
         raise BadParameter(f"unknown measurement family {name!r}")
-    return FAMILIES[name](dict(params or {}))
+    family, params = FAMILIES[name], dict(params or {})
+    if params.keys() != set(family.params):
+        raise BadParameter(f"{name} takes parameters {list(family.params)}, got {list(params)}")
+    return family.build(*(params[p] for p in family.params))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .states import Povm, PovmElement, check_povm_stack
 
 __all__ = [
@@ -25,7 +26,7 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 def random_element(rng: np.random.Generator, d: int = 2, rank: int | None = None) -> PovmElement:
     """Random PSD element on a d x d pair, scaled to maximum eigenvalue <= 1."""
-    dim = d * d
+    dim = linalg._local_dim(d) ** 2
     k = rank if rank is not None else dim
     g = _ginibre(rng, dim, k)
     m = g @ g.conj().T
@@ -35,7 +36,7 @@ def random_element(rng: np.random.Generator, d: int = 2, rank: int | None = None
 
 
 def random_rank1_element(rng: np.random.Generator, d: int = 2) -> PovmElement:
-    v = _ginibre(rng, d * d, 1)[:, 0]
+    v = _ginibre(rng, linalg._local_dim(d) ** 2, 1)[:, 0]
     v /= np.linalg.norm(v)
     weight = rng.uniform(0.1, 1.0)
     return PovmElement(weight * np.outer(v, v.conj()))
@@ -43,6 +44,7 @@ def random_rank1_element(rng: np.random.Generator, d: int = 2) -> PovmElement:
 
 def random_product_rank1_element(rng: np.random.Generator, d: int = 2) -> PovmElement:
     """Rank-one element of product form |u><u| x |v><v| (unentangled)."""
+    d = linalg._local_dim(d)
     u = _ginibre(rng, d, 1)[:, 0]
     u /= np.linalg.norm(u)
     v = _ginibre(rng, d, 1)[:, 0]
@@ -55,6 +57,7 @@ def random_separable_element(
     rng: np.random.Generator, d: int = 2, terms: int = 3
 ) -> PovmElement:
     """Random mixture of product PSD factors (separable, hence unentangled)."""
+    d = linalg._local_dim(d)
     dim = d * d
     m = np.zeros((dim, dim), dtype=complex)
     for _ in range(terms):
@@ -68,7 +71,7 @@ def random_separable_element(
 def _povm_matrices(rng: np.random.Generator, count: int, d: int, n_elements: int) -> np.ndarray:
     # random PSD seeds conjugated by the inverse square root of their sum;
     # each seed draws its real part, then its imaginary part
-    dim = d * d
+    dim = linalg._local_dim(d) ** 2
     g = rng.normal(size=(count, n_elements, 2, dim, dim))
     g = g[:, :, 0] + 1j * g[:, :, 1]
     seeds = g @ np.conj(np.swapaxes(g, -1, -2))

@@ -229,6 +229,33 @@ def test_cli_sweep_unowned_param_names_it(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+# a config with one unknown key, and that key
+UNKNOWN_KEYS = {
+    "round param": (
+        {"rounds": [{"family": "bell_projective", "params": {"lambda": 0.3}}]},
+        "lambda",
+    ),
+    "misspelled round param": (
+        {"rounds": [{"family": "noisy_bell", "params": {"lamda": 0.3}}]},
+        "lamda",
+    ),
+    "round entry": ({"rounds": [{"family": "bell_projective", "parms": {}}]}, "parms"),
+    "top level": (dict(PAPER_DOC, extra_key=1), "extra_key"),
+    "sweep": (dict(PAPER_DOC, sweep=dict(PAPER_DOC["sweep"], stpes=5)), "stpes"),
+    "outputs": (dict(PAPER_DOC, outputs={"report_pth": "report.json"}), "report_pth"),
+}
+
+
+@pytest.mark.parametrize("where", UNKNOWN_KEYS)
+def test_cli_run_rejects_an_unknown_config_key(tmp_path, capsys, where):
+    doc, key = UNKNOWN_KEYS[where]
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error_code=ConfigParse\n")
+    assert f"unknown key {key!r}" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cli_sweep_without_csv_target_fails_before_sweeping(tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("run_sweep called without a CSV target")

@@ -9,6 +9,7 @@ from swapforge.engine import SwapScenario, chain
 from swapforge.errors import BadParameter, IncompletePovm, ZeroTrace
 from swapforge.families import (
     BELL_STATES,
+    FAMILIES,
     SingleQubitElementParams,
     bell_projective,
     build_family,
@@ -21,7 +22,7 @@ from swapforge.families import (
 )
 from swapforge.linalg import matrix_rank, psd_sqrt
 from swapforge.measures import CUT_1_2, c12_vs_34, c14_vs_23, i_concurrence
-from swapforge.states import PureState, max_entangled_state
+from swapforge.states import Povm, PureState, max_entangled_state, write_povm
 
 from conftest import rng_from
 
@@ -253,9 +254,31 @@ def test_build_family_dispatch():
 
 
 def test_build_family_from_file(tmp_path):
-    from swapforge.states import write_povm
-
     path = tmp_path / "povm.json"
     write_povm(noisy_bell_povm(0.6), path)
     povm = build_family("file", {"path": str(path)})
     assert len(povm.elements) == 4
+
+
+def param_values(tmp_path) -> dict:
+    """A valid value for every parameter name any family declares."""
+    path = tmp_path / "povm.json"
+    write_povm(noisy_bell_povm(0.6), path)
+    factor = {"theta": 0.0, "phi": 0.0, "tau1": 1.0, "tau2": 1.0}
+    return {"lambda": 0.3, "elements": [{"a": factor, "b": factor}], "path": str(path)}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_builds_from_exactly_its_declared_params(tmp_path, name):
+    family = FAMILIES[name]
+    params = {p: param_values(tmp_path)[p] for p in family.params}
+    assert isinstance(build_family(name, params), Povm)
+    with pytest.raises(BadParameter, match=re.escape(f"{name} takes parameters")):
+        build_family(name, dict(params, extra=0.5))
+    for missing in params:
+        with pytest.raises(BadParameter, match=re.escape(f"{name} takes parameters")):
+            build_family(name, {p: v for p, v in params.items() if p != missing})
+    if family.stack is not None:  # a sweepable family has one parameter
+        (param,) = family.params
+        stack = family.stack(np.array([params[param]] * 3))
+        np.testing.assert_array_equal(stack[1], build_family(name, params).matrices)

@@ -399,7 +399,8 @@ def test_sweep_closure_error_names_the_grid_point(monkeypatch):
             stack[g] = [tiny] + [(np.eye(4) - tiny) / 3.0] * 3
         return stack
 
-    monkeypatch.setitem(swapforge.families._SWEEPABLE["noisy_bell"], "lambda", build)
+    noisy_bell = dataclasses.replace(swapforge.families.FAMILIES["noisy_bell"], stack=build)
+    monkeypatch.setitem(swapforge.families.FAMILIES, "noisy_bell", noisy_bell)
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 2 * 8 * 16)
     config = sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=9)
     config = dataclasses.replace(config, prob_tol=1e-2)
@@ -784,7 +785,8 @@ def corrupt_sweep(monkeypatch, how, at):
             break_povm(stack[g], how)
         return stack
 
-    monkeypatch.setitem(swapforge.families._SWEEPABLE["noisy_bell"], "lambda", build)
+    noisy_bell = dataclasses.replace(swapforge.families.FAMILIES["noisy_bell"], stack=build)
+    monkeypatch.setitem(swapforge.families.FAMILIES, "noisy_bell", noisy_bell)
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 2 * 8 * 16)
 
 

@@ -36,6 +36,14 @@ from swapforge.linalg import (
     psd_sqrt_closed_2x2,
 )
 from swapforge.measures import CUT_1_2, i_concurrence
+from swapforge.sampling import (
+    random_element,
+    random_povm,
+    random_povm_stack,
+    random_product_rank1_element,
+    random_rank1_element,
+    random_separable_element,
+)
 from swapforge.states import (
     DensityMatrix,
     Povm,
@@ -46,7 +54,6 @@ from swapforge.states import (
     read_povm,
     write_povm,
 )
-from swapforge.sampling import random_povm
 
 from conftest import rng_from
 
@@ -170,6 +177,17 @@ LOCAL_DIM_ENTRIES = {
     "stacked_chain_negativities": lambda d: stacked_chain_negativities(d, [np.eye(4)[None, None]]),
     "run_scenario": lambda d: run_scenario(sweep_config(d)),
     "sweep_rows": lambda d: sweep_rows(sweep_config(d)),
+    **{
+        sampler.__name__: lambda d, sampler=sampler: sampler(np.random.default_rng(0), d=d)
+        for sampler in (
+            random_element,
+            random_rank1_element,
+            random_product_rank1_element,
+            random_separable_element,
+            random_povm,
+        )
+    },
+    "random_povm_stack": lambda d: random_povm_stack(np.random.default_rng(0), 2, d=d),
 }
 
 
