@@ -10,9 +10,13 @@ the medians, in how many pairs the change was better (ties count for
 neither side) and a verdict by the claim rule: a gain needs at least 10
 pairs, wins in at least nine tenths of them, and a median better than the
 parent's by more than the parent's IQR.  Fewer than 10 pairs draw a
-warning, and a verdict of "no claim".  Metric directions come from
-BENCHMARK.json next to this script.  Exits 1 if any run fails or reports
-an incorrect result.
+warning, and a verdict of "no claim".  A second verdict applies the
+regression rule with the metric's relative bound: "worse" if the
+change's median is worse than the parent's by more than the bound,
+"unresolved" if the parent's IQR is wider than the bound (unless every
+change run beats every parent run), else "ok".  Metric directions and
+bounds come from BENCHMARK.json next to this script, which it only
+reads.  Exits 1 if any run fails or reports an incorrect result.
 """
 
 from __future__ import annotations
@@ -65,6 +69,18 @@ def verdict(pairs: int, wins: int, gap: float, iqr: float) -> str:
     return "gain"
 
 
+def regression(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """The regression rule on one metric: ``sign`` is +1 if higher is
+    better and -1 if lower is, ``bound`` the relative bound."""
+    q1, med, q3 = quartiles(parent)
+    if sign * (statistics.median(change) - med) < -bound * abs(med):
+        return "worse"
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > bound * abs(med) and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
@@ -81,7 +97,7 @@ def main() -> int:
     for checkout in (args.parent, args.change):
         if not (Path(checkout) / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} has no perfbench/run.py")
-    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
 
     runs = {"parent": [], "change": []}
     failed = False
@@ -97,17 +113,19 @@ def main() -> int:
 
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':14s} {'parent med':>11s} {'parent IQR':>11s} {'change med':>11s}"
-          f" {'rel':>8s} {'wins':>6s}  verdict")
-    for name, direction in better.items():
+          f" {'rel':>8s} {'wins':>6s}  {'claim':15s} regression")
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
         q1, med, q3 = quartiles(parent)
         changed = statistics.median(change)
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if metric["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
         print(f"{name:14s} {med:11.5g} {q3 - q1:11.3g} {changed:11.5g}"
               f" {(changed - med) / med:+8.2%} {wins:3d}/{args.pairs}"
-              f"  {verdict(args.pairs, wins, sign * (changed - med), q3 - q1)}")
+              f"  {verdict(args.pairs, wins, sign * (changed - med), q3 - q1):15s}"
+              f" {regression(parent, change, sign, bound)}")
     return 0
 
 

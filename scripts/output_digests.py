@@ -2,8 +2,9 @@
 """Print sha256 digests of swapforge's byte-stable outputs, one per line.
 
 Covers the paper sweep CSV at 201, 1001 and 2001 points, the CSVs of
-sweeps whose swept round is alone, second, or after a seeded POVM file
-round (their formula columns are nan), the JSON reports of family runs
+sweeps whose swept round is alone (its round-1 formula column holds
+(3*lambda-1)/2, its round-2 one nan), second, or after a seeded POVM file
+round (both formula columns nan), the JSON reports of family runs
 whose rounds have degenerate spectra (so that eigenvectors are not
 unique), the JSON reports of seeded d = 2, 3 and 4
 scenario runs over random POVM files, the `swapforge classify` output on

@@ -36,8 +36,8 @@ from .families import FAMILIES
 from .states import check_povm_stack
 
 __all__ = [
+    "CLOSED_FORMS",
     "SweepRow",
-    "paper_formulas",
     "run_scenario",
     "run_sweep",
     "sweep_rows",
@@ -82,30 +82,18 @@ def worker_count(grid_size: int) -> int:
     return max(1, min(requested, grid_size))
 
 
-def paper_formulas(lam):
-    """The paper's closed-form averages for a white-noise Bell measurement,
-    at one lambda or elementwise over an array of them.
-
-    One round gives (3*lam - 1)/2, which goes negative below the
-    separability edge lam = 1/3 where the measured average clamps at
-    zero; one round followed by a wire-2 computational measurement gives
-    (lam - 1 + sqrt(1 - 2*lam + 5*lam^2))/2.
-    """
-    round1 = (3.0 * lam - 1.0) / 2.0
-    round2 = (lam - 1.0 + np.sqrt(1.0 - 2.0 * lam + 5.0 * lam * lam)) / 2.0
-    return round1, round2
-
-
-def _paper_formulas_apply(config: ScenarioConfig) -> tuple[bool, bool]:
-    """Which paper formulas apply to the swept scenario (round 1, round 2).
-
-    Both are emitted unclamped, so a discrepancy with the measured
-    average stays visible in the data.  Rows for scenarios without a
-    known formula carry nan.
-    """
-    families = [spec.family for spec in config.rounds]
-    round1 = config.sweep.param_name == "lambda" and families[0] == "noisy_bell"
-    return round1, round1 and families[1:2] == ["wire2_computational"]
+# The paper's closed-form average negativities as functions of lambda (a
+# float or an array), keyed by the exact chain of families they hold for.
+# One white-noise Bell round goes negative below the separability edge
+# lam = 1/3, where the measured average clamps at zero.  A key always sweeps
+# round 0's lambda: noisy_bell is the only family with a stack, and
+# swept_round_index rejects a sweep parameter that two rounds own.
+CLOSED_FORMS = {
+    ("noisy_bell",): lambda lam: (3.0 * lam - 1.0) / 2.0,
+    ("noisy_bell", "wire2_computational"): lambda lam: (
+        lam - 1.0 + np.sqrt(1.0 - 2.0 * lam + 5.0 * lam * lam)
+    ) / 2.0,
+}
 
 
 def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
@@ -147,11 +135,13 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
         parts.append(_chain_negativities(d, spectra, config.prob_tol, point))
     avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
     nan = np.full(len(grid), math.nan)
-    if len(config.rounds) == 1:
-        avg_last = nan
-    has_round1, has_round2 = _paper_formulas_apply(config)
-    f1, f2 = paper_formulas(grid) if has_round1 else (nan, nan)
-    return grid, avg1, avg_last, f1, f2 if has_round2 else nan, top
+    # each formula column reads the table at the exact chain its measured
+    # column averages over, unclamped so a discrepancy stays visible
+    families = tuple(spec.family for spec in config.rounds)
+    f1, f2 = (CLOSED_FORMS[k](grid) if k in CLOSED_FORMS else nan for k in (families[:1], families))
+    if len(families) == 1:
+        avg_last = f2 = nan
+    return grid, avg1, avg_last, f1, f2, top
 
 
 def _rows(columns) -> list[SweepRow]:

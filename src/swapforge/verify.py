@@ -33,7 +33,7 @@ from .engine import (
     stacked_chain_negativities,
     stacked_disturbance,
 )
-from .experiment import paper_formulas, run_sweep, sweep_rows
+from .experiment import CLOSED_FORMS, run_sweep, sweep_rows
 from .families import (
     SingleQubitElementParams,
     bell_projective,
@@ -230,7 +230,7 @@ def _check_noisy_bell_single_round(overrides: dict) -> CheckResult:
     failed = False
     notes = []
     for lam in _LAMBDA_GRID:
-        expected = max(0.0, paper_formulas(lam)[0])
+        expected = max(0.0, CLOSED_FORMS[("noisy_bell",)](lam))
         for rec in chain(SwapScenario(2, (noisy_bell_povm(lam),))):
             worst.push(abs(rec.negativity14 - expected), f"lambda={lam}")
         verdict = classify_element(noisy_bell_povm(lam).elements[0]).verdict
@@ -307,22 +307,24 @@ def _check_two_round_worked_example(overrides: dict) -> CheckResult:
     worst_state = _Worst()
     worst_neg = _Worst()
     second = wire2_computational_povm()
+    two_rounds = CLOSED_FORMS[("noisy_bell", "wire2_computational")]
     for lam in _LAMBDA_GRID:
         scenario = SwapScenario(2, (noisy_bell_povm(lam), second))
         records = chain(scenario)
         for rec in records:
             worst_prob.push(abs(rec.round_probabilities[1] - 0.5), f"s lambda={lam}")
             worst_prob.push(abs(rec.probability - 0.125), f"joint lambda={lam}")
-            worst_neg.push(abs(rec.negativity14 - paper_formulas(lam)[1]), f"lambda={lam}")
+            worst_neg.push(abs(rec.negativity14 - two_rounds(lam)), f"lambda={lam}")
         first_branch = next(r for r in records if r.outcome_path == (0, 0))
         expected = _expected_two_round_rho(lam)
         worst_state.push(float(np.abs(first_branch.rho14.matrix - expected).max()), f"rho lambda={lam}")
         eig = np.sort(np.linalg.eigvalsh(first_branch.rho14.matrix))[::-1]
         expected_eig = np.array([(1 + lam) / 2, (1 - lam) / 2, 0.0, 0.0])
         worst_state.push(float(np.abs(eig - expected_eig).max()), f"eigs lambda={lam}")
-    # Sweep CSV reproduces both reference curves.
+    # Sweep CSV reproduces both table curves at its parsed lambdas (not its
+    # own formula columns, which would make the check circular).
     csv = np.loadtxt(_paper_sweep_csv().splitlines(), delimiter=",", skiprows=1)
-    ref1, ref2 = paper_formulas(csv[:, 0])
+    ref1, ref2 = CLOSED_FORMS[("noisy_bell",)](csv[:, 0]), two_rounds(csv[:, 0])
     worst_neg.push(np.abs(csv[:, 1] - np.maximum(ref1, 0.0)).max(), "csv round1")
     worst_neg.push(np.abs(csv[:, 2] - ref2).max(), "csv round2")
     return _parts_result(

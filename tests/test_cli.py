@@ -10,7 +10,7 @@ import swapforge
 from swapforge.cli import main
 from swapforge.config import load_scenario_config
 from swapforge.errors import ConfigError
-from swapforge.experiment import CSV_COLUMNS, paper_formulas, run_scenario, run_sweep, worker_count
+from swapforge.experiment import CLOSED_FORMS, CSV_COLUMNS, run_scenario, run_sweep, worker_count
 from swapforge.families import noisy_bell_povm
 from swapforge.states import Povm, write_povm
 
@@ -214,7 +214,8 @@ def test_cli_sweep_deterministic_bytes(tmp_path, steps):
     assert written == (tmp_path / "b.csv").read_bytes()
     rows = np.loadtxt(written.splitlines(), delimiter=",", skiprows=1, ndmin=2)
     assert len(rows) == steps
-    round1, round2 = paper_formulas(rows[:, 0])
+    round1 = CLOSED_FORMS[("noisy_bell",)](rows[:, 0])
+    round2 = CLOSED_FORMS[("noisy_bell", "wire2_computational")](rows[:, 0])
     assert np.abs(rows[:, 1] - np.maximum(round1, 0.0)).max() <= 1e-9
     assert np.abs(rows[:, 2] - round2).max() <= 1e-9
 

@@ -38,8 +38,15 @@ from swapforge.errors import (
     ShapeMismatch,
     ValidationFailure,
 )
-from swapforge.experiment import CSV_COLUMNS, SweepRow, run_scenario, run_sweep, sweep_rows
-from swapforge.families import BELL_STATES, noisy_bell_povm, wire2_computational_povm
+from swapforge.experiment import (
+    CLOSED_FORMS,
+    CSV_COLUMNS,
+    SweepRow,
+    run_scenario,
+    run_sweep,
+    sweep_rows,
+)
+from swapforge.families import BELL_STATES, build_family, noisy_bell_povm, wire2_computational_povm
 from swapforge.linalg import floor_eigh, sqrt_from_spectrum
 from swapforge.measures import GRAM_CUTOFF, _gram_concurrence
 from swapforge.sampling import (
@@ -147,13 +154,40 @@ def sweep_config(rounds, steps=7):
     )
 
 
-def test_one_round_sweep_has_nan_round2():
-    rows = sweep_rows(sweep_config([RoundSpec("noisy_bell")]))
+ONE_ROUND = ("noisy_bell",)
+PAPER_PAIR = ("noisy_bell", "wire2_computational")
+
+
+# each swept chain, and the CLOSED_FORMS keys its two formula columns
+# read (None: the column is nan)
+FORMULA_KEYS = {
+    ONE_ROUND: (ONE_ROUND, None),
+    PAPER_PAIR: (ONE_ROUND, PAPER_PAIR),
+    (*PAPER_PAIR, "bell_projective"): (ONE_ROUND, None),
+    ("noisy_bell", "bell_projective"): (ONE_ROUND, None),
+    # the same value as the paper pair, but the table keys on the exact chain
+    (*PAPER_PAIR, "wire2_computational"): (ONE_ROUND, None),
+}
+
+
+@pytest.mark.parametrize("families", FORMULA_KEYS, ids=",".join)
+def test_formula_columns_key_on_exact_chain(families):
+    rows = sweep_rows(sweep_config([RoundSpec(f) for f in families]))
+    rest = [build_family(f) for f in families[1:]]
     for row in rows:
-        ref = reference(2, (noisy_bell_povm(row.param_value),))
-        assert math.isnan(row.avg_neg_round2)
+        ref = reference(2, (noisy_bell_povm(row.param_value), *rest))
+        if len(families) == 1:
+            assert math.isnan(row.avg_neg_round2)
+        else:
+            assert abs(row.avg_neg_round2 - ref[1]) <= TOL
         assert abs(row.avg_neg_round1 - ref[0]) <= TOL
         assert abs(row.max_branch_negativity - ref[2]) <= TOL
+        formulas = (row.paper_formula_round1, row.paper_formula_round2)
+        for got, key in zip(formulas, FORMULA_KEYS[families]):
+            if key is None:
+                assert math.isnan(got)
+            else:
+                assert got == CLOSED_FORMS[key](row.param_value)
 
 
 def test_swept_round_not_first_and_file_round_read_once(tmp_path, rng, monkeypatch):
