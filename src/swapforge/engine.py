@@ -39,7 +39,7 @@ from .states import (
     PureState,
     check_povm_stack,
 )
-from .tolerances import PROB_SUM_TOL, PROB_TOL
+from .tolerances import PROB_PATH_TOL, PROB_SUM_TOL, PROB_TOL
 
 __all__ = [
     "DisturbanceReport",
@@ -217,7 +217,7 @@ def _closed_average(probabilities, values) -> float:
     """sum p * v over Python floats, in the order given, once the
     probabilities are checked to sum to one within PROB_SUM_TOL."""
     total = sum(probabilities)
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    if not abs(total - 1.0) <= PROB_SUM_TOL:  # NaN fails here too
         raise IncompleteBranchSet(f"branch probabilities sum to {total!r}, expected 1")
     return float(sum(p * v for p, v in zip(probabilities, values)))
 
@@ -260,7 +260,7 @@ def _checked_average(
     branches in ``last`` (the last round's weights; ``weight`` if None)
     were kept at prob_tol."""
     total = weight.sum(axis=-1)
-    bad = np.flatnonzero(np.abs(total - 1.0) > PROB_SUM_TOL)
+    bad = np.flatnonzero(~(np.abs(total - 1.0) <= PROB_SUM_TOL))  # NaN fails here too
     if bad.size:
         g = int(bad[0])
         last = weight if last is None else last
@@ -458,7 +458,8 @@ def second_round_probability(rec: OutcomeRecord, em: PovmElement) -> float:
     """Probability of a second-round outcome on a first-round branch.
 
     Computed by the Born rule on the branch state and, independently,
-    from the two elements' spectral data; the two must agree to 1e-10.
+    from the two elements' spectral data; the two must agree within
+    PROB_PATH_TOL.
     Valid for records produced from the initial state.
     """
     born, _ = apply_element(rec.full_state, em)
@@ -466,7 +467,7 @@ def second_round_probability(rec: OutcomeRecord, em: PovmElement) -> float:
     g = _overlaps(first, em)
     weights = np.outer(em.spectral[0], first.spectral[0])
     spectral = float((weights * np.abs(g) ** 2).sum()) / first.trace
-    if abs(born - spectral) > 1e-10:
+    if not abs(born - spectral) <= PROB_PATH_TOL:  # NaN fails here too
         raise InternalCheckError(
             f"second-round probability paths disagree: born={born!r} spectral={spectral!r}"
         )

@@ -149,11 +149,13 @@ class Family:
 
 def _separable_product(elements) -> Povm:
     try:
-        pairs = [
-            (SingleQubitElementParams(**entry["a"]), SingleQubitElementParams(**entry["b"]))
-            for entry in elements
-        ]
-    except (KeyError, TypeError) as exc:
+        pairs = []
+        for entry in elements:
+            unknown = sorted(entry.keys() - {"a", "b"})
+            if unknown:
+                raise BadParameter(f"separable_product element: unknown key {unknown[0]!r}")
+            pairs.append(tuple(SingleQubitElementParams(**entry[k]) for k in ("a", "b")))
+    except (AttributeError, KeyError, TypeError) as exc:
         raise BadParameter(f"separable_product needs elements: [{{a: ..., b: ...}}]: {exc}")
     return separable_product_povm(pairs)
 

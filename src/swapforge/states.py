@@ -66,7 +66,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         dims = linalg._checked_dims(self.dims, amps.size)
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails here too
             raise ValidationFailure(f"squared norm {norm_sq!r} is not 1 within {NORM_TOL:.0e}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
         object.__setattr__(self, "dims", dims)
@@ -103,7 +103,7 @@ class DensityMatrix:
             raise ValidationFailure("density matrix is not Hermitian within tolerance")
         linalg._require_psd(np.linalg.eigvalsh(m))
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > NORM_TOL:
+        if not abs(tr - 1.0) <= NORM_TOL:  # NaN fails here too
             raise ValidationFailure(f"trace {tr!r} is not 1 within {NORM_TOL:.0e}")
         object.__setattr__(self, "matrix", _frozen(m))
         object.__setattr__(self, "dims", dims)
@@ -294,6 +294,10 @@ def write_povm(povm: Povm, path) -> None:
         fh.write(text)
 
 
+def _boolean(re, im):
+    raise TypeError(f"entry [{re!r}, {im!r}] holds a boolean, not a number")
+
+
 def read_povm(path) -> Povm:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -307,8 +311,12 @@ def read_povm(path) -> Povm:
     try:
         mats = []
         for raw in doc["elements"]:
-            mat = np.array([[complex(re, im) for re, im in row] for row in raw])
-            mats.append(mat)
+            # complex() reads true as 1, so a boolean is refused before it
+            mats.append(np.array([
+                [complex(re, im) if type(re) is not bool is not type(im) else _boolean(re, im)
+                 for re, im in row]
+                for row in raw
+            ]))
     except (TypeError, ValueError, OverflowError) as exc:  # complex() of a huge int overflows
         raise FileFormatError(f"malformed element matrix: {exc}") from exc
     if not mats:

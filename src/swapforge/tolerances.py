@@ -29,5 +29,9 @@ PROB_TOL = 1e-12
 # How far a complete branch set's probabilities may sum away from one.
 PROB_SUM_TOL = 1e-6
 
+# How far the Born-rule and spectral routes to one second-round
+# probability may disagree.
+PROB_PATH_TOL = 1e-10
+
 # Unit-trace / unit-norm validation bound for states.
 NORM_TOL = 1e-10

@@ -95,36 +95,44 @@ class CheckResult:
 
 
 class _Worst:
-    """Tracks the largest deviation seen and a short tag for it."""
+    """The largest deviation seen, a short tag for it, and the tolerance
+    (read once, by the name ``--tol-override`` uses) it is held to.  The
+    first NaN seen is kept, so it fails the check."""
 
-    def __init__(self):
+    def __init__(self, overrides: dict, tol_name: str, label: str = ""):
+        self.tol = _tol(overrides, tol_name)
+        self.label = label
         self.value = 0.0
         self.tag = ""
 
     def push(self, value: float, tag: str = "") -> None:
-        if value > self.value:
-            self.value = float(value)
+        value = float(value)
+        if value > self.value or (math.isnan(value) and not math.isnan(self.value)):
+            self.value = value
             self.tag = tag
 
 
-def _result(name, worst: _Worst, tol: float, extra: str = "", failed: bool = False):
-    passed = (worst.value <= tol) and not failed
-    detail = f"max deviation {worst.value:.3e}"
-    if worst.tag:
-        detail += f" at {worst.tag}"
+def _deviation(got, ref) -> float:
+    """max |got - ref| over paired values; NaN if either holds one."""
+    return float(np.max(np.abs(np.subtract(got, ref))))
+
+
+def _result(name, *parts: _Worst, extra: str = "", failed: bool = False) -> CheckResult:
+    """One result over its parts, each held to its own tolerance; a part
+    passes only when its value is <= its tolerance, so NaN fails."""
+    if len(parts) == 1 and not parts[0].label:
+        detail = f"max deviation {parts[0].value:.3e}"
+        if parts[0].tag:
+            detail += f" at {parts[0].tag}"
+    else:
+        detail = ", ".join(f"{w.label} {w.value:.3e} (tol {w.tol:.0e})" for w in parts)
     if extra:
         detail += f"; {extra}"
-    return CheckResult(name=name, passed=passed, max_deviation=worst.value, tolerance=tol, detail=detail)
-
-
-def _parts_result(name, parts, failed: bool = False):
-    """One result over (label, worst, tolerance) parts, each held to its own tolerance."""
-    detail = ", ".join(f"{label} {worst.value:.3e} (tol {tol:.0e})" for label, worst, tol in parts)
     return CheckResult(
         name=name,
-        passed=all(worst.value <= tol for _, worst, tol in parts) and not failed,
-        max_deviation=max(worst.value for _, worst, _ in parts),
-        tolerance=max(tol for _, _, tol in parts),
+        passed=all(w.value <= w.tol for w in parts) and not failed,
+        max_deviation=float(np.max([w.value for w in parts])),
+        tolerance=max(w.tol for w in parts),
         detail=detail,
     )
 
@@ -161,9 +169,8 @@ def _tol(overrides: dict, name: str) -> float:
 
 
 def _check_swap_identity(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "swap_identity")
     rng = np.random.default_rng(_SEED)
-    worst = _Worst()
+    worst = _Worst(overrides, "swap_identity")
     for d, count in ((2, 500), (3, 100)):
         base = initial_state(d)
         for k in range(count):
@@ -174,7 +181,7 @@ def _check_swap_identity(overrides: dict) -> CheckResult:
             rho = post.reduced((0, 3)).matrix
             expected = rho14_from_element(el).matrix
             worst.push(float(np.abs(rho - expected).max()), f"d={d} sample {k}")
-    return _result("swap_identity", worst, tol)
+    return _result("swap_identity", worst)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +208,8 @@ def _named_family_povms() -> list[tuple[str, Povm]]:
 
 
 def _check_born_normalization(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "born_normalization")
     rng = np.random.default_rng(_SEED + 1)
-    worst = _Worst()
+    worst = _Worst(overrides, "born_normalization")
     candidates = _named_family_povms()
     candidates += [
         (f"random_povm[{k}]", random_povm(rng, d=2, n_elements=int(rng.integers(2, 6))))
@@ -216,7 +222,7 @@ def _check_born_normalization(overrides: dict) -> CheckResult:
         for rec in records:
             el = povm.elements[rec.outcome_path[0]]
             worst.push(abs(rec.probability - el.trace / d**2), f"{name} born")
-    return _result("born_normalization", worst, tol)
+    return _result("born_normalization", worst)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +231,7 @@ def _check_born_normalization(overrides: dict) -> CheckResult:
 
 
 def _check_noisy_bell_single_round(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "noisy_bell_single_round")
-    worst = _Worst()
+    worst = _Worst(overrides, "noisy_bell_single_round")
     failed = False
     notes = []
     for lam in _LAMBDA_GRID:
@@ -247,7 +252,7 @@ def _check_noisy_bell_single_round(overrides: dict) -> CheckResult:
     extra = "separability flips at lambda=1/3 with boundary flagged"
     if notes:
         extra = "; ".join(notes)
-    return _result("noisy_bell_single_round", worst, tol, extra=extra, failed=failed)
+    return _result("noisy_bell_single_round", worst, extra=extra, failed=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +266,14 @@ def _c12_reference_curve(lam: float) -> float:
 
 
 def _check_bipartition_closed_forms(overrides: dict) -> CheckResult:
-    tol14 = _tol(overrides, "bipartition_c14")
-    tol12 = _tol(overrides, "bipartition_c12")
-    worst14 = _Worst()
-    worst12 = _Worst()
+    worst14 = _Worst(overrides, "bipartition_c14", "c14 deviation")
+    worst12 = _Worst(overrides, "bipartition_c12", "c12 deviation")
     for lam in _LAMBDA_GRID:
         povm = noisy_bell_povm(lam)
         for n, el in enumerate(povm.elements):
             worst14.push(abs(c14_vs_23(el) - math.sqrt(1.0 - lam * lam)), f"lambda={lam} n={n}")
             worst12.push(abs(c12_vs_34(el) - _c12_reference_curve(lam)), f"lambda={lam} n={n}")
-    return _parts_result(
-        "bipartition_closed_forms",
-        [("c14 deviation", worst14, tol14), ("c12 deviation", worst12, tol12)],
-    )
+    return _result("bipartition_closed_forms", worst14, worst12)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +300,9 @@ def _paper_sweep_csv() -> bytes:
 
 
 def _check_two_round_worked_example(overrides: dict) -> CheckResult:
-    tol_prob = _tol(overrides, "two_round_probability")
-    tol_state = _tol(overrides, "two_round_state")
-    tol_neg = _tol(overrides, "two_round_negativity")
-    worst_prob = _Worst()
-    worst_state = _Worst()
-    worst_neg = _Worst()
+    worst_prob = _Worst(overrides, "two_round_probability", "probability dev")
+    worst_state = _Worst(overrides, "two_round_state", "state dev")
+    worst_neg = _Worst(overrides, "two_round_negativity", "negativity/CSV dev")
     second = wire2_computational_povm()
     two_rounds = CLOSED_FORMS[("noisy_bell", "wire2_computational")]
     for lam in _LAMBDA_GRID:
@@ -327,15 +324,8 @@ def _check_two_round_worked_example(overrides: dict) -> CheckResult:
     ref1, ref2 = CLOSED_FORMS[("noisy_bell",)](csv[:, 0]), two_rounds(csv[:, 0])
     worst_neg.push(np.abs(csv[:, 1] - np.maximum(ref1, 0.0)).max(), "csv round1")
     worst_neg.push(np.abs(csv[:, 2] - ref2).max(), "csv round2")
-    return _parts_result(
-        "two_round_worked_example",
-        [
-            ("probability dev", worst_prob, tol_prob),
-            ("state dev", worst_state, tol_state),
-            ("negativity/CSV dev", worst_neg, tol_neg),
-        ],
-        failed=len(csv) != len(_LAMBDA_GRID),
-    )
+    failed = len(csv) != len(_LAMBDA_GRID)
+    return _result("two_round_worked_example", worst_prob, worst_state, worst_neg, failed=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +334,6 @@ def _check_two_round_worked_example(overrides: dict) -> CheckResult:
 
 
 def _check_lemma1_necessity(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "lemma1_necessity")
     rank_rel_tol = _tol(overrides, "rank_rel_tol")
     rng = np.random.default_rng(_SEED + 6)
     base = initial_state(2)
@@ -357,7 +346,7 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
         bump = random_element(rng, rank=2)
         candidates.append(PovmElement(el.matrix + 5e-3 * bump.matrix))
     classes = classify_stack([el.matrix for el in candidates], rank_rel_tol=rank_rel_tol)
-    worst = _Worst()
+    worst = _Worst(overrides, "lemma1_necessity")
     checked = 0
     for k, (el, ec) in enumerate(zip(candidates, classes)):
         if not lemma1_blocked(ec):
@@ -377,7 +366,7 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
         j, which = np.unravel_index(np.argmax(maxima), maxima.shape)
         worst.push(maxima[j, which], f"element {k} povm {j} {('distance', 'negativity')[which]}")
     extra = f"{checked} rank-1 branches checked"
-    return _result("lemma1_necessity", worst, tol, extra=extra, failed=checked == 0)
+    return _result("lemma1_necessity", worst, extra=extra, failed=checked == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,26 +375,19 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
 
 
 def _check_zero_c14_implies_zero_c12(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "zero_c14_implies_zero_c12")
     rng = np.random.default_rng(_SEED + 7)
-    worst = _Worst()
+    worst = _Worst(overrides, "zero_c14_implies_zero_c12")
     triggered = 0
     for k in range(500):
         if k % 5 < 2:
             el = random_product_rank1_element(rng)
         else:
             el = random_separable_element(rng, terms=int(rng.integers(2, 5)))
-        if c14_vs_23(el) <= tol:
+        if c14_vs_23(el) <= worst.tol:
             triggered += 1
             worst.push(c12_vs_34(el), f"sample {k}")
-    failed = triggered == 0
-    return _result(
-        "zero_c14_implies_zero_c12",
-        worst,
-        tol,
-        extra=f"{triggered}/500 unentangled samples hit the c14=0 branch",
-        failed=failed,
-    )
+    extra = f"{triggered}/500 unentangled samples hit the c14=0 branch"
+    return _result("zero_c14_implies_zero_c12", worst, extra=extra, failed=triggered == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +396,8 @@ def _check_zero_c14_implies_zero_c12(overrides: dict) -> CheckResult:
 
 
 def _check_separable_residual_concurrence(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "separable_residual_concurrence")
     rng = np.random.default_rng(_SEED + 8)
-    worst = _Worst()
+    worst = _Worst(overrides, "separable_residual_concurrence")
     phi_plus = max_entangled_state(2)
     for k in range(100):
         tau1, tau2 = rng.uniform(0.05, 1.0, size=2)
@@ -436,7 +417,7 @@ def _check_separable_residual_concurrence(overrides: dict) -> CheckResult:
         worst.push(
             abs(single_qubit_residual_concurrence(other) - closed), f"angle invariance {k}"
         )
-    return _result("separable_residual_concurrence", worst, tol)
+    return _result("separable_residual_concurrence", worst)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +426,8 @@ def _check_separable_residual_concurrence(overrides: dict) -> CheckResult:
 
 
 def _check_dual_path_equivalence(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "dual_path_equivalence")
     rng = np.random.default_rng(_SEED + 9)
-    worst = _Worst()
+    worst = _Worst(overrides, "dual_path_equivalence")
     for k in range(200):
         el = random_element(rng, rank=int(rng.integers(1, 5)))
         worst.push(abs(c12_vs_34(el) - c12_vs_34_contraction(el)), f"c12 paths sample {k}")
@@ -472,7 +452,7 @@ def _check_dual_path_equivalence(overrides: dict) -> CheckResult:
         worst.push(abs(x_spectral - float(np.trace(u_direct).real)), f"X sample {k}")
         y_spectral = float(levi_civita_det4(u_spectral).real)
         worst.push(abs(y_spectral - float(np.linalg.det(u_direct).real)), f"Y sample {k}")
-    return _result("dual_path_equivalence", worst, tol)
+    return _result("dual_path_equivalence", worst)
 
 
 def _pt_square(rho: np.ndarray) -> np.ndarray:
@@ -486,14 +466,13 @@ def _pt_square(rho: np.ndarray) -> np.ndarray:
 
 
 def _check_psd_sqrt_closed_form(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "psd_sqrt_closed_form")
     rng = np.random.default_rng(_SEED + 10)
-    worst = _Worst()
+    worst = _Worst(overrides, "psd_sqrt_closed_form")
     for k in range(1000):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         m = g @ g.conj().T
         worst.push(float(np.abs(psd_sqrt_closed_2x2(m) - psd_sqrt(m)).max()), f"sample {k}")
-    return _result("psd_sqrt_closed_form", worst, tol)
+    return _result("psd_sqrt_closed_form", worst)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +481,9 @@ def _check_psd_sqrt_closed_form(overrides: dict) -> CheckResult:
 
 
 def _check_qudit_generalization(overrides: dict) -> CheckResult:
-    tol_identity = _tol(overrides, "qudit_identity")
-    tol_born = _tol(overrides, "qudit_born")
     rng = np.random.default_rng(_SEED + 11)
-    worst_identity = _Worst()
-    worst_born = _Worst()
+    worst_identity = _Worst(overrides, "qudit_identity", "identity/concurrence dev")
+    worst_born = _Worst(overrides, "qudit_born", "born dev")
     base = initial_state(3)
     for k in range(100):
         el = random_element(rng, d=3, rank=int(rng.integers(1, 10)))
@@ -528,13 +505,7 @@ def _check_qudit_generalization(overrides: dict) -> CheckResult:
     worst_identity.push(
         abs(i_concurrence(initial_state(3), CUT_14_23) - 1.0), "initial 14|23 concurrence"
     )
-    return _parts_result(
-        "qudit_generalization",
-        [
-            ("identity/concurrence dev", worst_identity, tol_identity),
-            ("born dev", worst_born, tol_born),
-        ],
-    )
+    return _result("qudit_generalization", worst_identity, worst_born)
 
 
 # ---------------------------------------------------------------------------
@@ -567,25 +538,21 @@ def _chain_reference(d: int, povms) -> tuple[float, float, float]:
 
 
 def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
-    tol = _tol(overrides, "batched_sweep_equivalence")
-    worst = _Worst()
+    worst = _Worst(overrides, "batched_sweep_equivalence")
     second = wire2_computational_povm()
     for row in sweep_rows(_PAPER_SWEEP):
         ref = _chain_reference(2, (noisy_bell_povm(row.param_value), second))
         got = (row.avg_neg_round1, row.avg_neg_round2, row.max_branch_negativity)
-        worst.push(max(abs(a - b) for a, b in zip(got, ref)), f"paper lambda={row.param_value}")
+        worst.push(_deviation(got, ref), f"paper lambda={row.param_value}")
     # Seeded chains, three grid points per shape.
     rng = np.random.default_rng(_SEED + 13)
     for d, shape in ((2, (3,)), (2, (2, 3)), (2, (3, 2, 2)), (3, (2, 3))):
         chains = [[random_povm(rng, d=d, n_elements=k) for k in shape] for _ in range(3)]
         stacks = [np.stack([povms[r].matrices for povms in chains]) for r in range(len(shape))]
-        got = stacked_chain_negativities(d, stacks)
+        got = np.stack(stacked_chain_negativities(d, stacks), axis=-1)
         for g, povms in enumerate(chains):
             ref = _chain_reference(d, povms)
-            worst.push(
-                max(abs(column[g] - value) for column, value in zip(got, ref)),
-                f"d={d} outcomes={shape} point {g}",
-            )
+            worst.push(_deviation(got[g], ref), f"d={d} outcomes={shape} point {g}")
     # Stacked disturbance, outcome by outcome, on branches whose first
     # elements have rank 1-4, so most distances are far from zero.
     mismatched = []
@@ -606,7 +573,7 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
                 continue
             for (j, m, t, n), got_t, got_n in zip(ref, distance, change):
                 tag = f"disturbance d={d} rank={rank} povm {j} outcome {m}"
-                worst.push(max(abs(got_t - t), abs(got_n - n)), tag)
+                worst.push(_deviation((got_t, got_n), (t, n)), tag)
     # Stacked branches against chain's records, branch by branch: random
     # POVMs, whose concurrences take the Gram route, and the paper chain at
     # lambda = 1, whose c14vs23 = 0 rows take the SVD and c12vs34 =
@@ -624,13 +591,10 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
         if [list(rec.outcome_path) for rec in records] != got.outcome_paths.tolist():
             mismatched.append(tag)
             continue
-        columns = (got.probability, got.negativity14, got.c14vs23, got.c12vs34)
-        for b, rec in enumerate(records):
+        rows = np.stack((got.probability, got.negativity14, got.c14vs23, got.c12vs34), axis=-1)
+        for row, rec in zip(rows, records):
             ref = (rec.probability, rec.negativity14, rec.c14vs23, rec.c12vs34)
-            worst.push(
-                max(abs(column[b] - value) for column, value in zip(columns, ref)),
-                f"{tag} path {rec.outcome_path}",
-            )
+            worst.push(_deviation(row, ref), f"{tag} path {rec.outcome_path}")
     # The stacked classifier against the per-element references.
     for d in (2, 3):
         els = [random_element(rng, d=d, rank=rank) for rank in (1, 2, 3, 4)]
@@ -643,11 +607,11 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
             if kinds != (ec.verdict, ec.rank, ec.operation_kind == INSEPARABLE_OPERATION):
                 mismatched.append(f"classify d={d} element {k}")
             got = (ec.min_pt_eigenvalue, ec.c14vs23, ec.c12vs34)
-            worst.push(max(abs(a - b) for a, b in zip(got, ref)), f"classify d={d} element {k}")
+            worst.push(_deviation(got, ref), f"classify d={d} element {k}")
     extra = ""
     if mismatched:
         extra = f"outcomes kept or classified differently at {', '.join(mismatched)}"
-    return _result("batched_sweep_equivalence", worst, tol, extra=extra, failed=bool(mismatched))
+    return _result("batched_sweep_equivalence", worst, extra=extra, failed=bool(mismatched))
 
 
 _CHECKS = {

@@ -257,6 +257,18 @@ def test_cli_run_rejects_an_unknown_config_key(tmp_path, capsys, where):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_cli_run_rejects_an_unknown_separable_product_key(tmp_path, capsys):
+    # four halves of the identity: a complete POVM without the stray key
+    half = {"theta": 0.7, "phi": 0.3, "tau1": 0.5, "tau2": 0.5}
+    elements = [{"a": half, "b": half} for _ in range(4)]
+    elements[1]["c"] = 1
+    doc = {"rounds": [{"family": "separable_product", "params": {"elements": elements}}]}
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error_code=BadParameter\n")
+    assert "unknown key 'c'" in err
+
+
 def test_cli_sweep_without_csv_target_fails_before_sweeping(tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("run_sweep called without a CSV target")
@@ -371,6 +383,18 @@ def test_cli_non_finite_povm_entry_exits_two(tmp_path, command, pos, value):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error_code=InvalidPovm\n"), result.stderr
     assert "fails validation" in result.stderr
+
+
+def test_cli_classify_boolean_povm_entries_exit_two(tmp_path, capsys):
+    path = tmp_path / "meas.json"
+    write_povm(Povm([np.eye(4)]), path)
+    doc = json.loads(path.read_text())
+    doc["elements"][0][0][0] = [True, False]  # reads as 1 through complex()
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error_code=FileFormat\n")
+    assert "boolean" in err
 
 
 def test_verify_fault_injection_corrupted_rank_cutoff():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import logging
 
@@ -21,7 +22,7 @@ from swapforge.engine import (
     second_round_probability,
 )
 from swapforge.config import load_scenario_config
-from swapforge.errors import BadDimension, IncompleteBranchSet, InvalidPovm
+from swapforge.errors import BadDimension, IncompleteBranchSet, InternalCheckError, InvalidPovm
 from swapforge.experiment import _report_text, run_scenario
 from swapforge.families import bell_projective, noisy_bell_povm, wire2_computational_povm
 from swapforge.measures import CUT_12_34, CUT_14_23, i_concurrence, negativity
@@ -277,6 +278,14 @@ def test_second_round_probability_identity_element():
     )
 
 
+def test_second_round_probability_rejects_a_nan_path(monkeypatch):
+    # a NaN from the spectral route must not pass the agreement test
+    rec = one_round(noisy_bell_povm(0.7))[0]
+    monkeypatch.setattr(swapforge.engine, "_overlaps", lambda *els: np.full((4, 4), np.nan))
+    with pytest.raises(InternalCheckError, match="spectral=nan"):
+        second_round_probability(rec, wire2_computational_povm().elements[0])
+
+
 @given(seeds)
 def test_second_round_probability_matches_born_oracle(seed):
     rng = rng_from(seed)
@@ -364,6 +373,19 @@ def test_average_negativity_rejects_incomplete_set():
     records = one_round(noisy_bell_povm(0.8))
     with pytest.raises(IncompleteBranchSet):
         average_negativity(records[:2])
+
+
+def test_average_negativity_rejects_a_nan_probability():
+    records = one_round(noisy_bell_povm(0.8))
+    records[1] = dataclasses.replace(records[1], probability=float("nan"))
+    with pytest.raises(IncompleteBranchSet, match="sum to nan"):
+        average_negativity(records)
+
+
+def test_stacked_average_rejects_a_nan_weight():
+    weight = np.array([[0.5, 0.5], [0.5, np.nan]])
+    with pytest.raises(IncompleteBranchSet, match="sum to nan, expected 1 at grid point 1"):
+        swapforge.engine._checked_average(weight, np.zeros_like(weight))
 
 
 def test_two_round_branch_negativity_nondecreasing_in_lambda():

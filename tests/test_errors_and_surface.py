@@ -1,6 +1,7 @@
 """Error paths and API-surface sanity that the happy-path tests skip."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -202,6 +203,49 @@ def test_verify_rejects_unknown_names_and_bad_values(capsys, args):
     captured = capsys.readouterr()
     assert captured.err.startswith("error_code=ConfigParse\n")
     assert captured.out == ""
+
+
+def test_verify_accumulator_keeps_the_first_nan():
+    from swapforge.verify import _result, _Worst
+
+    worst = _Worst({"swap_identity": 0.5}, "swap_identity")
+    assert worst.tol == 0.5
+    for value, tag in ((1e-3, "a"), (math.nan, "b"), (1.0, "c"), (math.nan, "d")):
+        worst.push(value, tag)
+    assert math.isnan(worst.value) and worst.tag == "b"
+    result = _result("swap_identity", worst)
+    assert not result.passed
+    assert result.detail == "max deviation nan at b"
+
+
+def test_verify_nan_sweep_rows_fail_batched_sweep_equivalence(monkeypatch):
+    # a NaN in the second of the three compared columns must not be dropped
+    import swapforge.verify as verify
+
+    real = verify.sweep_rows
+
+    def nan_rows(config):
+        return [row._replace(avg_neg_round2=math.nan) for row in real(config)]
+
+    monkeypatch.setattr(verify, "sweep_rows", nan_rows)
+    result = verify.run_check("batched_sweep_equivalence")
+    assert not result.passed
+    assert math.isnan(result.max_deviation)
+    assert result.detail == "max deviation nan at paper lambda=0.0"
+
+
+def test_verify_nan_csv_cell_fails_two_round_worked_example(monkeypatch):
+    import swapforge.verify as verify
+
+    lines = verify._paper_sweep_csv().splitlines(keepends=True)
+    cells = lines[11].split(b",")
+    cells[2] = b"nan"  # avg_neg_round2 at lambda = 0.5
+    lines[11] = b",".join(cells)
+    monkeypatch.setattr(verify, "_paper_sweep_csv", lambda: b"".join(lines))
+    result = verify.run_check("two_round_worked_example")
+    assert not result.passed
+    assert math.isnan(result.max_deviation)
+    assert "negativity/CSV dev nan (tol 1e-09)" in result.detail
 
 
 def test_verify_accepts_every_known_tolerance(capsys):

@@ -76,6 +76,13 @@ def test_pure_state_requires_normalization():
         PureState(np.array([1.0, 1.0]), (2,))
 
 
+@pytest.mark.parametrize("entry", [np.nan, complex(0.0, np.nan)])
+def test_pure_state_rejects_nan(entry):
+    # a NaN norm must fail the normalization test, not slip past it
+    with pytest.raises(ValidationFailure, match="squared norm nan"):
+        PureState(np.array([entry, 0, 0, 0]), (2, 2))
+
+
 def test_density_matrix_validation(rng):
     with pytest.raises(NotPsd):
         DensityMatrix(np.diag([1.5, -0.5]), (2,))
@@ -450,6 +457,17 @@ def test_read_povm_rejects_non_finite_entry(tmp_path, value, pos):
     m[pos] = value
     with pytest.raises(InvalidPovm, match="POVM file fails validation: .*not Hermitian"):
         read_povm(povm_file(tmp_path, [m, np.eye(4) / 2]))
+
+
+@pytest.mark.parametrize("pos, entry", [((0, 0), [True, False]), ((0, 1), [0.0, False])])
+def test_read_povm_rejects_boolean_entries(tmp_path, pos, entry):
+    # complex(True, False) is 1: a boolean must not be read as a number
+    path = povm_file(tmp_path, [np.eye(4)])
+    doc = json.loads(path.read_text())
+    doc["elements"][0][pos[0]][pos[1]] = entry
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match="malformed element matrix: .*boolean"):
+        read_povm(path)
 
 
 def test_read_povm_rejects_huge_imaginary_diagonal_without_warning(tmp_path):
