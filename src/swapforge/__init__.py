@@ -48,8 +48,6 @@ from .measures import (
     CUT_1_2,
     CUT_12_34,
     CUT_14_23,
-    c12_vs_34,
-    c14_vs_23,
     i_concurrence,
     negativity,
     trace_distance,
@@ -84,8 +82,6 @@ __all__ = [
     "apply_element",
     "average_negativity",
     "bell_projective",
-    "c12_vs_34",
-    "c14_vs_23",
     "chain",
     "classify_element",
     "classify_measurement",

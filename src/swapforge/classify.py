@@ -80,8 +80,9 @@ def classify_stack(m, rank_rel_tol: float = RANK_REL_TOL) -> tuple[ElementClass,
     either side.  The check's floored spectrum gives the rank (the count
     above rank_rel_tol times the largest; matrix_rank's at the default,
     and a cutoff below RANK_REL_TOL ranks as RANK_REL_TOL does) and
-    c14vs23 (c14_vs_23's formula); c12vs34 is c12_vs_34's, on the
-    stacked post-measurement states.  An empty (0, d*d, d*d) stack gives ().
+    c14vs23, sqrt(D/(D-1) (1 - sum w^2 / (sum w)^2)) at D = d*d; c12vs34
+    is the 12|34 I-concurrence of the stacked post-measurement states,
+    the one home of both numbers.  An empty (0, d*d, d*d) stack gives ().
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3:

@@ -44,23 +44,19 @@ __all__ = [
     "worker_count",
 ]
 
-CSV_COLUMNS = (
-    "param_value",
-    "avg_neg_round1",
-    "avg_neg_round2",
-    "paper_formula_round1",
-    "paper_formula_round2",
-    "max_branch_negativity",
-)
-
 
 class SweepRow(NamedTuple):
+    """One sweep point; its fields, in order, are the CSV columns."""
+
     param_value: float
     avg_neg_round1: float
     avg_neg_round2: float
     paper_formula_round1: float
     paper_formula_round2: float
     max_branch_negativity: float
+
+
+CSV_COLUMNS = SweepRow._fields
 
 
 def worker_count(grid_size: int) -> int:

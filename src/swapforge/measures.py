@@ -1,5 +1,5 @@
-"""Entanglement quantifiers: negativity, I-concurrence, trace distance, and the
-per-element bipartition concurrences of the swap protocol.
+"""Entanglement quantifiers: negativity, I-concurrence, trace distance, and a
+contraction route to a measurement element's 12|34 concurrence.
 
 Normalization convention: ``negativity`` returns the trace norm of the
 partial transpose minus one, so a maximally entangled qubit pair scores 1
@@ -25,9 +25,7 @@ __all__ = [
     "CUT_1_2",
     "CUT_12_34",
     "CUT_14_23",
-    "c12_vs_34",
     "c12_vs_34_contraction",
-    "c14_vs_23",
     "i_concurrence",
     "levi_civita_det4",
     "negativity",
@@ -87,9 +85,9 @@ def _schmidt_purity(matricized: np.ndarray) -> np.ndarray:
     a non-correctly-rounded libm pow, and a one-ulp wobble here surfaces
     as a 1e-8 concurrence after the sqrt.
 
-    The reference routes keep this SVD: i_concurrence, c12_vs_34 and
-    classify_stack, so that chain's records and the element classes are
-    exact at product states.  The run path's stacked branches take the
+    The reference routes keep this SVD: i_concurrence and classify_stack's
+    c12vs34, so that chain's records and the element classes are exact
+    at product states.  The run path's stacked branches take the
     Gram route (_gram_concurrence) and come back here only for the rows
     below GRAM_CUTOFF, where that exactness matters."""
     sigma = np.linalg.svd(matricized, compute_uv=False)
@@ -151,41 +149,8 @@ def i_concurrence(psi: PureState, cut: BipartiteCut) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-element bipartition concurrences of the swap round.
+# c12vs34 by contraction: verify check 9's second path to the classifier's.
 # ---------------------------------------------------------------------------
-
-
-def _state_tensor(el: PovmElement) -> np.ndarray:
-    """Unnormalized post-measurement amplitudes T[w1, w4, w2, w3].
-
-    T = sum_k sqrt(pi_k) conj(A_k)[w1, w4] A_k[w2, w3] built from the
-    element's spectral data; its squared norm is tr(element).
-    """
-    w = el.spectral[0]
-    a = el.basis_tensor()
-    return np.einsum("a,aij,akl->ijkl", np.sqrt(w), a.conj(), a)
-
-
-def c14_vs_23(el: PovmElement) -> float:
-    """Closed-form 14|23 concurrence of the post-measurement state:
-    sqrt(D/(D-1) (1 - sum pi^2 / (sum pi)^2)) from the element eigenvalues."""
-    if el.trace <= 0.0:
-        raise ZeroTrace("c14_vs_23 undefined for a traceless element")
-    w = el.spectral[0]
-    tr = float(w.sum())  # spectral trace keeps the ratio exact for rank-1 inputs
-    return float(_concurrence(float((w * w).sum()) / (tr * tr), el.local_dim ** 2))
-
-
-def c12_vs_34(el: PovmElement) -> float:
-    """12|34 concurrence of the post-measurement state (inseparability of
-    the element as an operation), via the reduced-purity route."""
-    tr = el.trace
-    if tr <= 0.0:
-        raise ZeroTrace("c12_vs_34 undefined for a traceless element")
-    t = _state_tensor(el)  # layout (w1, w4, w2, w3)
-    d = el.local_dim
-    m = t.transpose(0, 2, 3, 1).reshape(d * d, d * d)  # (w1,w2) | (w3,w4)
-    return float(_pure_concurrence(m))
 
 
 _C12_PURITY = "a,b,c,e,aij,akl,bpj,bql,cpr,cqs,eir,eks->"
@@ -200,12 +165,12 @@ def _c12_path(d: int) -> tuple:
 
 
 def c12_vs_34_contraction(el: PovmElement) -> float:
-    """Independent second path for c12_vs_34: the explicit eight-index
-    contraction of the (1,2)-pair purity over the element's eigenbasis
-    amplitude grids, without forming any intermediate state."""
+    """Independent second path for the classifier's c12vs34: the explicit
+    eight-index contraction of the (1,2)-pair purity over the element's
+    eigenbasis amplitude grids, without forming any intermediate state."""
     tr = el.trace
     if tr <= 0.0:
-        raise ZeroTrace("c12_vs_34 undefined for a traceless element")
+        raise ZeroTrace("c12vs34 undefined for a traceless element")
     wgt = np.sqrt(el.spectral[0])
     a = el.basis_tensor()
     operands = (wgt,) * 4 + (a.conj(), a, a, a.conj(), a.conj(), a, a, a.conj())

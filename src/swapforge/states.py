@@ -272,9 +272,10 @@ def max_entangled_state(d: int) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# POVM file format: JSON with fields `local_dim` and `elements`, each element
-# a D x D row-major matrix of [re, im] pairs.  Entries are written with 17
-# significant digits so values round-trip at full double precision.
+# POVM file format: JSON with fields `local_dim` and `elements` and no other,
+# each element a D x D row-major matrix of [re, im] pairs.  Entries are
+# written with 17 significant digits so values round-trip at full double
+# precision.
 # ---------------------------------------------------------------------------
 
 
@@ -306,6 +307,9 @@ def read_povm(path) -> Povm:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "local_dim" not in doc or "elements" not in doc:
         raise FileFormatError("POVM document needs 'local_dim' and 'elements' fields")
+    unknown = sorted(doc.keys() - {"local_dim", "elements"})
+    if unknown:
+        raise FileFormatError(f"unknown POVM key {unknown[0]!r}; known: local_dim, elements")
     if type(doc["local_dim"]) is not int:  # not a bool; one that fits no element: ShapeMismatch
         raise FileFormatError(f"local_dim must be an integer, got {doc['local_dim']!r}")
     try:

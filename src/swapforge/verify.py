@@ -17,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from .classify import ENTANGLED, INSEPARABLE_OPERATION, UNENTANGLED, UNENTANGLED_BOUNDARY
-from .classify import classify_element, classify_stack, lemma1_blocked
+from .classify import classify_element, classify_measurement, classify_stack, lemma1_blocked
 from .config import RoundSpec, ScenarioConfig, SweepSpec
 from .engine import (
     SwapScenario,
@@ -49,15 +49,7 @@ from .linalg import (
     psd_sqrt,
     psd_sqrt_closed_2x2,
 )
-from .measures import (
-    CUT_1_2,
-    CUT_14_23,
-    c12_vs_34,
-    c12_vs_34_contraction,
-    c14_vs_23,
-    i_concurrence,
-    levi_civita_det4,
-)
+from .measures import CUT_1_2, CUT_14_23, c12_vs_34_contraction, i_concurrence, levi_civita_det4
 from .sampling import (
     _povm_matrices,
     random_element,
@@ -269,10 +261,9 @@ def _check_bipartition_closed_forms(overrides: dict) -> CheckResult:
     worst14 = _Worst(overrides, "bipartition_c14", "c14 deviation")
     worst12 = _Worst(overrides, "bipartition_c12", "c12 deviation")
     for lam in _LAMBDA_GRID:
-        povm = noisy_bell_povm(lam)
-        for n, el in enumerate(povm.elements):
-            worst14.push(abs(c14_vs_23(el) - math.sqrt(1.0 - lam * lam)), f"lambda={lam} n={n}")
-            worst12.push(abs(c12_vs_34(el) - _c12_reference_curve(lam)), f"lambda={lam} n={n}")
+        for n, ec in enumerate(classify_measurement(noisy_bell_povm(lam)).per_element):
+            worst14.push(abs(ec.c14vs23 - math.sqrt(1.0 - lam * lam)), f"lambda={lam} n={n}")
+            worst12.push(abs(ec.c12vs34 - _c12_reference_curve(lam)), f"lambda={lam} n={n}")
     return _result("bipartition_closed_forms", worst14, worst12)
 
 
@@ -377,15 +368,17 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
 def _check_zero_c14_implies_zero_c12(overrides: dict) -> CheckResult:
     rng = np.random.default_rng(_SEED + 7)
     worst = _Worst(overrides, "zero_c14_implies_zero_c12")
+    els = [
+        random_product_rank1_element(rng)
+        if k % 5 < 2
+        else random_separable_element(rng, terms=int(rng.integers(2, 5)))
+        for k in range(500)
+    ]
     triggered = 0
-    for k in range(500):
-        if k % 5 < 2:
-            el = random_product_rank1_element(rng)
-        else:
-            el = random_separable_element(rng, terms=int(rng.integers(2, 5)))
-        if c14_vs_23(el) <= worst.tol:
+    for k, ec in enumerate(classify_stack([el.matrix for el in els])):
+        if ec.c14vs23 <= worst.tol:
             triggered += 1
-            worst.push(c12_vs_34(el), f"sample {k}")
+            worst.push(ec.c12vs34, f"sample {k}")
     extra = f"{triggered}/500 unentangled samples hit the c14=0 branch"
     return _result("zero_c14_implies_zero_c12", worst, extra=extra, failed=triggered == 0)
 
@@ -430,7 +423,8 @@ def _check_dual_path_equivalence(overrides: dict) -> CheckResult:
     worst = _Worst(overrides, "dual_path_equivalence")
     for k in range(200):
         el = random_element(rng, rank=int(rng.integers(1, 5)))
-        worst.push(abs(c12_vs_34(el) - c12_vs_34_contraction(el)), f"c12 paths sample {k}")
+        c12 = classify_element(el).c12vs34
+        worst.push(abs(c12 - c12_vs_34_contraction(el)), f"c12 paths sample {k}")
     base = initial_state(2)
     for k in range(50):
         first = random_element(rng, rank=int(rng.integers(2, 5)))
@@ -595,14 +589,17 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
         for row, rec in zip(rows, records):
             ref = (rec.probability, rec.negativity14, rec.c14vs23, rec.c12vs34)
             worst.push(_deviation(row, ref), f"{tag} path {rec.outcome_path}")
-    # The stacked classifier against the per-element references.
+    # The stacked classifier against the per-element references; the
+    # concurrences from the engine's record of the element's branch.
     for d in (2, 3):
         els = [random_element(rng, d=d, rank=rank) for rank in (1, 2, 3, 4)]
         els += [random_separable_element(rng, d=d), random_product_rank1_element(rng, d=d)]
         for k, (el, ec) in enumerate(zip(els, classify_stack([el.matrix for el in els]))):
             pt = float(np.linalg.eigvalsh(partial_transpose(el.matrix / el.trace, el.dims, 1))[0])
             want = [ENTANGLED, UNENTANGLED_BOUNDARY, UNENTANGLED][(pt >= -PPT_TOL) + (pt > PPT_TOL)]
-            ref = (pt, c14_vs_23(el), c12_vs_34(el))
+            p, post = apply_element(initial_state(d), el)
+            rec = _make_record(post, el, (0,), (p,))
+            ref = (pt, rec.c14vs23, rec.c12vs34)
             kinds = (want, matrix_rank(el.matrix), ref[2] > INSEP_TOL)
             if kinds != (ec.verdict, ec.rank, ec.operation_kind == INSEPARABLE_OPERATION):
                 mismatched.append(f"classify d={d} element {k}")

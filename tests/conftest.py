@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from swapforge.measures import _state_tensor
 from swapforge.states import PureState
 
 settings.register_profile(
@@ -37,7 +36,8 @@ def rng_from(seed: int) -> np.random.Generator:
 def element_swap_state(el) -> PureState:
     """Normalized four-wire state after measuring ``el`` on wires (2,3) of
     two maximally entangled pairs, in wire order (1,2,3,4), built from the
-    element's spectral data."""
-    psi = _state_tensor(el).transpose(0, 2, 3, 1).reshape(-1)  # from (w1, w4, w2, w3)
+    element's spectral data: sum_k sqrt(pi_k) conj(A_k)[w1, w4] A_k[w2, w3]."""
+    a = el.basis_tensor()
+    psi = np.einsum("k,kil,kjm->ijml", np.sqrt(el.spectral[0]), a.conj(), a).reshape(-1)
     d = el.local_dim
     return PureState(psi / np.linalg.norm(psi), (d, d, d, d))

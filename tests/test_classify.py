@@ -18,10 +18,11 @@ from swapforge.classify import (
     lemma2_open,
     report_to_json,
 )
+from swapforge.engine import _make_record, apply_element, initial_state
 from swapforge.errors import NotPsd, ShapeMismatch, ValidationFailure, ZeroTrace
 from swapforge.families import bell_projective, noisy_bell_povm, wire2_computational_povm
 from swapforge.linalg import matrix_rank, partial_transpose
-from swapforge.measures import c12_vs_34, c14_vs_23, negativity
+from swapforge.measures import negativity
 from swapforge.tolerances import INSEP_TOL, PPT_TOL, RANK_REL_TOL
 from swapforge.sampling import (
     random_element,
@@ -199,8 +200,10 @@ def test_report_serialization_renames_ppt_beyond_qubits(rng):
 
 
 def reference_class(el, rank_rel_tol=RANK_REL_TOL):
-    """verdict, rank, kind and numbers of one element, each from its own
-    per-element routine."""
+    """verdict, rank, kind and numbers of one element, each from a route
+    other than the classifier's: the partial transpose, matrix_rank and
+    the engine's record of the element's branch (the I-concurrences by
+    SVD of its four-wire state at each cut)."""
     min_pt = float(np.linalg.eigvalsh(partial_transpose(el.matrix / el.trace, el.dims, 1))[0])
     if min_pt < -PPT_TOL:
         verdict = ENTANGLED
@@ -208,10 +211,11 @@ def reference_class(el, rank_rel_tol=RANK_REL_TOL):
         verdict = UNENTANGLED_BOUNDARY
     else:
         verdict = UNENTANGLED
-    c12 = c12_vs_34(el)
-    kind = INSEPARABLE_OPERATION if c12 > INSEP_TOL else SEPARABLE_OPERATION
+    p, post = apply_element(initial_state(el.local_dim), el)
+    rec = _make_record(post, el, (0,), (p,))
+    kind = INSEPARABLE_OPERATION if rec.c12vs34 > INSEP_TOL else SEPARABLE_OPERATION
     rank = matrix_rank(el.matrix, rel_tol=rank_rel_tol)
-    return verdict, rank, kind, (min_pt, c14_vs_23(el), c12)
+    return verdict, rank, kind, (min_pt, rec.c14vs23, rec.c12vs34)
 
 
 def assert_stack_matches_references(els, **tols):
@@ -232,6 +236,7 @@ def test_classify_stack_matches_per_element_references(d):
     rng = np.random.default_rng(700 + d)
     els = [random_element(rng, d=d, rank=rank) for rank in range(1, d * d + 1)]
     els += [random_product_rank1_element(rng, d=d), random_rank1_element(rng, d=d)]
+    els.append(PovmElement(np.diag(np.eye(d * d)[0])))  # the product projector |00><00|
     assert_stack_matches_references(els)
 
 

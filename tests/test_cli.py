@@ -397,6 +397,17 @@ def test_cli_classify_boolean_povm_entries_exit_two(tmp_path, capsys):
     assert "boolean" in err
 
 
+def test_cli_classify_unknown_povm_key_exits_two(tmp_path, capsys):
+    path = tmp_path / "meas.json"
+    write_povm(Povm([np.eye(4)]), path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "elemnts": 3}))
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error_code=FileFormat\n")
+    assert "'elemnts'" in err
+
+
 def test_verify_fault_injection_corrupted_rank_cutoff():
     # a corrupted rank tolerance misreads near-rank-1 elements as rank one,
     # and their branches are genuinely disturbable

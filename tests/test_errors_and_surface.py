@@ -1,7 +1,9 @@
 """Error paths and API-surface sanity that the happy-path tests skip."""
 
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -28,8 +30,14 @@ from swapforge.states import DensityMatrix, Povm, PovmElement, PureState
 
 
 def test_all_exports_resolve():
-    for name in swapforge.__all__:
-        assert getattr(swapforge, name) is not None
+    # the package's __all__ and each module's, so a deleted name left in a list fails
+    modules = [swapforge] + [
+        importlib.import_module(f"swapforge.{m.name}") for m in pkgutil.iter_modules(swapforge.__path__)
+    ]
+    assert "swapforge.measures" in [module.__name__ for module in modules]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"
 
 
 def test_scenario_rejects_empty_rounds():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from swapforge.classify import classify_measurement
 from swapforge.engine import SwapScenario, chain
 from swapforge.errors import BadParameter, IncompletePovm, ZeroTrace
 from swapforge.families import (
@@ -21,7 +22,7 @@ from swapforge.families import (
     wire2_computational_povm,
 )
 from swapforge.linalg import matrix_rank, psd_sqrt
-from swapforge.measures import CUT_1_2, c12_vs_34, c14_vs_23, i_concurrence
+from swapforge.measures import CUT_1_2, i_concurrence
 from swapforge.states import Povm, PureState, max_entangled_state, write_povm
 
 from conftest import rng_from
@@ -105,11 +106,11 @@ def test_sweep_in_uneven_chunks_matches_per_point_chain(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.0, 0.2, 0.5, 0.9, 1.0])
 def test_noisy_bell_bipartition_closed_forms(lam):
-    for el in noisy_bell_povm(lam).elements:
-        assert c14_vs_23(el) == pytest.approx(np.sqrt(1 - lam**2), abs=1e-10)
+    for ec in classify_measurement(noisy_bell_povm(lam)).per_element:
+        assert ec.c14vs23 == pytest.approx(np.sqrt(1 - lam**2), abs=1e-10)
         root = np.sqrt(1 - lam) * np.sqrt(1 + 3 * lam)
         expected = np.sqrt(1 + lam**2 - root + lam * root) / np.sqrt(2)
-        assert c12_vs_34(el) == pytest.approx(expected, abs=1e-9)
+        assert ec.c12vs34 == pytest.approx(expected, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

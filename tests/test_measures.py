@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from swapforge.classify import classify_element
 from swapforge.errors import ShapeMismatch, ZeroTrace
 from swapforge.families import noisy_bell_povm
 from swapforge.linalg import partial_transpose
@@ -14,9 +15,7 @@ from swapforge.measures import (
     BipartiteCut,
     _gram_concurrence,
     _pure_concurrence,
-    c12_vs_34,
     c12_vs_34_contraction,
-    c14_vs_23,
     i_concurrence,
     levi_civita_det4,
     negativity,
@@ -158,7 +157,7 @@ def test_gram_concurrence_cutoff_bands(dim):
 
 
 # ---------------------------------------------------------------------------
-# element-level bipartition concurrences
+# element-level bipartition concurrences, as the classifier reports them
 # ---------------------------------------------------------------------------
 
 
@@ -166,53 +165,54 @@ def test_c14_vs_23_rank1_is_zero(rng):
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     el = PovmElement(0.8 * np.outer(v, v.conj()))
-    assert c14_vs_23(el) == 0.0
+    assert classify_element(el).c14vs23 == 0.0
 
 
 def test_c14_vs_23_noisy_bell_and_identity():
     el = noisy_bell_povm(0.6).elements[0]
-    assert c14_vs_23(el) == pytest.approx(0.8, abs=1e-12)  # sqrt(1 - 0.36)
-    assert c14_vs_23(PovmElement(np.eye(4))) == pytest.approx(1.0, abs=1e-12)
+    assert classify_element(el).c14vs23 == pytest.approx(0.8, abs=1e-12)  # sqrt(1 - 0.36)
+    assert classify_element(PovmElement(np.eye(4))).c14vs23 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_c14_vs_23_zero_trace_raises():
     with pytest.raises(ZeroTrace):
-        c14_vs_23(PovmElement(np.zeros((4, 4))))
+        classify_element(PovmElement(np.zeros((4, 4))))
 
 
 def test_c12_vs_34_extremes():
-    assert c12_vs_34(noisy_bell_povm(1.0).elements[0]) == pytest.approx(1.0, abs=1e-12)
-    assert c12_vs_34(noisy_bell_povm(0.0).elements[0]) == pytest.approx(0.0, abs=1e-9)
+    c12 = [classify_element(noisy_bell_povm(lam).elements[0]).c12vs34 for lam in (1.0, 0.0)]
+    assert c12[0] == pytest.approx(1.0, abs=1e-12)
+    assert c12[1] == pytest.approx(0.0, abs=1e-9)
     product = PovmElement(np.diag([1.0, 0, 0, 0]))  # |00><00|
-    assert c12_vs_34(product) == pytest.approx(0.0, abs=1e-12)
+    assert classify_element(product).c12vs34 == pytest.approx(0.0, abs=1e-12)
 
 
 @given(seeds)
 def test_c12_vs_34_agrees_with_concurrence_of_swap_state(seed):
     rng = rng_from(seed)
     el = random_element(rng, d=2, rank=int(rng.integers(1, 5)))
-    psi = element_swap_state(el)
-    assert c12_vs_34(el) == pytest.approx(i_concurrence(psi, CUT_12_34), abs=1e-10)
-    assert c14_vs_23(el) == pytest.approx(i_concurrence(psi, CUT_14_23), abs=1e-10)
+    psi, ec = element_swap_state(el), classify_element(el)
+    assert ec.c12vs34 == pytest.approx(i_concurrence(psi, CUT_12_34), abs=1e-10)
+    assert ec.c14vs23 == pytest.approx(i_concurrence(psi, CUT_14_23), abs=1e-10)
 
 
 @given(seeds)
 def test_c12_vs_34_contraction_path_agrees(seed):
     rng = rng_from(seed)
     el = random_element(rng, d=2, rank=int(rng.integers(1, 5)))
-    assert c12_vs_34_contraction(el) == pytest.approx(c12_vs_34(el), abs=1e-9)
+    assert c12_vs_34_contraction(el) == pytest.approx(classify_element(el).c12vs34, abs=1e-9)
 
 
 def test_c14_vs_23_cross_validated_on_500_elements(rng):
     for _ in range(500):
         el = random_element(rng, d=2, rank=int(rng.integers(1, 5)))
         numeric = i_concurrence(element_swap_state(el), CUT_14_23)
-        assert abs(c14_vs_23(el) - numeric) <= 1e-10
+        assert abs(classify_element(el).c14vs23 - numeric) <= 1e-10
 
 
 def test_c12_vs_34_contraction_d3(rng):
     el = random_element(rng, d=3)
-    assert c12_vs_34_contraction(el) == pytest.approx(c12_vs_34(el), abs=1e-9)
+    assert c12_vs_34_contraction(el) == pytest.approx(classify_element(el).c12vs34, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from swapforge.errors import (
 from swapforge.experiment import (
     CLOSED_FORMS,
     CSV_COLUMNS,
-    SweepRow,
     run_scenario,
     run_sweep,
     sweep_rows,
@@ -876,7 +875,8 @@ def test_columnar_csv_equals_per_value_format(tmp_path, monkeypatch):
     assert [list(map(repr, tuple(row))) for row in rows] == [
         list(map(repr, row)) for row in zip(*(c.tolist() for c in columns))
     ]
-    assert SweepRow._fields == CSV_COLUMNS  # a row is a NamedTuple in CSV column order
+    header = "param_value,avg_neg_round1,avg_neg_round2,paper_formula_round1,paper_formula_round2"
+    assert ",".join(CSV_COLUMNS) == header + ",max_branch_negativity"  # SweepRow's field order
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,15 @@ def test_read_povm_rejects_missing_fields(tmp_path):
         read_povm(path)
 
 
+@pytest.mark.parametrize("extra", [{"elemnts": 3}, {"comment": "x", "Local_dim": 2}])
+def test_read_povm_rejects_unknown_top_level_keys(tmp_path, extra):
+    path = povm_file(tmp_path, [np.eye(4)])
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, **extra}))
+    with pytest.raises(FileFormatError, match=f"unknown POVM key {min(extra)!r}"):
+        read_povm(path)
+
+
 def test_read_povm_rejects_non_psd(tmp_path):
     mats = [np.diag([1.5, 1.0, 1.0, 1.0]), np.diag([-0.5, 0.0, 0.0, 0.0])]
     with pytest.raises(InvalidPovm, match="POVM file fails validation: min eigenvalue"):
