@@ -3,8 +3,9 @@
 
 Covers the paper sweep CSV at 201, 1001 and 2001 points, the CSVs of
 sweeps whose swept round is alone (its round-1 formula column holds
-(3*lambda-1)/2, its round-2 one nan), second, or after a seeded POVM file
-round (both formula columns nan), the JSON reports of family runs
+(3*lambda-1)/2, its round-2 one nan), second, or before or after a seeded
+POVM file round (formula columns nan but for the round-1 one of the
+swept round first), the JSON reports of family runs
 whose rounds have degenerate spectra (so that eigenvectors are not
 unique), the JSON reports of seeded d = 2, 3 and 4
 scenario runs over random POVM files, the `swapforge classify` output on
@@ -93,7 +94,10 @@ def sweep_digests(workdir: str):
 
 def swept_round_digests(workdir: str, seed: int):
     """201-point noisy_bell lambda sweeps other than the paper's: the swept
-    round alone, after wire2_computational, and after a seeded file round."""
+    round alone, after wire2_computational, after a seeded file round, and
+    before that same file round.  The last two cover both orders of the
+    stacked engine's field rule: a complex round before the real swept
+    round, and the real swept round promoted by the complex one after it."""
     rng = np.random.default_rng(seed)
     write_povm(random_povm(rng, d=2, n_elements=3), os.path.join(workdir, "swept_file.json"))
     swept = RoundSpec("noisy_bell")
@@ -101,6 +105,7 @@ def swept_round_digests(workdir: str, seed: int):
         ("noisy_bell", (swept,)),
         ("wire2_computational,noisy_bell", (RoundSpec("wire2_computational"), swept)),
         ("file,noisy_bell", (RoundSpec("file", {"path": "swept_file.json"}), swept)),
+        ("noisy_bell,file", (swept, RoundSpec("file", {"path": "swept_file.json"}))),
     ]
     for i, (label, rounds) in enumerate(scenarios):
         sweep = SweepSpec(param_name="lambda", start=0.0, stop=1.0, steps=201)

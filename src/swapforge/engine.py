@@ -232,8 +232,9 @@ STACK_ENTRIES = 1 << 14
 
 
 def _stacked_rho14(x: np.ndarray) -> np.ndarray:
-    # x[..., (k l), (i j)] holds psi[i, k, l, j]; rho14 = x^T conj(x)
-    return np.swapaxes(x, -1, -2) @ x.conj()
+    """rho14 = x^T conj(x) of each x[..., (k l), (i j)] holding psi[i, k, l, j];
+    real (float64) when x is, since a real x needs no conj."""
+    return np.swapaxes(x, -1, -2) @ (x.conj() if np.iscomplexobj(x) else x)
 
 
 def _stacked_negativity(rho: np.ndarray, d: int) -> np.ndarray:
@@ -287,6 +288,13 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
     prob_tol (or PROB_TOL) gets zero weight and zero state, and so do its
     descendants.
 
+    Field rule: a round whose eigenvectors v have no nonzero imaginary
+    entry takes v.real, an exact drop, so its roots are float64; x stays
+    float64 until a complex round or a complex ``start`` promotes it, and
+    stays complex from then on.  A chain of real operators (the paper's
+    noisy Bell and wire-2 rounds) thus runs in real arithmetic throughout,
+    and so do the rho14, negativity and Gram products taken from its x.
+
     Tie rule: near the cut, this route and ``chain``'s may disagree.
     Each computes a conditional probability its own way (a stacked root
     times x here, the Born rule on one state there), so the two roundings
@@ -310,6 +318,8 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
     x = None if start is None else start.tensor().transpose(1, 2, 0, 3).reshape(1, 1, dim, dim)
     weight = np.ones((grid, 1))
     for w, v in spectra:
+        if not v.imag.any():  # exactly real eigenvectors: the field rule
+            v = v.real
         op = linalg.sqrt_from_spectrum(w, v)
         if x is None:  # the initial state's x is I/d: no matmul
             out = op[:, None] * (1.0 / d)  # (grid, branch, outcome, kl, ij)
@@ -317,7 +327,8 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
             out = op[:, None] @ x[:, :, None]
         # out is this round's own array, so it is squared and normalized in place
         sq = out.real * out.real
-        sq += out.imag * out.imag
+        if np.iscomplexobj(out):
+            sq += out.imag * out.imag
         p = sq.sum(axis=(-2, -1))
         del sq  # not kept alive into the next round's product
         p[~(p >= tol)] = 0.0  # NaN is cut too; a tie at tol is kept
@@ -350,9 +361,12 @@ def stacked_chain_negativities(
     PROB_SUM_TOL.  Negativity is the sum of |eigenvalues| of the Hermitian
     partial transpose, minus one.  Every stack is checked with
     check_povm_stack, whose floored spectrum gives the element roots.
-    A closure error names the first grid point whose first- or
-    last-round weights fail, and how many of its last-round branches
-    were kept.
+    Rounds whose eigenvectors are exactly real keep the states, rho14
+    and partial transposes in float64 (``_expand``'s field rule); one
+    complex entry anywhere in a round, even at one grid point, makes
+    that round and all later ones complex.  A closure error names the
+    first grid point whose first- or last-round weights fail, and how
+    many of its last-round branches were kept.
     """
     spectra = [check_povm_stack(s) for s in element_stacks]
     return _chain_negativities(linalg._local_dim(local_dim), spectra, prob_tol)

@@ -1,8 +1,9 @@
 """The stacked engine against the per-record chain and disturbance
 check, which stay the reference: same averages, branch maxima,
 per-branch values of run_scenario's report and per-outcome disturbances
-to 1e-13, same branch dropping, same errors.  Also the stacked POVM
-sampler against repeated random_povm."""
+to 1e-13, same branch dropping, same errors; real chains, which the
+stacked engine expands in float64, and complex ones alike.  Also the
+stacked POVM sampler against repeated random_povm."""
 
 import dataclasses
 import json
@@ -45,7 +46,13 @@ from swapforge.experiment import (
     run_sweep,
     sweep_rows,
 )
-from swapforge.families import BELL_STATES, build_family, noisy_bell_povm, wire2_computational_povm
+from swapforge.families import (
+    BELL_STATES,
+    build_family,
+    noisy_bell_povm,
+    noisy_bell_stack,
+    wire2_computational_povm,
+)
 from swapforge.linalg import floor_eigh, sqrt_from_spectrum
 from swapforge.measures import GRAM_CUTOFF, _gram_concurrence
 from swapforge.sampling import (
@@ -73,9 +80,13 @@ def stacks_of(chains):
     ]
 
 
-def assert_matches_chain(d, chains, prob_tol=1e-12):
-    got = stacked_chain_negativities(d, stacks_of(chains), prob_tol)
-    for g, povms in enumerate(chains):
+def assert_matches_chain(d, stacks, prob_tol=1e-12):
+    """stacked_chain_negativities against chain at every grid point of
+    element stacks whose leading axis is the grid or 1 (shared)."""
+    grid = max(len(s) for s in stacks)
+    got = stacked_chain_negativities(d, stacks, prob_tol)
+    for g in range(grid):
+        povms = [Povm(s[min(g, len(s) - 1)], d) for s in stacks]
         for column, value in zip(got, reference(d, povms, prob_tol)):
             assert abs(column[g] - value) <= TOL
 
@@ -87,7 +98,7 @@ def test_random_chains_match_chain(d, n_rounds, seed):
     rng = np.random.default_rng(1000 * d + 10 * n_rounds + seed)
     shape = [int(k) for k in rng.integers(2, 4, size=n_rounds)]
     chains = [[random_povm(rng, d=d, n_elements=k) for k in shape] for _ in range(3)]
-    assert_matches_chain(d, chains)
+    assert_matches_chain(d, stacks_of(chains))
 
 
 def test_shared_round_broadcasts_over_the_grid(rng):
@@ -124,7 +135,7 @@ def test_dropped_branches_get_zero_weight_and_no_maximum(second):
 
 def test_zero_element_is_dropped():
     povms = [Povm([np.zeros((4, 4)), np.eye(4)], local_dim=2), noisy_bell_povm(0.7)]
-    assert_matches_chain(2, [povms])
+    assert_matches_chain(2, stacks_of([povms]))
 
 
 def test_incomplete_branch_set_raises_like_chain(rng):
@@ -918,3 +929,100 @@ def test_povm_arrays_stay_read_only_and_unchanged(tmp_path, monkeypatch):
         for array, copy in zip((povm.matrices, *povm.floored_spectrum), copies):
             assert not array.flags.writeable
             assert array.tobytes() == copy.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The field rule: a round whose eigenvectors are exactly real runs in
+# float64, one complex entry makes x complex, and both fields match chain.
+# ---------------------------------------------------------------------------
+
+
+def expanded_dtypes(d, stacks):
+    """The dtype of x after each round of _expand on the checked stacks."""
+    spectra = [check_povm_stack(s) for s in stacks]
+    return [x.dtype for x, _ in swapforge.engine._expand(d, spectra, 1e-12)]
+
+
+def real_povm_stack(rng, count, d, k):
+    """The real parts of random POVMs: Re E = (E + conj E)/2 with conj E
+    PSD too, so each is still a complete POVM of real elements."""
+    return random_povm_stack(rng, count, d=d, n_elements=k).real
+
+
+def product_unitary(rng, d):
+    """A seeded complex U x V on wires (2,3), U and V from QR."""
+    u, v = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0] for _ in "uv")
+    return np.kron(u, v)
+
+
+FIELDS = ("probability", "negativity14", "c14vs23", "c12vs34")
+
+
+def assert_branches_match_chain(scenario):
+    got = stacked_branches(scenario)
+    records = chain(scenario, 1e-12)
+    assert got.outcome_paths.tolist() == [list(rec.outcome_path) for rec in records]
+    for key in FIELDS:
+        want = [getattr(rec, key) for rec in records]
+        np.testing.assert_allclose(getattr(got, key), want, rtol=0.0, atol=TOL)
+
+
+def test_paper_chain_expands_in_float64():
+    stacks = [noisy_bell_stack(np.linspace(0.0, 1.0, 101)), wire2_computational_povm().matrices[None]]
+    assert expanded_dtypes(2, stacks) == [np.float64, np.float64]
+
+
+@pytest.mark.parametrize("shared_first", [False, True])
+def test_real_d3_stacks_expand_in_float64(shared_first):
+    rng = np.random.default_rng(3100 + shared_first)
+    stacks = [real_povm_stack(rng, 1 if shared_first else 4, 3, 3), real_povm_stack(rng, 4, 3, 2)]
+    assert expanded_dtypes(3, stacks) == [np.float64, np.float64]
+    assert_matches_chain(3, stacks)
+
+
+def test_one_complex_grid_point_makes_the_chunk_complex():
+    stack = noisy_bell_stack(np.linspace(0.0, 1.0, 5))
+    w = product_unitary(np.random.default_rng(3200), 2)
+    stack[2] = w @ stack[2] @ w.conj().T
+    stacks = [stack, wire2_computational_povm().matrices[None]]
+    assert expanded_dtypes(2, stacks) == [np.complex128, np.complex128]
+    assert_matches_chain(2, stacks)
+
+
+@pytest.mark.parametrize("complex_first", [True, False])
+def test_a_complex_shared_round_makes_x_complex_from_there_on(complex_first):
+    rng = np.random.default_rng(3300 + complex_first)
+    swept, shared = noisy_bell_stack(np.linspace(0.0, 1.0, 4)), random_povm_stack(rng, 1, d=2)
+    stacks = [shared, swept] if complex_first else [swept, shared]
+    first = np.complex128 if complex_first else np.float64
+    assert expanded_dtypes(2, stacks) == [first, np.complex128]
+    assert_matches_chain(2, stacks)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n_rounds", [1, 2, 3])
+def test_real_chain_matches_its_local_unitary_conjugate(d, n_rounds):
+    # conjugating every round by U x V moves each branch state by one fixed
+    # local unitary on wires 1-4, which no reported number can see
+    rng = np.random.default_rng(3400 + 10 * d + n_rounds)
+    stacks = [real_povm_stack(rng, 3 if r == 0 else 1, d, 2 + r % 2) for r in range(n_rounds)]
+    w = product_unitary(rng, d)
+    rotated = [w @ s @ w.conj().T for s in stacks]
+    assert expanded_dtypes(d, stacks)[-1] == np.float64
+    assert expanded_dtypes(d, rotated)[0] == np.complex128
+    for a, b in zip(stacked_chain_negativities(d, stacks), stacked_chain_negativities(d, rotated)):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=TOL)
+    real, conjugated = (
+        stacked_branches(SwapScenario(d, [Povm(s[0], d) for s in ss])) for ss in (stacks, rotated)
+    )
+    assert np.array_equal(real.outcome_paths, conjugated.outcome_paths)
+    for key in FIELDS:
+        np.testing.assert_allclose(getattr(real, key), getattr(conjugated, key), rtol=0.0, atol=TOL)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0 / 3.0, 1.0])
+def test_real_paper_chain_matches_chain(lam):
+    povms = (noisy_bell_povm(lam), wire2_computational_povm())
+    assert expanded_dtypes(2, [p.matrices[None] for p in povms])[-1] == np.float64
+    assert_branches_match_chain(SwapScenario(2, povms))
+    assert_matches_chain(2, stacks_of([povms]))
