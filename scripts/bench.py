@@ -1,0 +1,198 @@
+#!/usr/bin/env python3
+"""Time swapforge's whole commands and its stacked-engine layers.
+
+    python scripts/bench.py --out BENCH.json [--repeats 5]
+
+Every timing is the median (with the minimum and maximum) of ``--repeats``
+runs, each after one untimed warm-up run.  Whole commands: ``run_sweep``
+of the paper chain (noisy_bell, wire2_computational) at 201 and 2001
+points, ``run_scenario`` once per built-in family, ``run_verification``
+overall and per check (from the same runs), and ``import swapforge`` in
+a child interpreter.  Layers, each on the paper sweep's real d = 2 stack
+of one chunk and on a seeded complex d = 3 stack: ``check_povm_stack``,
+the first ``_expand`` round, and ``_stacked_rho14`` and
+``_stacked_negativity`` of the last round's states; and the sweep's CSV
+formatting pass, timed as ``run_sweep`` on columns computed beforehand.
+The context records ``nproc``, versions, the BLAS environment
+variables, the git commit of the imported package (null outside a git
+checkout) and one reading of perfbench's host-speed probe
+(``probe.burst``).  The JSON document's key set is fixed.  The package is
+imported from PYTHONPATH, so one copy of this script times any checkout:
+
+    PYTHONPATH=/path/to/other/src python scripts/bench.py --out other.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from probe import burst  # noqa: E402  (perfbench/ is not a package)
+
+import swapforge  # noqa: E402
+from swapforge import engine, experiment, verify  # noqa: E402
+from swapforge.config import OutputsSpec, RoundSpec, ScenarioConfig, SweepSpec  # noqa: E402
+from swapforge.families import FAMILIES, noisy_bell_stack, wire2_computational_povm  # noqa: E402
+from swapforge.sampling import random_povm, random_povm_stack  # noqa: E402
+from swapforge.states import check_povm_stack, write_povm  # noqa: E402
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+LAYER_S = 0.02  # a layer repeat loops its call for about this long
+# separable_product factors: the projectors of the computational and |+>, |-> bases
+Z, X = ([{"theta": th, "phi": 0.0, "tau1": t, "tau2": 1.0 - t} for t in (1.0, 0.0)]
+        for th in (0.0, np.pi / 2))
+FAMILY_ROUNDS = {  # one round per family
+    "noisy_bell": {"lambda": 0.2},
+    "bell_projective": {},
+    "wire2_computational": {},
+    "separable_product": {"elements": [{"a": a, "b": b} for a in Z for b in X]},
+    "file": {"path": "file_povm.json"},  # a seeded d = 3 POVM of four elements
+}
+
+
+def summary(seconds: list[float]) -> dict:
+    return {"median_s": statistics.median(seconds), "min_s": min(seconds), "max_s": max(seconds)}
+
+
+def timed(fn, repeats: int, loop: bool = False) -> dict:
+    """summary() of one ``fn()`` call's seconds over ``repeats`` runs after
+    a warm-up call; with ``loop`` each run calls fn about as often as
+    fills LAYER_S and reports the time per call."""
+    t0 = perf_counter()
+    fn()  # the warm-up call; its time sizes a layer's loop
+    calls = max(1, int(LAYER_S / max(perf_counter() - t0, 1e-9))) if loop else 1
+    times = []
+    for _ in range(repeats):
+        t0 = perf_counter()
+        for _ in range(calls):
+            fn()
+        times.append((perf_counter() - t0) / calls)
+    return summary(times)
+
+
+def import_time() -> float:
+    """Seconds ``import swapforge`` takes in a fresh child interpreter."""
+    src = str(Path(swapforge.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import time; t = time.perf_counter(); import swapforge; print(time.perf_counter() - t)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    return float(out.stdout)
+
+
+def sweep_config(steps: int) -> ScenarioConfig:
+    """The paper chain, noisy_bell then wire2_computational, swept over lambda in [0, 1]."""
+    rounds = (RoundSpec("noisy_bell"), RoundSpec("wire2_computational"))
+    return ScenarioConfig(2, rounds, sweep=SweepSpec("lambda", 0.0, 1.0, steps))
+
+
+def commands(workdir: str, repeats: int) -> dict:
+    csv = os.path.join(workdir, "sweep.csv")
+    out = {f"run_sweep_{n}": timed(lambda n=n: experiment.run_sweep(sweep_config(n), csv), repeats)
+           for n in (201, 2001)}
+    write_povm(random_povm(np.random.default_rng(2500), d=3, n_elements=4),
+               os.path.join(workdir, FAMILY_ROUNDS["file"]["path"]))
+    for name in FAMILIES:
+        config = ScenarioConfig(3 if name == "file" else 2, (RoundSpec(name, FAMILY_ROUNDS[name]),),
+                                outputs=OutputsSpec(report_path="report.json"), base_dir=workdir)
+        out[f"run_scenario.{name}"] = timed(lambda c=config: experiment.run_scenario(c), repeats)
+    runs = []
+
+    def verification():
+        runs.append(verify.run_verification())
+        if not all(r.passed for r in runs[-1]):
+            raise SystemExit("verification failed; its timings would mean nothing")
+
+    out["run_verification"] = timed(verification, repeats)
+    for k, name in enumerate(verify.CHECK_NAMES):  # the warm-up run (runs[0]) is left out
+        out[f"run_verification.{name}"] = summary([run[k].seconds for run in runs[1:]])
+    import_time()  # warms the file cache, as timed() warms the others
+    out["import_swapforge"] = summary([import_time() for _ in range(repeats)])
+    return out
+
+
+def stack_layers(label: str, d: int, stacks: list[np.ndarray], repeats: int) -> dict:
+    """The stacked-engine layers on one chain's element stacks: the check
+    of the first stack, its _expand round, and rho14 and negativity of
+    the last round's x."""
+    spectra = [check_povm_stack(s) for s in stacks]
+    x = list(engine._expand(d, spectra, 1e-12))[-1][0]
+    rho = engine._stacked_rho14(x)
+    calls = {
+        "check_povm_stack": lambda: check_povm_stack(stacks[0]),
+        "_expand_round": lambda: next(engine._expand(d, spectra[:1], 1e-12)),
+        "_stacked_rho14": lambda: engine._stacked_rho14(x),
+        "_stacked_negativity": lambda: engine._stacked_negativity(rho, d),
+    }
+    return {f"{label}.{name}": timed(fn, repeats, loop=True) for name, fn in calls.items()}
+
+
+def layers(workdir: str, repeats: int) -> dict:
+    wire2 = wire2_computational_povm().matrices[None]
+    chunk = engine.STACK_ENTRIES // (4 * 2 * 2**4)  # the sweep's chunk: 4 x 2 branches, d = 2
+    real = [noisy_bell_stack(np.linspace(0.0, 1.0, chunk)), wire2]
+    rng = np.random.default_rng(2501)
+    qutrit = [random_povm_stack(rng, 16, d=3, n_elements=3),  # 16 grid points, then a shared round
+              random_povm_stack(rng, 1, d=3, n_elements=2)]
+    out = stack_layers("real_d2", 2, real, repeats) | stack_layers("complex_d3", 3, qutrit, repeats)
+    config = sweep_config(2001)
+    columns = experiment._sweep_columns(config)
+    csv, compute = os.path.join(workdir, "format.csv"), experiment._sweep_columns
+    experiment._sweep_columns = lambda config: columns  # run_sweep then only formats and writes
+    try:
+        out["csv_format_2001"] = timed(lambda: experiment.run_sweep(config, csv), repeats, True)
+    finally:
+        experiment._sweep_columns = compute
+    return out
+
+
+def context() -> dict:
+    try:
+        commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(swapforge.__file__).parent,
+                                capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    probe_cpu_s, probe_wall_s = burst()
+    return {
+        "nproc": len(os.sched_getaffinity(0)),  # what `nproc` prints: the CPUs this process may use
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "swapforge": swapforge.__version__,
+        "platform": platform.platform(),
+        "blas_env": {name: os.environ.get(name) for name in BLAS_ENV},
+        "git_commit": commit,
+        "probe_burst": {"cpu_s_per_call": probe_cpu_s, "wall_s": probe_wall_s},
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="where to write the JSON document")
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    t0 = perf_counter()
+    with tempfile.TemporaryDirectory() as workdir:
+        doc = {"repeats": args.repeats, "context": context(),
+               "commands": commands(workdir, args.repeats), "layers": layers(workdir, args.repeats)}
+    doc["wall_s"] = perf_counter() - t0
+    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {args.out} in {doc['wall_s']:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -135,7 +135,7 @@ def load_scenario_config(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "config must be a JSON object")
     _known_keys(doc, ("local_dim", "rounds", "sweep", "outputs", "tolerance_overrides"), "config")

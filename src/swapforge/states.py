@@ -303,7 +303,7 @@ def read_povm(path) -> Povm:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "local_dim" not in doc or "elements" not in doc:
         raise FileFormatError("POVM document needs 'local_dim' and 'elements' fields")

@@ -408,6 +408,36 @@ def test_cli_classify_unknown_povm_key_exits_two(tmp_path, capsys):
     assert "'elemnts'" in err
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # json.load raises RecursionError
+
+
+@pytest.mark.parametrize(
+    "command,deep,error_code",
+    [
+        ("classify", "povm", "FileFormat"),
+        ("run", "config", "ConfigParse"),
+        ("sweep", "config", "ConfigParse"),
+        ("run", "povm", "FileFormat"),  # a file round's POVM
+    ],
+)
+def test_cli_deeply_nested_json_exits_two(tmp_path, capsys, command, deep, error_code):
+    povm = tmp_path / "meas.json"
+    if deep == "povm":
+        povm.write_text(DEEP_JSON)
+    else:
+        write_povm(Povm([np.eye(4)]), povm)
+    path = povm
+    if command != "classify":
+        path = tmp_path / "scenario.json"
+        doc = {"rounds": [{"family": "file", "params": {"path": povm.name}}]}
+        path.write_text(DEEP_JSON if deep == "config" else json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error_code={error_code}\n")
+    assert "not valid JSON" in err
+    assert "Traceback" not in err
+
+
 def test_verify_fault_injection_corrupted_rank_cutoff():
     # a corrupted rank tolerance misreads near-rank-1 elements as rank one,
     # and their branches are genuinely disturbable

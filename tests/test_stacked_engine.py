@@ -937,10 +937,14 @@ def test_povm_arrays_stay_read_only_and_unchanged(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def expanded_dtypes(d, stacks):
-    """The dtype of x after each round of _expand on the checked stacks."""
+def expanded_stacks(d, stacks):
+    """x after each round of _expand on the checked stacks."""
     spectra = [check_povm_stack(s) for s in stacks]
-    return [x.dtype for x, _ in swapforge.engine._expand(d, spectra, 1e-12)]
+    return [x for x, _ in swapforge.engine._expand(d, spectra, 1e-12)]
+
+
+def expanded_dtypes(d, stacks):
+    return [x.dtype for x in expanded_stacks(d, stacks)]
 
 
 def real_povm_stack(rng, count, d, k):
@@ -1026,3 +1030,54 @@ def test_real_paper_chain_matches_chain(lam):
     assert expanded_dtypes(2, [p.matrices[None] for p in povms])[-1] == np.float64
     assert_branches_match_chain(SwapScenario(2, povms))
     assert_matches_chain(2, stacks_of([povms]))
+
+
+# ---------------------------------------------------------------------------
+# Real products: a real x is multiplied by a copy of itself (BLAS gemm, not
+# syrk); the numbers are those of the complex route.
+# ---------------------------------------------------------------------------
+
+
+def complex_rho14(x):
+    """rho14 of x taken in complex128, as a complex round's x is."""
+    return swapforge.engine._stacked_rho14(x.astype(np.complex128))
+
+
+def paper_chain_stacks(steps=201):
+    return expanded_stacks(
+        2, [noisy_bell_stack(np.linspace(0.0, 1.0, steps)), wire2_computational_povm().matrices[None]]
+    )
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_real_rho14_is_bit_equal_to_the_complex_route_on_the_paper_chain(r):
+    x = paper_chain_stacks()[r]
+    assert x.dtype == np.float64
+    rho = swapforge.engine._stacked_rho14(x)
+    assert rho.dtype == np.float64
+    want = complex_rho14(x)
+    assert not want.imag.any()
+    assert np.array_equal(rho, want.real)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_real_rho14_matches_the_complex_route_on_seeded_qudit_stacks(d):
+    # not bit for bit: on some kernels a real 9x9 gemm and the complex
+    # product round differently in the last digit
+    rng = np.random.default_rng(3500 + d)
+    stacks = [real_povm_stack(rng, 3, d, 3), real_povm_stack(rng, 1, d, 2)]
+    for x in expanded_stacks(d, stacks):
+        assert x.dtype == np.float64
+        rho = swapforge.engine._stacked_rho14(x)
+        assert rho.dtype == np.float64
+        np.testing.assert_allclose(rho, complex_rho14(x).real, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_gram_through_rho14_equals_the_direct_product_on_the_paper_chain(r):
+    # stacked_branches' 12|34 Gram matrix: x12 x12^dagger per branch
+    x = paper_chain_stacks()[r].reshape(-1, 2, 2, 2, 2)
+    x12 = x.transpose(0, 3, 1, 2, 4).reshape(-1, 4, 4)
+    gram = swapforge.engine._stacked_rho14(np.swapaxes(x12, -1, -2))
+    assert gram.dtype == np.float64
+    np.testing.assert_array_equal(gram, x12 @ x12.conj().swapaxes(-1, -2))
