@@ -8,9 +8,10 @@ runs, each after one untimed warm-up run.  Whole commands: ``run_sweep``
 of the paper chain (noisy_bell, wire2_computational) at 201 and 2001
 points, ``run_scenario`` once per built-in family, ``run_verification``
 overall and per check (from the same runs), and ``import swapforge`` in
-a child interpreter.  Layers, each on the paper sweep's real d = 2 stack
-of one chunk and on a seeded complex d = 3 stack: ``check_povm_stack``,
-the first ``_expand`` round, and ``_stacked_rho14`` and
+a child interpreter.  Layers, each on the paper sweep's real d = 2 chunk
+and on a seeded complex d = 3 stack: the first round's check (the
+sweep's ``check_spectrum_stack`` of ``noisy_bell_spectrum``, and
+``check_povm_stack``), its ``_expand`` round, and ``_stacked_rho14`` and
 ``_stacked_negativity`` of the last round's states; and the sweep's CSV
 formatting pass, timed as ``run_sweep`` on columns computed beforehand.
 The context records ``nproc``, versions, the BLAS environment
@@ -43,9 +44,9 @@ from probe import burst  # noqa: E402  (perfbench/ is not a package)
 import swapforge  # noqa: E402
 from swapforge import engine, experiment, verify  # noqa: E402
 from swapforge.config import OutputsSpec, RoundSpec, ScenarioConfig, SweepSpec  # noqa: E402
-from swapforge.families import FAMILIES, noisy_bell_stack, wire2_computational_povm  # noqa: E402
+from swapforge.families import FAMILIES, noisy_bell_spectrum, wire2_computational_povm  # noqa: E402
 from swapforge.sampling import random_povm, random_povm_stack  # noqa: E402
-from swapforge.states import check_povm_stack, write_povm  # noqa: E402
+from swapforge.states import check_povm_stack, check_spectrum_stack, write_povm  # noqa: E402
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -123,15 +124,16 @@ def commands(workdir: str, repeats: int) -> dict:
     return out
 
 
-def stack_layers(label: str, d: int, stacks: list[np.ndarray], repeats: int) -> dict:
-    """The stacked-engine layers on one chain's element stacks: the check
-    of the first stack, its _expand round, and rho14 and negativity of
-    the last round's x."""
-    spectra = [check_povm_stack(s) for s in stacks]
+def stack_layers(label: str, d: int, name: str, check, shared: list, repeats: int) -> dict:
+    """The stacked-engine layers on one chain: ``check()`` (timed as
+    ``name``), which checks the first round and returns its floored
+    spectrum, that round's _expand round, and rho14 and negativity of the
+    last round's x after the ``shared`` element stacks."""
+    spectra = [check()] + [check_povm_stack(s) for s in shared]
     x = list(engine._expand(d, spectra, 1e-12))[-1][0]
     rho = engine._stacked_rho14(x)
     calls = {
-        "check_povm_stack": lambda: check_povm_stack(stacks[0]),
+        name: check,
         "_expand_round": lambda: next(engine._expand(d, spectra[:1], 1e-12)),
         "_stacked_rho14": lambda: engine._stacked_rho14(x),
         "_stacked_negativity": lambda: engine._stacked_negativity(rho, d),
@@ -140,13 +142,14 @@ def stack_layers(label: str, d: int, stacks: list[np.ndarray], repeats: int) -> 
 
 
 def layers(workdir: str, repeats: int) -> dict:
-    wire2 = wire2_computational_povm().matrices[None]
     chunk = engine.STACK_ENTRIES // (4 * 2 * 2**4)  # the sweep's chunk: 4 x 2 branches, d = 2
-    real = [noisy_bell_stack(np.linspace(0.0, 1.0, chunk)), wire2]
-    rng = np.random.default_rng(2501)
-    qutrit = [random_povm_stack(rng, 16, d=3, n_elements=3),  # 16 grid points, then a shared round
-              random_povm_stack(rng, 1, d=3, n_elements=2)]
-    out = stack_layers("real_d2", 2, real, repeats) | stack_layers("complex_d3", 3, qutrit, repeats)
+    lams, rng = np.linspace(0.0, 1.0, chunk), np.random.default_rng(2501)
+    swept = random_povm_stack(rng, 16, d=3, n_elements=3)  # 16 grid points, then a shared round
+    out = stack_layers("real_d2", 2, "check_spectrum_stack",
+                       lambda: check_spectrum_stack(*noisy_bell_spectrum(lams)),
+                       [wire2_computational_povm().matrices[None]], repeats)
+    out |= stack_layers("complex_d3", 3, "check_povm_stack", lambda: check_povm_stack(swept),
+                        [random_povm_stack(rng, 1, d=3, n_elements=2)], repeats)
     config = sweep_config(2001)
     columns = experiment._sweep_columns(config)
     csv, compute = os.path.join(workdir, "format.csv"), experiment._sweep_columns

@@ -77,7 +77,7 @@ class ScenarioConfig:
         owners = [
             i
             for i, family in enumerate(families)
-            if family and family.stack and family.params == (self.sweep.param_name,)
+            if family and family.spectrum and family.params == (self.sweep.param_name,)
         ]
         if len(owners) != 1:
             raise ConfigError(
@@ -88,7 +88,7 @@ class ScenarioConfig:
 
     def build_round(self, index: int) -> Povm:
         """Instantiate one round with its configured parameters; a sweep
-        builds its swept round as a stack (its family's ``stack``)."""
+        takes its swept round from its family's ``spectrum`` instead."""
         spec = self.rounds[index]
         params = dict(spec.params)
         if spec.family == "file" and "path" in params:
@@ -135,7 +135,9 @@ def load_scenario_config(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except RecursionError as exc:  # the text may well be valid JSON
+        raise ConfigError("config is nested too deeply to read") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "config must be a JSON object")
     _known_keys(doc, ("local_dim", "rounds", "sweep", "outputs", "tolerance_overrides"), "config")
@@ -156,7 +158,7 @@ def load_scenario_config(path) -> ScenarioConfig:
         params = entry.get("params", {})
         _require(isinstance(params, dict), f"round {i}: params must be an object")
         _known_keys(params, FAMILIES[family].params, f"round {i} ({family}) params")
-        for name in params if FAMILIES[family].stack else ():  # a sweepable parameter
+        for name in params if FAMILIES[family].spectrum else ():  # a sweepable parameter
             _require(
                 _is_finite_number(params[name]),
                 f"round {i}: parameter {name!r} must be a finite number, got {params[name]!r}",

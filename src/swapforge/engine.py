@@ -278,9 +278,10 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
     """The stacked round loop: yields (x, weight) after each round.
 
     ``spectra[r]`` is the floored spectrum (w, v) the POVM check of round
-    r's element matrices returns (Povm.floored_spectrum or
-    check_povm_stack), v of shape (G_r, K_r, D, D) with G_r the number of
-    grid points G or 1 for a shared round, so the loop only takes roots.
+    r returns (Povm.floored_spectrum, check_povm_stack, or
+    check_spectrum_stack on a family's closed form), v of shape
+    (G_r, K_r, D, D) with G_r the number of grid points G or 1 for a
+    shared round, so the loop only takes roots.
     Every grid point starts from ``start`` (the initial state if None).
     x[g, b, (k l), (i j)] holds branch b's normalized psi[i, k, l, j],
     branches in chain's depth-first order (x's leading axis is 1 while

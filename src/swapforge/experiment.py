@@ -33,7 +33,7 @@ from .engine import (
 )
 from .errors import ConfigError, IncompleteBranchSet
 from .families import FAMILIES
-from .states import check_povm_stack
+from .states import check_spectrum_stack
 
 __all__ = [
     "CLOSED_FORMS",
@@ -82,7 +82,7 @@ def worker_count(grid_size: int) -> int:
 # float or an array), keyed by the exact chain of families they hold for.
 # One white-noise Bell round goes negative below the separability edge
 # lam = 1/3, where the measured average clamps at zero.  A key always sweeps
-# round 0's lambda: noisy_bell is the only family with a stack, and
+# round 0's lambda: noisy_bell is the only family with a spectrum, and
 # swept_round_index rejects a sweep parameter that two rounds own.
 CLOSED_FORMS = {
     ("noisy_bell",): lambda lam: (3.0 * lam - 1.0) / 2.0,
@@ -98,12 +98,16 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     Rounds that do not own the swept parameter are built, decomposed and
     floored once.  The grid goes through the stacked engine in chunks
     sized so that no stacked array holds more than STACK_ENTRIES entries;
-    for each chunk the swept round is built as one element stack over the
-    chunk's values and checked with check_povm_stack, whose floored
-    spectrum the engine takes.  The first point's stack is checked
-    before the other rounds are built, so a swept round bad there fails
-    first.  A closure error names the grid index and parameter value of
-    the first point that fails.
+    for each chunk the swept round's family hands over the closed-form
+    eigendecomposition of its elements at the chunk's values (its
+    ``spectrum``), and check_spectrum_stack checks it as check_povm_stack
+    checks an element stack (ascending eigenvalues and orthonormal
+    eigenvectors, then the Hermiticity, PSD and completeness rules on the
+    elements they give), so the swept round is never decomposed.  Its
+    floored spectrum is what the engine takes.  The first point is
+    checked before the other rounds are built, so a swept round bad there
+    fails first.  A closure error names the grid index and parameter
+    value of the first point that fails.
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -113,8 +117,8 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     worker_count(len(grid))  # rejects a malformed SWAPFORGE_THREADS
     if not len(grid):  # an empty grid from a config built in code
         return (grid,) * 6
-    stack, param = FAMILIES[config.rounds[swept].family].stack, config.sweep.param_name
-    first = check_povm_stack(stack(grid[:1]))
+    spectrum, param = FAMILIES[config.rounds[swept].family].spectrum, config.sweep.param_name
+    first = check_spectrum_stack(*spectrum(grid[:1]))
     spectra = [
         first if i == swept else _round_spectrum(config.build_round(i))
         for i in range(len(config.rounds))
@@ -127,7 +131,7 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
         def point(g: int) -> str:  # g indexes the chunk starting at grid index `start`
             return f"grid index {start + g} ({param}={float(grid[start + g])!r})"
 
-        spectra[swept] = check_povm_stack(stack(grid[start : start + chunk]))
+        spectra[swept] = check_spectrum_stack(*spectrum(grid[start : start + chunk]))
         parts.append(_chain_negativities(d, spectra, config.prob_tol, point))
     avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
     nan = np.full(len(grid), math.nan)

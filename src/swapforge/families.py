@@ -24,6 +24,7 @@ __all__ = [
     "bell_projective",
     "build_family",
     "noisy_bell_povm",
+    "noisy_bell_spectrum",
     "noisy_bell_stack",
     "separable_product_povm",
     "single_qubit_element",
@@ -49,19 +50,45 @@ BELL_STATES.setflags(write=False)
 
 _BELL_PROJECTORS = BELL_STATES[:, :, None] * BELL_STATES.conj()[:, None, :]
 
+# The eigenvectors of noisy Bell element n as columns, in ascending order
+# of their eigenvalues: the three other Bell states, then |bell_n>.  Real,
+# so the swept round's roots and branch states stay float64.
+_NOISY_BELL_VECTORS = BELL_STATES.real[[[m for m in range(4) if m != n] + [n] for n in range(4)]]
+_NOISY_BELL_VECTORS = _NOISY_BELL_VECTORS.swapaxes(-1, -2).copy()
+_NOISY_BELL_VECTORS.setflags(write=False)
+
+
+def _lambdas(lams) -> np.ndarray:
+    """``lams`` as a flat float array; raises BadParameter naming the
+    first value outside [0, 1]."""
+    lam = np.asarray(lams, dtype=float).reshape(-1)
+    inside = (lam >= 0.0) & (lam <= 1.0)  # NaN falls outside
+    if not inside.all():
+        raise BadParameter(f"lambda must lie in [0, 1], got {float(lam[~inside][0])!r}")
+    return lam
+
 
 def noisy_bell_stack(lams) -> np.ndarray:
     """Bell measurement mixed with white noise, one POVM per lambda, as a
     (G, 4, 4, 4) element stack: element n of POVM g is
     lams[g] * |bell_n><bell_n| + (1 - lams[g])/4 * I."""
-    lam = np.asarray(lams, dtype=float).reshape(-1)
-    inside = (lam >= 0.0) & (lam <= 1.0)  # NaN falls outside
-    if not inside.all():
-        raise BadParameter(f"lambda must lie in [0, 1], got {float(lam[~inside][0])!r}")
-    lam = lam[:, None, None, None]
+    lam = _lambdas(lams)[:, None, None, None]
     stack = lam * _BELL_PROJECTORS
     stack += (1.0 - lam) / 4.0 * np.eye(4, dtype=complex)
     return stack
+
+
+def noisy_bell_spectrum(lams) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigendecomposition (w, v) of noisy_bell_stack(lams)
+    in closed form: element n has eigenvalue (1 - lam)/4 on the three
+    other Bell states and lam + (1 - lam)/4 on |bell_n>.  w has shape
+    (G, 4, 4); v, of shape (G, 4, 4, 4), is a read-only broadcast of one
+    real table, the same at every lambda."""
+    lam = _lambdas(lams)
+    w = np.empty((lam.size, 4, 4))
+    w[...] = ((1.0 - lam) / 4.0)[:, None, None]
+    w[..., 3] += lam[:, None]
+    return w, np.broadcast_to(_NOISY_BELL_VECTORS, (lam.size, 4, 4, 4))
 
 
 def noisy_bell_povm(lam: float) -> Povm:
@@ -138,13 +165,15 @@ def single_qubit_residual_concurrence(p: SingleQubitElementParams) -> float:
 class Family:
     """A measurement family a config round names: the parameter names the
     round takes, the builder called with their values in that order, and,
-    for a family swept over its one parameter, ``stack``, which turns an
-    array of values into one (G, K, D, D) element stack, unchecked (the
-    stacked engine checks it with check_povm_stack)."""
+    for a family swept over its one parameter, ``spectrum``, which turns
+    an array of G values into the ascending eigendecomposition (w, v) of
+    the family's K elements at each, w of shape (G, K, D) and v of shape
+    (G, K, D, D), unchecked (the sweep checks it with
+    check_spectrum_stack)."""
 
     params: tuple[str, ...]
     build: Callable[..., Povm]
-    stack: Callable[[np.ndarray], np.ndarray] | None = None
+    spectrum: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def _separable_product(elements) -> Povm:
@@ -161,7 +190,7 @@ def _separable_product(elements) -> Povm:
 
 
 FAMILIES = {
-    "noisy_bell": Family(("lambda",), noisy_bell_povm, stack=noisy_bell_stack),
+    "noisy_bell": Family(("lambda",), noisy_bell_povm, spectrum=noisy_bell_spectrum),
     "bell_projective": Family((), bell_projective),
     "wire2_computational": Family((), wire2_computational_povm),
     "separable_product": Family(("elements",), _separable_product),

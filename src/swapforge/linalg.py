@@ -139,8 +139,9 @@ def floor_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The floor removes exactly what matrix_rank does not count, so no
     uncounted eigenvalue leaks sqrt-amplified noise into a branch state.
-    states._check_elements is its one caller: every element root and
-    element class reads the pair that check returns.
+    The element checks are its callers (states._check_elements, and
+    states.check_spectrum_stack for a closed-form spectrum): every
+    element root and element class reads the pair a check returns.
     """
     w = np.clip(w[..., ::-1], 0.0, None)  # a copy, so it is floored in place
     top = w[..., :1]

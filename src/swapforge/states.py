@@ -28,7 +28,7 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import _hermiticity
-from .tolerances import COMPLETENESS_TOL, NORM_TOL
+from .tolerances import COMPLETENESS_TOL, HERM_TOL, NORM_TOL
 
 __all__ = [
     "DensityMatrix",
@@ -36,6 +36,7 @@ __all__ = [
     "PovmElement",
     "PureState",
     "check_povm_stack",
+    "check_spectrum_stack",
     "max_entangled_state",
     "read_povm",
     "write_povm",
@@ -126,6 +127,25 @@ class DensityMatrix:
 # by them too.
 
 
+def _check_element_shape(shape: tuple[int, ...]) -> None:
+    """Raise ShapeMismatch unless a (..., D, D) stack's matrices are d*d
+    square for a local dimension d >= 2."""
+    if shape[-1] != shape[-2]:
+        raise ShapeMismatch(f"expected a square matrix, got shape {shape}")
+    dim = shape[-1]
+    d = isqrt(dim)
+    if d * d != dim or d < 2:
+        raise ShapeMismatch(f"element dimension {dim} is not d*d for a local dimension d >= 2")
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    """Raise ValidationFailure unless each matrix of the stack is
+    Hermitian within tolerance; NaN and infinity fail."""
+    defect, allowed = _hermiticity(m)
+    if not (defect <= allowed).all():
+        raise ValidationFailure("POVM element is not Hermitian within tolerance")
+
+
 def _check_elements(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raise unless each matrix of the (..., D, D) stack is a POVM element:
     d*d square for a local dimension d >= 2, Hermitian within tolerance,
@@ -133,15 +153,8 @@ def _check_elements(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     test.  This is the one place an element stack is decomposed: it
     returns the stack's floored spectrum (linalg.floor_eigh) from the one
     ``eigh`` the PSD rule reads."""
-    if m.shape[-1] != m.shape[-2]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
-    dim = m.shape[-1]
-    d = isqrt(dim)
-    if d * d != dim or d < 2:
-        raise ShapeMismatch(f"element dimension {dim} is not d*d for a local dimension d >= 2")
-    defect, allowed = _hermiticity(m)
-    if not (defect <= allowed).all():
-        raise ValidationFailure("POVM element is not Hermitian within tolerance")
+    _check_element_shape(m.shape)
+    _check_hermitian(m)
     w, v = np.linalg.eigh(m)
     linalg._require_psd(w)
     return linalg.floor_eigh(w, v)
@@ -263,6 +276,44 @@ def check_povm_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     return spectrum
 
 
+def check_spectrum_stack(w, v) -> tuple[np.ndarray, np.ndarray]:
+    """The checks check_povm_stack makes, for POVMs given by the ascending
+    eigendecompositions of their elements, as a family's closed form
+    hands them over: ``w`` of shape (..., K, D) and ``v`` of shape
+    (..., K, D, D), eigenvector columns in the order of ``w``.  Raises
+    ShapeMismatch for shapes that do not fit, ValidationFailure unless
+    each w is ascending, each v orthonormal within HERM_TOL and each
+    V diag(w) V^dagger Hermitian within tolerance (so NaN and complex
+    eigenvalues fail), NotPsd for an eigenvalue below -PSD_TOL and
+    IncompletePovm unless each POVM's elements sum to the identity.
+    Returns the floored spectrum, as check_povm_stack does; nothing is
+    decomposed."""
+    w, v = np.asarray(w), np.asarray(v)
+    if v.ndim < 3 or w.shape != v.shape[:-1]:
+        raise ShapeMismatch(
+            f"expected (..., K, D) eigenvalues and (..., K, D, D) eigenvectors, "
+            f"got shapes {w.shape} and {v.shape}"
+        )
+    _check_element_shape(v.shape)
+    # NaN passes here, and NaN and complex eigenvalues fail the Hermiticity rule
+    if (np.diff(w.real, axis=-1) < 0.0).any():
+        raise ValidationFailure("eigenvalues are not in ascending order")
+    # contiguous and in separate buffers, the batched products below run as
+    # BLAS gemm: a broadcast view, a transposed operand or one buffer handed
+    # in twice (syrk) makes them 3x slower on the sweep's stacks
+    v = np.ascontiguousarray(v)
+    vh = np.ascontiguousarray(np.swapaxes(v, -1, -2).conj())
+    defect = np.abs(vh @ v - np.eye(v.shape[-1])).max(initial=0.0)
+    if not defect <= HERM_TOL:  # NaN fails here too
+        raise ValidationFailure(f"eigenvectors deviate from orthonormal by {defect:.3e}")
+    m = (v * w[..., None, :]) @ vh
+    _check_hermitian(m)
+    w = w.real  # within tolerance of real: the spectrum eigh reads of the Hermitian part
+    linalg._require_psd(w)
+    _check_completeness(m)
+    return linalg.floor_eigh(w, v)
+
+
 def max_entangled_state(d: int) -> PureState:
     """(1/sqrt(d)) sum_i |ii> on a pair of d-dimensional wires."""
     d = linalg._local_dim(d)
@@ -303,7 +354,9 @@ def read_povm(path) -> Povm:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except RecursionError as exc:  # the text may well be valid JSON
+        raise FileFormatError("POVM document is nested too deeply to read") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "local_dim" not in doc or "elements" not in doc:
         raise FileFormatError("POVM document needs 'local_dim' and 'elements' fields")

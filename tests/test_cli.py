@@ -434,7 +434,8 @@ def test_cli_deeply_nested_json_exits_two(tmp_path, capsys, command, deep, error
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error_code={error_code}\n")
-    assert "not valid JSON" in err
+    assert "nested too deeply to read" in err
+    assert "not valid JSON" not in err and "recursion" not in err
     assert "Traceback" not in err
 
 

@@ -15,15 +15,23 @@ from swapforge.families import (
     bell_projective,
     build_family,
     noisy_bell_povm,
+    noisy_bell_spectrum,
     noisy_bell_stack,
     separable_product_povm,
     single_qubit_element,
     single_qubit_residual_concurrence,
     wire2_computational_povm,
 )
-from swapforge.linalg import matrix_rank, psd_sqrt
+from swapforge.linalg import matrix_rank, psd_sqrt, sqrt_from_spectrum
 from swapforge.measures import CUT_1_2, i_concurrence
-from swapforge.states import Povm, PureState, max_entangled_state, write_povm
+from swapforge.states import (
+    Povm,
+    PureState,
+    check_povm_stack,
+    check_spectrum_stack,
+    max_entangled_state,
+    write_povm,
+)
 
 from conftest import rng_from
 
@@ -78,8 +86,40 @@ def test_noisy_bell_stack_is_the_per_point_povm_bit_for_bit():
     ],
 )
 def test_noisy_bell_stack_names_the_first_bad_lambda(lams, named):
-    with pytest.raises(BadParameter, match=rf"^lambda must lie in \[0, 1\], got {re.escape(named)}$"):
-        noisy_bell_stack(np.array(lams))
+    message = rf"^lambda must lie in \[0, 1\], got {re.escape(named)}$"
+    for build in (noisy_bell_stack, noisy_bell_spectrum):
+        with pytest.raises(BadParameter, match=message):
+            build(np.array(lams))
+
+
+# the separable edge, both ends, and the 1001-point paper grid
+LAMBDA_GRIDS = {
+    "edges": np.array([0.0, 0.25, 1.0 / 3.0, 0.5, 1.0]),
+    "paper_1001": np.linspace(0.0, 1.0, 1001),
+}
+
+
+@pytest.mark.parametrize("grid", LAMBDA_GRIDS.values(), ids=LAMBDA_GRIDS)
+def test_noisy_bell_spectrum_rebuilds_the_stack(grid):
+    w, v = noisy_bell_spectrum(grid)
+    assert w.shape == (len(grid), 4, 4) and v.shape == (len(grid), 4, 4, 4)
+    assert v.dtype == np.float64 and not v.flags.writeable
+    assert (np.diff(w, axis=-1) >= 0.0).all()
+    rebuilt = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+    np.testing.assert_allclose(rebuilt, noisy_bell_stack(grid), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("grid", LAMBDA_GRIDS.values(), ids=LAMBDA_GRIDS)
+def test_noisy_bell_spectrum_floors_and_roots_like_the_eigh_check(grid):
+    # eigh picks its own basis of the degenerate (1 - lam)/4 eigenspace, so
+    # the eigenvectors differ; the floored eigenvalues and the roots do not
+    w, v = check_spectrum_stack(*noisy_bell_spectrum(grid))
+    ref_w, ref_v = check_povm_stack(noisy_bell_stack(grid))
+    np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-15)
+    assert np.array_equal(w == 0.0, ref_w == 0.0)
+    assert (w[grid == 1.0][..., 1:] == 0.0).all()  # the sharp Bell projectors have rank one
+    roots = sqrt_from_spectrum(w, v)
+    np.testing.assert_allclose(roots, sqrt_from_spectrum(ref_w, ref_v), rtol=0, atol=1e-14)
 
 
 def test_sweep_in_uneven_chunks_matches_per_point_chain(monkeypatch):
@@ -279,7 +319,8 @@ def test_every_family_builds_from_exactly_its_declared_params(tmp_path, name):
     for missing in params:
         with pytest.raises(BadParameter, match=re.escape(f"{name} takes parameters")):
             build_family(name, {p: v for p, v in params.items() if p != missing})
-    if family.stack is not None:  # a sweepable family has one parameter
+    if family.spectrum is not None:  # a sweepable family has one parameter
         (param,) = family.params
-        stack = family.stack(np.array([params[param]] * 3))
-        np.testing.assert_array_equal(stack[1], build_family(name, params).matrices)
+        w, v = family.spectrum(np.array([params[param]] * 3))
+        rebuilt = (v[1] * w[1][..., None, :]) @ np.swapaxes(v[1], -1, -2).conj()
+        np.testing.assert_allclose(rebuilt, build_family(name, params).matrices, rtol=0, atol=1e-15)

@@ -434,24 +434,23 @@ def test_run_scenario_takes_no_svd_concurrence_above_the_cutoff(tmp_path, monkey
 def test_sweep_closure_error_names_the_grid_point(monkeypatch):
     # at lambda = 0.625, in the third two-point chunk, an outcome of
     # probability 2.5e-3 falls below prob_tol = 1e-2 with its two children
-    real = swapforge.families.noisy_bell_stack
+    # the POVM there is tiny = 1e-2 |bell_0><bell_0| and three (I - tiny)/3
+    def fix(value, w, v):
+        if value == 0.625:
+            w[:] = [[0.0, 0.0, 0.0, 1e-2]] + [[(1.0 - 1e-2) / 3.0] + [1.0 / 3.0] * 3] * 3
+            v[1:] = BELL_STATES.real.T  # |bell_0> first: its eigenvalue is the smallest
 
-    def build(values):
-        stack = real(values)
-        tiny = 1e-2 * np.outer(BELL_STATES[0], BELL_STATES[0].conj())
-        for g in np.flatnonzero(np.asarray(values) == 0.625):
-            stack[g] = [tiny] + [(np.eye(4) - tiny) / 3.0] * 3
-        return stack
-
-    noisy_bell = dataclasses.replace(swapforge.families.FAMILIES["noisy_bell"], stack=build)
-    monkeypatch.setitem(swapforge.families.FAMILIES, "noisy_bell", noisy_bell)
+    patch_swept_spectrum(monkeypatch, fix)
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 2 * 8 * 16)
     config = sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=9)
     config = dataclasses.replace(config, prob_tol=1e-2)
     with pytest.raises(IncompleteBranchSet) as caught:
         sweep_rows(config)
+    # the kept weights sum to 1 - 2.5e-3 up to the rounding of the roots
+    total = float(str(caught.value).split()[4].rstrip(","))
+    assert abs(total - 0.9975) <= 1e-15
     assert str(caught.value) == (
-        "branch probabilities sum to 0.9975, expected 1 at grid index 5 (lambda=0.625): "
+        f"branch probabilities sum to {total!r}, expected 1 at grid index 5 (lambda=0.625): "
         "6 of 8 branches kept at prob_tol=0.01"
     )
 
@@ -488,18 +487,37 @@ def test_lemma1_necessity_checks_each_branch_stack_once(monkeypatch):
 
 def test_sweep_checks_only_the_swept_round_per_chunk(monkeypatch):
     # wire2_computational is a checked Povm, decomposed once per sweep;
-    # the swept noisy_bell stack is checked at the first point and per chunk
+    # the swept noisy_bell spectrum is checked at the first point and per chunk
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 3 * 8 * 16)
     checked = []
-    real = swapforge.experiment.check_povm_stack
+    real = swapforge.experiment.check_spectrum_stack
 
-    def spy(m):
-        checked.append(m.shape)
-        return real(m)
+    def spy(w, v):
+        checked.append(v.shape)
+        return real(w, v)
 
-    monkeypatch.setattr(swapforge.experiment, "check_povm_stack", spy)
+    monkeypatch.setattr(swapforge.experiment, "check_spectrum_stack", spy)
     sweep_rows(sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=11))
     assert checked == [(1, 4, 4, 4), (3, 4, 4, 4), (3, 4, 4, 4), (3, 4, 4, 4), (2, 4, 4, 4)]
+
+
+@pytest.mark.parametrize("steps,entries", [(11, 3 * 8 * 16), (1001, None)])
+def test_sweep_never_decomposes_the_swept_round(monkeypatch, steps, entries):
+    # the swept noisy_bell round comes as a closed-form spectrum; the one
+    # eigh is the PSD check of the shared wire2_computational Povm
+    if entries is not None:
+        monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", entries)
+    decomposed = []
+    real = np.linalg.eigh
+
+    def spy(m, *args, **kwargs):
+        decomposed.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rounds = [RoundSpec("noisy_bell"), RoundSpec("wire2_computational")]
+    assert len(sweep_rows(sweep_config(rounds, steps))) == steps
+    assert decomposed == [(2, 4, 4)]
 
 
 def test_run_scenario_prob_tol_drops_a_branch_and_its_descendants(tmp_path):
@@ -818,19 +836,46 @@ SWEEP_ERROR_CODES = {
 }
 
 
-def corrupt_sweep(monkeypatch, how, at):
-    """Make the noisy_bell lambda stack builder break the POVM at the
-    grid value ``at``, and cut the sweep into chunks of two points."""
-    real = swapforge.families.noisy_bell_stack
+def break_spectrum(w, v, how):
+    """Break the POVM of one (K, D) and (K, D, D) spectrum in place.  A
+    spectrum has no Hermiticity of its own: "non-hermitian" makes an
+    eigenvector stray from the orthonormal basis instead."""
+    if how == "non-hermitian":
+        v[1, 0, 1] += 1e-6
+    elif how == "non-psd":
+        w[0] -= 1.0  # still complete and ascending, no longer PSD
+        w[1] += 1.0
+    elif how == "incomplete":
+        w *= 1.01
+    else:
+        w[0, 0] = np.nan
 
-    def build(values):
-        stack = real(values)
-        for g in np.flatnonzero(np.asarray(values) == at):
-            break_povm(stack[g], how)
-        return stack
 
-    noisy_bell = dataclasses.replace(swapforge.families.FAMILIES["noisy_bell"], stack=build)
+def patch_swept_spectrum(monkeypatch, fix):
+    """Replace noisy_bell's spectrum by the closed form with
+    ``fix(w[g], v[g])`` applied in place at every grid point g."""
+    real = swapforge.families.noisy_bell_spectrum
+
+    def spectrum(values):
+        w, v = real(values)
+        v = v.copy()  # a writable copy of the broadcast table
+        for g in range(len(w)):
+            fix(values[g], w[g], v[g])
+        return w, v
+
+    noisy_bell = dataclasses.replace(swapforge.families.FAMILIES["noisy_bell"], spectrum=spectrum)
     monkeypatch.setitem(swapforge.families.FAMILIES, "noisy_bell", noisy_bell)
+
+
+def corrupt_sweep(monkeypatch, how, at):
+    """Make the noisy_bell lambda spectrum break the POVM at the grid
+    value ``at``, and cut the sweep into chunks of two points."""
+
+    def fix(value, w, v):
+        if value == at:
+            break_spectrum(w, v, how)
+
+    patch_swept_spectrum(monkeypatch, fix)
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 2 * 8 * 16)
 
 

@@ -24,6 +24,7 @@ from swapforge.families import (
     SingleQubitElementParams,
     bell_projective,
     noisy_bell_povm,
+    noisy_bell_spectrum,
     separable_product_povm,
     wire2_computational_povm,
 )
@@ -50,6 +51,7 @@ from swapforge.states import (
     PovmElement,
     PureState,
     check_povm_stack,
+    check_spectrum_stack,
     max_entangled_state,
     read_povm,
     write_povm,
@@ -247,6 +249,9 @@ PSD_ENTRIES = {
     "PovmElement": (4, PovmElement),
     "Povm": (4, lambda m: Povm([m, np.eye(4) - m])),
     "check_povm_stack": (4, lambda m: check_povm_stack([[m, np.eye(4) - m]])),
+    "check_spectrum_stack": (
+        4, lambda m: check_spectrum_stack(*np.linalg.eigh([m, np.eye(4) - m]))
+    ),
     "psd_sqrt": (4, psd_sqrt),
     "psd_sqrt_closed_2x2": (2, psd_sqrt_closed_2x2),
     "matrix_rank": (4, matrix_rank),
@@ -265,6 +270,61 @@ def test_one_psd_boundary_at_every_entry(entry):
     with pytest.raises(NotPsd) as caught:
         check(matrix(-2e-10))
     assert str(caught.value) == "min eigenvalue -2.000e-10 below -1e-10"
+
+
+def _descending(w, v):
+    return w[..., ::-1], v[..., ::-1]
+
+
+def _shifted(w, v):
+    w[0, 0] -= 1.0  # still complete and ascending, no longer PSD
+    w[0, 1] += 1.0
+
+
+def _set(name, index, value):
+    def change(w, v):
+        {"w": w, "v": v}[name][index] = value
+
+    return change
+
+
+NOT_HERMITIAN = "POVM element is not Hermitian"
+# Each rule check_spectrum_stack applies, broken on the spectra of two noisy
+# Bell POVMs: the error class and the start of its message.
+SPECTRUM_FAULTS = {
+    "too few axes": (ShapeMismatch, "expected", lambda w, v: (w[0, 0], v[0, 0])),
+    "w shape": (ShapeMismatch, "expected", lambda w, v: (w[..., :3], v)),
+    "v not square": (ShapeMismatch, "expected a square", lambda w, v: (w, v[..., :3])),
+    "not d*d": (ShapeMismatch, "element dimension 3", lambda w, v: (w[..., :3], v[..., :3, :3])),
+    "descending": (ValidationFailure, "eigenvalues are not", _descending),
+    "not orthonormal": (ValidationFailure, "eigenvectors deviate", _set("v", (1, 0, 0, 1), 0.7)),
+    "nan eigenvector": (ValidationFailure, "eigenvectors deviate", _set("v", (0, 2, 1, 1), np.nan)),
+    "nan eigenvalue": (ValidationFailure, NOT_HERMITIAN, _set("w", (0, 0, 0), np.nan)),
+    "complex eigenvalue": (ValidationFailure, NOT_HERMITIAN, _set("w", (1, 3, 3), 0.6 + 1e-3j)),
+    "non-psd": (NotPsd, "min eigenvalue -8.250e-01", _shifted),
+    "incomplete": (IncompletePovm, "element sum deviates", _set("w", (1, 2, 3), 0.9)),
+}
+
+
+@pytest.mark.parametrize("fault", SPECTRUM_FAULTS)
+def test_check_spectrum_stack_rejects_each_broken_rule(fault):
+    error, message, breaks = SPECTRUM_FAULTS[fault]
+    w, v = noisy_bell_spectrum([0.3, 0.8])
+    w, v = w.astype(complex), v.copy()  # writable, and w may take a complex eigenvalue
+    floored = check_spectrum_stack(w, v)
+    for got, want in zip(floored, floor_eigh(w.real, v)):
+        assert np.array_equal(got, want)
+    w, v = breaks(w, v) or (w, v)
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        check_spectrum_stack(w, v)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_check_spectrum_stack_on_eigh_is_check_povm_stack(rng, d):
+    # the spectral check takes a complex eigh as it comes and floors it alone
+    stack = random_povm_stack(rng, 3, d=d, n_elements=3)
+    for got, want in zip(check_spectrum_stack(*np.linalg.eigh(stack)), check_povm_stack(stack)):
+        assert np.array_equal(got, want)
 
 
 def test_povm_requires_completeness():
