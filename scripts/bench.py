@@ -4,20 +4,23 @@
     python scripts/bench.py --out BENCH.json [--repeats 5]
 
 Every timing is the median (with the minimum and maximum) of ``--repeats``
-runs, each after one untimed warm-up run.  Whole commands: ``run_sweep``
-of the paper chain (noisy_bell, wire2_computational) at 201 and 2001
-points, ``run_scenario`` once per built-in family, ``run_verification``
-overall and per check (from the same runs), and ``import swapforge`` in
-a child interpreter.  Layers, each on the paper sweep's real d = 2 chunk
-and on a seeded complex d = 3 stack: the first round's check (the
-sweep's ``check_spectrum_stack`` of ``noisy_bell_spectrum``, and
-``check_povm_stack``), its ``_expand`` round, and ``_stacked_rho14`` and
-``_stacked_negativity`` of the last round's states; and the sweep's CSV
-formatting pass, timed as ``run_sweep`` on columns computed beforehand.
-The context records ``nproc``, versions, the BLAS environment
-variables, the git commit of the imported package (null outside a git
-checkout) and one reading of perfbench's host-speed probe
-(``probe.burst``).  The JSON document's key set is fixed.  The package is
+runs, each after one untimed warm-up run.  The script runs inside
+perfbench's ``SpeedProbe``, and each timing also gives its median at the
+reference host speed, scaled as perfbench scales an operation: wall time
+less the probe's own time inside it, times the probe's rating of the host
+around it.  Whole commands: ``run_sweep`` of the paper chain (noisy_bell,
+wire2_computational) at 201 and 2001 points, ``run_scenario`` once per
+built-in family, ``run_verification`` overall and per check (from the
+same runs), and ``import swapforge`` in a child interpreter.  Layers, each
+on the paper sweep's real d = 2 chunk and on a seeded complex d = 3 stack:
+the first round's check (the sweep's ``check_spectrum_stack`` of
+``noisy_bell_spectrum``, and ``check_povm_stack``), its ``_expand`` round,
+and ``_stacked_rho14`` and ``_stacked_negativity`` of the last round's
+states; and the sweep's CSV formatting pass, timed as ``run_sweep`` on
+columns computed beforehand.  The context records ``nproc``, versions,
+the BLAS environment variables and the git commit of the imported package
+(null outside a git checkout), and ``probe`` the probe's samples.  The
+JSON document's key set is fixed.  The package is
 imported from PYTHONPATH, so one copy of this script times any checkout:
 
     PYTHONPATH=/path/to/other/src python scripts/bench.py --out other.json
@@ -39,7 +42,7 @@ from time import perf_counter
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from probe import burst  # noqa: E402  (perfbench/ is not a package)
+from probe import REFERENCE_PROBE_S, SpeedProbe  # noqa: E402  (perfbench/ is not a package)
 
 import swapforge  # noqa: E402
 from swapforge import engine, experiment, verify  # noqa: E402
@@ -63,34 +66,43 @@ FAMILY_ROUNDS = {  # one round per family
 }
 
 
-def summary(seconds: list[float]) -> dict:
-    return {"median_s": statistics.median(seconds), "min_s": min(seconds), "max_s": max(seconds)}
+def summary(probe: SpeedProbe, runs: list[tuple[float, float, int, bool]]) -> dict:
+    """Seconds per call of (start, seconds, calls, own) runs: the median,
+    minimum and maximum, and the median scaled to the reference host speed.
+    The probe's time inside a run is taken off when the run was this
+    process's own (``own``), not a child's."""
+    raw = [s / n for _, s, n, _ in runs]
+    scaled = [(s - own * probe.inside(t0, t0 + s)) * probe.scale(t0, t0 + s) / n
+              for t0, s, n, own in runs]
+    return {"median_s": statistics.median(raw), "min_s": min(raw), "max_s": max(raw),
+            "scaled_median_s": statistics.median(scaled)}
 
 
-def timed(fn, repeats: int, loop: bool = False) -> dict:
-    """summary() of one ``fn()`` call's seconds over ``repeats`` runs after
-    a warm-up call; with ``loop`` each run calls fn about as often as
-    fills LAYER_S and reports the time per call."""
+def timed(fn, repeats: int, loop: bool = False) -> list:
+    """``repeats`` runs of one ``fn()`` call, for summary(), after a warm-up
+    call; with ``loop`` each run calls fn about as often as fills LAYER_S."""
     t0 = perf_counter()
     fn()  # the warm-up call; its time sizes a layer's loop
     calls = max(1, int(LAYER_S / max(perf_counter() - t0, 1e-9))) if loop else 1
-    times = []
+    runs = []
     for _ in range(repeats):
         t0 = perf_counter()
         for _ in range(calls):
             fn()
-        times.append((perf_counter() - t0) / calls)
-    return summary(times)
+        runs.append((t0, perf_counter() - t0, calls, True))
+    return runs
 
 
-def import_time() -> float:
-    """Seconds ``import swapforge`` takes in a fresh child interpreter."""
+def import_time() -> tuple[float, float, int, bool]:
+    """``import swapforge`` in a fresh child interpreter as a run: its start
+    on the child's perf_counter (the system-wide monotonic clock the probe
+    reads) and its seconds."""
     src = str(Path(swapforge.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import time; t = time.perf_counter(); import swapforge; print(time.perf_counter() - t)"
+    code = "import time; t = time.perf_counter(); import swapforge; print(t, time.perf_counter()-t)"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
-    return float(out.stdout)
+    return (*map(float, out.stdout.split()), 1, False)
 
 
 def sweep_config(steps: int) -> ScenarioConfig:
@@ -109,18 +121,21 @@ def commands(workdir: str, repeats: int) -> dict:
         config = ScenarioConfig(3 if name == "file" else 2, (RoundSpec(name, FAMILY_ROUNDS[name]),),
                                 outputs=OutputsSpec(report_path="report.json"), base_dir=workdir)
         out[f"run_scenario.{name}"] = timed(lambda c=config: experiment.run_scenario(c), repeats)
-    runs = []
+    runs, starts = [], []
 
     def verification():
+        starts.append(perf_counter())
         runs.append(verify.run_verification())
         if not all(r.passed for r in runs[-1]):
             raise SystemExit("verification failed; its timings would mean nothing")
 
     out["run_verification"] = timed(verification, repeats)
     for k, name in enumerate(verify.CHECK_NAMES):  # the warm-up run (runs[0]) is left out
-        out[f"run_verification.{name}"] = summary([run[k].seconds for run in runs[1:]])
+        out[f"run_verification.{name}"] = [  # a check starts when those before it end
+            (t0 + sum(r.seconds for r in run[:k]), run[k].seconds, 1, True)
+            for t0, run in zip(starts[1:], runs[1:])]
     import_time()  # warms the file cache, as timed() warms the others
-    out["import_swapforge"] = summary([import_time() for _ in range(repeats)])
+    out["import_swapforge"] = [import_time() for _ in range(repeats)]
     return out
 
 
@@ -167,7 +182,6 @@ def context() -> dict:
                                 capture_output=True, text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         commit = None
-    probe_cpu_s, probe_wall_s = burst()
     return {
         "nproc": len(os.sched_getaffinity(0)),  # what `nproc` prints: the CPUs this process may use
         "python": platform.python_version(),
@@ -176,7 +190,6 @@ def context() -> dict:
         "platform": platform.platform(),
         "blas_env": {name: os.environ.get(name) for name in BLAS_ENV},
         "git_commit": commit,
-        "probe_burst": {"cpu_s_per_call": probe_cpu_s, "wall_s": probe_wall_s},
     }
 
 
@@ -188,9 +201,15 @@ def main() -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     t0 = perf_counter()
-    with tempfile.TemporaryDirectory() as workdir:
-        doc = {"repeats": args.repeats, "context": context(),
-               "commands": commands(workdir, args.repeats), "layers": layers(workdir, args.repeats)}
+    probe = SpeedProbe()  # samples the host's speed throughout the runs
+    with tempfile.TemporaryDirectory() as workdir, probe:
+        runs = {"commands": commands(workdir, args.repeats),
+                "layers": layers(workdir, args.repeats)}
+    # summarized once the probe has sampled past the last run
+    doc = {key: {name: summary(probe, r) for name, r in part.items()} for key, part in runs.items()}
+    doc |= {"repeats": args.repeats, "context": context()}
+    doc["probe"] = {"samples": len(probe.cpu), "median_s": statistics.median(probe.cpu),
+                    "reference_s": REFERENCE_PROBE_S}
     doc["wall_s"] = perf_counter() - t0
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {args.out} in {doc['wall_s']:.1f} s")

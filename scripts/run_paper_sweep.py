@@ -10,7 +10,7 @@ lambda = 1/3 separability edge is visible at a glance.
 
 import argparse
 
-from swapforge.config import RoundSpec, ScenarioConfig, SweepSpec
+from swapforge.config import MAX_SWEEP_STEPS, RoundSpec, ScenarioConfig, SweepSpec
 from swapforge.experiment import run_sweep
 
 
@@ -19,6 +19,8 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=21)
     parser.add_argument("--out", default="paper_sweep.csv")
     args = parser.parse_args()
+    if not 2 <= args.steps <= MAX_SWEEP_STEPS:  # the range a config's sweep.steps takes
+        parser.error(f"--steps must lie in [2, {MAX_SWEEP_STEPS}], got {args.steps}")
 
     config = ScenarioConfig(
         local_dim=2,

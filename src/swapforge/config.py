@@ -21,13 +21,12 @@ directory.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .families import FAMILIES, _is_finite_number, build_family
-from .states import Povm
+from .states import Povm, _known_keys, _read_json
 from .tolerances import PROB_TOL
 
 __all__ = [
@@ -117,14 +116,6 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _known_keys(doc: dict, known, where: str) -> None:
-    """Raise ConfigError naming the first key of ``doc`` outside ``known``."""
-    unknown = sorted(doc.keys() - set(known))
-    if unknown:
-        known = ", ".join(known) or "none"
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}; known: {known}")
-
-
 def _is_path(value) -> bool:
     """A string that can name a file: not empty, no NUL byte."""
     return isinstance(value, str) and value != "" and "\0" not in value
@@ -132,15 +123,10 @@ def _is_path(value) -> bool:
 
 def load_scenario_config(path) -> ScenarioConfig:
     """Parse and validate a scenario config file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except RecursionError as exc:  # the text may well be valid JSON
-        raise ConfigError("config is nested too deeply to read") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    doc = _read_json(path, ConfigError, "config")
     _require(isinstance(doc, dict), "config must be a JSON object")
-    _known_keys(doc, ("local_dim", "rounds", "sweep", "outputs", "tolerance_overrides"), "config")
+    top = ("local_dim", "rounds", "sweep", "outputs", "tolerance_overrides")
+    _known_keys(doc, top, "config", ConfigError)
 
     local_dim = doc.get("local_dim", 2)
     _require(isinstance(local_dim, int) and local_dim >= 2, "local_dim must be an integer >= 2")
@@ -150,14 +136,14 @@ def load_scenario_config(path) -> ScenarioConfig:
     rounds = []
     for i, entry in enumerate(raw_rounds):
         _require(isinstance(entry, dict) and "family" in entry, f"round {i} needs a 'family'")
-        _known_keys(entry, ("family", "params"), f"round {i}")
+        _known_keys(entry, ("family", "params"), f"round {i}", ConfigError)
         family = entry["family"]
         _require(
             isinstance(family, str) and family in FAMILIES, f"round {i}: unknown family {family!r}"
         )
         params = entry.get("params", {})
         _require(isinstance(params, dict), f"round {i}: params must be an object")
-        _known_keys(params, FAMILIES[family].params, f"round {i} ({family}) params")
+        _known_keys(params, FAMILIES[family].params, f"round {i} ({family}) params", ConfigError)
         for name in params if FAMILIES[family].spectrum else ():  # a sweepable parameter
             _require(
                 _is_finite_number(params[name]),
@@ -171,7 +157,7 @@ def load_scenario_config(path) -> ScenarioConfig:
     if doc.get("sweep") is not None:
         raw = doc["sweep"]
         _require(isinstance(raw, dict), "sweep must be an object")
-        _known_keys(raw, ("param_name", "start", "stop", "steps"), "sweep")
+        _known_keys(raw, ("param_name", "start", "stop", "steps"), "sweep", ConfigError)
         for key in ("param_name", "start", "stop", "steps"):
             _require(key in raw, f"sweep needs {key!r}")
         steps = raw["steps"]
@@ -190,7 +176,7 @@ def load_scenario_config(path) -> ScenarioConfig:
 
     raw_out = doc.get("outputs", {})
     _require(isinstance(raw_out, dict), "outputs must be an object")
-    _known_keys(raw_out, ("csv_path", "report_path"), "outputs")
+    _known_keys(raw_out, ("csv_path", "report_path"), "outputs", ConfigError)
     for key in ("csv_path", "report_path"):
         value = raw_out.get(key)
         _require(value is None or _is_path(value), f"outputs.{key} must be a file name string")

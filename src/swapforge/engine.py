@@ -216,7 +216,7 @@ def average_negativity(records: list[OutcomeRecord]) -> float:
 def _closed_average(probabilities, values) -> float:
     """sum p * v over Python floats, in the order given, once the
     probabilities are checked to sum to one within PROB_SUM_TOL."""
-    total = sum(probabilities)
+    total = sum(probabilities, 0.0)
     if not abs(total - 1.0) <= PROB_SUM_TOL:  # NaN fails here too
         raise IncompleteBranchSet(f"branch probabilities sum to {total!r}, expected 1")
     return float(sum(p * v for p, v in zip(probabilities, values)))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from functools import lru_cache
 from math import prod
 from typing import NamedTuple
@@ -60,22 +59,8 @@ CSV_COLUMNS = SweepRow._fields
 
 
 def worker_count(grid_size: int) -> int:
-    """Parallelism cap from SWAPFORGE_THREADS (0 or unset = auto).
-
-    Sweeps run as one stacked pass on a single thread whatever it says;
-    they still read the variable, so a malformed value stays an input
-    error.
-    """
-    raw = os.environ.get("SWAPFORGE_THREADS", "0").strip() or "0"
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ConfigError(f"SWAPFORGE_THREADS must be an integer, got {raw!r}")
-    if requested < 0:
-        raise ConfigError("SWAPFORGE_THREADS must be nonnegative")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, grid_size))
+    """The number of threads a sweep runs on: 1, whatever the grid size."""
+    return 1
 
 
 # The paper's closed-form average negativities as functions of lambda (a
@@ -114,7 +99,6 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     d = linalg._local_dim(config.local_dim)
     swept = config.swept_round_index()
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps)
-    worker_count(len(grid))  # rejects a malformed SWAPFORGE_THREADS
     if not len(grid):  # an empty grid from a config built in code
         return (grid,) * 6
     spectrum, param = FAMILIES[config.rounds[swept].family].spectrum, config.sweep.param_name

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, ZeroTrace
-from .states import Povm, read_povm
+from .states import Povm, _known_keys, read_povm
 
 __all__ = [
     "BELL_STATES",
@@ -180,9 +180,7 @@ def _separable_product(elements) -> Povm:
     try:
         pairs = []
         for entry in elements:
-            unknown = sorted(entry.keys() - {"a", "b"})
-            if unknown:
-                raise BadParameter(f"separable_product element: unknown key {unknown[0]!r}")
+            _known_keys(entry, ("a", "b"), "separable_product element", BadParameter)
             pairs.append(tuple(SingleQubitElementParams(**entry[k]) for k in ("a", "b")))
     except (AttributeError, KeyError, TypeError) as exc:
         raise BadParameter(f"separable_product needs elements: [{{a: ..., b: ...}}]: {exc}")

@@ -350,19 +350,32 @@ def _boolean(re, im):
     raise TypeError(f"entry [{re!r}, {im!r}] holds a boolean, not a number")
 
 
-def read_povm(path) -> Povm:
+# The rules every document read from outside goes through, configs and
+# separable_product elements too: states is the lowest module that reads one.
+def _read_json(path, error, what: str):
+    """The JSON document in the UTF-8 file at ``path``; raises ``error``
+    saying that ``what`` is not valid JSON or is nested too deeply to read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except RecursionError as exc:  # the text may well be valid JSON
-        raise FileFormatError("POVM document is nested too deeply to read") from exc
+        raise error(f"{what} is nested too deeply to read") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"not valid JSON: {exc}") from exc
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _known_keys(doc: dict, known, where: str, error) -> None:
+    """Raise ``error`` naming the first key of ``doc`` outside ``known``."""
+    unknown = sorted(doc.keys() - set(known))
+    if unknown:
+        raise error(f"{where}: unknown key {unknown[0]!r}; known: {', '.join(known) or 'none'}")
+
+
+def read_povm(path) -> Povm:
+    doc = _read_json(path, FileFormatError, "POVM document")
     if not isinstance(doc, dict) or "local_dim" not in doc or "elements" not in doc:
         raise FileFormatError("POVM document needs 'local_dim' and 'elements' fields")
-    unknown = sorted(doc.keys() - {"local_dim", "elements"})
-    if unknown:
-        raise FileFormatError(f"unknown POVM key {unknown[0]!r}; known: local_dim, elements")
+    _known_keys(doc, ("local_dim", "elements"), "POVM document", FileFormatError)
     if type(doc["local_dim"]) is not int:  # not a bool; one that fits no element: ShapeMismatch
         raise FileFormatError(f"local_dim must be an integer, got {doc['local_dim']!r}")
     try:

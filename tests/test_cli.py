@@ -8,9 +8,15 @@ import pytest
 
 import swapforge
 from swapforge.cli import main
-from swapforge.config import load_scenario_config
+from swapforge.config import (
+    MAX_SWEEP_STEPS,
+    RoundSpec,
+    ScenarioConfig,
+    SweepSpec,
+    load_scenario_config,
+)
 from swapforge.errors import ConfigError
-from swapforge.experiment import CLOSED_FORMS, CSV_COLUMNS, run_scenario, run_sweep, worker_count
+from swapforge.experiment import CLOSED_FORMS, CSV_COLUMNS, run_scenario, run_sweep
 from swapforge.families import noisy_bell_povm
 from swapforge.states import Povm, write_povm
 
@@ -134,16 +140,6 @@ def test_sweep_endpoints_match_run(tmp_path):
         assert report["average_negativity"] == pytest.approx(row.avg_neg_round2, abs=1e-12)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("SWAPFORGE_THREADS", "2")
-    assert worker_count(8) == 2
-    monkeypatch.setenv("SWAPFORGE_THREADS", "0")
-    assert worker_count(8) >= 1
-    monkeypatch.setenv("SWAPFORGE_THREADS", "junk")
-    with pytest.raises(ConfigError):
-        worker_count(8)
-
-
 def test_sweep_independent_of_parallelism(tmp_path, monkeypatch):
     config = load_scenario_config(write_config(tmp_path, PAPER_DOC))
     monkeypatch.setenv("SWAPFORGE_THREADS", "1")
@@ -152,6 +148,24 @@ def test_sweep_independent_of_parallelism(tmp_path, monkeypatch):
     par = run_sweep(config, csv_path=str(tmp_path / "par.csv"))
     assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
     assert [r.param_value for r in seq] == [r.param_value for r in par]
+
+
+def test_sweep_reads_no_environment_variable(tmp_path, monkeypatch):
+    # the thread-count variable of earlier releases, even malformed, changes nothing
+    path = write_config(tmp_path, PAPER_DOC)
+    monkeypatch.delenv("SWAPFORGE_THREADS", raising=False)
+    assert main(["sweep", path, "--csv", str(tmp_path / "unset.csv")]) == 0
+    monkeypatch.setenv("SWAPFORGE_THREADS", "junk")
+    assert main(["sweep", path, "--csv", str(tmp_path / "junk.csv")]) == 0
+    assert (tmp_path / "junk.csv").read_bytes() == (tmp_path / "unset.csv").read_bytes()
+
+
+def test_sweep_of_no_steps_writes_the_header_alone(tmp_path):
+    # a config file needs steps >= 2; one built in code may hold an empty grid
+    rounds = (RoundSpec("noisy_bell"), RoundSpec("wire2_computational"))
+    config = ScenarioConfig(2, rounds, sweep=SweepSpec("lambda", 0.0, 1.0, 0))
+    assert run_sweep(config, csv_path=str(tmp_path / "empty.csv")) == []
+    assert (tmp_path / "empty.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +195,7 @@ def test_cli_run_names_the_dropped_branches(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == (
         "error_code=IncompleteBranchSet\n"
-        "branch probabilities sum to 0, expected 1: 0 of 8 branches kept at prob_tol=1.0\n"
+        "branch probabilities sum to 0.0, expected 1: 0 of 8 branches kept at prob_tol=1.0\n"
     )
 
 
@@ -281,6 +295,44 @@ def test_cli_sweep_without_csv_target_fails_before_sweeping(tmp_path, capsys, mo
     assert "no CSV target" in err
 
 
+def test_cli_sweep_without_a_sweep_block_exits_two(tmp_path, capsys):
+    doc = {key: PAPER_DOC[key] for key in ("local_dim", "rounds")}
+    assert main(["sweep", write_config(tmp_path, doc), "--csv", str(tmp_path / "a.csv")]) == 2
+    assert capsys.readouterr().err == "error_code=ConfigParse\nconfig has no sweep block\n"
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_cli_usage_error_leads_with_its_error_code(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["bogus"])
+    assert caught.value.code == 2
+    assert capsys.readouterr().err.startswith("error_code=Usage\n")
+
+
+def test_cli_classify_povm_without_elements_exits_two(tmp_path, capsys):
+    path = tmp_path / "meas.json"
+    path.write_text(json.dumps({"local_dim": 2, "elements": []}))
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == "error_code=FileFormat\nPOVM document has no elements\n"
+
+
+def test_d3_product_projectors_read_ppt_boundary_in_classify_and_run(tmp_path, capsys):
+    # the nine |ij><ij| at d = 3: beyond qubits PPT does not certify separability
+    write_povm(Povm([np.diag(row) for row in np.eye(9)]), tmp_path / "meas.json")
+    assert main(["classify", str(tmp_path / "meas.json")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [el["verdict"] for el in doc["per_element"]] == ["ppt-boundary"] * 9
+    config = {
+        "local_dim": 3,
+        "rounds": [{"family": "file", "params": {"path": "meas.json"}}],
+        "outputs": {"report_path": "report.json"},
+    }
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    labels = [c["verdict"] for b in report["branches"] for c in b["classification"]]
+    assert labels == ["ppt-boundary"] * 9
+
+
 def test_cli_classify_povm_file(tmp_path, capsys):
     path = tmp_path / "noisy.json"
     write_povm(noisy_bell_povm(0.2), path)
@@ -341,15 +393,20 @@ def test_cli_run_reports_past_a_traceless_element(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def swapforge_cli(*argv):
+def fresh_python(*argv):
+    """``python *argv`` in a fresh interpreter that imports this swapforge."""
     src = os.path.dirname(os.path.dirname(swapforge.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "swapforge.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def swapforge_cli(*argv):
+    return fresh_python("-m", "swapforge.cli", *argv)
 
 
 def non_finite_povm_file(tmp_path, pos, value):
@@ -383,6 +440,16 @@ def test_cli_non_finite_povm_entry_exits_two(tmp_path, command, pos, value):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error_code=InvalidPovm\n"), result.stderr
     assert "fails validation" in result.stderr
+
+
+@pytest.mark.parametrize("steps", ["-1", "1", str(MAX_SWEEP_STEPS + 1)])
+def test_paper_sweep_script_takes_the_step_counts_a_config_takes(tmp_path, steps):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_paper_sweep.py")
+    result = fresh_python(script, "--steps", steps, "--out", str(tmp_path / "p.csv"))
+    assert result.returncode == 2, result.stderr
+    assert f"--steps must lie in [2, {MAX_SWEEP_STEPS}], got {steps}" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_cli_classify_boolean_povm_entries_exit_two(tmp_path, capsys):

@@ -12,17 +12,19 @@ import swapforge
 from swapforge.cli import main
 from swapforge.engine import (
     SwapScenario,
+    apply_element,
     chain,
+    initial_state,
+    rho14_from_element,
     rho14_two_round_spectral,
     second_round_probability,
+    stacked_chain_negativities,
 )
 from swapforge.errors import (
     BadParameter,
-    ConfigError,
     InvalidPovm,
     ShapeMismatch,
 )
-from swapforge.experiment import worker_count
 from swapforge.families import SingleQubitElementParams, noisy_bell_povm
 from swapforge.measures import BipartiteCut, negativity
 from swapforge.sampling import random_element
@@ -83,15 +85,33 @@ def test_pure_state_rejects_dim_mismatch():
         PureState(np.array([1.0, 0.0]), (2, 2))
 
 
+def test_stacked_chain_needs_a_round():
+    with pytest.raises(InvalidPovm):
+        stacked_chain_negativities(2, [])
+
+
+def test_apply_element_needs_four_wires_of_the_element_dimension():
+    with pytest.raises(ShapeMismatch):
+        apply_element(PureState(np.eye(8)[0], (2, 2, 2)), PovmElement(np.eye(4) / 4))
+    with pytest.raises(ShapeMismatch):
+        apply_element(initial_state(2), PovmElement(np.eye(9) / 9))
+
+
+def test_rho14_of_a_zero_element_raises():
+    with pytest.raises(InvalidPovm):
+        rho14_from_element(PovmElement(np.zeros((4, 4))))
+
+
+def test_rho14_after_orthogonal_wire2_projectors_raises():
+    # wire 2 found in |0> cannot then be found in |1>
+    zero, one = (PovmElement(np.kron(np.diag(p), np.eye(2))) for p in ([1.0, 0.0], [0.0, 1.0]))
+    with pytest.raises(InvalidPovm):
+        rho14_two_round_spectral(zero, one)
+
+
 def test_single_qubit_params_reject_negative_weights():
     with pytest.raises(BadParameter):
         SingleQubitElementParams(theta=0.1, phi=0.2, tau1=-0.1, tau2=0.5)
-
-
-def test_worker_count_rejects_negative(monkeypatch):
-    monkeypatch.setenv("SWAPFORGE_THREADS", "-3")
-    with pytest.raises(ConfigError):
-        worker_count(4)
 
 
 def test_verify_unknown_check_name():
@@ -105,6 +125,13 @@ def test_cli_bad_tol_override(capsys):
     assert main(["verify", "--tol-override", "oops"]) == 2
     assert "error_code=ConfigParse" in capsys.readouterr().err
     assert main(["verify", "--tol-override", "x=notanumber"]) == 2
+    capsys.readouterr()
+    # a known tolerance with a value that is not a number
+    assert main(["verify", "--tol-override", "swap_identity=abc"]) == 2
+    assert capsys.readouterr().err == (
+        "error_code=ConfigParse\n"
+        "--tol-override value for 'swap_identity' is not a number: 'abc'\n"
+    )
 
 
 def test_povm_element_rejects_non_square_pair_dimension():

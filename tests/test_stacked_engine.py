@@ -555,7 +555,7 @@ def test_run_scenario_incomplete_branch_set_raises_like_chain(tmp_path, rng):
     with pytest.raises(IncompleteBranchSet, match="branch probabilities sum to"):
         run_scenario(config)
     # every branch dropped: the closure check sees an empty sum
-    with pytest.raises(IncompleteBranchSet, match="sum to 0,"):
+    with pytest.raises(IncompleteBranchSet, match="sum to 0.0,"):
         run_scenario(scenario_config(tmp_path, povms, prob_tol=1.0))
 
 

@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swapforge.config import OutputsSpec, RoundSpec, ScenarioConfig, SweepSpec
+from swapforge.config import (
+    OutputsSpec,
+    RoundSpec,
+    ScenarioConfig,
+    SweepSpec,
+    load_scenario_config,
+)
 from swapforge.engine import SwapScenario, initial_state, stacked_chain_negativities
 from swapforge.errors import (
     BadDimension,
     BadIndex,
+    BadParameter,
+    ConfigError,
     FileFormatError,
     IncompletePovm,
     InvalidPovm,
@@ -23,6 +31,7 @@ from swapforge.experiment import run_scenario, sweep_rows
 from swapforge.families import (
     SingleQubitElementParams,
     bell_projective,
+    build_family,
     noisy_bell_povm,
     noisy_bell_spectrum,
     separable_product_povm,
@@ -508,8 +517,71 @@ def test_read_povm_rejects_unknown_top_level_keys(tmp_path, extra):
     path = povm_file(tmp_path, [np.eye(4)])
     doc = json.loads(path.read_text())
     path.write_text(json.dumps({**doc, **extra}))
-    with pytest.raises(FileFormatError, match=f"unknown POVM key {min(extra)!r}"):
+    message = f"POVM document: unknown key {min(extra)!r}; known: local_dim, elements"
+    with pytest.raises(FileFormatError, match=re.escape(message)):
         read_povm(path)
+
+
+def _from_file(reader):
+    """``reader`` of a file holding ``doc``: its bytes, or a document in JSON."""
+
+    def read(tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+        return reader(path)
+
+    return read
+
+
+_HALF = {"theta": 0.7, "phi": 0.3, "tau1": 0.5, "tau2": 0.5}  # I/2 on one qubit
+
+# each document read from outside: the class its faults raise, a valid
+# instance, the keys it knows, and how it is read
+DOCUMENTS = {
+    "config": (
+        ConfigError,
+        {"rounds": [{"family": "bell_projective"}]},
+        "local_dim, rounds, sweep, outputs, tolerance_overrides",
+        _from_file(load_scenario_config),
+    ),
+    "POVM document": (
+        FileFormatError,
+        {"local_dim": 2, "elements": [[[[v, 0.0] for v in row] for row in np.eye(4).tolist()]]},
+        "local_dim, elements",
+        _from_file(read_povm),
+    ),
+    "separable_product element": (
+        BadParameter,
+        {"a": _HALF, "b": _HALF},
+        "a, b",
+        lambda tmp_path, el: build_family("separable_product", {"elements": [el] * 4}),
+    ),
+}
+_BAD_TEXT = {
+    "nested too deeply": b"[" * 100_000 + b"]" * 100_000,  # json.load raises RecursionError
+    "not JSON": b'{"rounds": ',
+    "not UTF-8": b'{"\xff": 1}',
+}
+
+
+@pytest.mark.parametrize(
+    "document,fault",
+    [(name, "misspelled key") for name in DOCUMENTS]
+    + [(name, fault) for name in ("config", "POVM document") for fault in _BAD_TEXT],
+)
+def test_one_reading_rule_per_outside_document(tmp_path, document, fault):
+    error, valid, known, read = DOCUMENTS[document]
+    read(tmp_path, valid)
+    doc = {**valid, "colour": 1} if fault == "misspelled key" else _BAD_TEXT[fault]
+    with pytest.raises(error) as caught:
+        read(tmp_path, doc)
+    message = str(caught.value)
+    if fault == "misspelled key":
+        assert message == f"{document}: unknown key 'colour'; known: {known}"
+    elif fault == "nested too deeply":
+        assert message == f"{document} is nested too deeply to read"
+    else:
+        assert message.startswith(f"{document} is not valid JSON: ")
 
 
 def test_read_povm_rejects_non_psd(tmp_path):
