@@ -4,7 +4,9 @@
     python scripts/bench.py --out BENCH.json [--repeats 5]
 
 Every timing is the median (with the minimum and maximum) of ``--repeats``
-runs, each after one untimed warm-up run.  The script runs inside
+runs, each after one untimed warm-up run; a layer's run, and a run of
+``run_sweep``, repeats its call for about LOOP_S seconds and is timed per
+call.  The script runs inside
 perfbench's ``SpeedProbe``, and each timing also gives its median at the
 reference host speed, scaled as perfbench scales an operation: wall time
 less the probe's own time inside it, times the probe's rating of the host
@@ -53,7 +55,7 @@ from swapforge.states import check_povm_stack, check_spectrum_stack, write_povm 
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-LAYER_S = 0.02  # a layer repeat loops its call for about this long
+LOOP_S = 0.2  # a looped run lasts about this long: 8 or more of the probe's 25 ms samples
 # separable_product factors: the projectors of the computational and |+>, |-> bases
 Z, X = ([{"theta": th, "phi": 0.0, "tau1": t, "tau2": 1.0 - t} for t in (1.0, 0.0)]
         for th in (0.0, np.pi / 2))
@@ -80,10 +82,10 @@ def summary(probe: SpeedProbe, runs: list[tuple[float, float, int, bool]]) -> di
 
 def timed(fn, repeats: int, loop: bool = False) -> list:
     """``repeats`` runs of one ``fn()`` call, for summary(), after a warm-up
-    call; with ``loop`` each run calls fn about as often as fills LAYER_S."""
+    call; with ``loop`` each run calls fn about as often as fills LOOP_S."""
     t0 = perf_counter()
-    fn()  # the warm-up call; its time sizes a layer's loop
-    calls = max(1, int(LAYER_S / max(perf_counter() - t0, 1e-9))) if loop else 1
+    fn()  # the warm-up call; its time sizes the loop
+    calls = max(1, int(LOOP_S / max(perf_counter() - t0, 1e-9))) if loop else 1
     runs = []
     for _ in range(repeats):
         t0 = perf_counter()
@@ -113,8 +115,8 @@ def sweep_config(steps: int) -> ScenarioConfig:
 
 def commands(workdir: str, repeats: int) -> dict:
     csv = os.path.join(workdir, "sweep.csv")
-    out = {f"run_sweep_{n}": timed(lambda n=n: experiment.run_sweep(sweep_config(n), csv), repeats)
-           for n in (201, 2001)}
+    out = {f"run_sweep_{n}": timed(lambda n=n: experiment.run_sweep(sweep_config(n), csv),
+                                   repeats, loop=True) for n in (201, 2001)}
     write_povm(random_povm(np.random.default_rng(2500), d=3, n_elements=4),
                os.path.join(workdir, FAMILY_ROUNDS["file"]["path"]))
     for name in FAMILIES:

@@ -239,8 +239,13 @@ def _stacked_rho14(x: np.ndarray) -> np.ndarray:
 
 
 def _stacked_negativity(rho: np.ndarray, d: int) -> np.ndarray:
-    eigenvalues = np.linalg.eigvalsh(linalg._transpose_wire2(rho, d))
-    value = np.abs(eigenvalues, out=eigenvalues).sum(axis=-1)
+    """Negativity of each rho14 of a (..., d^2, d^2) stack: the trace norm
+    of its wire-2 partial transpose, minus one, clamped at zero.  The trace
+    norms are taken block by block along the zero pattern the partial
+    transposes share (linalg._hermitian_trace_norms): the paper chain's
+    Bell-diagonal and X-shaped states split into two 2x2 blocks, each in
+    closed form, while a dense stack takes one eigvalsh call."""
+    value = linalg._hermitian_trace_norms(linalg._transpose_wire2(rho, d))
     value -= 1.0
     return np.maximum(value, 0.0, out=value)
 
@@ -361,7 +366,10 @@ def stacked_chain_negativities(
     below prob_tol (or PROB_TOL) gets zero weight and so do its
     descendants; both averages need their weights to sum to one within
     PROB_SUM_TOL.  Negativity is the sum of |eigenvalues| of the Hermitian
-    partial transpose, minus one.  Every stack is checked with
+    partial transpose, minus one, taken block by block along the zero
+    pattern a stack's partial transposes share (_stacked_negativity): the
+    paper chain's need no eigendecomposition, a dense stack takes one
+    eigvalsh call.  Every stack is checked with
     check_povm_stack, whose floored spectrum gives the element roots.
     Rounds whose eigenvectors are exactly real keep the states, rho14
     and partial transposes in float64 (``_expand``'s field rule); one
@@ -560,6 +568,6 @@ def stacked_disturbance(
     kept = weight > 0.0
     rho = _stacked_rho14(x[kept])
     # rho - rho_base is Hermitian: its trace norm is the sum of |eigenvalues|
-    distance = 0.5 * np.abs(np.linalg.eigvalsh(rho - rec.rho14.matrix)).sum(axis=-1)
+    distance = 0.5 * linalg._hermitian_trace_norms(rho - rec.rho14.matrix)
     change = np.abs(_stacked_negativity(rho, d) - rec.negativity14)
     return kept, distance, change

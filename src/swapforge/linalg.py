@@ -155,6 +155,53 @@ def _transpose_wire2(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (d, d, d, d)).swapaxes(-3, -1).reshape(m.shape)
 
 
+def _hermitian_trace_norms(m: np.ndarray) -> np.ndarray:
+    """Trace norm (the sum of |eigenvalues|) of each Hermitian matrix of a
+    (..., D, D) stack, block by block.
+
+    The blocks are the connected components of the entries (symmetrized)
+    that are not exactly zero in some matrix of the stack.  Permuting rows
+    and columns alike makes every matrix block diagonal, so its spectrum
+    is the union of its blocks' spectra.  A 1x1 block [a] adds |a|, a 2x2
+    block [[a, b], [b*, c]] adds |e+| + |e-| = max(|a + c|, hypot(a - c,
+    2|b|)), and a larger one the sum of |eigvalsh| of its sub-stack.  An
+    entry that is not exactly zero only merges blocks; a dense stack is
+    one block, and one eigvalsh call on the whole stack.  The values, as
+    eigvalsh's, come from the real part of the diagonal and the lower
+    triangle.  A Hermitian matrix with a NaN or infinite entry gets NaN or
+    inf, never a finite value.
+    """
+    dim = m.shape[-1]
+    reach = m.reshape(-1, dim, dim).any(axis=0)  # a NaN is not zero either
+    if reach.all():  # dense: one block
+        return _block_trace_norms(m, np.arange(dim))
+    reach |= reach.T
+    np.fill_diagonal(reach, True)
+    for _ in range(dim.bit_length()):  # each product doubles the path length reached
+        reach = reach @ reach
+    lowest = reach.argmax(axis=1)  # each index's block, named by its lowest index
+    blocks = np.flatnonzero(lowest == np.arange(dim))
+    return sum(_block_trace_norms(m, np.flatnonzero(lowest == b)) for b in blocks)
+
+
+def _block_trace_norms(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The trace norms of the block on indices ``idx`` of each matrix of
+    the stack ``m``; see _hermitian_trace_norms."""
+    if len(idx) == 1:
+        return np.abs(m[..., idx[0], idx[0]].real)
+    if len(idx) == 2:
+        i, j = idx
+        a, c = m[..., i, i].real, m[..., j, j].real
+        return np.maximum(np.abs(a + c), np.hypot(a - c, 2.0 * np.abs(m[..., j, i])))
+    block = m if len(idx) == m.shape[-1] else m[..., idx[:, None], idx]
+    if np.isfinite(block).all():
+        return np.abs(np.linalg.eigvalsh(block)).sum(axis=-1)
+    # eigvalsh may give a finite spectrum for a NaN entry, or fail on it
+    finite = np.isfinite(block).all(axis=(-2, -1))
+    clean = np.where(finite[..., None, None], block, 0.0)
+    return np.where(finite, np.abs(np.linalg.eigvalsh(clean)).sum(axis=-1), np.nan)
+
+
 def sqrt_from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """V diag(sqrt(w)) V^dagger for spectra stacked on leading axes."""
     return (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))

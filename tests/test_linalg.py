@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from swapforge.errors import BadIndex, NotHermitian, NotPsd, ShapeMismatch
 from swapforge.linalg import (
+    _hermitian_trace_norms,
     floor_eigh,
     matrix_rank,
     partial_trace,
@@ -280,6 +281,71 @@ def test_trace_norm_of_pt_at_least_one(seed):
     rng = rng_from(seed)
     rho = random_density(rng, 4)
     assert trace_norm(partial_transpose(rho, (2, 2), 1)) >= 1.0 - 1e-12
+
+
+def block_diagonal_stack(rng, d, complex_entries, n=6):
+    """n Hermitian (d^2, d^2) matrices sharing one block pattern: blocks of
+    1-4 indices summing to d^2, rows and columns permuted alike."""
+    dim = d * d
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(int(rng.integers(1, min(4, dim - sum(sizes)) + 1)))
+    m = np.zeros((n, dim, dim), dtype=complex if complex_entries else float)
+    start = 0
+    for size in sizes:
+        g = rng.normal(size=(n, size, size))
+        if complex_entries:
+            g = g + 1j * rng.normal(size=(n, size, size))
+        m[:, start : start + size, start : start + size] = g + np.conj(np.swapaxes(g, -1, -2))
+        start += size
+    perm = rng.permutation(dim)
+    return m[:, perm][:, :, perm]
+
+
+@given(
+    seeds,
+    st.sampled_from([2, 3, 4]),
+    st.booleans(),
+    st.sampled_from(["blocks", "all zero", "one dense", "nan"]),
+)
+def test_hermitian_trace_norms_match_eigvalsh(seed, d, complex_entries, case):
+    rng = rng_from(seed)
+    m = block_diagonal_stack(rng, d, complex_entries)
+    m[rng.random(len(m)) < 0.3] = 0.0  # some all-zero matrices
+    if case == "all zero":
+        m[:] = 0.0
+    if case == "one dense":  # one matrix links every index: a single block
+        g = rng.normal(size=m.shape[1:])
+        if complex_entries:
+            g = g + 1j * rng.normal(size=m.shape[1:])
+        m[0] = g + g.conj().T
+    expected = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+    # eigvalsh errs in proportion to the whole matrix's norm, up to ~3e-14 at d = 4
+    scale = np.fmax(np.linalg.norm(m, axis=(-2, -1)), 1.0)
+    nan = np.zeros(len(m), dtype=bool)
+    if case == "nan":  # a Hermitian entry, so at (i, j) and (j, i); eigvalsh may read it as 0
+        k, i, j = rng.integers(len(m)), *rng.integers(d * d, size=2)
+        m[k, i, j] = m[k, j, i] = np.nan
+        nan[k] = True
+    got = _hermitian_trace_norms(m)
+    assert got.shape == (len(m),)
+    assert np.isnan(got[nan]).all()
+    assert np.all(np.abs(got - expected)[~nan] <= 1e-14 * scale[~nan])
+
+
+def test_hermitian_trace_norms_decompose_only_blocks_above_two(monkeypatch, rng):
+    # blocks {0, 1, 2}, {3, 4}, {5, 6}, {7} and the all-zero index {8}:
+    # only the first is decomposed
+    m = np.zeros((5, 9, 9), dtype=complex)
+    for start, size in [(0, 3), (3, 2), (5, 2), (7, 1)]:
+        g = random_complex(rng, 5 * size, size).reshape(5, size, size)
+        m[:, start : start + size, start : start + size] = g + np.conj(np.swapaxes(g, -1, -2))
+    shapes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a))
+    got = _hermitian_trace_norms(m)
+    assert shapes == [(5, 3, 3)]
+    np.testing.assert_allclose(got, np.abs(real(m)).sum(axis=-1), rtol=1e-14)
 
 
 def test_matrix_rank_values(rng):

@@ -501,23 +501,51 @@ def test_sweep_checks_only_the_swept_round_per_chunk(monkeypatch):
     assert checked == [(1, 4, 4, 4), (3, 4, 4, 4), (3, 4, 4, 4), (3, 4, 4, 4), (2, 4, 4, 4)]
 
 
+def spy_on(monkeypatch, name):
+    """Replace np.linalg.<name> by a wrapper; returns the list of the
+    shapes it is called on."""
+    shapes = []
+    real = getattr(np.linalg, name)
+
+    def spy(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return shapes
+
+
 @pytest.mark.parametrize("steps,entries", [(11, 3 * 8 * 16), (1001, None)])
 def test_sweep_never_decomposes_the_swept_round(monkeypatch, steps, entries):
     # the swept noisy_bell round comes as a closed-form spectrum; the one
-    # eigh is the PSD check of the shared wire2_computational Povm
+    # eigh is the PSD check of the shared wire2_computational Povm.  Every
+    # partial transpose of the chain splits into two 2x2 blocks, whose
+    # trace norms are closed forms: no eigvalsh
     if entries is not None:
         monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", entries)
-    decomposed = []
-    real = np.linalg.eigh
-
-    def spy(m, *args, **kwargs):
-        decomposed.append(np.shape(m))
-        return real(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    decomposed = spy_on(monkeypatch, "eigh")
+    spectra = spy_on(monkeypatch, "eigvalsh")
     rounds = [RoundSpec("noisy_bell"), RoundSpec("wire2_computational")]
     assert len(sweep_rows(sweep_config(rounds, steps))) == steps
     assert decomposed == [(2, 4, 4)]
+    assert spectra == []
+
+
+def test_dense_partial_transposes_take_one_eigvalsh_each(tmp_path, monkeypatch):
+    # a random complex round leaves no zero entry to split along: each
+    # negativity decomposes its whole (..., D, D) stack in one call
+    rng = np.random.default_rng(2801)
+    write_povm(random_povm(rng, d=2, n_elements=3), tmp_path / "meas.json")
+    rounds = [RoundSpec("noisy_bell"), RoundSpec("file", {"path": "meas.json"})]
+    config = dataclasses.replace(sweep_config(rounds, steps=11), base_dir=str(tmp_path))
+    spectra = spy_on(monkeypatch, "eigvalsh")
+    sweep_rows(config)
+    # the first round's X-shaped states take the closed forms; the last
+    # round's 11 grid points x 12 branches take one call
+    assert spectra == [(11, 12, 4, 4)]
+    del spectra[:]
+    stacked_chain_negativities(3, [random_povm_stack(rng, 5, d=3, n_elements=2)] * 2)
+    assert spectra == [(5, 2, 9, 9), (5, 4, 9, 9)]
 
 
 def test_run_scenario_prob_tol_drops_a_branch_and_its_descendants(tmp_path):
