@@ -5,25 +5,26 @@
 
 Every timing is the median (with the minimum and maximum) of ``--repeats``
 runs, each after one untimed warm-up run; a layer's run, and a run of
-``run_sweep``, repeats its call for about LOOP_S seconds and is timed per
-call.  The script runs inside
-perfbench's ``SpeedProbe``, and each timing also gives its median at the
-reference host speed, scaled as perfbench scales an operation: wall time
-less the probe's own time inside it, times the probe's rating of the host
-around it.  Whole commands: ``run_sweep`` of the paper chain (noisy_bell,
+``run_sweep`` or ``run_scenario``, repeats its call for about LOOP_S
+seconds and is timed per call.  The script runs inside perfbench's
+``SpeedProbe``, and each timing also gives its median at the reference
+host speed, scaled as perfbench scales an operation: wall time less the
+probe's own time inside it, times the probe's rating of the host around
+it.  Whole commands: ``run_sweep`` of the paper chain (noisy_bell,
 wire2_computational) at 201 and 2001 points, ``run_scenario`` once per
 built-in family, ``run_verification`` overall and per check (from the
 same runs), and ``import swapforge`` in a child interpreter.  Layers, each
 on the paper sweep's real d = 2 chunk and on a seeded complex d = 3 stack:
 the first round's check (the sweep's ``check_spectrum_stack`` of
-``noisy_bell_spectrum``, and ``check_povm_stack``), its ``_expand`` round,
-and ``_stacked_rho14`` and ``_stacked_negativity`` of the last round's
-states; and the sweep's CSV formatting pass, timed as ``run_sweep`` on
-columns computed beforehand.  The context records ``nproc``, versions,
-the BLAS environment variables and the git commit of the imported package
-(null outside a git checkout), and ``probe`` the probe's samples.  The
-JSON document's key set is fixed.  The package is
-imported from PYTHONPATH, so one copy of this script times any checkout:
+``noisy_bell_spectrum``, eigenvalues on one shared eigenvector table, and
+``check_povm_stack``), its ``_expand`` round, and ``_stacked_rho14`` and
+``_stacked_negativity`` of the last round's states; and the sweep's CSV
+formatting pass, timed as ``run_sweep`` on columns computed beforehand.
+The context records ``nproc``, versions, the BLAS environment variables
+and the git commit of the imported package (null outside a git checkout),
+and ``probe`` the probe's samples.  The JSON document's key set is fixed.
+The package is imported from PYTHONPATH, so one copy of this script times
+any checkout:
 
     PYTHONPATH=/path/to/other/src python scripts/bench.py --out other.json
 """
@@ -122,7 +123,8 @@ def commands(workdir: str, repeats: int) -> dict:
     for name in FAMILIES:
         config = ScenarioConfig(3 if name == "file" else 2, (RoundSpec(name, FAMILY_ROUNDS[name]),),
                                 outputs=OutputsSpec(report_path="report.json"), base_dir=workdir)
-        out[f"run_scenario.{name}"] = timed(lambda c=config: experiment.run_scenario(c), repeats)
+        out[f"run_scenario.{name}"] = timed(lambda c=config: experiment.run_scenario(c), repeats,
+                                            loop=True)
     runs, starts = [], []
 
     def verification():

@@ -284,9 +284,12 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
 
     ``spectra[r]`` is the floored spectrum (w, v) the POVM check of round
     r returns (Povm.floored_spectrum, check_povm_stack, or
-    check_spectrum_stack on a family's closed form), v of shape
-    (G_r, K_r, D, D) with G_r the number of grid points G or 1 for a
-    shared round, so the loop only takes roots.
+    check_spectrum_stack on a family's closed form), so the loop only
+    takes roots.  w has shape (G_r, K_r, D), G_r being the number of grid
+    points G or 1 for a shared round, and v shape (G_r, K_r, D, D) or
+    (1, K_r, D, D), one eigenvector table the round's grid points share
+    (a swept family's): the roots broadcast it, and no per-point copy of
+    it is made.
     Every grid point starts from ``start`` (the initial state if None).
     x[g, b, (k l), (i j)] holds branch b's normalized psi[i, k, l, j],
     branches in chain's depth-first order (x's leading axis is 1 while
@@ -311,11 +314,13 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
     dim = d * d
     if not spectra:
         raise InvalidPovm("a scenario needs at least one measurement round")
-    grid = max(v.shape[0] for _, v in spectra)
-    for _, v in spectra:
-        if v.ndim != 4 or v.shape[2:] != (dim, dim) or v.shape[0] not in (1, grid):
+    grid = max(w.shape[0] for w, _ in spectra)
+    for w, v in spectra:
+        fits = v.ndim == 4 and v.shape[1:] == w.shape[1:] + (dim,) and w.shape[2:] == (dim,)
+        if not fits or w.shape[0] not in (1, grid) or v.shape[0] not in (1, w.shape[0]):
             raise ShapeMismatch(
-                f"element stack of shape {v.shape} does not fit d={d} and {grid} grid points"
+                f"spectrum of shapes {w.shape} and {v.shape} does not fit d={d} "
+                f"and {grid} grid points"
             )
     total = prod(v.shape[1] for _, v in spectra)
     if total > MAX_BRANCHES:

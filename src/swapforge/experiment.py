@@ -85,14 +85,16 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     sized so that no stacked array holds more than STACK_ENTRIES entries;
     for each chunk the swept round's family hands over the closed-form
     eigendecomposition of its elements at the chunk's values (its
-    ``spectrum``), and check_spectrum_stack checks it as check_povm_stack
-    checks an element stack (ascending eigenvalues and orthonormal
-    eigenvectors, then the Hermiticity, PSD and completeness rules on the
-    elements they give), so the swept round is never decomposed.  Its
-    floored spectrum is what the engine takes.  The first point is
-    checked before the other rounds are built, so a swept round bad there
-    fails first.  A closure error names the grid index and parameter
-    value of the first point that fails.
+    ``spectrum``: eigenvalues, and one eigenvector table the chunk
+    shares), and check_spectrum_stack checks it as check_povm_stack
+    checks an element stack (ascending eigenvalues, the table orthonormal
+    once, then the Hermiticity, PSD and completeness rules read from the
+    eigenvalues and the table), so the swept round is never decomposed
+    and forms no element matrix.  Its floored spectrum is what the
+    engine takes, rooting every point against the one table.  The first
+    point is checked before the other rounds are built, so a swept round
+    bad there fails first.  A closure error names the grid index and
+    parameter value of the first point that fails.
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep block")

@@ -82,13 +82,13 @@ def noisy_bell_spectrum(lams) -> tuple[np.ndarray, np.ndarray]:
     """The ascending eigendecomposition (w, v) of noisy_bell_stack(lams)
     in closed form: element n has eigenvalue (1 - lam)/4 on the three
     other Bell states and lam + (1 - lam)/4 on |bell_n>.  w has shape
-    (G, 4, 4); v, of shape (G, 4, 4, 4), is a read-only broadcast of one
-    real table, the same at every lambda."""
+    (G, 4, 4); v is the one read-only real table, of shape (1, 4, 4, 4),
+    that every lambda shares: the Bell basis does not depend on lambda."""
     lam = _lambdas(lams)
     w = np.empty((lam.size, 4, 4))
     w[...] = ((1.0 - lam) / 4.0)[:, None, None]
     w[..., 3] += lam[:, None]
-    return w, np.broadcast_to(_NOISY_BELL_VECTORS, (lam.size, 4, 4, 4))
+    return w, _NOISY_BELL_VECTORS[None]
 
 
 def noisy_bell_povm(lam: float) -> Povm:
@@ -167,9 +167,11 @@ class Family:
     round takes, the builder called with their values in that order, and,
     for a family swept over its one parameter, ``spectrum``, which turns
     an array of G values into the ascending eigendecomposition (w, v) of
-    the family's K elements at each, w of shape (G, K, D) and v of shape
-    (G, K, D, D), unchecked (the sweep checks it with
-    check_spectrum_stack)."""
+    the family's K elements at each: w of shape (G, K, D), and one
+    read-only eigenvector table v of shape (1, K, D, D) that every value
+    shares, since a swept family's eigenvectors do not depend on its
+    parameter.  It is unchecked; the sweep checks it with
+    check_spectrum_stack."""
 
     params: tuple[str, ...]
     build: Callable[..., Povm]

@@ -203,8 +203,11 @@ def _block_trace_norms(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def sqrt_from_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """V diag(sqrt(w)) V^dagger for spectra stacked on leading axes."""
-    return (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    """V diag(sqrt(w)) V^dagger for spectra stacked on leading axes; v's
+    leading axes broadcast against w's, so G spectra may share one table.
+    V^dagger is made contiguous: a transposed operand makes the batched
+    product about 2x slower on the sweep's stacks."""
+    return (v * np.sqrt(w)[..., None, :]) @ np.ascontiguousarray(np.swapaxes(v, -1, -2).conj())
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

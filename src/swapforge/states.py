@@ -160,10 +160,10 @@ def _check_elements(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return linalg.floor_eigh(w, v)
 
 
-def _check_completeness(m: np.ndarray) -> None:
-    """Raise unless the K elements of each POVM of the (..., K, D, D)
-    stack sum to the identity within COMPLETENESS_TOL."""
-    deviation = np.abs(m.sum(axis=-3) - np.eye(m.shape[-1])).max(axis=(-2, -1))
+def _check_completeness(sums: np.ndarray) -> None:
+    """Raise unless each POVM's element sum, one per matrix of the
+    (..., D, D) stack ``sums``, is the identity within COMPLETENESS_TOL."""
+    deviation = np.abs(sums - np.eye(sums.shape[-1])).max(axis=(-2, -1))
     if not (deviation <= COMPLETENESS_TOL).all():
         raise IncompletePovm(
             f"element sum deviates from identity by {deviation.max():.3e} "
@@ -251,7 +251,7 @@ class Povm:
         given = self.local_dim  # the check passed, so d >= 2: a given 1 disagrees too
         if given is not None and linalg._integer(given, BadDimension, "local dimension") != d:
             raise ShapeMismatch("element dimensions disagree with local_dim")
-        _check_completeness(stack)
+        _check_completeness(stack.sum(axis=0))
         els = tuple(PovmElement._of_checked_stack(*row) for row in zip(stack, *floored))
         object.__setattr__(self, "matrices", stack)
         object.__setattr__(self, "local_dim", d)
@@ -272,24 +272,29 @@ def check_povm_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim < 3:
         raise ShapeMismatch(f"expected a (..., K, D, D) stack, got shape {m.shape}")
     spectrum = _check_elements(m)
-    _check_completeness(m)
+    _check_completeness(m.sum(axis=-3))
     return spectrum
 
 
 def check_spectrum_stack(w, v) -> tuple[np.ndarray, np.ndarray]:
     """The checks check_povm_stack makes, for POVMs given by the ascending
     eigendecompositions of their elements, as a family's closed form
-    hands them over: ``w`` of shape (..., K, D) and ``v`` of shape
-    (..., K, D, D), eigenvector columns in the order of ``w``.  Raises
-    ShapeMismatch for shapes that do not fit, ValidationFailure unless
-    each w is ascending, each v orthonormal within HERM_TOL and each
-    V diag(w) V^dagger Hermitian within tolerance (so NaN and complex
-    eigenvalues fail), NotPsd for an eigenvalue below -PSD_TOL and
-    IncompletePovm unless each POVM's elements sum to the identity.
-    Returns the floored spectrum, as check_povm_stack does; nothing is
-    decomposed."""
+    hands them over: ``w`` of shape (..., K, D), and ``v`` of shape
+    (..., K, D, D) with eigenvector columns in the order of ``w``, either
+    one table per POVM or one table all of them share (leading sizes 1).
+    Raises ShapeMismatch, naming both shapes, for shapes that do not fit;
+    ValidationFailure unless each w is ascending, each table orthonormal
+    within HERM_TOL and each w real within the Hermiticity tolerance (with
+    V orthonormal, V diag(w) V^dagger is Hermitian exactly when w is real,
+    so NaN and complex eigenvalues fail); NotPsd for an eigenvalue below
+    -PSD_TOL; IncompletePovm unless each POVM's element sum, taken from
+    w and the eigenvector projectors in one product, is the identity.
+    No element matrix is formed and nothing is decomposed.  Returns the
+    floored spectrum, as check_povm_stack does, with v reversed once."""
     w, v = np.asarray(w), np.asarray(v)
-    if v.ndim < 3 or w.shape != v.shape[:-1]:
+    lead = w.shape[:-2]
+    shared = v.shape[:-3] == (1,) * len(lead)
+    if v.ndim < 3 or v.shape[-3:-1] != w.shape[-2:] or not (shared or v.shape[:-3] == lead):
         raise ShapeMismatch(
             f"expected (..., K, D) eigenvalues and (..., K, D, D) eigenvectors, "
             f"got shapes {w.shape} and {v.shape}"
@@ -298,19 +303,19 @@ def check_spectrum_stack(w, v) -> tuple[np.ndarray, np.ndarray]:
     # NaN passes here, and NaN and complex eigenvalues fail the Hermiticity rule
     if (np.diff(w.real, axis=-1) < 0.0).any():
         raise ValidationFailure("eigenvalues are not in ascending order")
-    # contiguous and in separate buffers, the batched products below run as
-    # BLAS gemm: a broadcast view, a transposed operand or one buffer handed
-    # in twice (syrk) makes them 3x slower on the sweep's stacks
-    v = np.ascontiguousarray(v)
-    vh = np.ascontiguousarray(np.swapaxes(v, -1, -2).conj())
-    defect = np.abs(vh @ v - np.eye(v.shape[-1])).max(initial=0.0)
+    vt = np.swapaxes(v, -1, -2)  # vt[..., k, i, :] is eigenvector i of element k
+    defect = np.abs(vt.conj() @ v - np.eye(v.shape[-1])).max(initial=0.0)
     if not defect <= HERM_TOL:  # NaN fails here too
         raise ValidationFailure(f"eigenvectors deviate from orthonormal by {defect:.3e}")
-    m = (v * w[..., None, :]) @ vh
-    _check_hermitian(m)
+    _check_hermitian(w[..., None, None])  # each eigenvalue a 1x1 matrix
     w = w.real  # within tolerance of real: the spectrum eigh reads of the Hermitian part
     linalg._require_psd(w)
-    _check_completeness(m)
+    # each POVM's element sum: its (K, D) eigenvalues times the K*D
+    # projectors |v_ki><v_ki|, one gemm over all rows of w for a shared table
+    k, dim = v.shape[-3:-1]
+    proj = (vt[..., :, None] * vt.conj()[..., None, :]).reshape(v.shape[:-3] + (k * dim, dim * dim))
+    rows = w.reshape(v.shape[:-3] + (prod(lead) if shared else 1, k * dim))
+    _check_completeness((rows @ proj).reshape(lead + (dim, dim)))
     return linalg.floor_eigh(w, v)
 
 

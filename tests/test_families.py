@@ -102,7 +102,7 @@ LAMBDA_GRIDS = {
 @pytest.mark.parametrize("grid", LAMBDA_GRIDS.values(), ids=LAMBDA_GRIDS)
 def test_noisy_bell_spectrum_rebuilds_the_stack(grid):
     w, v = noisy_bell_spectrum(grid)
-    assert w.shape == (len(grid), 4, 4) and v.shape == (len(grid), 4, 4, 4)
+    assert w.shape == (len(grid), 4, 4) and v.shape == (1, 4, 4, 4)  # one shared table
     assert v.dtype == np.float64 and not v.flags.writeable
     assert (np.diff(w, axis=-1) >= 0.0).all()
     rebuilt = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
@@ -322,5 +322,5 @@ def test_every_family_builds_from_exactly_its_declared_params(tmp_path, name):
     if family.spectrum is not None:  # a sweepable family has one parameter
         (param,) = family.params
         w, v = family.spectrum(np.array([params[param]] * 3))
-        rebuilt = (v[1] * w[1][..., None, :]) @ np.swapaxes(v[1], -1, -2).conj()
+        rebuilt = (v[0] * w[1][..., None, :]) @ np.swapaxes(v[0], -1, -2).conj()  # shared table
         np.testing.assert_allclose(rebuilt, build_family(name, params).matrices, rtol=0, atol=1e-15)

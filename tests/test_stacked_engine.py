@@ -8,6 +8,7 @@ stacked POVM sampler against repeated random_povm."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,13 +351,13 @@ def test_run_scenario_checks_each_round_once(tmp_path, monkeypatch):
     povms = [random_povm(rng, d=2, n_elements=k) for k in (3, 2, 4)]
     config = scenario_config(tmp_path, povms)
     checked = []
-    real = swapforge.states._check_completeness
+    real = swapforge.states._check_elements
 
     def spy(m):
         checked.append(m.shape)
-        real(m)
+        return real(m)
 
-    monkeypatch.setattr(swapforge.states, "_check_completeness", spy)
+    monkeypatch.setattr(swapforge.states, "_check_elements", spy)
     run_scenario(config)
     assert checked == [(3, 4, 4), (2, 4, 4), (4, 4, 4)]
 
@@ -407,8 +408,8 @@ def test_sweep_floors_the_shared_round_once_and_the_swept_round_per_chunk(monkey
 
     monkeypatch.setattr(swapforge.linalg, "floor_eigh", spy)
     sweep_rows(sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=11))
-    first, chunks = [(1, 4, 4, 4)], [(3, 4, 4, 4)] * 3 + [(2, 4, 4, 4)]
-    assert floored == first + [(2, 4, 4)] + chunks
+    # the swept round's table is shared by every point of a chunk: floored once each
+    assert floored == [(1, 4, 4, 4)] + [(2, 4, 4)] + [(1, 4, 4, 4)] * 4
 
 
 def test_run_scenario_takes_no_svd_concurrence_above_the_cutoff(tmp_path, monkeypatch):
@@ -434,11 +435,10 @@ def test_run_scenario_takes_no_svd_concurrence_above_the_cutoff(tmp_path, monkey
 def test_sweep_closure_error_names_the_grid_point(monkeypatch):
     # at lambda = 0.625, in the third two-point chunk, an outcome of
     # probability 2.5e-3 falls below prob_tol = 1e-2 with its two children
-    # the POVM there is tiny = 1e-2 |bell_0><bell_0| and three (I - tiny)/3
-    def fix(value, w, v):
-        if value == 0.625:
-            w[:] = [[0.0, 0.0, 0.0, 1e-2]] + [[(1.0 - 1e-2) / 3.0] + [1.0 / 3.0] * 3] * 3
-            v[1:] = BELL_STATES.real.T  # |bell_0> first: its eigenvalue is the smallest
+    # the POVM there is tiny = 1e-2 |bell_0><bell_0| and three (I - tiny)/3;
+    # on the shared table, |bell_0> is the first eigenvector of elements 1-3
+    def fix(values, w, v):
+        w[values == 0.625] = [[0.0, 0.0, 0.0, 1e-2]] + [[(1.0 - 1e-2) / 3.0] + [1.0 / 3.0] * 3] * 3
 
     patch_swept_spectrum(monkeypatch, fix)
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 2 * 8 * 16)
@@ -476,29 +476,31 @@ def test_lemma1_necessity_checks_each_branch_stack_once(monkeypatch):
     checked = []
     real = swapforge.states._check_completeness
 
-    def spy(m):
-        checked.append(m.shape)
-        real(m)
+    def spy(sums):
+        checked.append(sums.shape)
+        real(sums)
 
     monkeypatch.setattr(swapforge.states, "_check_completeness", spy)
     assert run_check("lemma1_necessity").passed
-    assert checked == [(50, 2, 4, 4)] * 200
+    assert checked == [(50, 4, 4)] * 200  # the element sums of 50 two-outcome POVMs
 
 
 def test_sweep_checks_only_the_swept_round_per_chunk(monkeypatch):
     # wire2_computational is a checked Povm, decomposed once per sweep;
-    # the swept noisy_bell spectrum is checked at the first point and per chunk
+    # the swept noisy_bell spectrum is checked at the first point and per
+    # chunk: the chunk's eigenvalues, and the one table its points share
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 3 * 8 * 16)
     checked = []
     real = swapforge.experiment.check_spectrum_stack
 
     def spy(w, v):
-        checked.append(v.shape)
+        checked.append((w.shape, v.shape))
         return real(w, v)
 
     monkeypatch.setattr(swapforge.experiment, "check_spectrum_stack", spy)
     sweep_rows(sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=11))
-    assert checked == [(1, 4, 4, 4), (3, 4, 4, 4), (3, 4, 4, 4), (3, 4, 4, 4), (2, 4, 4, 4)]
+    table = (1, 4, 4, 4)
+    assert checked == [((g, 4, 4), table) for g in (1, 3, 3, 3, 2)]
 
 
 def spy_on(monkeypatch, name):
@@ -520,15 +522,26 @@ def test_sweep_never_decomposes_the_swept_round(monkeypatch, steps, entries):
     # the swept noisy_bell round comes as a closed-form spectrum; the one
     # eigh is the PSD check of the shared wire2_computational Povm.  Every
     # partial transpose of the chain splits into two 2x2 blocks, whose
-    # trace norms are closed forms: no eigvalsh
+    # trace norms are closed forms: no eigvalsh.  Each check of the swept
+    # round gets the one table its points share
     if entries is not None:
         monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", entries)
     decomposed = spy_on(monkeypatch, "eigh")
     spectra = spy_on(monkeypatch, "eigvalsh")
+    tables = []
+    real = swapforge.experiment.check_spectrum_stack
+
+    def spy(w, v):
+        tables.append(v.shape)
+        return real(w, v)
+
+    monkeypatch.setattr(swapforge.experiment, "check_spectrum_stack", spy)
     rounds = [RoundSpec("noisy_bell"), RoundSpec("wire2_computational")]
     assert len(sweep_rows(sweep_config(rounds, steps))) == steps
     assert decomposed == [(2, 4, 4)]
     assert spectra == []
+    chunk = swapforge.experiment.STACK_ENTRIES // (8 * 16)  # 4 x 2 branches, d = 2
+    assert tables == [(1, 4, 4, 4)] * (1 + math.ceil(steps / chunk))  # the first point, each chunk
 
 
 def test_dense_partial_transposes_take_one_eigvalsh_each(tmp_path, monkeypatch):
@@ -864,13 +877,9 @@ SWEEP_ERROR_CODES = {
 }
 
 
-def break_spectrum(w, v, how):
-    """Break the POVM of one (K, D) and (K, D, D) spectrum in place.  A
-    spectrum has no Hermiticity of its own: "non-hermitian" makes an
-    eigenvector stray from the orthonormal basis instead."""
-    if how == "non-hermitian":
-        v[1, 0, 1] += 1e-6
-    elif how == "non-psd":
+def break_eigenvalues(w, how):
+    """Break the POVM of one (K, D) row of eigenvalues in place."""
+    if how == "non-psd":
         w[0] -= 1.0  # still complete and ascending, no longer PSD
         w[1] += 1.0
     elif how == "incomplete":
@@ -881,14 +890,14 @@ def break_spectrum(w, v, how):
 
 def patch_swept_spectrum(monkeypatch, fix):
     """Replace noisy_bell's spectrum by the closed form with
-    ``fix(w[g], v[g])`` applied in place at every grid point g."""
+    ``fix(values, w, v)`` applied in place to each chunk's eigenvalues w
+    and to a writable copy of its shared (1, K, D, D) table v."""
     real = swapforge.families.noisy_bell_spectrum
 
     def spectrum(values):
         w, v = real(values)
-        v = v.copy()  # a writable copy of the broadcast table
-        for g in range(len(w)):
-            fix(values[g], w[g], v[g])
+        v = v.copy()
+        fix(values, w, v)
         return w, v
 
     noisy_bell = dataclasses.replace(swapforge.families.FAMILIES["noisy_bell"], spectrum=spectrum)
@@ -897,11 +906,17 @@ def patch_swept_spectrum(monkeypatch, fix):
 
 def corrupt_sweep(monkeypatch, how, at):
     """Make the noisy_bell lambda spectrum break the POVM at the grid
-    value ``at``, and cut the sweep into chunks of two points."""
+    value ``at``, and cut the sweep into chunks of two points.  A spectrum
+    has no Hermiticity of its own: "non-hermitian" makes an eigenvector of
+    the table every value shares stray from the orthonormal basis, so the
+    sweep fails at its first point whatever ``at`` is."""
 
-    def fix(value, w, v):
-        if value == at:
-            break_spectrum(w, v, how)
+    def fix(values, w, v):
+        if how == "non-hermitian":
+            v[0, 1, 0, 1] += 1e-6
+        else:
+            for g in np.flatnonzero(values == at):
+                break_eigenvalues(w[g], how)
 
     patch_swept_spectrum(monkeypatch, fix)
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 2 * 8 * 16)
@@ -930,6 +945,42 @@ def test_cli_sweep_on_a_corrupted_swept_stack_exits_two(tmp_path, capsys, monkey
     assert main(["sweep", str(path)]) == 2
     assert f"error_code={SWEEP_ERROR_CODES[how]}\n" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_sweep_on_tables_that_do_not_fit_exits_two(tmp_path, capsys, monkeypatch):
+    # a family spectrum handing over two tables for one point's eigenvalues
+    def spectrum(values):
+        w, v = swapforge.families.noisy_bell_spectrum(values)
+        return w, np.concatenate([v, v])
+
+    noisy_bell = dataclasses.replace(swapforge.families.FAMILIES["noisy_bell"], spectrum=spectrum)
+    monkeypatch.setitem(swapforge.families.FAMILIES, "noisy_bell", noisy_bell)
+    doc = {
+        "rounds": [{"family": "noisy_bell"}],
+        "sweep": {"param_name": "lambda", "start": 0.0, "stop": 1.0, "steps": 5},
+        "outputs": {"csv_path": "sweep.csv"},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error_code=ShapeMismatch\n" in err and "(1, 4, 4) and (2, 4, 4, 4)" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "w_shape, v_shape",
+    [
+        ((3, 4, 4), (2, 4, 4, 4)),  # more points than tables, but not one table
+        ((1, 4, 4), (3, 4, 4, 4)),  # more tables than points
+        ((3, 4, 4), (3, 4, 4)),  # tables without the grid axis
+        ((3, 2, 4), (1, 4, 4, 4)),  # eigenvalues of two elements, tables of four
+    ],
+)
+def test_expand_names_both_shapes_of_a_spectrum_that_does_not_fit(w_shape, v_shape):
+    w, v = np.full(w_shape, 0.25), np.broadcast_to(np.eye(4), v_shape)
+    with pytest.raises(ShapeMismatch, match=re.escape(f"shapes {w_shape} and {v_shape} does not fit")):
+        next(swapforge.engine._expand(2, [(w, v)], 1e-12))
 
 
 def test_bad_first_swept_point_fails_before_the_other_rounds_are_built(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from swapforge.config import (
     SweepSpec,
     load_scenario_config,
 )
-from swapforge.engine import SwapScenario, initial_state, stacked_chain_negativities
+from swapforge.engine import SwapScenario, _expand, initial_state, stacked_chain_negativities
 from swapforge.errors import (
     BadDimension,
     BadIndex,
@@ -44,6 +45,7 @@ from swapforge.linalg import (
     partial_transpose,
     psd_sqrt,
     psd_sqrt_closed_2x2,
+    sqrt_from_spectrum,
 )
 from swapforge.measures import CUT_1_2, i_concurrence
 from swapforge.sampling import (
@@ -65,6 +67,7 @@ from swapforge.states import (
     read_povm,
     write_povm,
 )
+from swapforge.tolerances import PROB_TOL
 
 from conftest import rng_from
 
@@ -298,15 +301,21 @@ def _set(name, index, value):
 
 
 NOT_HERMITIAN = "POVM element is not Hermitian"
+SHAPES = "expected (..., K, D) eigenvalues and (..., K, D, D) eigenvectors, got shapes "
 # Each rule check_spectrum_stack applies, broken on the spectra of two noisy
-# Bell POVMs: the error class and the start of its message.
+# Bell POVMs (their eigenvalues, and the one table they share): the error
+# class and the start of its message.
 SPECTRUM_FAULTS = {
     "too few axes": (ShapeMismatch, "expected", lambda w, v: (w[0, 0], v[0, 0])),
     "w shape": (ShapeMismatch, "expected", lambda w, v: (w[..., :3], v)),
+    "3 tables, 2 points": (
+        ShapeMismatch, SHAPES + "(2, 4, 4) and (3, 4, 4, 4)", lambda w, v: (w, v.repeat(3, axis=0))
+    ),
+    "no grid axis": (ShapeMismatch, SHAPES + "(2, 4, 4) and (4, 4, 4)", lambda w, v: (w, v[0])),
     "v not square": (ShapeMismatch, "expected a square", lambda w, v: (w, v[..., :3])),
     "not d*d": (ShapeMismatch, "element dimension 3", lambda w, v: (w[..., :3], v[..., :3, :3])),
     "descending": (ValidationFailure, "eigenvalues are not", _descending),
-    "not orthonormal": (ValidationFailure, "eigenvectors deviate", _set("v", (1, 0, 0, 1), 0.7)),
+    "not orthonormal": (ValidationFailure, "eigenvectors deviate", _set("v", (0, 0, 0, 1), 0.7)),
     "nan eigenvector": (ValidationFailure, "eigenvectors deviate", _set("v", (0, 2, 1, 1), np.nan)),
     "nan eigenvalue": (ValidationFailure, NOT_HERMITIAN, _set("w", (0, 0, 0), np.nan)),
     "complex eigenvalue": (ValidationFailure, NOT_HERMITIAN, _set("w", (1, 3, 3), 0.6 + 1e-3j)),
@@ -315,8 +324,16 @@ SPECTRUM_FAULTS = {
 }
 
 
+# The rules of a spectrum alone, with no element matrix to break: a pair
+# whose shapes form no elements, the order of w and the table's
+# orthonormality (V diag(w) V^dagger is Hermitian PSD for any V)
+SPECTRUM_ONLY = {"w shape", "3 tables, 2 points", "no grid axis", "v not square", "descending",
+                 "not orthonormal"}
+
+
 @pytest.mark.parametrize("fault", SPECTRUM_FAULTS)
 def test_check_spectrum_stack_rejects_each_broken_rule(fault):
+    # and raises as check_povm_stack does on the elements V diag(w) V^dagger
     error, message, breaks = SPECTRUM_FAULTS[fault]
     w, v = noisy_bell_spectrum([0.3, 0.8])
     w, v = w.astype(complex), v.copy()  # writable, and w may take a complex eigenvalue
@@ -326,6 +343,9 @@ def test_check_spectrum_stack_rejects_each_broken_rule(fault):
     w, v = breaks(w, v) or (w, v)
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         check_spectrum_stack(w, v)
+    if fault not in SPECTRUM_ONLY:
+        with pytest.raises(error):
+            check_povm_stack((v * w[..., None, :]) @ np.swapaxes(v, -1, -2).conj())
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -334,6 +354,50 @@ def test_check_spectrum_stack_on_eigh_is_check_povm_stack(rng, d):
     stack = random_povm_stack(rng, 3, d=d, n_elements=3)
     for got, want in zip(check_spectrum_stack(*np.linalg.eigh(stack)), check_povm_stack(stack)):
         assert np.array_equal(got, want)
+
+
+def fixed_basis_spectrum(rng, d, grid, m=2):
+    """A seeded fixed-basis family on G points: (G, 2m, d*d) eigenvalues on
+    one complex (1, 2m, d*d, d*d) table.  Each of m random unitaries V is
+    the table of V diag(a) V^dagger / m and, its columns reversed so both
+    stay ascending, of V diag(1 - a) V^dagger / m, so each point's 2m
+    elements sum to the identity.  Every row a holds an exact zero and a
+    tie, and every other point's ends at exactly one, whose complement is
+    an exact zero too."""
+    dim = d * d
+    q, _ = np.linalg.qr(rng.normal(size=(m, dim, dim)) + 1j * rng.normal(size=(m, dim, dim)))
+    a = np.sort(rng.uniform(size=(grid, m, dim)), axis=-1)
+    a[..., 0] = 0.0
+    a[..., 1] = a[..., 2]
+    a[::2, :, -1] = 1.0
+    w = np.concatenate([a, (1.0 - a)[..., ::-1]], axis=1) / m
+    return w, np.concatenate([q, q[..., ::-1]])[None]
+
+
+SHARED_TABLES = {
+    "noisy_bell_edges": lambda rng: noisy_bell_spectrum([0.0, 1.0 / 3.0, 1.0]),
+    "noisy_bell_1001": lambda rng: noisy_bell_spectrum(np.linspace(0.0, 1.0, 1001)),
+    "fixed_basis_d2": lambda rng: fixed_basis_spectrum(rng, 2, 7),
+    "fixed_basis_d3": lambda rng: fixed_basis_spectrum(rng, 3, 5),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_TABLES)
+def test_shared_table_route_matches_the_materialized_route(rng, case):
+    # one (1, K, D, D) table for the whole grid, against its (G, K, D, D) copy
+    w, v = SHARED_TABLES[case](rng)
+    floored_w, floored_v = check_spectrum_stack(w, v)
+    assert np.array_equal(floored_w, floor_eigh(w, v)[0])
+    assert floored_v.shape == v.shape and np.array_equal(floored_v, v[..., ::-1])
+    full_w, full_v = check_spectrum_stack(w, np.broadcast_to(v, w.shape + w.shape[-1:]))
+    assert np.array_equal(full_w, floored_w) and full_v.shape == w.shape + w.shape[-1:]
+    roots = sqrt_from_spectrum(floored_w, floored_v)
+    np.testing.assert_allclose(roots, sqrt_from_spectrum(full_w, full_v), rtol=0, atol=1e-15)
+    d = isqrt(w.shape[-1])
+    x, weight = next(_expand(d, [(floored_w, floored_v)], PROB_TOL))
+    full_x, full_weight = next(_expand(d, [(full_w, full_v)], PROB_TOL))
+    np.testing.assert_allclose(x, full_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weight, full_weight, rtol=0, atol=1e-15)
 
 
 def test_povm_requires_completeness():
