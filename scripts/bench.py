@@ -16,9 +16,11 @@ built-in family, ``run_verification`` overall and per check (from the
 same runs), and ``import swapforge`` in a child interpreter.  Layers, each
 on the paper sweep's real d = 2 chunk and on a seeded complex d = 3 stack:
 the first round's check (the sweep's ``check_spectrum_stack`` of
-``noisy_bell_spectrum``, eigenvalues on one shared eigenvector table, and
-``check_povm_stack``), its ``_expand`` round, and ``_stacked_rho14`` and
-``_stacked_negativity`` of the last round's states; and the sweep's CSV
+``noisy_bell_spectrum``, eigenvalues on one shared eigenvector table, over
+one block of STACK_ENTRIES // 16 = 1024 grid points, the one check a
+1001-point sweep makes; and ``check_povm_stack``), its ``_expand`` round,
+and ``_stacked_rho14`` and ``_stacked_negativity`` of the last round's
+states; and the sweep's CSV
 formatting pass, timed as ``run_sweep`` on columns computed beforehand.
 The context records ``nproc``, versions, the BLAS environment variables
 and the git commit of the imported package (null outside a git checkout),
@@ -143,12 +145,15 @@ def commands(workdir: str, repeats: int) -> dict:
     return out
 
 
-def stack_layers(label: str, d: int, name: str, check, shared: list, repeats: int) -> dict:
+def stack_layers(label: str, d: int, name: str, check, shared: list, repeats: int,
+                 points: int | None = None) -> dict:
     """The stacked-engine layers on one chain: ``check()`` (timed as
     ``name``), which checks the first round and returns its floored
-    spectrum, that round's _expand round, and rho14 and negativity of the
-    last round's x after the ``shared`` element stacks."""
-    spectra = [check()] + [check_povm_stack(s) for s in shared]
+    spectrum, and on its first ``points`` grid points (all if None) that
+    round's _expand round, and rho14 and negativity of the last round's x
+    after the ``shared`` element stacks."""
+    w, v = check()
+    spectra = [(w[:points], v)] + [check_povm_stack(s) for s in shared]
     x = list(engine._expand(d, spectra, 1e-12))[-1][0]
     rho = engine._stacked_rho14(x)
     calls = {
@@ -162,11 +167,12 @@ def stack_layers(label: str, d: int, name: str, check, shared: list, repeats: in
 
 def layers(workdir: str, repeats: int) -> dict:
     chunk = engine.STACK_ENTRIES // (4 * 2 * 2**4)  # the sweep's chunk: 4 x 2 branches, d = 2
-    lams, rng = np.linspace(0.0, 1.0, chunk), np.random.default_rng(2501)
+    block = engine.STACK_ENTRIES // (4 * 4)  # the sweep's check: 4 x 4 eigenvalues a point
+    lams, rng = np.linspace(0.0, 1.0, block), np.random.default_rng(2501)
     swept = random_povm_stack(rng, 16, d=3, n_elements=3)  # 16 grid points, then a shared round
     out = stack_layers("real_d2", 2, "check_spectrum_stack",
                        lambda: check_spectrum_stack(*noisy_bell_spectrum(lams)),
-                       [wire2_computational_povm().matrices[None]], repeats)
+                       [wire2_computational_povm().matrices[None]], repeats, chunk)
     out |= stack_layers("complex_d3", 3, "check_povm_stack", lambda: check_povm_stack(swept),
                         [random_povm_stack(rng, 1, d=3, n_elements=2)], repeats)
     config = sweep_config(2001)

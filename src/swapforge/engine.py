@@ -240,12 +240,13 @@ def _stacked_rho14(x: np.ndarray) -> np.ndarray:
 
 def _stacked_negativity(rho: np.ndarray, d: int) -> np.ndarray:
     """Negativity of each rho14 of a (..., d^2, d^2) stack: the trace norm
-    of its wire-2 partial transpose, minus one, clamped at zero.  The trace
-    norms are taken block by block along the zero pattern the partial
-    transposes share (linalg._hermitian_trace_norms): the paper chain's
-    Bell-diagonal and X-shaped states split into two 2x2 blocks, each in
-    closed form, while a dense stack takes one eigvalsh call."""
-    value = linalg._hermitian_trace_norms(linalg._transpose_wire2(rho, d))
+    of its wire-2 partial transpose, minus one, clamped at zero, taken
+    block by block along the zero pattern the partial transposes share
+    (linalg._hermitian_trace_norms) and read from rho through their index
+    map, with no transposed copy: the paper chain's Bell-diagonal and
+    X-shaped states split into two 2x2 blocks, each in closed form, while
+    a dense stack takes one eigvalsh call."""
+    value = linalg._hermitian_trace_norms(rho, linalg._wire2_map(d))
     value -= 1.0
     return np.maximum(value, 0.0, out=value)
 
@@ -284,12 +285,13 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
 
     ``spectra[r]`` is the floored spectrum (w, v) the POVM check of round
     r returns (Povm.floored_spectrum, check_povm_stack, or
-    check_spectrum_stack on a family's closed form), so the loop only
-    takes roots.  w has shape (G_r, K_r, D), G_r being the number of grid
-    points G or 1 for a shared round, and v shape (G_r, K_r, D, D) or
-    (1, K_r, D, D), one eigenvector table the round's grid points share
-    (a swept family's): the roots broadcast it, and no per-point copy of
-    it is made.
+    check_spectrum_stack on a family's closed form, which a sweep checks
+    once per block of grid points and hands over a chunk's slice of), so
+    the loop only takes roots.  w has shape (G_r, K_r, D), G_r being the
+    number of grid points G or 1 for a shared round, and v shape
+    (G_r, K_r, D, D) or (1, K_r, D, D), one eigenvector table the round's
+    grid points share (a swept family's): the roots broadcast it, and no
+    per-point copy of it is made.
     Every grid point starts from ``start`` (the initial state if None).
     x[g, b, (k l), (i j)] holds branch b's normalized psi[i, k, l, j],
     branches in chain's depth-first order (x's leading axis is 1 while
@@ -303,7 +305,8 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
     float64 until a complex round or a complex ``start`` promotes it, and
     stays complex from then on.  A chain of real operators (the paper's
     noisy Bell and wire-2 rounds) thus runs in real arithmetic throughout,
-    and so do the rho14, negativity and Gram products taken from its x.
+    and so do the rho14 and Gram products taken from its x, and the
+    negativity, which reads rho14 in place (no transposed copy).
 
     Tie rule: near the cut, this route and ``chain``'s may disagree.
     Each computes a conditional probability its own way (a stacked root
@@ -370,18 +373,11 @@ def stacked_chain_negativities(
     which stay the reference: a branch whose conditional probability is
     below prob_tol (or PROB_TOL) gets zero weight and so do its
     descendants; both averages need their weights to sum to one within
-    PROB_SUM_TOL.  Negativity is the sum of |eigenvalues| of the Hermitian
-    partial transpose, minus one, taken block by block along the zero
-    pattern a stack's partial transposes share (_stacked_negativity): the
-    paper chain's need no eigendecomposition, a dense stack takes one
-    eigvalsh call.  Every stack is checked with
-    check_povm_stack, whose floored spectrum gives the element roots.
-    Rounds whose eigenvectors are exactly real keep the states, rho14
-    and partial transposes in float64 (``_expand``'s field rule); one
-    complex entry anywhere in a round, even at one grid point, makes
-    that round and all later ones complex.  A closure error names the
-    first grid point whose first- or last-round weights fail, and how
-    many of its last-round branches were kept.
+    PROB_SUM_TOL.  Negativity is _stacked_negativity's.  Every stack is
+    checked with check_povm_stack, whose floored spectrum gives the
+    element roots, in the field ``_expand``'s field rule sets.  A closure
+    error names the first grid point whose first- or last-round weights
+    fail, and how many of its last-round branches were kept.
     """
     spectra = [check_povm_stack(s) for s in element_stacks]
     return _chain_negativities(linalg._local_dim(local_dim), spectra, prob_tol)

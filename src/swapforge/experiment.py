@@ -81,20 +81,16 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     """The six CSV columns of the sweep as float64 arrays, in grid order.
 
     Rounds that do not own the swept parameter are built, decomposed and
-    floored once.  The grid goes through the stacked engine in chunks
-    sized so that no stacked array holds more than STACK_ENTRIES entries;
-    for each chunk the swept round's family hands over the closed-form
-    eigendecomposition of its elements at the chunk's values (its
-    ``spectrum``: eigenvalues, and one eigenvector table the chunk
-    shares), and check_spectrum_stack checks it as check_povm_stack
-    checks an element stack (ascending eigenvalues, the table orthonormal
-    once, then the Hermiticity, PSD and completeness rules read from the
-    eigenvalues and the table), so the swept round is never decomposed
-    and forms no element matrix.  Its floored spectrum is what the
-    engine takes, rooting every point against the one table.  The first
-    point is checked before the other rounds are built, so a swept round
-    bad there fails first.  A closure error names the grid index and
-    parameter value of the first point that fails.
+    floored once.  The swept round's family hands over its elements'
+    eigendecomposition in closed form (``spectrum``: K*D eigenvalues a
+    point, one eigenvector table all points share); check_spectrum_stack
+    checks it once per block of STACK_ENTRIES // (K*D) grid points, the
+    first block before the other rounds are built, and the round is never
+    decomposed.  The engine takes each block in chunks that keep every
+    stacked array within STACK_ENTRIES entries, rooting a chunk's slice
+    of the floored eigenvalues against the block's one table.  A closure
+    error names the grid index and parameter value of the first point
+    that fails.
     """
     if config.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -104,7 +100,8 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     if not len(grid):  # an empty grid from a config built in code
         return (grid,) * 6
     spectrum, param = FAMILIES[config.rounds[swept].family].spectrum, config.sweep.param_name
-    first = check_spectrum_stack(*spectrum(grid[:1]))
+    block = max(1, STACK_ENTRIES // spectrum(grid[:1])[0].size)  # w holds K*D entries a point
+    first = check_spectrum_stack(*spectrum(grid[:block]))
     spectra = [
         first if i == swept else _round_spectrum(config.build_round(i))
         for i in range(len(config.rounds))
@@ -112,13 +109,15 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     branches = prod(v.shape[1] for _, v in spectra)
     chunk = max(1, STACK_ENTRIES // (branches * d**4))
     parts = []
-    for start in range(0, len(grid), chunk):
+    for lo in range(0, len(grid), block):
+        w, v = first if lo == 0 else check_spectrum_stack(*spectrum(grid[lo : lo + block]))
+        for start in range(lo, lo + len(w), chunk):
 
-        def point(g: int) -> str:  # g indexes the chunk starting at grid index `start`
-            return f"grid index {start + g} ({param}={float(grid[start + g])!r})"
+            def point(g: int) -> str:  # g indexes the chunk starting at grid index `start`
+                return f"grid index {start + g} ({param}={float(grid[start + g])!r})"
 
-        spectra[swept] = check_spectrum_stack(*spectrum(grid[start : start + chunk]))
-        parts.append(_chain_negativities(d, spectra, config.prob_tol, point))
+            spectra[swept] = w[start - lo : start - lo + chunk], v
+            parts.append(_chain_negativities(d, spectra, config.prob_tol, point))
     avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
     nan = np.full(len(grid), math.nan)
     # each formula column reads the table at the exact chain its measured

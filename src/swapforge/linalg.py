@@ -9,6 +9,7 @@ functions are pure; inputs are never mutated.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -155,45 +156,53 @@ def _transpose_wire2(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (d, d, d, d)).swapaxes(-3, -1).reshape(m.shape)
 
 
-def _hermitian_trace_norms(m: np.ndarray) -> np.ndarray:
-    """Trace norm (the sum of |eigenvalues|) of each Hermitian matrix of a
-    (..., D, D) stack, block by block.
+@lru_cache(maxsize=None)
+def _wire2_map(d: int) -> np.ndarray:
+    """The read-only map with _transpose_wire2(m, d) == m.ravel()[map] for a (d*d, d*d) m."""
+    index = _transpose_wire2(np.arange(d**4).reshape(d * d, d * d), d)
+    index.setflags(write=False)
+    return index
 
-    The blocks are the connected components of the entries (symmetrized)
-    that are not exactly zero in some matrix of the stack.  Permuting rows
-    and columns alike makes every matrix block diagonal, so its spectrum
-    is the union of its blocks' spectra.  A 1x1 block [a] adds |a|, a 2x2
-    block [[a, b], [b*, c]] adds |e+| + |e-| = max(|a + c|, hypot(a - c,
-    2|b|)), and a larger one the sum of |eigvalsh| of its sub-stack.  An
-    entry that is not exactly zero only merges blocks; a dense stack is
-    one block, and one eigvalsh call on the whole stack.  The values, as
-    eigvalsh's, come from the real part of the diagonal and the lower
-    triangle.  A Hermitian matrix with a NaN or infinite entry gets NaN or
-    inf, never a finite value.
+
+def _hermitian_trace_norms(m: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+    """Trace norm (the sum of |eigenvalues|) of each Hermitian matrix of a
+    (..., D, D) stack or, given a (D, D) map ``index`` of flat indices
+    (_wire2_map), of the matrices m.reshape(..., D*D)[..., index], read
+    through the map with no permuted copy of the stack.
+
+    Block by block, as a matrix's spectrum is the union of its blocks':
+    the connected components of the entries (symmetrized) not exactly zero
+    in some matrix of the stack.  A 1x1 block [a] adds |a|, a 2x2 block
+    [[a, b], [b*, c]] adds |e+| + |e-| = max(|a + c|, hypot(a - c, 2|b|)),
+    a larger one the sum of |eigvalsh| of its gathered sub-stack; a dense
+    stack is one eigvalsh call, on m itself if there is no map.  The
+    values, as eigvalsh's, come from the real part of the diagonal and the
+    lower triangle; a NaN or infinite entry gives NaN or inf, never a
+    finite value.
     """
     dim = m.shape[-1]
-    reach = m.reshape(-1, dim, dim).any(axis=0)  # a NaN is not zero either
-    if reach.all():  # dense: one block
-        return _block_trace_norms(m, np.arange(dim))
+    flat = m.reshape(m.shape[:-2] + (dim * dim,))
+    at = np.arange(dim * dim).reshape(dim, dim) if index is None else index
+    reach = flat.reshape(-1, dim * dim).any(axis=0)[at]  # a NaN is not zero either
+    if reach.all():  # dense: one block, m itself if there is no map
+        return _block_trace_norms(flat, at, m if index is None else None)
     reach |= reach.T
     np.fill_diagonal(reach, True)
     for _ in range(dim.bit_length()):  # each product doubles the path length reached
         reach = reach @ reach
     lowest = reach.argmax(axis=1)  # each index's block, named by its lowest index
-    blocks = np.flatnonzero(lowest == np.arange(dim))
-    return sum(_block_trace_norms(m, np.flatnonzero(lowest == b)) for b in blocks)
+    blocks = (np.flatnonzero(lowest == b) for b in np.flatnonzero(lowest == np.arange(dim)))
+    return sum(_block_trace_norms(flat, at[idx[:, None], idx]) for idx in blocks)
 
 
-def _block_trace_norms(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The trace norms of the block on indices ``idx`` of each matrix of
-    the stack ``m``; see _hermitian_trace_norms."""
-    if len(idx) == 1:
-        return np.abs(m[..., idx[0], idx[0]].real)
-    if len(idx) == 2:
-        i, j = idx
-        a, c = m[..., i, i].real, m[..., j, j].real
-        return np.maximum(np.abs(a + c), np.hypot(a - c, 2.0 * np.abs(m[..., j, i])))
-    block = m if len(idx) == m.shape[-1] else m[..., idx[:, None], idx]
+def _block_trace_norms(flat: np.ndarray, at: np.ndarray, block: np.ndarray | None = None):
+    """Trace norms of flat[..., at] (``block``, if given); see _hermitian_trace_norms."""
+    if len(at) == 1:
+        return np.abs(flat[..., at[0, 0]].real)
+    if len(at) == 2:
+        a, c = flat[..., at[0, 0]].real, flat[..., at[1, 1]].real
+        return np.maximum(np.abs(a + c), np.hypot(a - c, 2.0 * np.abs(flat[..., at[1, 0]])))
+    block = flat[..., at] if block is None else block
     if np.isfinite(block).all():
         return np.abs(np.linalg.eigvalsh(block)).sum(axis=-1)
     # eigvalsh may give a finite spectrum for a NaN entry, or fail on it

@@ -138,14 +138,6 @@ def _check_element_shape(shape: tuple[int, ...]) -> None:
         raise ShapeMismatch(f"element dimension {dim} is not d*d for a local dimension d >= 2")
 
 
-def _check_hermitian(m: np.ndarray) -> None:
-    """Raise ValidationFailure unless each matrix of the stack is
-    Hermitian within tolerance; NaN and infinity fail."""
-    defect, allowed = _hermiticity(m)
-    if not (defect <= allowed).all():
-        raise ValidationFailure("POVM element is not Hermitian within tolerance")
-
-
 def _check_elements(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raise unless each matrix of the (..., D, D) stack is a POVM element:
     d*d square for a local dimension d >= 2, Hermitian within tolerance,
@@ -154,7 +146,9 @@ def _check_elements(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     returns the stack's floored spectrum (linalg.floor_eigh) from the one
     ``eigh`` the PSD rule reads."""
     _check_element_shape(m.shape)
-    _check_hermitian(m)
+    defect, allowed = _hermiticity(m)
+    if not (defect <= allowed).all():
+        raise ValidationFailure("POVM element is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
     linalg._require_psd(w)
     return linalg.floor_eigh(w, v)
@@ -162,11 +156,12 @@ def _check_elements(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_completeness(sums: np.ndarray) -> None:
     """Raise unless each POVM's element sum, one per matrix of the
-    (..., D, D) stack ``sums``, is the identity within COMPLETENESS_TOL."""
-    deviation = np.abs(sums - np.eye(sums.shape[-1])).max(axis=(-2, -1))
-    if not (deviation <= COMPLETENESS_TOL).all():
+    (..., D, D) stack ``sums``, is the identity within COMPLETENESS_TOL:
+    the largest deviation over the whole stack, one reduction, decides."""
+    deviation = np.abs(sums - np.eye(sums.shape[-1])).max(initial=0.0)
+    if not deviation <= COMPLETENESS_TOL:  # NaN fails here too
         raise IncompletePovm(
-            f"element sum deviates from identity by {deviation.max():.3e} "
+            f"element sum deviates from identity by {deviation:.3e} "
             f"(> {COMPLETENESS_TOL:.0e})"
         )
 
@@ -286,7 +281,7 @@ def check_spectrum_stack(w, v) -> tuple[np.ndarray, np.ndarray]:
     ValidationFailure unless each w is ascending, each table orthonormal
     within HERM_TOL and each w real within the Hermiticity tolerance (with
     V orthonormal, V diag(w) V^dagger is Hermitian exactly when w is real,
-    so NaN and complex eigenvalues fail); NotPsd for an eigenvalue below
+    so NaN, infinite and complex eigenvalues fail); NotPsd for one below
     -PSD_TOL; IncompletePovm unless each POVM's element sum, taken from
     w and the eigenvector projectors in one product, is the identity.
     No element matrix is formed and nothing is decomposed.  Returns the
@@ -307,7 +302,8 @@ def check_spectrum_stack(w, v) -> tuple[np.ndarray, np.ndarray]:
     defect = np.abs(vt.conj() @ v - np.eye(v.shape[-1])).max(initial=0.0)
     if not defect <= HERM_TOL:  # NaN fails here too
         raise ValidationFailure(f"eigenvectors deviate from orthonormal by {defect:.3e}")
-    _check_hermitian(w[..., None, None])  # each eigenvalue a 1x1 matrix
+    if not (np.isfinite(w) & (2.0 * np.abs(w.imag) <= HERM_TOL * np.fmax(np.abs(w), 1.0))).all():
+        raise ValidationFailure("POVM element is not Hermitian within tolerance")  # 1x1 rule
     w = w.real  # within tolerance of real: the spectrum eigh reads of the Hermitian part
     linalg._require_psd(w)
     # each POVM's element sum: its (K, D) eigenvalues times the K*D

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from swapforge.errors import BadIndex, NotHermitian, NotPsd, ShapeMismatch
 from swapforge.linalg import (
     _hermitian_trace_norms,
+    _transpose_wire2,
+    _wire2_map,
     floor_eigh,
     matrix_rank,
     partial_trace,
@@ -346,6 +348,57 @@ def test_hermitian_trace_norms_decompose_only_blocks_above_two(monkeypatch, rng)
     got = _hermitian_trace_norms(m)
     assert shapes == [(5, 3, 3)]
     np.testing.assert_allclose(got, np.abs(real(m)).sum(axis=-1), rtol=1e-14)
+
+
+@given(
+    seeds,
+    st.sampled_from([2, 3, 4]),
+    st.booleans(),
+    st.sampled_from(["blocks", "all zero", "dense", "nan", "inf", "inf diagonal"]),
+)
+def test_trace_norms_through_the_wire2_map_are_those_of_the_transposed_copy(
+    seed, d, complex_entries, case
+):
+    # pt's matrices split into blocks (dense in case "dense"); m is the
+    # stack whose wire-2 partial transposes they are
+    rng = rng_from(seed)
+    pt = block_diagonal_stack(rng, d, complex_entries)
+    if case == "all zero":
+        pt[:] = 0.0
+    if case == "dense":
+        g = rng.normal(size=pt.shape)
+        if complex_entries:
+            g = g + 1j * rng.normal(size=pt.shape)
+        pt += g + np.conj(np.swapaxes(g, -1, -2))
+    k, i, j = rng.integers(len(pt)), *rng.integers(d * d, size=2)
+    if case in ("nan", "inf"):  # a Hermitian entry, at (i, j) and (j, i)
+        pt[k, i, j] = pt[k, j, i] = np.nan if case == "nan" else np.inf
+    if case == "inf diagonal":
+        pt[k, i, i] = -np.inf
+    m = _transpose_wire2(pt, d)
+    got = _hermitian_trace_norms(m, _wire2_map(d))
+    assert np.array_equal(got, _hermitian_trace_norms(_transpose_wire2(m, d)), equal_nan=True)
+
+
+def test_dense_stack_without_a_map_goes_to_eigvalsh_as_itself(monkeypatch, rng):
+    g = random_complex(rng, 12, 4).reshape(3, 4, 4)
+    m = g + np.conj(np.swapaxes(g, -1, -2))
+    handed = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: handed.append(a) or real(a))
+    _hermitian_trace_norms(m)
+    assert len(handed) == 1 and handed[0] is m
+    del handed[:]
+    _hermitian_trace_norms(m, _wire2_map(2))  # the partial transposes, gathered
+    assert len(handed) == 1 and np.array_equal(handed[0], _transpose_wire2(m, 2))
+
+
+def test_wire2_map_is_the_partial_transpose_of_the_flat_indices():
+    for d in (2, 3):
+        flat = np.arange(d**4)
+        m = flat.reshape(d * d, d * d)
+        assert np.array_equal(_wire2_map(d), partial_transpose(m, (d, d), 1))
+        assert _wire2_map(d) is _wire2_map(d) and not _wire2_map(d).flags.writeable
 
 
 def test_matrix_rank_values(rng):

@@ -397,7 +397,8 @@ def test_run_scenario_floors_each_round_once(tmp_path, monkeypatch):
     assert floored == [(3, 4, 4), (2, 4, 4), (4, 4, 4)]
 
 
-def test_sweep_floors_the_shared_round_once_and_the_swept_round_per_chunk(monkeypatch):
+def test_sweep_floors_the_shared_round_once_and_the_swept_round_per_block(monkeypatch):
+    # blocks of 384 // 16 = 24 points (4 x 4 eigenvalues each): 24, 24 and 2
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 3 * 8 * 16)
     floored = []
     real = swapforge.linalg.floor_eigh
@@ -407,9 +408,9 @@ def test_sweep_floors_the_shared_round_once_and_the_swept_round_per_chunk(monkey
         return real(w, v)
 
     monkeypatch.setattr(swapforge.linalg, "floor_eigh", spy)
-    sweep_rows(sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=11))
-    # the swept round's table is shared by every point of a chunk: floored once each
-    assert floored == [(1, 4, 4, 4)] + [(2, 4, 4)] + [(1, 4, 4, 4)] * 4
+    sweep_rows(sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=50))
+    # the swept round's table is shared by every point of a block: floored once each
+    assert floored == [(1, 4, 4, 4)] + [(2, 4, 4)] + [(1, 4, 4, 4)] * 2
 
 
 def test_run_scenario_takes_no_svd_concurrence_above_the_cutoff(tmp_path, monkeypatch):
@@ -485,10 +486,11 @@ def test_lemma1_necessity_checks_each_branch_stack_once(monkeypatch):
     assert checked == [(50, 4, 4)] * 200  # the element sums of 50 two-outcome POVMs
 
 
-def test_sweep_checks_only_the_swept_round_per_chunk(monkeypatch):
+def test_sweep_checks_only_the_swept_round_per_block(monkeypatch):
     # wire2_computational is a checked Povm, decomposed once per sweep;
-    # the swept noisy_bell spectrum is checked at the first point and per
-    # chunk: the chunk's eigenvalues, and the one table its points share
+    # the swept noisy_bell spectrum is checked once per block of 24 points
+    # (of 3-point engine chunks): the block's eigenvalues, and the one
+    # table its points share
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 3 * 8 * 16)
     checked = []
     real = swapforge.experiment.check_spectrum_stack
@@ -498,9 +500,9 @@ def test_sweep_checks_only_the_swept_round_per_chunk(monkeypatch):
         return real(w, v)
 
     monkeypatch.setattr(swapforge.experiment, "check_spectrum_stack", spy)
-    sweep_rows(sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=11))
+    sweep_rows(sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=50))
     table = (1, 4, 4, 4)
-    assert checked == [((g, 4, 4), table) for g in (1, 3, 3, 3, 2)]
+    assert checked == [((g, 4, 4), table) for g in (24, 24, 2)]
 
 
 def spy_on(monkeypatch, name):
@@ -517,13 +519,15 @@ def spy_on(monkeypatch, name):
     return shapes
 
 
-@pytest.mark.parametrize("steps,entries", [(11, 3 * 8 * 16), (1001, None)])
+@pytest.mark.parametrize("steps,entries", [(11, 3 * 8 * 16), (50, 3 * 8 * 16), (1001, None)])
 def test_sweep_never_decomposes_the_swept_round(monkeypatch, steps, entries):
     # the swept noisy_bell round comes as a closed-form spectrum; the one
     # eigh is the PSD check of the shared wire2_computational Povm.  Every
     # partial transpose of the chain splits into two 2x2 blocks, whose
-    # trace norms are closed forms: no eigvalsh.  Each check of the swept
-    # round gets the one table its points share
+    # trace norms are closed forms: no eigvalsh.  The swept round is
+    # checked once per block of STACK_ENTRIES // 16 points (4 x 4
+    # eigenvalues each), one check for the 1001-point grid, and each
+    # check gets the one table its points share
     if entries is not None:
         monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", entries)
     decomposed = spy_on(monkeypatch, "eigh")
@@ -540,8 +544,43 @@ def test_sweep_never_decomposes_the_swept_round(monkeypatch, steps, entries):
     assert len(sweep_rows(sweep_config(rounds, steps))) == steps
     assert decomposed == [(2, 4, 4)]
     assert spectra == []
-    chunk = swapforge.experiment.STACK_ENTRIES // (8 * 16)  # 4 x 2 branches, d = 2
-    assert tables == [(1, 4, 4, 4)] * (1 + math.ceil(steps / chunk))  # the first point, each chunk
+    block = swapforge.experiment.STACK_ENTRIES // 16
+    assert tables == [(1, 4, 4, 4)] * math.ceil(steps / block)
+
+
+def test_paper_sweep_makes_no_transposed_copy(monkeypatch):
+    # the negativities read rho14 through the partial transpose's index
+    # map, itself built once per d from one (d^2, d^2) index matrix
+    swapforge.linalg._wire2_map(2)
+    copies = []
+    real = swapforge.linalg._transpose_wire2
+    monkeypatch.setattr(
+        swapforge.linalg, "_transpose_wire2", lambda m, d: copies.append(m.shape) or real(m, d)
+    )
+    rounds = [RoundSpec("noisy_bell"), RoundSpec("wire2_computational")]
+    assert len(sweep_rows(sweep_config(rounds, 1001))) == 1001
+    assert copies == []
+
+
+def test_long_sweep_checks_blocks_of_at_most_stack_entries(tmp_path, monkeypatch):
+    # 2001 points check in blocks of 1024 and 977, each within STACK_ENTRIES;
+    # blocks of 16 points and chunks of 2 write the same bytes
+    checked = []
+    real = swapforge.experiment.check_spectrum_stack
+
+    def spy(w, v):
+        checked.append(np.shape(w))
+        return real(w, v)
+
+    monkeypatch.setattr(swapforge.experiment, "check_spectrum_stack", spy)
+    config = sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], 2001)
+    run_sweep(config, csv_path=str(tmp_path / "blocks.csv"))
+    assert checked == [(1024, 4, 4), (977, 4, 4)]
+    assert max(math.prod(shape) for shape in checked) <= swapforge.experiment.STACK_ENTRIES
+    monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 2 * 8 * 16)
+    run_sweep(config, csv_path=str(tmp_path / "small.csv"))
+    assert len(checked) == 2 + math.ceil(2001 / 16)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "small.csv").read_bytes()
 
 
 def test_dense_partial_transposes_take_one_eigvalsh_each(tmp_path, monkeypatch):
@@ -906,7 +945,8 @@ def patch_swept_spectrum(monkeypatch, fix):
 
 def corrupt_sweep(monkeypatch, how, at):
     """Make the noisy_bell lambda spectrum break the POVM at the grid
-    value ``at``, and cut the sweep into chunks of two points.  A spectrum
+    value ``at``, and cut the sweep into blocks of 16 points (256 // 16
+    eigenvalues) checked one at a time, and chunks of two.  A spectrum
     has no Hermiticity of its own: "non-hermitian" makes an eigenvector of
     the table every value shares stray from the orthonormal basis, so the
     sweep fails at its first point whatever ``at`` is."""
@@ -922,10 +962,10 @@ def corrupt_sweep(monkeypatch, how, at):
     monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", 2 * 8 * 16)
 
 
-@pytest.mark.parametrize("at", [0.0, 0.625])  # the first point, a later chunk
+@pytest.mark.parametrize("at", [0.0, 0.625])  # the first point, grid index 20 in the second block
 @pytest.mark.parametrize("how,error", CORRUPTIONS)
 def test_corrupted_swept_stack_raises_through_sweep_rows(monkeypatch, how, error, at):
-    config = sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=9)
+    config = sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=33)
     sweep_rows(config)
     corrupt_sweep(monkeypatch, how, at)
     with pytest.raises(error):
@@ -936,19 +976,20 @@ def test_corrupted_swept_stack_raises_through_sweep_rows(monkeypatch, how, error
 def test_cli_sweep_on_a_corrupted_swept_stack_exits_two(tmp_path, capsys, monkeypatch, how):
     doc = {
         "rounds": [{"family": "noisy_bell"}, {"family": "wire2_computational"}],
-        "sweep": {"param_name": "lambda", "start": 0.0, "stop": 1.0, "steps": 9},
+        "sweep": {"param_name": "lambda", "start": 0.0, "stop": 1.0, "steps": 33},
         "outputs": {"csv_path": "sweep.csv"},
     }
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    corrupt_sweep(monkeypatch, how, 0.625)
+    corrupt_sweep(monkeypatch, how, 0.625)  # in the second block
     assert main(["sweep", str(path)]) == 2
     assert f"error_code={SWEEP_ERROR_CODES[how]}\n" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_cli_sweep_on_tables_that_do_not_fit_exits_two(tmp_path, capsys, monkeypatch):
-    # a family spectrum handing over two tables for one point's eigenvalues
+    # a family spectrum handing over two tables for the eigenvalues of
+    # one block, here all five points
     def spectrum(values):
         w, v = swapforge.families.noisy_bell_spectrum(values)
         return w, np.concatenate([v, v])
@@ -964,7 +1005,7 @@ def test_cli_sweep_on_tables_that_do_not_fit_exits_two(tmp_path, capsys, monkeyp
     path.write_text(json.dumps(doc))
     assert main(["sweep", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "error_code=ShapeMismatch\n" in err and "(1, 4, 4) and (2, 4, 4, 4)" in err
+    assert "error_code=ShapeMismatch\n" in err and "(5, 4, 4) and (2, 4, 4, 4)" in err
     assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -348,6 +348,16 @@ def test_check_spectrum_stack_rejects_each_broken_rule(fault):
             check_povm_stack((v * w[..., None, :]) @ np.swapaxes(v, -1, -2).conj())
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_check_spectrum_stack_rejects_an_infinite_eigenvalue(value):
+    # kept out of SPECTRUM_FAULTS: the element matrices of an infinite
+    # eigenvalue take inf * 0, which warns before check_povm_stack sees them
+    w, v = noisy_bell_spectrum([0.3, 0.8])
+    w[1, 2, 3 if value > 0 else 0] = value  # still ascending
+    with pytest.raises(ValidationFailure, match=f"^{NOT_HERMITIAN}"):
+        check_spectrum_stack(w, v)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_check_spectrum_stack_on_eigh_is_check_povm_stack(rng, d):
     # the spectral check takes a complex eigh as it comes and floors it alone
