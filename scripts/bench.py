@@ -20,8 +20,10 @@ the first round's check (the sweep's ``check_spectrum_stack`` of
 one block of STACK_ENTRIES // 16 = 1024 grid points, the one check a
 1001-point sweep makes; and ``check_povm_stack``), its ``_expand`` round,
 and ``_stacked_rho14`` and ``_stacked_negativity`` of the last round's
-states; and the sweep's CSV
-formatting pass, timed as ``run_sweep`` on columns computed beforehand.
+states; the sweep's CSV formatting pass, timed as ``run_sweep`` on
+columns computed beforehand; and ``build.<family>``, each built-in
+family's Povm construction: its ``FAMILIES`` builder called with the
+parameters of its ``run_scenario`` round.
 The context records ``nproc``, versions, the BLAS environment variables
 and the git commit of the imported package (null outside a git checkout),
 and ``probe`` the probe's samples.  The JSON document's key set is fixed.
@@ -183,6 +185,10 @@ def layers(workdir: str, repeats: int) -> dict:
         out["csv_format_2001"] = timed(lambda: experiment.run_sweep(config, csv), repeats, True)
     finally:
         experiment._sweep_columns = compute
+    for name, params in FAMILY_ROUNDS.items():  # the file round's POVM is commands()'s
+        args = [os.path.join(workdir, params[p]) if p == "path" else params[p]
+                for p in FAMILIES[name].params]
+        out[f"build.{name}"] = timed(lambda b=FAMILIES[name].build, a=args: b(*a), repeats, True)
     return out
 
 

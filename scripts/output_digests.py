@@ -131,12 +131,14 @@ SEPARABLE_ELEMENTS = [
 def family_run_digests(workdir: str):
     """Run reports over built-in families at points where every round's
     spectrum is degenerate: noisy Bell at lambda = 0, 1/3 and 1, each
-    followed by wire2_computational, and one separable_product round."""
+    followed by wire2_computational, one bell_projective round, and one
+    separable_product round."""
     wire2 = RoundSpec("wire2_computational")
     scenarios = [
         (f"noisy_bell lambda={label}", (RoundSpec("noisy_bell", {"lambda": lam}), wire2))
         for label, lam in (("0", 0.0), ("1/3", 1.0 / 3.0), ("1", 1.0))
     ]
+    scenarios.append(("bell_projective", (RoundSpec("bell_projective"),)))
     scenarios.append(
         ("separable_product", (RoundSpec("separable_product", {"elements": SEPARABLE_ELEMENTS}),))
     )

@@ -80,13 +80,13 @@ CLOSED_FORMS = {
 def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     """The six CSV columns of the sweep as float64 arrays, in grid order.
 
-    Rounds that do not own the swept parameter are built, decomposed and
-    floored once.  The swept round's family hands over its elements'
-    eigendecomposition in closed form (``spectrum``: K*D eigenvalues a
-    point, one eigenvector table all points share); check_spectrum_stack
-    checks it once per block of STACK_ENTRIES // (K*D) grid points, the
-    first block before the other rounds are built, and the round is never
-    decomposed.  The engine takes each block in chunks that keep every
+    Rounds that do not own the swept parameter are built, checked and
+    floored once (a built-in family's from its closed form).  The swept
+    round's family hands over its elements' eigendecomposition in closed
+    form (``spectrum``: K*D eigenvalues a point, one eigenvector table all
+    points share); check_spectrum_stack checks it once per block of
+    STACK_ENTRIES // (K*D) grid points, the first block before the other
+    rounds are built, and the round is never decomposed.  The engine takes each block in chunks that keep every
     stacked array within STACK_ENTRIES entries, rooting a chunk's slice
     of the floored eigenvalues against the block's one table.  A closure
     error names the grid index and parameter value of the first point

@@ -1,7 +1,9 @@
 """Constructors for the parametric measurement families used by the
 protocol: the white-noise Bell measurement, the Bell projective basis,
 the single-wire computational measurement, and separable product
-operations built from single-qubit factors.
+operations built from single-qubit factors.  The first three are built
+from their closed-form spectra, each formula's one home, so a run and a
+sweep root the same spectra and neither decomposes them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "build_family",
     "noisy_bell_povm",
     "noisy_bell_spectrum",
-    "noisy_bell_stack",
     "separable_product_povm",
     "single_qubit_element",
     "single_qubit_residual_concurrence",
@@ -47,9 +48,6 @@ BELL_STATES = np.array(
 )
 BELL_STATES.setflags(write=False)
 
-
-_BELL_PROJECTORS = BELL_STATES[:, :, None] * BELL_STATES.conj()[:, None, :]
-
 # The eigenvectors of noisy Bell element n as columns, in ascending order
 # of their eigenvalues: the three other Bell states, then |bell_n>.  Real,
 # so the swept round's roots and branch states stay float64.
@@ -57,34 +55,24 @@ _NOISY_BELL_VECTORS = BELL_STATES.real[[[m for m in range(4) if m != n] + [n] fo
 _NOISY_BELL_VECTORS = _NOISY_BELL_VECTORS.swapaxes(-1, -2).copy()
 _NOISY_BELL_VECTORS.setflags(write=False)
 
+# The eigenvectors of |i><i| x I as columns, for eigenvalues (0, 0, 1, 1):
+# the computational states with wire-2 value 1 - i, then i.  Exact, real.
+_WIRE2_VECTORS = np.eye(4)[[[[2, 3, 0, 1], [0, 1, 2, 3]]]].swapaxes(-1, -2).copy()
+_WIRE2_VECTORS.setflags(write=False)
 
-def _lambdas(lams) -> np.ndarray:
-    """``lams`` as a flat float array; raises BadParameter naming the
-    first value outside [0, 1]."""
+
+def noisy_bell_spectrum(lams) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigendecomposition (w, v) of the white-noise Bell
+    elements lam |bell_n><bell_n| + (1 - lam)/4 I, one POVM per lambda:
+    eigenvalue (1 - lam)/4 on the three other Bell states and
+    lam + (1 - lam)/4 on |bell_n>.  w has shape
+    (G, 4, 4); v is the one read-only real table, of shape (1, 4, 4, 4),
+    that every lambda shares: the Bell basis does not depend on lambda.
+    Raises BadParameter naming the first lambda outside [0, 1]."""
     lam = np.asarray(lams, dtype=float).reshape(-1)
     inside = (lam >= 0.0) & (lam <= 1.0)  # NaN falls outside
     if not inside.all():
         raise BadParameter(f"lambda must lie in [0, 1], got {float(lam[~inside][0])!r}")
-    return lam
-
-
-def noisy_bell_stack(lams) -> np.ndarray:
-    """Bell measurement mixed with white noise, one POVM per lambda, as a
-    (G, 4, 4, 4) element stack: element n of POVM g is
-    lams[g] * |bell_n><bell_n| + (1 - lams[g])/4 * I."""
-    lam = _lambdas(lams)[:, None, None, None]
-    stack = lam * _BELL_PROJECTORS
-    stack += (1.0 - lam) / 4.0 * np.eye(4, dtype=complex)
-    return stack
-
-
-def noisy_bell_spectrum(lams) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending eigendecomposition (w, v) of noisy_bell_stack(lams)
-    in closed form: element n has eigenvalue (1 - lam)/4 on the three
-    other Bell states and lam + (1 - lam)/4 on |bell_n>.  w has shape
-    (G, 4, 4); v is the one read-only real table, of shape (1, 4, 4, 4),
-    that every lambda shares: the Bell basis does not depend on lambda."""
-    lam = _lambdas(lams)
     w = np.empty((lam.size, 4, 4))
     w[...] = ((1.0 - lam) / 4.0)[:, None, None]
     w[..., 3] += lam[:, None]
@@ -92,8 +80,8 @@ def noisy_bell_spectrum(lams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def noisy_bell_povm(lam: float) -> Povm:
-    """The white-noise Bell measurement at one lambda (see noisy_bell_stack)."""
-    return Povm(noisy_bell_stack([float(lam)])[0], local_dim=2)
+    """The white-noise Bell measurement at one lambda (see noisy_bell_spectrum)."""
+    return Povm._of_spectrum(*noisy_bell_spectrum([float(lam)]))
 
 
 def bell_projective() -> Povm:
@@ -104,10 +92,7 @@ def bell_projective() -> Povm:
 def wire2_computational_povm() -> Povm:
     """Computational-basis measurement of wire 2 alone, written on the
     full (2,3) pair: E1 = |0><0| x I, E2 = |1><1| x I (rank two each)."""
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    eye = np.eye(2, dtype=complex)
-    return Povm([np.kron(p0, eye), np.kron(p1, eye)], local_dim=2)
+    return Povm._of_spectrum(np.array([[[0.0, 0.0, 1.0, 1.0]] * 2]), _WIRE2_VECTORS)
 
 
 def _is_finite_number(value) -> bool:
@@ -169,9 +154,8 @@ class Family:
     an array of G values into the ascending eigendecomposition (w, v) of
     the family's K elements at each: w of shape (G, K, D), and one
     read-only eigenvector table v of shape (1, K, D, D) that every value
-    shares, since a swept family's eigenvectors do not depend on its
-    parameter.  It is unchecked; the sweep checks it with
-    check_spectrum_stack."""
+    shares.  It is unchecked; the sweep checks it with check_spectrum_stack,
+    and ``build`` hands the same closed form to Povm._of_spectrum."""
 
     params: tuple[str, ...]
     build: Callable[..., Povm]

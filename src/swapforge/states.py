@@ -1,8 +1,8 @@
 """Validated quantum states, POVMs, and the POVM file format.
 
-A POVM element's floored spectrum comes from its check, the one place
-an element stack is decomposed: its own check for a standalone
-PovmElement, its Povm's for the elements of a Povm.
+A POVM element's floored spectrum comes from its check: its own for a
+standalone PovmElement, its Povm's for the elements of a Povm (one eigh
+of a matrix stack, none of a family's closed-form spectrum).
 Only the PSD square root is computed on first read.  Everything is
 read-only after validation, so instances are safe to share across
 threads.
@@ -247,9 +247,23 @@ class Povm:
         if given is not None and linalg._integer(given, BadDimension, "local dimension") != d:
             raise ShapeMismatch("element dimensions disagree with local_dim")
         _check_completeness(stack.sum(axis=0))
+        self._keep(stack, floored)
+
+    @classmethod
+    def _of_spectrum(cls, w: np.ndarray, v: np.ndarray) -> "Povm":
+        """The Povm of a family's closed-form spectrum (w, v) of shapes
+        (1, K, D) and (1, K, D, D): check_spectrum_stack checks it, its
+        floor is kept, ``matrices`` is V diag(w) V^dagger, and no eigh runs."""
+        floored = _read_only(*(a[0] for a in check_spectrum_stack(w, v)))
+        povm = object.__new__(cls)
+        povm._keep(_frozen(((v * w[..., None, :]) @ np.swapaxes(v, -1, -2).conj())[0]), floored)
+        return povm
+
+    def _keep(self, stack: np.ndarray, floored: tuple[np.ndarray, np.ndarray]) -> None:
+        # a checked read-only (K, D, D) stack and its read-only floored spectrum
         els = tuple(PovmElement._of_checked_stack(*row) for row in zip(stack, *floored))
         object.__setattr__(self, "matrices", stack)
-        object.__setattr__(self, "local_dim", d)
+        object.__setattr__(self, "local_dim", isqrt(stack.shape[-1]))
         object.__setattr__(self, "floored_spectrum", floored)
         object.__setattr__(self, "elements", els)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from swapforge.families import BELL_STATES
 from swapforge.states import PureState
 
 settings.register_profile(
@@ -41,3 +42,13 @@ def element_swap_state(el) -> PureState:
     psi = np.einsum("k,kil,kjm->ijml", np.sqrt(el.spectral[0]), a.conj(), a).reshape(-1)
     d = el.local_dim
     return PureState(psi / np.linalg.norm(psi), (d, d, d, d))
+
+
+def noisy_bell_matrices(lams) -> np.ndarray:
+    """The white-noise Bell measurement's elements, one POVM per lambda,
+    as a (G, 4, 4, 4) stack built from BELL_STATES, apart from the
+    family's closed-form spectrum: element n of POVM g is
+    lams[g] |bell_n><bell_n| + (1 - lams[g])/4 I."""
+    lam = np.asarray(lams, dtype=float).reshape(-1, 1, 1, 1)
+    projectors = BELL_STATES[:, :, None] * BELL_STATES.conj()[:, None, :]
+    return lam * projectors + (1.0 - lam) / 4.0 * np.eye(4)

@@ -32,7 +32,7 @@ from swapforge.sampling import (
 )
 from swapforge.states import Povm, PovmElement
 
-from conftest import rng_from
+from conftest import noisy_bell_matrices, rng_from
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -264,7 +264,10 @@ def test_rank_and_root_read_one_floored_spectrum():
 
 
 def test_classify_element_reads_the_spectrum_its_check_took(monkeypatch):
-    el = noisy_bell_povm(0.4).elements[0]
+    # a Povm of matrices, whose check takes the eigh classify_stack takes
+    # (noisy_bell_povm's closed-form table is another basis of its
+    # degenerate eigenspace, which moves c14vs23 in the last bits)
+    el = Povm(noisy_bell_matrices([0.4])[0], local_dim=2).elements[0]
     expected = classify_stack(el.matrix[None])[0]
     calls = []
     real = np.linalg.eigh

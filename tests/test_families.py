@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from swapforge.classify import classify_measurement
+from swapforge.config import RoundSpec, ScenarioConfig
 from swapforge.engine import SwapScenario, chain
 from swapforge.errors import BadParameter, IncompletePovm, ZeroTrace
+from swapforge.experiment import run_scenario
 from swapforge.families import (
     BELL_STATES,
     FAMILIES,
@@ -16,7 +18,6 @@ from swapforge.families import (
     build_family,
     noisy_bell_povm,
     noisy_bell_spectrum,
-    noisy_bell_stack,
     separable_product_povm,
     single_qubit_element,
     single_qubit_residual_concurrence,
@@ -33,7 +34,7 @@ from swapforge.states import (
     write_povm,
 )
 
-from conftest import rng_from
+from conftest import noisy_bell_matrices, rng_from
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -69,12 +70,19 @@ def test_noisy_bell_rejects_out_of_range():
             noisy_bell_povm(lam)
 
 
-def test_noisy_bell_stack_is_the_per_point_povm_bit_for_bit():
-    grid = np.linspace(0.0, 1.0, 1001)
-    per_point = np.stack([[el.matrix for el in noisy_bell_povm(lam).elements] for lam in grid])
-    stack = noisy_bell_stack(grid)
-    assert stack.shape == (1001, 4, 4, 4)
-    assert np.array_equal(stack, per_point)
+def one_round_report(family: str, params: dict) -> dict:
+    return run_scenario(ScenarioConfig(local_dim=2, rounds=(RoundSpec(family, params),)))
+
+
+def test_one_round_noisy_bell_at_0_2_keeps_no_negativity():
+    # lambda = 0.2 < 1/3: every branch state is separable, and on the
+    # closed-form roots a run reads its negativity as exactly zero
+    report = one_round_report("noisy_bell", {"lambda": 0.2})
+    assert [branch["negativity14"] for branch in report["branches"]] == [0.0] * 4
+
+
+def test_bell_projective_alone_averages_exactly_one():
+    assert one_round_report("bell_projective", {})["average_negativity"] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -87,9 +95,8 @@ def test_noisy_bell_stack_is_the_per_point_povm_bit_for_bit():
 )
 def test_noisy_bell_stack_names_the_first_bad_lambda(lams, named):
     message = rf"^lambda must lie in \[0, 1\], got {re.escape(named)}$"
-    for build in (noisy_bell_stack, noisy_bell_spectrum):
-        with pytest.raises(BadParameter, match=message):
-            build(np.array(lams))
+    with pytest.raises(BadParameter, match=message):
+        noisy_bell_spectrum(np.array(lams))
 
 
 # the separable edge, both ends, and the 1001-point paper grid
@@ -106,7 +113,7 @@ def test_noisy_bell_spectrum_rebuilds_the_stack(grid):
     assert v.dtype == np.float64 and not v.flags.writeable
     assert (np.diff(w, axis=-1) >= 0.0).all()
     rebuilt = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
-    np.testing.assert_allclose(rebuilt, noisy_bell_stack(grid), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rebuilt, noisy_bell_matrices(grid), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("grid", LAMBDA_GRIDS.values(), ids=LAMBDA_GRIDS)
@@ -114,7 +121,7 @@ def test_noisy_bell_spectrum_floors_and_roots_like_the_eigh_check(grid):
     # eigh picks its own basis of the degenerate (1 - lam)/4 eigenspace, so
     # the eigenvectors differ; the floored eigenvalues and the roots do not
     w, v = check_spectrum_stack(*noisy_bell_spectrum(grid))
-    ref_w, ref_v = check_povm_stack(noisy_bell_stack(grid))
+    ref_w, ref_v = check_povm_stack(noisy_bell_matrices(grid))
     np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-15)
     assert np.array_equal(w == 0.0, ref_w == 0.0)
     assert (w[grid == 1.0][..., 1:] == 0.0).all()  # the sharp Bell projectors have rank one

@@ -51,7 +51,6 @@ from swapforge.families import (
     BELL_STATES,
     build_family,
     noisy_bell_povm,
-    noisy_bell_stack,
     wire2_computational_povm,
 )
 from swapforge.linalg import floor_eigh, sqrt_from_spectrum
@@ -63,6 +62,8 @@ from swapforge.sampling import (
     random_rank1_element,
 )
 from swapforge.states import Povm, check_povm_stack, write_povm
+
+from conftest import noisy_bell_matrices
 
 TOL = 1e-13
 
@@ -295,20 +296,23 @@ def test_run_scenario_matches_chain(tmp_path, d, n_rounds):
 
 
 def test_a_tie_at_prob_tol_closes_on_neither_route(tmp_path, capsys):
-    # each Born probability of noisy_bell(0.62) rounds to 0.24999999999999997
-    # or ...92 at prob_tol = 0.25: chain keeps 0 of the 4 branches, the
-    # stacked route 2 (_expand's tie rule), and neither branch set closes.
-    # The two the stacked route keeps sit exactly at the cut: a branch whose
+    # each Born probability of the noisy Bell matrices at lambda = 0.62,
+    # decomposed by eigh, rounds to 0.24999999999999997 or ...92 at
+    # prob_tol = 0.25: chain keeps 0 of the 4 branches, the stacked route 2
+    # (_expand's tie rule), and neither branch set closes.  The two the
+    # stacked route keeps sit exactly at the cut: a branch whose
     # probability equals prob_tol is kept
-    scenario = SwapScenario(2, (noisy_bell_povm(0.62),))
+    povm = Povm(noisy_bell_matrices([0.62])[0], local_dim=2)
+    scenario = SwapScenario(2, (povm,))
     assert chain(scenario, 0.25) == []
     kept = stacked_branches(scenario, 0.25)
     assert kept.outcome_paths.tolist() == [[0], [1]]
     assert kept.probability.tolist() == [float.fromhex("0x1p-2")] * 2
     with pytest.raises(IncompleteBranchSet):
         average_negativity(chain(scenario, 0.25))
+    write_povm(povm, tmp_path / "tie_povm.json")
     doc = {
-        "rounds": [{"family": "noisy_bell", "params": {"lambda": 0.62}}],
+        "rounds": [{"family": "file", "params": {"path": "tie_povm.json"}}],
         "tolerance_overrides": {"prob_tol": 0.25},
     }
     path = tmp_path / "tie.json"
@@ -408,9 +412,13 @@ def test_sweep_floors_the_shared_round_once_and_the_swept_round_per_block(monkey
         return real(w, v)
 
     monkeypatch.setattr(swapforge.linalg, "floor_eigh", spy)
+    decomposed = spy_on(monkeypatch, "eigh")
     sweep_rows(sweep_config([RoundSpec("noisy_bell"), RoundSpec("wire2_computational")], steps=50))
-    # the swept round's table is shared by every point of a block: floored once each
-    assert floored == [(1, 4, 4, 4)] + [(2, 4, 4)] + [(1, 4, 4, 4)] * 2
+    # the swept round's table is shared by every point of a block: floored
+    # once each; wire2_computational's one table, floored once, is its
+    # closed form too, so nothing is decomposed
+    assert floored == [(1, 4, 4, 4), (1, 2, 4, 4)] + [(1, 4, 4, 4)] * 2
+    assert decomposed == []
 
 
 def test_run_scenario_takes_no_svd_concurrence_above_the_cutoff(tmp_path, monkeypatch):
@@ -521,10 +529,11 @@ def spy_on(monkeypatch, name):
 
 @pytest.mark.parametrize("steps,entries", [(11, 3 * 8 * 16), (50, 3 * 8 * 16), (1001, None)])
 def test_sweep_never_decomposes_the_swept_round(monkeypatch, steps, entries):
-    # the swept noisy_bell round comes as a closed-form spectrum; the one
-    # eigh is the PSD check of the shared wire2_computational Povm.  Every
-    # partial transpose of the chain splits into two 2x2 blocks, whose
-    # trace norms are closed forms: no eigvalsh.  The swept round is
+    # the swept noisy_bell round comes as a closed-form spectrum, and the
+    # shared wire2_computational Povm is built from its own: no eigh, and
+    # no element matrix check.  Every partial transpose of the chain splits
+    # into two 2x2 blocks, whose trace norms are closed forms: no
+    # eigvalsh.  The swept round is
     # checked once per block of STACK_ENTRIES // 16 points (4 x 4
     # eigenvalues each), one check for the 1001-point grid, and each
     # check gets the one table its points share
@@ -532,6 +541,14 @@ def test_sweep_never_decomposes_the_swept_round(monkeypatch, steps, entries):
         monkeypatch.setattr(swapforge.experiment, "STACK_ENTRIES", entries)
     decomposed = spy_on(monkeypatch, "eigh")
     spectra = spy_on(monkeypatch, "eigvalsh")
+    matrix_checks = []
+    real_check = swapforge.states._check_elements
+
+    def check_spy(m):
+        matrix_checks.append(m.shape)
+        return real_check(m)
+
+    monkeypatch.setattr(swapforge.states, "_check_elements", check_spy)
     tables = []
     real = swapforge.experiment.check_spectrum_stack
 
@@ -542,8 +559,9 @@ def test_sweep_never_decomposes_the_swept_round(monkeypatch, steps, entries):
     monkeypatch.setattr(swapforge.experiment, "check_spectrum_stack", spy)
     rounds = [RoundSpec("noisy_bell"), RoundSpec("wire2_computational")]
     assert len(sweep_rows(sweep_config(rounds, steps))) == steps
-    assert decomposed == [(2, 4, 4)]
+    assert decomposed == []
     assert spectra == []
+    assert matrix_checks == []
     block = swapforge.experiment.STACK_ENTRIES // 16
     assert tables == [(1, 4, 4, 4)] * math.ceil(steps / block)
 
@@ -1136,8 +1154,15 @@ def assert_branches_match_chain(scenario):
         np.testing.assert_allclose(getattr(got, key), want, rtol=0.0, atol=TOL)
 
 
+def paper_chain_matrices(steps):
+    """The paper chain's element stacks: noisy_bell's from the reference
+    matrices, one per grid point, then the shared wire2_computational."""
+    swept = noisy_bell_matrices(np.linspace(0.0, 1.0, steps))
+    return [swept, wire2_computational_povm().matrices[None]]
+
+
 def test_paper_chain_expands_in_float64():
-    stacks = [noisy_bell_stack(np.linspace(0.0, 1.0, 101)), wire2_computational_povm().matrices[None]]
+    stacks = paper_chain_matrices(101)
     assert expanded_dtypes(2, stacks) == [np.float64, np.float64]
 
 
@@ -1150,7 +1175,7 @@ def test_real_d3_stacks_expand_in_float64(shared_first):
 
 
 def test_one_complex_grid_point_makes_the_chunk_complex():
-    stack = noisy_bell_stack(np.linspace(0.0, 1.0, 5))
+    stack = noisy_bell_matrices(np.linspace(0.0, 1.0, 5))
     w = product_unitary(np.random.default_rng(3200), 2)
     stack[2] = w @ stack[2] @ w.conj().T
     stacks = [stack, wire2_computational_povm().matrices[None]]
@@ -1161,7 +1186,7 @@ def test_one_complex_grid_point_makes_the_chunk_complex():
 @pytest.mark.parametrize("complex_first", [True, False])
 def test_a_complex_shared_round_makes_x_complex_from_there_on(complex_first):
     rng = np.random.default_rng(3300 + complex_first)
-    swept, shared = noisy_bell_stack(np.linspace(0.0, 1.0, 4)), random_povm_stack(rng, 1, d=2)
+    swept, shared = noisy_bell_matrices(np.linspace(0.0, 1.0, 4)), random_povm_stack(rng, 1, d=2)
     stacks = [shared, swept] if complex_first else [swept, shared]
     first = np.complex128 if complex_first else np.float64
     assert expanded_dtypes(2, stacks) == [first, np.complex128]
@@ -1197,6 +1222,31 @@ def test_real_paper_chain_matches_chain(lam):
     assert_matches_chain(2, stacks_of([povms]))
 
 
+@pytest.mark.parametrize("families", [ONE_ROUND, PAPER_PAIR], ids=",".join)
+def test_run_path_reads_the_sweep_roots_bit_for_bit(families):
+    # a run's Povms are built from the closed-form spectra the sweep roots,
+    # so the run path and the sweep path agree at every point, bit for bit
+    rows = sweep_rows(sweep_config([RoundSpec(f) for f in families], steps=101))
+    for row in rows:
+        povms = [noisy_bell_povm(row.param_value), wire2_computational_povm()][: len(families)]
+        got = stacked_branches(SwapScenario(2, povms))
+        average = (got.probability * got.negativity14).sum()
+        assert average == (row.avg_neg_round2 if len(families) == 2 else row.avg_neg_round1)
+        assert got.negativity14.max() == row.max_branch_negativity
+
+
+def test_both_routes_keep_the_same_paths_at_a_quarter():
+    # every noisy Bell branch has probability 1/4.  At these lambdas the
+    # two routes rounded it to opposite sides of prob_tol on eigh's roots
+    # (_expand's tie rule); on the closed-form roots they agree.  Ties
+    # elsewhere still fall as the BLAS kernel rounds: under OpenBLAS's
+    # Prescott kernel lambda = 0.86 is one
+    for lam in (0.477, 0.564, 0.568, 0.596, 0.606, 0.62, 0.673):
+        scenario = SwapScenario(2, (noisy_bell_povm(lam),))
+        paths = [list(rec.outcome_path) for rec in chain(scenario, 0.25)]
+        assert stacked_branches(scenario, 0.25).outcome_paths.tolist() == paths, lam
+
+
 # ---------------------------------------------------------------------------
 # Real products: a real x is multiplied by a copy of itself (BLAS gemm, not
 # syrk); the numbers are those of the complex route.
@@ -1209,9 +1259,7 @@ def complex_rho14(x):
 
 
 def paper_chain_stacks(steps=201):
-    return expanded_stacks(
-        2, [noisy_bell_stack(np.linspace(0.0, 1.0, steps)), wire2_computational_povm().matrices[None]]
-    )
+    return expanded_stacks(2, paper_chain_matrices(steps))
 
 
 @pytest.mark.parametrize("r", [0, 1])

@@ -69,7 +69,7 @@ from swapforge.states import (
 )
 from swapforge.tolerances import PROB_TOL
 
-from conftest import rng_from
+from conftest import noisy_bell_matrices, rng_from
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -529,11 +529,24 @@ def shared_spectrum_povms() -> dict:
     return povms
 
 
-@pytest.mark.parametrize("name", list(shared_spectrum_povms()))
+# the built-in families built from their closed-form spectra: noisy_bell's
+# lambda, or None for wire2_computational
+SPECTRUM_BUILT = {
+    "noisy_bell-0.000": 0.0,
+    "noisy_bell-0.333": 1 / 3,
+    "noisy_bell-1.000": 1.0,
+    "wire2_computational": None,
+}
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in shared_spectrum_povms() if not name.startswith("noisy_bell")]
+)
 def test_povm_check_seeds_element_spectra(name):
     # the check's floored eigh is the one decomposition: the Povm keeps only
     # that pair, and each element's spectral is its row of it, bit for bit
-    # the spectrum a standalone element takes at its own check
+    # the spectrum a standalone element takes at its own check.
+    # wire2_computational's exact table is also the one eigh picks
     povm = shared_spectrum_povms()[name]
     assert not hasattr(povm, "spectrum")
     fw, fv = povm.floored_spectrum
@@ -545,6 +558,34 @@ def test_povm_check_seeds_element_spectra(name):
         alone = PovmElement(m).spectral
         assert np.array_equal(el.spectral[0], alone[0])
         assert np.array_equal(el.spectral[1], alone[1])
+
+
+@pytest.mark.parametrize("name", list(SPECTRUM_BUILT))
+def test_family_povm_keeps_its_floored_closed_form(name, monkeypatch):
+    # a family Povm built from its closed-form spectrum keeps that
+    # spectrum's floor and decomposes nothing; its matrices are the
+    # family's formula (an independent reference) within 1e-15, and
+    # wire2_computational's are |i><i| x I exactly
+    lam = SPECTRUM_BUILT[name]
+    if lam is None:  # its exact table is the one eigh picks
+        build, atol = wire2_computational_povm, 0.0
+        reference = np.array([np.kron(np.diag(row), np.eye(2)) for row in np.eye(2)])
+        want = floor_eigh(*np.linalg.eigh(reference))
+    else:
+        build, atol = (lambda: noisy_bell_povm(lam)), 1e-15
+        reference = noisy_bell_matrices([lam])[0]
+        want = [a[0] for a in floor_eigh(*noisy_bell_spectrum([lam]))]
+    decomposed = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: decomposed.append(np.shape(m)) or real(m))
+    povm = build()
+    assert decomposed == []
+    fw, fv = povm.floored_spectrum
+    assert np.array_equal(fw, want[0]) and np.array_equal(fv, want[1])
+    np.testing.assert_allclose(povm.matrices, reference, rtol=0, atol=atol)
+    for k, (el, m) in enumerate(zip(povm.elements, povm.matrices)):
+        assert np.array_equal(el.matrix, m)
+        assert np.shares_memory(el.spectral[0], fw[k]) and np.shares_memory(el.spectral[1], fv[k])
 
 
 @pytest.mark.parametrize("name", list(shared_spectrum_povms()))
