@@ -3,20 +3,20 @@
 
 Covers the paper sweep CSV at 201, 1001 and 2001 points, the CSVs of
 sweeps whose swept round is alone (its round-1 formula column holds
-(3*lambda-1)/2, its round-2 one nan), second, or before or after a seeded
-POVM file round (formula columns nan but for the round-1 one of the
-swept round first), the JSON reports of family runs
-whose rounds have degenerate spectra (so that eigenvectors are not
-unique), the JSON reports of seeded d = 2, 3 and 4
+(3*lambda-1)/2, its round-2 one nan), second, or before or after a
+seeded POVM file round (formula columns nan but for the round-1 one of
+the swept round first), the JSON reports of family runs whose rounds
+have degenerate spectra (so that eigenvectors are not unique) and of the
+paper chain at lambda = 0.8, the JSON reports of seeded d = 2, 3 and 4
 scenario runs over random POVM files, the `swapforge classify` output on
-each of those files, the `swapforge verify` table, and its `--json`
-rows with each row's wall time (`seconds`) removed, so that every
-check's `max_deviation` and `tolerance` are byte-gated.  Each run report
-gets a second digest with its two I-concurrence fields (c14vs23, c12vs34)
+each of those files, the `swapforge verify` table, and its `--json` rows
+with each row's wall time (`seconds`) removed, so that every check's
+`max_deviation` and `tolerance` are byte-gated. Each run report gets a
+second digest with its two I-concurrence fields (c14vs23, c12vs34)
 removed, so a change of concurrence route leaves the rest of the report
-byte-gated.  Every input is
-drawn from a fixed seed, so two checkouts that write the same bytes print
-the same lines and a change in output is one `diff` away:
+byte-gated. Every input is drawn from a fixed seed, so two checkouts
+that write the same bytes print the same lines and a change in output is
+one `diff` away:
 
     PYTHONPATH=/path/to/before/src python scripts/output_digests.py > before.txt
     PYTHONPATH=src python scripts/output_digests.py > after.txt
@@ -132,7 +132,9 @@ def family_run_digests(workdir: str):
     """Run reports over built-in families at points where every round's
     spectrum is degenerate: noisy Bell at lambda = 0, 1/3 and 1, each
     followed by wire2_computational, one bell_projective round, and one
-    separable_product round."""
+    separable_product round; then noisy Bell at lambda = 0.8 followed by
+    wire2_computational, whose average a sum over the kept branches alone
+    rounds away from the sweep's cell."""
     wire2 = RoundSpec("wire2_computational")
     scenarios = [
         (f"noisy_bell lambda={label}", (RoundSpec("noisy_bell", {"lambda": lam}), wire2))
@@ -142,6 +144,8 @@ def family_run_digests(workdir: str):
     scenarios.append(
         ("separable_product", (RoundSpec("separable_product", {"elements": SEPARABLE_ELEMENTS}),))
     )
+    # a run averages as the sweep does: this report's average is the sweep's cell
+    scenarios.append(("noisy_bell lambda=0.8", (RoundSpec("noisy_bell", {"lambda": 0.8}), wire2)))
     for i, (label, rounds) in enumerate(scenarios):
         path = os.path.join(workdir, f"family_{i}.report")
         outputs = OutputsSpec(report_path=path)

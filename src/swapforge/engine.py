@@ -203,23 +203,17 @@ def chain(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> list[OutcomeRec
 
 
 def average_negativity(records: list[OutcomeRecord]) -> float:
-    """Probability-weighted average of the branch negativities.
+    """Probability-weighted average of the branch negativities, the
+    reference: a Python sum in record order, once the probabilities are
+    checked to sum to one within PROB_SUM_TOL.
 
     The records must form a complete sibling set; branch negativities
     are nonnegative, so the average of an all-separable set is 0.
     """
-    return _closed_average(
-        [rec.probability for rec in records], [rec.negativity14 for rec in records]
-    )
-
-
-def _closed_average(probabilities, values) -> float:
-    """sum p * v over Python floats, in the order given, once the
-    probabilities are checked to sum to one within PROB_SUM_TOL."""
-    total = sum(probabilities, 0.0)
+    total = sum((rec.probability for rec in records), 0.0)
     if not abs(total - 1.0) <= PROB_SUM_TOL:  # NaN fails here too
         raise IncompleteBranchSet(f"branch probabilities sum to {total!r}, expected 1")
-    return float(sum(p * v for p, v in zip(probabilities, values)))
+    return float(sum(rec.probability * rec.negativity14 for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +257,19 @@ def _checked_average(
     point=_grid_point,
 ) -> np.ndarray:
     """sum weight * neg over the branch axis, once every grid point's
-    weights are checked to sum to one within PROB_SUM_TOL.  The error
-    names the first point that fails (``point(g)``) and how many of its
-    branches in ``last`` (the last round's weights; ``weight`` if None)
-    were kept at prob_tol."""
+    weights are checked to sum to one within PROB_SUM_TOL; the sweep and
+    run_scenario both average here, over rows of every expanded branch, a
+    dropped one as zero.  The error names the first point that fails
+    (``point(g)``, or none if None) and how many of its branches in
+    ``last`` (the last round's weights; ``weight`` if None) were kept."""
     total = weight.sum(axis=-1)
     bad = np.flatnonzero(~(np.abs(total - 1.0) <= PROB_SUM_TOL))  # NaN fails here too
     if bad.size:
         g = int(bad[0])
         last = weight if last is None else last
+        at = "" if point is None else f" at {point(g)}"
         raise IncompleteBranchSet(
-            f"branch probabilities sum to {float(total[g])!r}, expected 1 at {point(g)}: "
+            f"branch probabilities sum to {float(total[g])!r}, expected 1{at}: "
             f"{np.count_nonzero(last[g])} of {last.shape[-1]} branches kept "
             f"at prob_tol={prob_tol!r}"
         )

@@ -26,11 +26,11 @@ from .engine import (
     STACK_ENTRIES,
     SwapScenario,
     _chain_negativities,
-    _closed_average,
+    _checked_average,
     _round_spectrum,
     stacked_branches,
 )
-from .errors import ConfigError, IncompleteBranchSet
+from .errors import ConfigError
 from .families import FAMILIES
 from .states import check_spectrum_stack
 
@@ -156,21 +156,21 @@ def run_scenario(config: ScenarioConfig) -> dict:
     """Execute the measurement chain once and build the per-branch report.
 
     Every branch is expanded in one stacked pass (``stacked_branches``;
-    ``chain`` stays the reference).  Report numbers carry 15 significant
-    digits and the report file is byte-identical from run to run.
+    ``chain`` stays the reference).  ``average_negativity`` is the sweep's
+    cell: _checked_average of the full branch row, a dropped branch as
+    zero.  Report numbers carry 15 significant digits and the report file
+    is byte-identical from run to run.
     """
     scenario = SwapScenario(config.local_dim, config.build_rounds())
     found = stacked_branches(scenario, config.prob_tol)
+    sizes = [len(povm) for povm in scenario.rounds]
+    flat = np.ravel_multi_index(tuple(found.outcome_paths.T), sizes)
+    weight, neg = np.zeros((2, 1, prod(sizes)))
+    weight[0, flat], neg[0, flat] = found.probability, found.negativity14
+    average = float(_checked_average(weight, neg, prob_tol=config.prob_tol, point=None)[0])
     paths = found.outcome_paths.tolist()
     probabilities = found.probability.tolist()
     negativities = found.negativity14.tolist()
-    try:
-        average = _closed_average(probabilities, negativities)
-    except IncompleteBranchSet as exc:
-        expanded = prod(len(povm) for povm in scenario.rounds)
-        raise IncompleteBranchSet(
-            f"{exc}: {len(paths)} of {expanded} branches kept at prob_tol={config.prob_tol!r}"
-        ) from exc
     # classify per round only the elements on kept branches (a dropped one, say
     # traceless, needs no class), from the spectra the round's Povm keeps
     labels = {}

@@ -140,16 +140,6 @@ def test_sweep_endpoints_match_run(tmp_path):
         assert report["average_negativity"] == pytest.approx(row.avg_neg_round2, abs=1e-12)
 
 
-def test_sweep_independent_of_parallelism(tmp_path, monkeypatch):
-    config = load_scenario_config(write_config(tmp_path, PAPER_DOC))
-    monkeypatch.setenv("SWAPFORGE_THREADS", "1")
-    seq = run_sweep(config, csv_path=str(tmp_path / "seq.csv"))
-    monkeypatch.setenv("SWAPFORGE_THREADS", "4")
-    par = run_sweep(config, csv_path=str(tmp_path / "par.csv"))
-    assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
-    assert [r.param_value for r in seq] == [r.param_value for r in par]
-
-
 def test_sweep_reads_no_environment_variable(tmp_path, monkeypatch):
     # the thread-count variable of earlier releases, even malformed, changes nothing
     path = write_config(tmp_path, PAPER_DOC)

@@ -1222,16 +1222,28 @@ def test_real_paper_chain_matches_chain(lam):
     assert_matches_chain(2, stacks_of([povms]))
 
 
-@pytest.mark.parametrize("families", [ONE_ROUND, PAPER_PAIR], ids=",".join)
-def test_run_path_reads_the_sweep_roots_bit_for_bit(families):
+@pytest.mark.parametrize(
+    "families", [ONE_ROUND, PAPER_PAIR, ("noisy_bell", "file")], ids=",".join
+)
+def test_run_path_reads_the_sweep_roots_bit_for_bit(tmp_path, families):
     # a run's Povms are built from the closed-form spectra the sweep roots,
-    # so the run path and the sweep path agree at every point, bit for bit
-    rows = sweep_rows(sweep_config([RoundSpec(f) for f in families], steps=101))
+    # and a run averages the sweep's full branch row, so the run report's
+    # average is the sweep's CSV cell at every point.  The file round holds
+    # a zero element, then a seeded two-outcome POVM: 4 of the 12 branches
+    # are dropped, and a sum over the 8 kept rows alone rounds otherwise
+    two = random_povm(np.random.default_rng(3600), d=2, n_elements=2)
+    write_povm(Povm([np.zeros((4, 4)), *two.matrices], local_dim=2), tmp_path / "zero_two.json")
+    rest = [RoundSpec(f, {"path": "zero_two.json"} if f == "file" else {}) for f in families[1:]]
+    swept = sweep_config([RoundSpec("noisy_bell"), *rest], steps=101)
+    rows = sweep_rows(dataclasses.replace(swept, base_dir=str(tmp_path)))
     for row in rows:
-        povms = [noisy_bell_povm(row.param_value), wire2_computational_povm()][: len(families)]
-        got = stacked_branches(SwapScenario(2, povms))
-        average = (got.probability * got.negativity14).sum()
-        assert average == (row.avg_neg_round2 if len(families) == 2 else row.avg_neg_round1)
+        rounds = (RoundSpec("noisy_bell", {"lambda": row.param_value}), *rest)
+        config = ScenarioConfig(2, rounds, base_dir=str(tmp_path))
+        report = run_scenario(config)
+        cell = row.avg_neg_round2 if len(families) == 2 else row.avg_neg_round1
+        assert report["average_negativity"] == float("%.15g" % cell), row.param_value
+        assert len(report["branches"]) == (8 if "file" in families else 4 * len(families))
+        got = stacked_branches(SwapScenario(2, config.build_rounds()))
         assert got.negativity14.max() == row.max_branch_negativity
 
 
