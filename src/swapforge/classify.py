@@ -92,13 +92,22 @@ def classify_stack(m, rank_rel_tol: float = RANK_REL_TOL) -> tuple[ElementClass,
 
 def _classify(m, w, v, rank_rel_tol=RANK_REL_TOL):
     """classify_stack of a checked (N, D, D) stack ``m`` whose floored
-    spectrum (w, v) its check returned, as a Povm keeps it."""
+    spectrum (w, v) its check returned, as a Povm keeps it.  A row whose
+    trace has a binary exponent beyond +-400 (a valid 1e-200 element,
+    say) is classified, but for its rank's absolute PSD_TOL rule, as
+    itself scaled by the exact power of two that brings its trace into
+    [0.5, 1), so no square or inverse leaves the float range."""
     d = isqrt(m.shape[-1])
     trace = np.trace(m, axis1=1, axis2=2).real
     if not (trace > 0.0).all():
         raise ZeroTrace("cannot classify a traceless element")
-    min_pt = np.linalg.eigvalsh(linalg._transpose_wire2(m / trace[:, None, None], d))[:, 0]
     rank = np.where(w[:, 0] <= PSD_TOL, 0, (w > rank_rel_tol * w[:, :1]).sum(axis=1))
+    exponent = np.frexp(trace)[1]
+    shift = np.where(np.abs(exponent) > 400, -exponent, 0)
+    if shift.any():
+        m = np.ldexp(np.ascontiguousarray(m).view(float), shift[:, None, None]).view(complex)
+        w, trace = np.ldexp(w, shift[:, None]), np.ldexp(trace, shift)
+    min_pt = np.linalg.eigvalsh(linalg._transpose_wire2(m / trace[:, None, None], d))[:, 0]
     tr = w.sum(axis=1)
     c14 = _concurrence((w * w).sum(axis=1) / (tr * tr), d * d)
     a = v.swapaxes(1, 2).reshape(-1, d * d, d, d)

@@ -172,6 +172,7 @@ def load_scenario_config(path) -> ScenarioConfig:
             )
         start, stop = float(raw["start"]), float(raw["stop"])
         _require(start <= stop, "sweep.start must not exceed sweep.stop")
+        _require(_is_finite_number(stop - start), f"sweep range [{start!r}, {stop!r}] is too wide")
         sweep = SweepSpec(param_name=str(raw["param_name"]), start=start, stop=stop, steps=steps)
 
     raw_out = doc.get("outputs", {})

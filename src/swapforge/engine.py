@@ -66,6 +66,15 @@ logger = logging.getLogger(__name__)
 MAX_BRANCHES = 100_000
 
 
+def _check_chain_size(sizes: list[int]) -> None:
+    """Raise InvalidPovm unless rounds of ``sizes`` outcomes make a chain:
+    one round or more, and at most MAX_BRANCHES last-round branches."""
+    if not sizes:
+        raise InvalidPovm("a scenario needs at least one measurement round")
+    if prod(sizes) > MAX_BRANCHES:
+        raise InvalidPovm(f"scenario expands to {prod(sizes)} branches (limit {MAX_BRANCHES})")
+
+
 @dataclass(frozen=True)
 class SwapScenario:
     """A measurement chain on the middle pair."""
@@ -76,13 +85,12 @@ class SwapScenario:
     def __post_init__(self):
         d = linalg._local_dim(self.local_dim)
         rounds = tuple(self.rounds)
-        if not rounds:
-            raise InvalidPovm("a scenario needs at least one measurement round")
         for povm in rounds:
             if povm.local_dim != d:
                 raise ShapeMismatch(
                     f"round POVM acts on dimension {povm.local_dim}^2, scenario has d={d}"
                 )
+        _check_chain_size([len(povm) for povm in rounds])
         object.__setattr__(self, "local_dim", d)
         object.__setattr__(self, "rounds", rounds)
 
@@ -184,9 +192,6 @@ def chain(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> list[OutcomeRec
     and so are its descendants; at the cut itself see ``_expand``'s tie
     rule.  To follow one path, filter the records on ``outcome_path``.
     """
-    total = prod(len(p.elements) for p in scenario.rounds)
-    if total > MAX_BRANCHES:
-        raise InvalidPovm(f"scenario expands to {total} branches (limit {MAX_BRANCHES})")
     # (path, round probabilities, state, element) of each kept branch
     frontier = [((), (), initial_state(scenario.local_dim), None)]
     for povm in scenario.rounds:
@@ -311,9 +316,7 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
     one route keeps a branch the other drops.
     """
     dim = d * d
-    if not spectra:
-        raise InvalidPovm("a scenario needs at least one measurement round")
-    grid = max(w.shape[0] for w, _ in spectra)
+    grid = max((w.shape[0] for w, _ in spectra), default=1)  # none: _check_chain_size raises
     for w, v in spectra:
         fits = v.ndim == 4 and v.shape[1:] == w.shape[1:] + (dim,) and w.shape[2:] == (dim,)
         if not fits or w.shape[0] not in (1, grid) or v.shape[0] not in (1, w.shape[0]):
@@ -321,9 +324,7 @@ def _expand(d: int, spectra, prob_tol: float, start: PureState | None = None):
                 f"spectrum of shapes {w.shape} and {v.shape} does not fit d={d} "
                 f"and {grid} grid points"
             )
-    total = prod(v.shape[1] for _, v in spectra)
-    if total > MAX_BRANCHES:
-        raise InvalidPovm(f"scenario expands to {total} branches (limit {MAX_BRANCHES})")
+    _check_chain_size([v.shape[1] for _, v in spectra])
 
     tol = max(prob_tol, PROB_TOL)
     x = None if start is None else start.tensor().transpose(1, 2, 0, 3).reshape(1, 1, dim, dim)

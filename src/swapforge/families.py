@@ -132,7 +132,8 @@ def single_qubit_element(p: SingleQubitElementParams) -> np.ndarray:
 def separable_product_povm(pairs) -> Povm:
     """POVM with product elements A_n x B_n from single-qubit factor
     parameters; the caller owns closure to the identity."""
-    mats = [np.kron(single_qubit_element(a), single_qubit_element(b)) for a, b in pairs]
+    with np.errstate(over="ignore"):  # an entry beyond the float range is inf, and fails
+        mats = [np.kron(single_qubit_element(a), single_qubit_element(b)) for a, b in pairs]
     return Povm(mats, local_dim=2)
 
 

@@ -3,9 +3,9 @@
 A POVM element's floored spectrum comes from its check: its own for a
 standalone PovmElement, its Povm's for the elements of a Povm (one eigh
 of a matrix stack, none of a family's closed-form spectrum).
-Only the PSD square root is computed on first read.  Everything is
-read-only after validation, so instances are safe to share across
-threads.
+Only a Povm's element rows and the PSD square root are computed on
+first read.  Everything is read-only after validation, so instances are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -223,16 +223,16 @@ class Povm:
 
     Built from its element matrices (a (K, D, D) array or a sequence of
     D x D matrices) and, optionally, the local dimension they must have.
-    The stack is checked once, and the floored spectrum the check
-    returns is kept: ``matrices`` is the read-only (K, D, D) stack,
-    ``floored_spectrum`` its read-only floored (w, v), and each of
-    ``elements`` holds its row of that pair as its ``spectral``.
+    check_povm_stack checks the stack once, and a Povm holds only what
+    that check returns: ``matrices``, the read-only (K, D, D) stack, and
+    ``floored_spectrum``, its read-only floored (w, v).  ``elements``,
+    one PovmElement a row holding its row of that pair as its
+    ``spectral``, is built on first read; ``len`` reads the stack.
     """
 
     matrices: np.ndarray
     local_dim: int | None = None
     floored_spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    elements: tuple[PovmElement, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = [np.asarray(m, dtype=complex) for m in self.matrices]
@@ -240,14 +240,11 @@ class Povm:
             raise InvalidPovm("a POVM needs at least one element")
         if any(m.ndim != 2 or m.shape != mats[0].shape for m in mats):
             raise ShapeMismatch("POVM elements are not square matrices of one shape")
-        stack = _frozen(mats)
-        floored = _read_only(*_check_elements(stack))
-        d = isqrt(stack.shape[-1])
-        given = self.local_dim  # the check passed, so d >= 2: a given 1 disagrees too
+        stack, given = _frozen(mats), self.local_dim  # read before _keep sets local_dim
+        self._keep(stack, _read_only(*check_povm_stack(stack)))
+        d = self.local_dim  # the check passed, so d >= 2: a given 1 disagrees too
         if given is not None and linalg._integer(given, BadDimension, "local dimension") != d:
             raise ShapeMismatch("element dimensions disagree with local_dim")
-        _check_completeness(stack.sum(axis=0))
-        self._keep(stack, floored)
 
     @classmethod
     def _of_spectrum(cls, w: np.ndarray, v: np.ndarray) -> "Povm":
@@ -261,14 +258,16 @@ class Povm:
 
     def _keep(self, stack: np.ndarray, floored: tuple[np.ndarray, np.ndarray]) -> None:
         # a checked read-only (K, D, D) stack and its read-only floored spectrum
-        els = tuple(PovmElement._of_checked_stack(*row) for row in zip(stack, *floored))
         object.__setattr__(self, "matrices", stack)
         object.__setattr__(self, "local_dim", isqrt(stack.shape[-1]))
         object.__setattr__(self, "floored_spectrum", floored)
-        object.__setattr__(self, "elements", els)
+
+    @cached_property
+    def elements(self) -> tuple[PovmElement, ...]:
+        return tuple(map(PovmElement._of_checked_stack, self.matrices, *self.floored_spectrum))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.matrices)
 
 
 def check_povm_stack(stack) -> tuple[np.ndarray, np.ndarray]:
@@ -281,29 +280,28 @@ def check_povm_stack(stack) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim < 3:
         raise ShapeMismatch(f"expected a (..., K, D, D) stack, got shape {m.shape}")
     spectrum = _check_elements(m)
-    _check_completeness(m.sum(axis=-3))
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf, and fails
+        _check_completeness(m.sum(axis=-3))
     return spectrum
 
 
 def check_spectrum_stack(w, v) -> tuple[np.ndarray, np.ndarray]:
-    """The checks check_povm_stack makes, for POVMs given by the ascending
-    eigendecompositions of their elements, as a family's closed form
-    hands them over: ``w`` of shape (..., K, D), and ``v`` of shape
-    (..., K, D, D) with eigenvector columns in the order of ``w``, either
-    one table per POVM or one table all of them share (leading sizes 1).
-    Raises ShapeMismatch, naming both shapes, for shapes that do not fit;
-    ValidationFailure unless each w is ascending, each table orthonormal
-    within HERM_TOL and each w real within the Hermiticity tolerance (with
-    V orthonormal, V diag(w) V^dagger is Hermitian exactly when w is real,
-    so NaN, infinite and complex eigenvalues fail); NotPsd for one below
-    -PSD_TOL; IncompletePovm unless each POVM's element sum, taken from
-    w and the eigenvector projectors in one product, is the identity.
-    No element matrix is formed and nothing is decomposed.  Returns the
-    floored spectrum, as check_povm_stack does, with v reversed once."""
+    """The checks check_povm_stack makes, for G POVMs given by ascending
+    eigendecompositions on one table, as a family's closed form hands
+    them over: ``w`` of shape (G, K, D), and the one table ``v`` of shape
+    (1, K, D, D), eigenvector columns in the order of ``w``.  Raises
+    ShapeMismatch, naming both shapes, for any other shapes (one table
+    per point too); ValidationFailure unless each w is ascending, the
+    table orthonormal within HERM_TOL and each w real within the
+    Hermiticity tolerance (with V orthonormal, V diag(w) V^dagger is
+    Hermitian exactly when w is real, so NaN, infinite and complex
+    eigenvalues fail); NotPsd for one below -PSD_TOL; IncompletePovm
+    unless each POVM's element sum, w times the table's K*D projectors
+    in one product, is the identity.  No element matrix is formed and
+    nothing is decomposed.  Returns the floored spectrum, as
+    check_povm_stack does, with the table reversed once."""
     w, v = np.asarray(w), np.asarray(v)
-    lead = w.shape[:-2]
-    shared = v.shape[:-3] == (1,) * len(lead)
-    if v.ndim < 3 or v.shape[-3:-1] != w.shape[-2:] or not (shared or v.shape[:-3] == lead):
+    if w.ndim != 3 or v.shape[:-1] != (1,) + w.shape[1:]:
         raise ShapeMismatch(
             f"expected (..., K, D) eigenvalues and (..., K, D, D) eigenvectors, "
             f"got shapes {w.shape} and {v.shape}"
@@ -312,20 +310,16 @@ def check_spectrum_stack(w, v) -> tuple[np.ndarray, np.ndarray]:
     # NaN passes here, and NaN and complex eigenvalues fail the Hermiticity rule
     if (np.diff(w.real, axis=-1) < 0.0).any():
         raise ValidationFailure("eigenvalues are not in ascending order")
-    vt = np.swapaxes(v, -1, -2)  # vt[..., k, i, :] is eigenvector i of element k
-    defect = np.abs(vt.conj() @ v - np.eye(v.shape[-1])).max(initial=0.0)
+    vt = np.swapaxes(v[0], -1, -2)  # vt[k, i, :] is eigenvector i of element k
+    defect = np.abs(vt.conj() @ v[0] - np.eye(v.shape[-1])).max(initial=0.0)
     if not defect <= HERM_TOL:  # NaN fails here too
         raise ValidationFailure(f"eigenvectors deviate from orthonormal by {defect:.3e}")
     if not (np.isfinite(w) & (2.0 * np.abs(w.imag) <= HERM_TOL * np.fmax(np.abs(w), 1.0))).all():
         raise ValidationFailure("POVM element is not Hermitian within tolerance")  # 1x1 rule
     w = w.real  # within tolerance of real: the spectrum eigh reads of the Hermitian part
     linalg._require_psd(w)
-    # each POVM's element sum: its (K, D) eigenvalues times the K*D
-    # projectors |v_ki><v_ki|, one gemm over all rows of w for a shared table
-    k, dim = v.shape[-3:-1]
-    proj = (vt[..., :, None] * vt.conj()[..., None, :]).reshape(v.shape[:-3] + (k * dim, dim * dim))
-    rows = w.reshape(v.shape[:-3] + (prod(lead) if shared else 1, k * dim))
-    _check_completeness((rows @ proj).reshape(lead + (dim, dim)))
+    proj = (vt[..., :, None] * vt.conj()[..., None, :]).reshape(w[0].size, -1)  # (K*D, D*D)
+    _check_completeness((w.reshape(len(w), -1) @ proj).reshape(-1, *v.shape[-2:]))
     return linalg.floor_eigh(w, v)
 
 
@@ -350,10 +344,9 @@ def write_povm(povm: Povm, path) -> None:
         return format(float(x), ".16e")
 
     rows = []
-    for el in povm.elements:
+    for m in povm.matrices:
         row_text = [
-            "[" + ",".join(f"[{num(v.real)},{num(v.imag)}]" for v in row) + "]"
-            for row in el.matrix
+            "[" + ",".join(f"[{num(v.real)},{num(v.imag)}]" for v in row) + "]" for row in m
         ]
         rows.append("[" + ",".join(row_text) + "]")
     text = '{"local_dim": %d, "elements": [%s]}\n' % (povm.local_dim, ",".join(rows))

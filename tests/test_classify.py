@@ -303,6 +303,24 @@ def test_classify_stack_boundary_verdict_at_one_third():
     assert [ec.verdict for ec in got] == [UNENTANGLED_BOUNDARY, UNENTANGLED, ENTANGLED]
 
 
+@pytest.mark.parametrize("exponent", [-700, 700])
+def test_an_element_far_from_unit_trace_classifies_as_its_rescaled_self(rng, exponent):
+    # scaled by 2**exponent (exact), an element keeps its verdict and its
+    # partial-transpose minimum bit for bit and its concurrences to
+    # rounding, the rank keeps its absolute rule, and a unit-trace row
+    # beside it classifies as it does alone
+    m = np.array([random_element(rng, d=3).matrix for _ in range(2)])
+    far = m.copy()
+    far[0] = np.ldexp(m[0].view(float), exponent).view(complex)
+    got, near = classify_stack(far)
+    want = classify_stack(m)
+    assert near == want[1]
+    assert (got.verdict, got.min_pt_eigenvalue) == (want[0].verdict, want[0].min_pt_eigenvalue)
+    assert got.rank == (0 if exponent < 0 else want[0].rank)
+    assert got.c14vs23 == pytest.approx(want[0].c14vs23, abs=1e-14)
+    assert got.c12vs34 == pytest.approx(want[0].c12vs34, abs=1e-14)
+
+
 def test_classify_stack_rejects_traceless_element():
     stack = np.array([np.eye(4) / 2, np.zeros((4, 4)), np.eye(4) / 2])
     with pytest.raises(ZeroTrace):

@@ -20,6 +20,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -31,15 +32,16 @@ POVM_NAME = "meas.json"
 CONFIG_NAME = "scenario.json"
 
 
-def povm_doc():
-    povm = random_povm(np.random.default_rng(5), d=2, n_elements=3)
+def matrices_doc(mats):
+    """The POVM document of a d = 2 element stack."""
     return {
         "local_dim": 2,
-        "elements": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in el.matrix]
-            for el in povm.elements
-        ],
+        "elements": [[[[float(z.real), float(z.imag)] for z in row] for row in m] for m in mats],
     }
+
+
+def povm_doc():
+    return matrices_doc(random_povm(np.random.default_rng(5), d=2, n_elements=3).matrices)
 
 
 CONFIG_DOC = {
@@ -106,7 +108,8 @@ def is_number(value):
 @st.composite
 def mutated(draw, doc):
     """The document with one value replaced or deleted at a drawn path,
-    or one numeric leaf replaced by NaN, +-Infinity or 1e308, serialized;
+    or one numeric leaf replaced by NaN, +-Infinity, +-1e308 or the
+    smallest subnormal 5e-324, serialized;
     or its serialized bytes cut short or replaced; or None, for a
     directory in place of the file."""
     how = draw(st.sampled_from(["replace", "delete", "numeric", "truncate", "bytes", "directory"]))
@@ -126,10 +129,17 @@ def mutated(draw, doc):
     if how == "replace":
         parent[key] = draw(json_values)
     elif how == "numeric":
-        parent[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e308]))
+        parent[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324]))
     else:
         del parent[key]
     return json.dumps(doc).encode()
+
+
+def write_docs(tmpdir, docs):
+    """Each document into tmpdir under its name."""
+    for name, doc in docs.items():
+        with open(os.path.join(tmpdir, name), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
 
 
 def write_inputs(tmpdir, data, target):
@@ -213,9 +223,7 @@ def test_classify_exits_with_a_documented_code(data):
 
 def test_unmutated_inputs_run():
     with tempfile.TemporaryDirectory() as tmpdir:
-        for name, doc in ((CONFIG_NAME, CONFIG_DOC), (POVM_NAME, povm_doc())):
-            with open(os.path.join(tmpdir, name), "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
+        write_docs(tmpdir, {CONFIG_NAME: CONFIG_DOC, POVM_NAME: povm_doc()})
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["run", os.path.join(tmpdir, CONFIG_NAME)]) == 0
         with open(os.path.join(tmpdir, "report.json"), encoding="utf-8") as fh:
@@ -226,12 +234,78 @@ def test_unmutated_inputs_run():
 def test_sweep_grid_outside_the_unit_interval_exits_two():
     doc = dict(CONFIG_DOC, sweep={"param_name": "lambda", "start": -0.5, "stop": 1.0, "steps": 3})
     with tempfile.TemporaryDirectory() as tmpdir:
-        for name, content in ((CONFIG_NAME, doc), (POVM_NAME, povm_doc())):
-            with open(os.path.join(tmpdir, name), "w", encoding="utf-8") as fh:
-                json.dump(content, fh)
+        write_docs(tmpdir, {CONFIG_NAME: doc, POVM_NAME: povm_doc()})
         code, _, err = run_main(
             ["sweep", os.path.join(tmpdir, CONFIG_NAME), "--csv", os.path.join(tmpdir, "s.csv")]
         )
     assert code == 2
     assert err.startswith("error_code=BadParameter\n"), err
     assert "-0.5" in err
+
+
+def tiny_element_povm(t):
+    """{diag(t, 0, 0, 0), I - diag(t, 0, 0, 0)}: complete, its first trace t."""
+    tiny = np.diag([t, 0.0, 0.0, 0.0])
+    return matrices_doc([tiny, np.eye(4) - tiny])
+
+
+@pytest.mark.parametrize("t", [1e-200, 1e-320])
+def test_classify_reads_a_tiny_element_as_its_rescaled_self(t):
+    # its squared eigenvalues underflow (1e-200) and its inverse trace
+    # overflows (1e-320); it is classified as diag(1, 0, 0, 0), and its rank
+    # keeps the absolute PSD_TOL rule
+    with tempfile.TemporaryDirectory() as tmpdir:
+        write_docs(tmpdir, {POVM_NAME: tiny_element_povm(t)})
+        code, out, err = run_main(["classify", os.path.join(tmpdir, POVM_NAME)])
+        assert (code, err) == (0, "")
+        write_docs(tmpdir, {POVM_NAME: tiny_element_povm(1.0)})
+        _, unit, _ = run_main(["classify", os.path.join(tmpdir, POVM_NAME)])
+    got, want = (json.loads(text)["per_element"][0] for text in (out, unit))
+    assert want["rank"] == 1
+    assert got == dict(want, rank=0)
+
+
+SEPARABLE_HUGE = dict(
+    CONFIG_DOC,
+    rounds=[{
+        "family": "separable_product",
+        "params": {"elements": [{
+            "a": {"theta": 0.0, "phi": 0.0, "tau1": 1e308, "tau2": 0.0},
+            "b": {"theta": 0.0, "phi": 0.0, "tau1": 1e308, "tau2": 0.0},
+        }]},
+    }],
+    sweep=None,
+)
+HUGE_ENTRY = matrices_doc([np.diag([1e308, 0.0, 0.0, 0.0])] * 2)
+
+# outside input whose arithmetic overflows: the command, the documents,
+# and the error code it exits 2 with
+OVERFLOWS = {
+    "element sum": ("classify", {POVM_NAME: HUGE_ENTRY}, "InvalidPovm"),
+    "separable_product factors": ("run", {CONFIG_NAME: SEPARABLE_HUGE}, "ValidationFailure"),
+    "sweep range": (
+        "sweep",
+        {
+            CONFIG_NAME: dict(CONFIG_DOC, sweep={
+                "param_name": "lambda", "start": -1.7e308, "stop": 1.7e308, "steps": 3,
+            }),
+            POVM_NAME: povm_doc(),
+        },
+        "ConfigParse",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWS)
+def test_overflowing_input_exits_two_without_a_warning(case):
+    command, docs, error_code = OVERFLOWS[case]
+    with tempfile.TemporaryDirectory() as tmpdir:
+        write_docs(tmpdir, docs)
+        argv = [command, os.path.join(tmpdir, next(iter(docs)))]
+        if command == "sweep":
+            argv += ["--csv", os.path.join(tmpdir, "s.csv")]
+        code, _, err = run_main(argv)
+    assert code == 2
+    assert err.startswith(f"error_code={error_code}\n"), err
+    if case == "sweep range":
+        assert "[-1.7e+308, 1.7e+308]" in err

@@ -15,7 +15,14 @@ from swapforge.config import (
     SweepSpec,
     load_scenario_config,
 )
-from swapforge.engine import SwapScenario, _expand, initial_state, stacked_chain_negativities
+from swapforge.classify import classify_measurement
+from swapforge.engine import (
+    SwapScenario,
+    _expand,
+    chain,
+    initial_state,
+    stacked_chain_negativities,
+)
 from swapforge.errors import (
     BadDimension,
     BadIndex,
@@ -262,7 +269,7 @@ PSD_ENTRIES = {
     "Povm": (4, lambda m: Povm([m, np.eye(4) - m])),
     "check_povm_stack": (4, lambda m: check_povm_stack([[m, np.eye(4) - m]])),
     "check_spectrum_stack": (
-        4, lambda m: check_spectrum_stack(*np.linalg.eigh([m, np.eye(4) - m]))
+        4, lambda m: check_spectrum_stack(*np.linalg.eigh([[m, np.eye(4) - m]]))
     ),
     "psd_sqrt": (4, psd_sqrt),
     "psd_sqrt_closed_2x2": (2, psd_sqrt_closed_2x2),
@@ -311,6 +318,9 @@ SPECTRUM_FAULTS = {
     "3 tables, 2 points": (
         ShapeMismatch, SHAPES + "(2, 4, 4) and (3, 4, 4, 4)", lambda w, v: (w, v.repeat(3, axis=0))
     ),
+    "a table per point": (
+        ShapeMismatch, SHAPES + "(2, 4, 4) and (2, 4, 4, 4)", lambda w, v: (w, v.repeat(2, axis=0))
+    ),
     "no grid axis": (ShapeMismatch, SHAPES + "(2, 4, 4) and (4, 4, 4)", lambda w, v: (w, v[0])),
     "v not square": (ShapeMismatch, "expected a square", lambda w, v: (w, v[..., :3])),
     "not d*d": (ShapeMismatch, "element dimension 3", lambda w, v: (w[..., :3], v[..., :3, :3])),
@@ -327,8 +337,8 @@ SPECTRUM_FAULTS = {
 # The rules of a spectrum alone, with no element matrix to break: a pair
 # whose shapes form no elements, the order of w and the table's
 # orthonormality (V diag(w) V^dagger is Hermitian PSD for any V)
-SPECTRUM_ONLY = {"w shape", "3 tables, 2 points", "no grid axis", "v not square", "descending",
-                 "not orthonormal"}
+SPECTRUM_ONLY = {"w shape", "3 tables, 2 points", "a table per point", "no grid axis",
+                 "v not square", "descending", "not orthonormal"}
 
 
 @pytest.mark.parametrize("fault", SPECTRUM_FAULTS)
@@ -360,10 +370,12 @@ def test_check_spectrum_stack_rejects_an_infinite_eigenvalue(value):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_check_spectrum_stack_on_eigh_is_check_povm_stack(rng, d):
-    # the spectral check takes a complex eigh as it comes and floors it alone
-    stack = random_povm_stack(rng, 3, d=d, n_elements=3)
-    for got, want in zip(check_spectrum_stack(*np.linalg.eigh(stack)), check_povm_stack(stack)):
-        assert np.array_equal(got, want)
+    # the spectral check takes a complex eigh as it comes and floors it alone;
+    # its table is one POVM's, so the POVMs go one at a time
+    for povm in random_povm_stack(rng, 3, d=d, n_elements=3):
+        spectral = check_spectrum_stack(*np.linalg.eigh(povm[None]))
+        for got, want in zip(spectral, check_povm_stack(povm[None])):
+            assert np.array_equal(got, want)
 
 
 def fixed_basis_spectrum(rng, d, grid, m=2):
@@ -394,18 +406,18 @@ SHARED_TABLES = {
 
 @pytest.mark.parametrize("case", SHARED_TABLES)
 def test_shared_table_route_matches_the_materialized_route(rng, case):
-    # one (1, K, D, D) table for the whole grid, against its (G, K, D, D) copy
+    # the check floors one (1, K, D, D) table for the whole grid; the round
+    # loop roots it by broadcasting, against its (G, K, D, D) copy
     w, v = SHARED_TABLES[case](rng)
     floored_w, floored_v = check_spectrum_stack(w, v)
     assert np.array_equal(floored_w, floor_eigh(w, v)[0])
     assert floored_v.shape == v.shape and np.array_equal(floored_v, v[..., ::-1])
-    full_w, full_v = check_spectrum_stack(w, np.broadcast_to(v, w.shape + w.shape[-1:]))
-    assert np.array_equal(full_w, floored_w) and full_v.shape == w.shape + w.shape[-1:]
+    full_v = np.broadcast_to(floored_v, w.shape + w.shape[-1:]).copy()
     roots = sqrt_from_spectrum(floored_w, floored_v)
-    np.testing.assert_allclose(roots, sqrt_from_spectrum(full_w, full_v), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(roots, sqrt_from_spectrum(floored_w, full_v), rtol=0, atol=1e-15)
     d = isqrt(w.shape[-1])
     x, weight = next(_expand(d, [(floored_w, floored_v)], PROB_TOL))
-    full_x, full_weight = next(_expand(d, [(full_w, full_v)], PROB_TOL))
+    full_x, full_weight = next(_expand(d, [(floored_w, full_v)], PROB_TOL))
     np.testing.assert_allclose(x, full_x, rtol=0, atol=1e-15)
     np.testing.assert_allclose(weight, full_weight, rtol=0, atol=1e-15)
 
@@ -596,6 +608,45 @@ def test_povm_shared_spectrum_is_read_only(name):
     for a in shared:
         with pytest.raises(ValueError, match="read-only"):
             a[..., 0] = 0.0
+
+
+def test_run_sweep_and_classify_build_no_element_rows(tmp_path, rng, monkeypatch):
+    # a Povm builds its PovmElement rows on first read, and only chain (among
+    # these) reads them: its rows equal rows read before, bit for bit
+    povm_file(tmp_path, random_povm(rng, d=2, n_elements=3).matrices)
+    config = ScenarioConfig(
+        local_dim=2,
+        rounds=(
+            RoundSpec("file", {"path": "povm.json"}),
+            RoundSpec("noisy_bell", {"lambda": 0.6}),
+            RoundSpec("wire2_computational"),
+        ),
+        sweep=SweepSpec("lambda", 0.0, 1.0, 5),
+        base_dir=str(tmp_path),
+    )
+    eager = config.build_rounds()
+    rows = [povm.elements for povm in eager]
+    built = []
+    real = PovmElement._of_checked_stack.__func__
+    spy = classmethod(lambda cls, *row: built.append(row) or real(cls, *row))
+    monkeypatch.setattr(PovmElement, "_of_checked_stack", spy)
+    run_scenario(config)
+    sweep_rows(config)
+    classify_measurement(read_povm(tmp_path / "povm.json"))
+    assert built == []
+    lazy = config.build_rounds()
+    records = chain(SwapScenario(2, lazy))
+    assert len(built) == sum(len(povm) for povm in lazy)
+    for povm, want in zip(lazy, rows):
+        for el, ref in zip(povm.elements, want, strict=True):
+            assert np.array_equal(el.matrix, ref.matrix)
+            assert all(np.array_equal(a, b) for a, b in zip(el.spectral, ref.spectral))
+    reference = chain(SwapScenario(2, eager))
+    assert [r.outcome_path for r in records] == [r.outcome_path for r in reference]
+    for rec, ref in zip(records, reference):
+        assert rec.element is lazy[-1].elements[rec.outcome_path[-1]]
+        assert rec.probability == ref.probability
+        assert np.array_equal(rec.full_state.amplitudes, ref.full_state.amplitudes)
 
 
 # ---------------------------------------------------------------------------
