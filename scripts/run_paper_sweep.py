@@ -11,7 +11,7 @@ lambda = 1/3 separability edge is visible at a glance.
 import argparse
 
 from swapforge.config import MAX_SWEEP_STEPS, RoundSpec, ScenarioConfig, SweepSpec
-from swapforge.experiment import run_sweep
+from swapforge.experiment import run_sweep, sweep_rows
 
 
 def main() -> None:
@@ -27,7 +27,8 @@ def main() -> None:
         rounds=(RoundSpec("noisy_bell"), RoundSpec("wire2_computational")),
         sweep=SweepSpec(param_name="lambda", start=0.0, stop=1.0, steps=args.steps),
     )
-    rows = run_sweep(config, csv_path=args.out)
+    run_sweep(config, csv_path=args.out)
+    rows = sweep_rows(config)
 
     print(f"{'lambda':>8}  {'one round':>10}  {'two rounds':>10}")
     for row in rows:

@@ -64,8 +64,8 @@ def _cmd_sweep(args) -> int:
     target = args.csv if args.csv is not None else config.resolve_output(config.outputs.csv_path)
     if target is None:
         raise ConfigError("no CSV target: set outputs.csv_path or pass --csv")
-    rows = run_sweep(config, csv_path=target)
-    print(f"wrote {len(rows)} rows to {target}")
+    count = run_sweep(config, csv_path=target)
+    print(f"wrote {count} rows to {target}")
     return EXIT_OK
 
 

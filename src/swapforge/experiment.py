@@ -6,7 +6,8 @@ avg_neg_round2, paper_formula_round1, paper_formula_round2,
 max_branch_negativity), header row, '.' decimal separator, every value
 printed with 15 significant digits ("%.15g"), newline-terminated rows.
 Rows are computed in grid order by one deterministic stacked pass and
-written from its columns, so output is byte-stable across runs.
+written from its columns in bounded blocks, so output is byte-stable
+across runs.
 """
 
 from __future__ import annotations
@@ -86,9 +87,11 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     form (``spectrum``: K*D eigenvalues a point, one eigenvector table all
     points share); check_spectrum_stack checks it once per block of
     STACK_ENTRIES // (K*D) grid points, the first block before the other
-    rounds are built, and the round is never decomposed.  The engine takes each block in chunks that keep every
-    stacked array within STACK_ENTRIES entries, rooting a chunk's slice
-    of the floored eigenvalues against the block's one table.  A closure
+    rounds are built, and the round is never decomposed.  The engine takes
+    each block in chunks that keep every stacked array within STACK_ENTRIES
+    entries, rooting a chunk's slice of the floored eigenvalues against the
+    block's one table, and writes each chunk's values into columns
+    allocated once at the grid's length.  A closure
     error names the grid index and parameter value of the first point
     that fails.
     """
@@ -108,7 +111,7 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     ]
     branches = prod(v.shape[1] for _, v in spectra)
     chunk = max(1, STACK_ENTRIES // (branches * d**4))
-    parts = []
+    measured = np.empty((3, len(grid)))  # avg1, avg_last, top
     for lo in range(0, len(grid), block):
         w, v = first if lo == 0 else check_spectrum_stack(*spectrum(grid[lo : lo + block]))
         for start in range(lo, lo + len(w), chunk):
@@ -116,9 +119,12 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
             def point(g: int) -> str:  # g indexes the chunk starting at grid index `start`
                 return f"grid index {start + g} ({param}={float(grid[start + g])!r})"
 
-            spectra[swept] = w[start - lo : start - lo + chunk], v
-            parts.append(_chain_negativities(d, spectra, config.prob_tol, point))
-    avg1, avg_last, top = (np.concatenate(column) for column in zip(*parts))
+            part = w[start - lo : start - lo + chunk]
+            spectra[swept] = part, v
+            measured[:, start : start + len(part)] = _chain_negativities(
+                d, spectra, config.prob_tol, point
+            )
+    avg1, avg_last, top = measured
     nan = np.full(len(grid), math.nan)
     # each formula column reads the table at the exact chain its measured
     # column averages over, unclamped so a discrepancy stays visible
@@ -129,27 +135,27 @@ def _sweep_columns(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     return grid, avg1, avg_last, f1, f2, top
 
 
-def _rows(columns) -> list[SweepRow]:
-    return list(map(SweepRow, *(column.tolist() for column in columns)))
-
-
 def sweep_rows(config: ScenarioConfig) -> list[SweepRow]:
     """Evaluate every grid point; grid order is preserved in the output."""
-    return _rows(_sweep_columns(config))
+    return list(map(SweepRow, *(column.tolist() for column in _sweep_columns(config))))
 
 
-def run_sweep(config: ScenarioConfig, csv_path: str | None = None) -> list[SweepRow]:
+def run_sweep(config: ScenarioConfig, csv_path: str | None = None) -> int:
     """Run the sweep and write the CSV (to the configured path unless
-    overridden); returns the rows.  The CSV body is formatted from the
-    columns in one ``%`` operation, "%.15g" per value."""
+    overridden); returns the row count.  The file is opened only once
+    every column is computed, so a sweep that raises writes nothing.  The
+    body is formatted and written STACK_ENTRIES // 6 rows at a time, one
+    ``%`` operation a block, "%.15g" per value."""
     columns = _sweep_columns(config)
     target = csv_path if csv_path is not None else config.resolve_output(config.outputs.csv_path)
     if target is not None:
-        values = tuple(np.stack(columns, axis=-1).ravel().tolist())
-        body = ("%.15g," * 5 + "%.15g\n") * len(columns[0]) % values
+        rows = STACK_ENTRIES // len(columns)
         with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n" + body)
-    return _rows(columns)
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+            for lo in range(0, len(columns[0]), rows):
+                block = np.stack([column[lo : lo + rows] for column in columns], axis=-1)
+                fh.write(("%.15g," * 5 + "%.15g\n") * len(block) % tuple(block.ravel().tolist()))
+    return len(columns[0])
 
 
 def run_scenario(config: ScenarioConfig) -> dict:

@@ -8,6 +8,7 @@ sweep root the same spectra and neither decomposes them.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -122,11 +123,14 @@ class SingleQubitElementParams:
 
 
 def single_qubit_element(p: SingleQubitElementParams) -> np.ndarray:
+    """The factor's 2x2 matrix; weights near the float maximum may give
+    infinite entries, silently, which the element check rejects."""
     half = p.theta / 2.0
     phase = np.exp(1j * p.phi)
     v1 = np.array([np.cos(half), phase * np.sin(half)], dtype=complex)
     v2 = np.array([np.sin(half), -phase * np.cos(half)], dtype=complex)
-    return p.tau1 * np.outer(v1, v1.conj()) + p.tau2 * np.outer(v2, v2.conj())
+    with np.errstate(over="ignore"):
+        return p.tau1 * np.outer(v1, v1.conj()) + p.tau2 * np.outer(v2, v2.conj())
 
 
 def separable_product_povm(pairs) -> Povm:
@@ -140,11 +144,15 @@ def separable_product_povm(pairs) -> Povm:
 def single_qubit_residual_concurrence(p: SingleQubitElementParams) -> float:
     """Entanglement kept by one pair when a single-qubit factor acts on
     its second wire: 2 sqrt(tau1 tau2) / (tau1 + tau2), independent of
-    the basis angles."""
-    total = p.tau1 + p.tau2
+    the basis angles.  Both weights are first scaled by the exact power
+    of two that brings the larger into [0.5, 1), so neither their product
+    nor their sum overflows."""
+    shift = -math.frexp(max(p.tau1, p.tau2))[1]
+    tau1, tau2 = math.ldexp(p.tau1, shift), math.ldexp(p.tau2, shift)
+    total = tau1 + tau2
     if total <= 0.0:
         raise ZeroTrace("residual concurrence undefined for a zero factor")
-    return float(2.0 * np.sqrt(p.tau1 * p.tau2) / total)
+    return float(2.0 * np.sqrt(tau1 * tau2) / total)
 
 
 @dataclass(frozen=True)

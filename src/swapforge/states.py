@@ -303,7 +303,7 @@ def check_spectrum_stack(w, v) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.asarray(w), np.asarray(v)
     if w.ndim != 3 or v.shape[:-1] != (1,) + w.shape[1:]:
         raise ShapeMismatch(
-            f"expected (..., K, D) eigenvalues and (..., K, D, D) eigenvectors, "
+            f"expected (G, K, D) eigenvalues on one (1, K, D, D) eigenvector table, "
             f"got shapes {w.shape} and {v.shape}"
         )
     _check_element_shape(v.shape)

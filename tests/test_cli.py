@@ -16,7 +16,7 @@ from swapforge.config import (
     load_scenario_config,
 )
 from swapforge.errors import ConfigError
-from swapforge.experiment import CLOSED_FORMS, CSV_COLUMNS, run_scenario, run_sweep
+from swapforge.experiment import CLOSED_FORMS, CSV_COLUMNS, run_scenario, run_sweep, sweep_rows
 from swapforge.families import noisy_bell_povm
 from swapforge.states import Povm, write_povm
 
@@ -110,7 +110,8 @@ def test_run_scenario_report(tmp_path):
 
 def test_run_sweep_rows_and_csv(tmp_path):
     config = load_scenario_config(write_config(tmp_path, PAPER_DOC))
-    rows = run_sweep(config)
+    assert run_sweep(config) == 5
+    rows = sweep_rows(config)
     assert len(rows) == 5
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -126,7 +127,8 @@ def test_run_sweep_rows_and_csv(tmp_path):
 
 def test_sweep_endpoints_match_run(tmp_path):
     config = load_scenario_config(write_config(tmp_path, PAPER_DOC))
-    rows = run_sweep(config)
+    assert run_sweep(config) == 5
+    rows = sweep_rows(config)
     for lam, row in ((0.0, rows[0]), (1.0, rows[-1])):
         doc = {
             "local_dim": 2,
@@ -154,7 +156,8 @@ def test_sweep_of_no_steps_writes_the_header_alone(tmp_path):
     # a config file needs steps >= 2; one built in code may hold an empty grid
     rounds = (RoundSpec("noisy_bell"), RoundSpec("wire2_computational"))
     config = ScenarioConfig(2, rounds, sweep=SweepSpec("lambda", 0.0, 1.0, 0))
-    assert run_sweep(config, csv_path=str(tmp_path / "empty.csv")) == []
+    assert run_sweep(config, csv_path=str(tmp_path / "empty.csv")) == 0
+    assert sweep_rows(config) == []
     assert (tmp_path / "empty.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 

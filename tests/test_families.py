@@ -1,4 +1,6 @@
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -255,6 +257,26 @@ def test_residual_concurrence_known_values():
     with pytest.raises(ZeroTrace):
         single_qubit_residual_concurrence(_params(0.0, 0.0, 0.0, 0.0))
 
+
+
+MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "tau1, tau2, expected",
+    [(1e200, 1e200, 1.0), (MAX, MAX, 1.0), (MAX, 1.0, 2.0 / math.sqrt(MAX))],
+)
+def test_residual_concurrence_of_weights_whose_product_overflows(tau1, tau2, expected):
+    # tau1 * tau2 and tau1 + tau2 overflow unscaled: inf at 1e200, NaN at MAX
+    got = single_qubit_residual_concurrence(_params(0.3, 0.7, tau1, tau2))
+    assert got == pytest.approx(expected, rel=1e-15)
+
+
+def test_single_qubit_element_near_the_float_maximum_is_silent():
+    # warnings are errors in this suite; some entries overflow to inf
+    params = [_params(theta, 0.3, MAX, MAX) for theta in np.linspace(0.0, 3.14, 50)]
+    elements = np.array([single_qubit_element(p) for p in params])
+    assert not np.isfinite(elements).all()
 
 @given(seeds)
 def test_residual_concurrence_matches_state_oracle(seed):

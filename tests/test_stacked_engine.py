@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from swapforge.engine import (
     stacked_disturbance,
 )
 from swapforge.errors import (
+    BadParameter,
     IncompleteBranchSet,
     InvalidPovm,
     NotPsd,
@@ -1056,22 +1058,64 @@ def test_bad_first_swept_point_fails_before_the_other_rounds_are_built(monkeypat
 
 
 def test_columnar_csv_equals_per_value_format(tmp_path, monkeypatch):
+    # three write blocks and one row more, cycling through the special values
     values = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e16]
     values += [0.1, 1 / 3, -2.5e-8, 5e-324, 0.0, 1.0]
-    columns = tuple(np.array(values[k:] + values[:k]) for k in range(6))
+    count = 3 * (swapforge.experiment.STACK_ENTRIES // 6) + 1
+    columns = tuple(np.resize(values[k:] + values[:k], count) for k in range(6))
     monkeypatch.setattr(swapforge.experiment, "_sweep_columns", lambda config: columns)
     config = sweep_config([RoundSpec("noisy_bell")])
-    rows = run_sweep(config, csv_path=str(tmp_path / "out.csv"))
+    assert run_sweep(config, csv_path=str(tmp_path / "out.csv")) == count
     expected = ",".join(CSV_COLUMNS) + "\n" + "".join(
         ",".join(format(x, ".15g") for x in row) + "\n" for row in zip(*columns)
     )
     assert (tmp_path / "out.csv").read_text() == expected
-    assert [list(map(repr, tuple(row))) for row in rows] == [
+    assert [list(map(repr, tuple(row))) for row in sweep_rows(config)] == [
         list(map(repr, row)) for row in zip(*(c.tolist() for c in columns))
     ]
     header = "param_value,avg_neg_round1,avg_neg_round2,paper_formula_round1,paper_formula_round2"
     assert ",".join(CSV_COLUMNS) == header + ",max_branch_negativity"  # SweepRow's field order
 
+
+
+def test_a_sweep_that_raises_writes_nothing(tmp_path, monkeypatch):
+    # lambda = 1.0005 is grid index 2001, in the second block of 1024 points:
+    # the first block's negativities are computed before the sweep raises
+    computed = []
+    real = swapforge.experiment._chain_negativities
+
+    def spy(*args):
+        computed.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(swapforge.experiment, "_chain_negativities", spy)
+    rounds = (RoundSpec("noisy_bell"), RoundSpec("wire2_computational"))
+    config = ScenarioConfig(2, rounds, sweep=SweepSpec("lambda", 0.0, 1.5, 3001))
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_bytes(b"old\n")
+    for path in (old, new):
+        with pytest.raises(BadParameter, match=re.escape("lambda must lie in [0, 1], got 1.0005")):
+            run_sweep(config, csv_path=str(path))
+    assert computed
+    assert old.read_bytes() == b"old\n"
+    assert not new.exists()
+
+
+def test_run_sweep_peak_memory_grows_by_at_most_100_bytes_a_point(tmp_path):
+    # the six float64 columns take 48; no per-row object or whole-CSV string
+    rounds = [RoundSpec("noisy_bell"), RoundSpec("wire2_computational")]
+    csv = str(tmp_path / "sweep.csv")
+    run_sweep(sweep_config(rounds, 3), csv_path=csv)  # fill the caches a first sweep fills
+    peaks = []
+    for steps in (2001, 20001):
+        config = sweep_config(rounds, steps)
+        tracemalloc.start()
+        try:
+            run_sweep(config, csv_path=csv)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (20001 - 2001) <= 100
 
 # ---------------------------------------------------------------------------
 # In-place writes: the engine squares, normalizes and floors in place only

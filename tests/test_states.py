@@ -308,7 +308,7 @@ def _set(name, index, value):
 
 
 NOT_HERMITIAN = "POVM element is not Hermitian"
-SHAPES = "expected (..., K, D) eigenvalues and (..., K, D, D) eigenvectors, got shapes "
+SHAPES = "expected (G, K, D) eigenvalues on one (1, K, D, D) eigenvector table, got shapes "
 # Each rule check_spectrum_stack applies, broken on the spectra of two noisy
 # Bell POVMs (their eigenvalues, and the one table they share): the error
 # class and the start of its message.
