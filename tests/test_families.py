@@ -258,7 +258,6 @@ def test_residual_concurrence_known_values():
         single_qubit_residual_concurrence(_params(0.0, 0.0, 0.0, 0.0))
 
 
-
 MAX = sys.float_info.max
 
 
@@ -277,6 +276,7 @@ def test_single_qubit_element_near_the_float_maximum_is_silent():
     params = [_params(theta, 0.3, MAX, MAX) for theta in np.linspace(0.0, 3.14, 50)]
     elements = np.array([single_qubit_element(p) for p in params])
     assert not np.isfinite(elements).all()
+
 
 @given(seeds)
 def test_residual_concurrence_matches_state_oracle(seed):

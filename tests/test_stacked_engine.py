@@ -1077,7 +1077,6 @@ def test_columnar_csv_equals_per_value_format(tmp_path, monkeypatch):
     assert ",".join(CSV_COLUMNS) == header + ",max_branch_negativity"  # SweepRow's field order
 
 
-
 def test_a_sweep_that_raises_writes_nothing(tmp_path, monkeypatch):
     # lambda = 1.0005 is grid index 2001, in the second block of 1024 points:
     # the first block's negativities are computed before the sweep raises
@@ -1116,6 +1115,7 @@ def test_run_sweep_peak_memory_grows_by_at_most_100_bytes_a_point(tmp_path):
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / (20001 - 2001) <= 100
+
 
 # ---------------------------------------------------------------------------
 # In-place writes: the engine squares, normalizes and floors in place only
