@@ -31,6 +31,11 @@ The package is imported from PYTHONPATH, so one copy of this script times
 any checkout:
 
     PYTHONPATH=/path/to/other/src python scripts/bench.py --out other.json
+
+The whole-command timings cannot resolve a change of a few percent on a
+shared 2-vCPU host: four runs of one checkout read ``run_sweep_2001`` at
+17.7 to 24.8 ms raw.  A performance claim needs ``scripts/ab_pairs.py``
+with at least 10 alternating pairs.
 """
 
 from __future__ import annotations

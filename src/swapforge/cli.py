@@ -111,9 +111,10 @@ def _cmd_verify(args) -> int:
         for r in results:
             status = "SKIP" if r.skipped else "PASS" if r.passed else "FAIL"
             print(f"{status}  {r.name:<{width}}  {r.detail}")
-        print(f"{len(results) - failures}/{len(results)} checks passed" + (
-            f" ({failures} failed)" if failures else ""
-        ))
+        ran = sum(not r.skipped for r in results)
+        failed = f" ({failures} failed)" if failures else ""
+        skipped = f", {len(results) - ran} skipped" if ran < len(results) else ""
+        print(f"{ran - failures}/{ran} checks passed{failed}{skipped}")
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 

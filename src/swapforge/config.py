@@ -104,7 +104,7 @@ class ScenarioConfig:
         return os.path.join(self.base_dir, path)
 
 
-# A sweep holds its grid, rows and CSV text in memory whole.
+# A sweep holds six float64 columns (~63 B a point) and writes its CSV in blocks.
 MAX_SWEEP_STEPS = 1_000_000
 
 # Tolerance names a config may override; anything else is a typo.

@@ -133,7 +133,7 @@ class OutcomeRecord:
 
 
 class _ChainRecord(OutcomeRecord):
-    """The records ``chain`` builds.  perfbench's tracer replaces
+    """The records ``_records`` builds.  perfbench's tracer replaces
     OutcomeRecord's ``c14vs23`` and ``c12vs34`` with descriptors that
     only read values set at construction; bound again here, the lazy
     values resolve ahead of such a patch."""
@@ -173,13 +173,25 @@ def apply_element(state: PureState, el: PovmElement) -> tuple[float, PureState |
     return p, PureState(out.reshape(-1) / np.sqrt(p), state.dims)
 
 
-def _make_record(
-    post: PureState,
-    element: PovmElement,
-    path: tuple[int, ...],
-    round_probs: tuple[float, ...],
-) -> OutcomeRecord:
-    return _ChainRecord(path, float(prod(round_probs)), round_probs, post, element)
+def _records(start: PureState, rounds, prob_tol: float = PROB_TOL) -> list[OutcomeRecord]:
+    """``chain``'s round loop from any four-wire ``start``, each round a
+    sequence of PovmElements: the same records, order and skip rule."""
+    # (path, round probabilities, state, element) of each kept branch
+    frontier = [((), (), start, None)]
+    for elements in rounds:
+        expanded = []
+        for path, probs, state, _ in frontier:
+            for n, el in enumerate(elements):
+                p, post = apply_element(state, el)
+                if post is None or p < prob_tol:
+                    logger.debug("skipping branch %s: probability %.3e", path + (n,), p)
+                    continue
+                expanded.append((path + (n,), probs + (p,), post, el))
+        frontier = expanded
+    return [
+        _ChainRecord(path, float(prod(probs)), probs, post, el)
+        for path, probs, post, el in frontier
+    ]
 
 
 def chain(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> list[OutcomeRecord]:
@@ -192,19 +204,8 @@ def chain(scenario: SwapScenario, prob_tol: float = PROB_TOL) -> list[OutcomeRec
     and so are its descendants; at the cut itself see ``_expand``'s tie
     rule.  To follow one path, filter the records on ``outcome_path``.
     """
-    # (path, round probabilities, state, element) of each kept branch
-    frontier = [((), (), initial_state(scenario.local_dim), None)]
-    for povm in scenario.rounds:
-        expanded = []
-        for path, probs, state, _ in frontier:
-            for n, el in enumerate(povm.elements):
-                p, post = apply_element(state, el)
-                if post is None or p < prob_tol:
-                    logger.debug("skipping branch %s: probability %.3e", path + (n,), p)
-                    continue
-                expanded.append((path + (n,), probs + (p,), post, el))
-        frontier = expanded
-    return [_make_record(post, el, path, probs) for path, probs, post, el in frontier]
+    rounds = [povm.elements for povm in scenario.rounds]
+    return _records(initial_state(scenario.local_dim), rounds, prob_tol)
 
 
 def average_negativity(records: list[OutcomeRecord]) -> float:
@@ -526,21 +527,17 @@ class DisturbanceReport:
 
 def disturbance_check(rec: OutcomeRecord, povm2: Povm) -> DisturbanceReport:
     """How much a second measurement can move the outer-pair state of a
-    branch: per-outcome trace distance and negativity change, plus maxima.
+    branch: per-outcome trace distance and negativity change, plus maxima;
+    an outcome below PROB_TOL is skipped, as ``_records`` skips it.
 
     Rank-one first elements leave every entry at zero up to rounding.
     """
     base_rho = rec.rho14
     base_neg = rec.negativity14
-    per_outcome = []
-    for m, em in enumerate(povm2.elements):
-        _, post = apply_element(rec.full_state, em)
-        if post is None:  # below PROB_TOL
-            continue
-        rho = post.reduced((0, 3))
-        per_outcome.append(
-            (m, trace_distance(rho, base_rho), abs(negativity(rho) - base_neg))
-        )
+    per_outcome = [
+        (out.outcome_path[0], trace_distance(out.rho14, base_rho), abs(out.negativity14 - base_neg))
+        for out in _records(rec.full_state, [povm2.elements])
+    ]
     return DisturbanceReport(
         max_trace_distance=max((t for _, t, _ in per_outcome), default=0.0),
         max_negativity_change=max((n for _, _, n in per_outcome), default=0.0),

@@ -21,7 +21,7 @@ from .classify import classify_element, classify_measurement, classify_stack, le
 from .config import RoundSpec, ScenarioConfig, SweepSpec
 from .engine import (
     SwapScenario,
-    _make_record,
+    _records,
     apply_element,
     average_negativity,
     chain,
@@ -342,9 +342,8 @@ def _check_lemma1_necessity(overrides: dict) -> CheckResult:
     for k, (el, ec) in enumerate(zip(candidates, classes)):
         if not lemma1_blocked(ec):
             continue
-        # the branch of el alone; its complement's record is never read
-        p, post = apply_element(base, el)
-        rec = _make_record(post, el, (0,), (p,))
+        # only el's branch is read, so el is expanded alone
+        rec = _records(base, [(el,)])[0]
         checked += 1
         # 50 two-outcome second rounds in one stack, checked once, by
         # stacked_disturbance (random_povm_stack would check them first)
@@ -428,13 +427,11 @@ def _check_dual_path_equivalence(overrides: dict) -> CheckResult:
     base = initial_state(2)
     for k in range(50):
         first = random_element(rng, rank=int(rng.integers(2, 5)))
-        second_povm = random_povm(rng, d=2, n_elements=2)
-        p1, post1 = apply_element(base, first)
-        em = second_povm.elements[0]
-        p2, post2 = apply_element(post1, em)
-        if post2 is None:
+        em = random_povm(rng, d=2, n_elements=2).elements[0]
+        records = _records(base, [(first,), (em,)])
+        if not records:
             continue
-        rho_direct = post2.reduced((0, 3))
+        rho_direct = records[0].rho14
         rho_spectral = rho14_two_round_spectral(first, em)
         worst.push(
             float(np.abs(rho_direct.matrix - rho_spectral.matrix).max()),
@@ -552,9 +549,7 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
     mismatched = []
     for d in (2, 3):
         for rank in (1, 2, 3, 4):
-            el = random_element(rng, d=d, rank=rank)
-            povm = Povm([el.matrix, np.eye(d * d) - el.matrix], local_dim=d)
-            rec = chain(SwapScenario(d, (povm,)))[0]
+            rec = _records(initial_state(d), [(random_element(rng, d=d, rank=rank),)])[0]
             stack = random_povm_stack(rng, 3, d=d, n_elements=3)
             kept, distance, change = stacked_disturbance(rec, stack)
             ref = [
@@ -597,8 +592,7 @@ def _check_batched_sweep_equivalence(overrides: dict) -> CheckResult:
         for k, (el, ec) in enumerate(zip(els, classify_stack([el.matrix for el in els]))):
             pt = float(np.linalg.eigvalsh(partial_transpose(el.matrix / el.trace, el.dims, 1))[0])
             want = [ENTANGLED, UNENTANGLED_BOUNDARY, UNENTANGLED][(pt >= -PPT_TOL) + (pt > PPT_TOL)]
-            p, post = apply_element(initial_state(d), el)
-            rec = _make_record(post, el, (0,), (p,))
+            rec = _records(initial_state(d), [(el,)])[0]
             ref = (pt, rec.c14vs23, rec.c12vs34)
             kinds = (want, matrix_rank(el.matrix), ref[2] > INSEP_TOL)
             if kinds != (ec.verdict, ec.rank, ec.operation_kind == INSEPARABLE_OPERATION):

@@ -18,7 +18,7 @@ from swapforge.classify import (
     lemma2_open,
     report_to_json,
 )
-from swapforge.engine import _make_record, apply_element, initial_state
+from swapforge.engine import _records, initial_state
 from swapforge.errors import NotPsd, ShapeMismatch, ValidationFailure, ZeroTrace
 from swapforge.families import bell_projective, noisy_bell_povm, wire2_computational_povm
 from swapforge.linalg import matrix_rank, partial_transpose
@@ -211,8 +211,7 @@ def reference_class(el, rank_rel_tol=RANK_REL_TOL):
         verdict = UNENTANGLED_BOUNDARY
     else:
         verdict = UNENTANGLED
-    p, post = apply_element(initial_state(el.local_dim), el)
-    rec = _make_record(post, el, (0,), (p,))
+    rec = _records(initial_state(el.local_dim), [(el,)])[0]
     kind = INSEPARABLE_OPERATION if rec.c12vs34 > INSEP_TOL else SEPARABLE_OPERATION
     rank = matrix_rank(el.matrix, rel_tol=rank_rel_tol)
     return verdict, rank, kind, (min_pt, rec.c14vs23, rec.c12vs34)

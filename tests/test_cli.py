@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import swapforge
+import swapforge.experiment
 from swapforge.cli import main
 from swapforge.config import (
     MAX_SWEEP_STEPS,
@@ -435,14 +437,44 @@ def test_cli_non_finite_povm_entry_exits_two(tmp_path, command, pos, value):
     assert "fails validation" in result.stderr
 
 
+PAPER_SWEEP_SCRIPT = os.path.join(
+    os.path.dirname(__file__), os.pardir, "scripts", "run_paper_sweep.py"
+)
+
+
 @pytest.mark.parametrize("steps", ["-1", "1", str(MAX_SWEEP_STEPS + 1)])
 def test_paper_sweep_script_takes_the_step_counts_a_config_takes(tmp_path, steps):
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_paper_sweep.py")
-    result = fresh_python(script, "--steps", steps, "--out", str(tmp_path / "p.csv"))
+    out = str(tmp_path / "p.csv")
+    result = fresh_python(PAPER_SWEEP_SCRIPT, "--steps", steps, "--out", out)
     assert result.returncode == 2, result.stderr
     assert f"--steps must lie in [2, {MAX_SWEEP_STEPS}], got {steps}" in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_paper_sweep_script_sweeps_once_and_prints_the_csv_it_wrote(
+    tmp_path, monkeypatch, capsys
+):
+    calls = []
+    columns = swapforge.experiment._sweep_columns
+
+    def spy(config):
+        calls.append(config)
+        return columns(config)
+
+    monkeypatch.setattr(swapforge.experiment, "_sweep_columns", spy)
+    out = tmp_path / "p.csv"
+    monkeypatch.setattr(sys, "argv", [PAPER_SWEEP_SCRIPT, "--steps", "41", "--out", str(out)])
+    runpy.run_path(PAPER_SWEEP_SCRIPT, run_name="__main__")
+    assert len(calls) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["lambda", "one", "round", "two", "rounds"]
+    assert lines[-2:] == ["", f"wrote {out}"]
+    rows = out.read_text().splitlines()[1:]
+    assert len(lines[1:-2]) == len(rows) == 41
+    for line, row in zip(lines[1:-2], rows):
+        lam, one, two = map(float, row.split(",")[:3])
+        assert line == f"{lam:8.3f}  {one:10.6f}  {two:10.6f}"
 
 
 def test_cli_classify_boolean_povm_entries_exit_two(tmp_path, capsys):

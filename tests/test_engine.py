@@ -12,6 +12,7 @@ import swapforge.engine
 from swapforge.engine import (
     OutcomeRecord,
     SwapScenario,
+    _records,
     apply_element,
     average_negativity,
     chain,
@@ -183,6 +184,21 @@ def test_chain_records_compute_values_hidden_on_the_base_class(monkeypatch):
     assert isinstance(records[0], OutcomeRecord)
     assert records[0].c14vs23 == i_concurrence(psi, CUT_14_23)
     assert records[0].c12vs34 == i_concurrence(psi, CUT_12_34)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_lone_element_branch_is_chains_record_bit_for_bit(d, rank):
+    # verify and the tests take one element's branch as _records of that
+    # element alone; chain reaches it by completing the element to a POVM
+    el = random_element(np.random.default_rng(10 * d + rank), d=d, rank=rank)
+    rec = _records(initial_state(d), [(el,)])[0]
+    ref = one_round(Povm([el.matrix, np.eye(d * d) - el.matrix], local_dim=d))[0]
+    assert (rec.outcome_path, rec.probability) == (ref.outcome_path, ref.probability)
+    assert np.array_equal(rec.full_state.amplitudes, ref.full_state.amplitudes)
+    assert np.array_equal(rec.rho14.matrix, ref.rho14.matrix)
+    for name in ("negativity14", "c14vs23", "c12vs34"):
+        assert getattr(rec, name) == getattr(ref, name), name
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,21 @@ def test_verify_stdout_holds_only_check_rows(capsys):
     assert len(lines) == len(CHECK_NAMES) + 1
     for line in lines[:-1]:
         assert line.split()[0] in ("PASS", "SKIP")
-    assert lines[-1] == f"{len(CHECK_NAMES)}/{len(CHECK_NAMES)} checks passed"
+    assert lines[-1] == f"2/2 checks passed, {len(CHECK_NAMES) - 2} skipped"
+
+
+@pytest.mark.parametrize(
+    "keep, code, summary",
+    [((), 0, "0/0 checks passed, 13 skipped"),
+     (("psd_sqrt_closed_form",), 1, "0/1 checks passed (1 failed), 12 skipped")],
+    ids=["all-skipped", "one-failed"],
+)
+def test_verify_summary_counts_only_the_checks_that_ran(capsys, keep, code, summary):
+    from swapforge.verify import CHECK_NAMES
+
+    skips = [arg for name in CHECK_NAMES if name not in keep for arg in ("--skip", name)]
+    assert main(["verify", *skips, "--tol-override", "psd_sqrt_closed_form=0"]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == summary
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from swapforge.config import RoundSpec, ScenarioConfig, SweepSpec, load_scenario
 from swapforge.engine import (
     MAX_BRANCHES,
     SwapScenario,
+    _records,
     average_negativity,
     chain,
     disturbance_check,
@@ -685,10 +686,8 @@ def test_run_scenario_report_is_byte_stable(tmp_path, rng):
 
 
 def first_branch(el):
-    """The first-round branch of el, completed to a two-outcome POVM."""
-    d = el.local_dim
-    povm = Povm([el.matrix, np.eye(d * d) - el.matrix], local_dim=d)
-    return chain(SwapScenario(d, (povm,)))[0]
+    """The first-round branch of el alone, from the initial state."""
+    return _records(initial_state(el.local_dim), [(el,)])[0]
 
 
 def break_povm(povm, how):
